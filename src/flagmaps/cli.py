@@ -23,8 +23,8 @@ from .mapcore import (MapFormatError, MapInvariantError, RootedMap,
                       automorphism_group, cells_and_surface, du, genus_symbol,
                       is_reflexible, load_map, pe, regular_map_from_group,
                       save_map)
-from .perm import (BoundExceeded, PermGroup, congruent_labeled_groups,
-                   format_group_file, normal_closure, parse_group_file)
+from .perm import (BoundExceeded, PermGroup, format_group_file,
+                   normal_closure, parse_group_file)
 from .product import (NotReflexible, parallel_product,
                       smallest_reflexible_cover, totally_symmetric_cover)
 from .quotient import (StabilizerNotContained, k_quotient, monodromy_quotient)
@@ -96,9 +96,13 @@ def analyze_map(m: RootedMap) -> AnalysisReport:
     gsym = genus_symbol(m)
     aut = automorphism_group(m)
     classified = ettype.classify_type(m)
+    degeneracy = degen.classify_vector(vec)
     symbol = None
-    if classified is not None and degen.classify_degeneracy(m) != "degenerate":
-        symbol = str(ettype.map_symbol(classified[1], classified[0]))
+    if classified is not None and degeneracy != "degenerate":
+        try:
+            symbol = str(ettype.map_symbol(classified[1], classified[0]))
+        except ettype.SymbolConditionFailed:
+            pass  # boundary-degenerate cells can miss the type's condition
     verdict = decomposability_general(m)
     reflexible = is_reflexible(m)
     report = AnalysisReport(
@@ -107,7 +111,7 @@ def analyze_map(m: RootedMap) -> AnalysisReport:
         monodromy_order=m.monodromy_group().order(),
         automorphism_order=aut.order(),
         reflexible=reflexible,
-        degeneracy=degen.classify_degeneracy(m),
+        degeneracy=degeneracy,
         context_vector=vec.orders,
         orientability=surface.orientability,
         euler_characteristic=surface.euler_characteristic,
@@ -134,6 +138,11 @@ class CensusEntry:
     report: AnalysisReport
 
 
+# Why a candidate vector was kept or dropped, in the order the census tests.
+CENSUS_OUTCOMES = ("overflow", "order_too_large", "insufficient_context",
+                   "duplicate", "kept")
+
+
 @dataclass(frozen=True)
 class CensusResult:
     max_group_order: int
@@ -141,6 +150,9 @@ class CensusResult:
     max_cosets: int
     entries: tuple[CensusEntry, ...]
     skipped: tuple[tuple[int, ...], ...]
+    # candidate count per CENSUS_OUTCOMES key; the counts sum to the
+    # number of candidate vectors
+    outcome_counts: dict[str, int]
 
     def manifest(self) -> dict[str, Any]:
         return {
@@ -148,6 +160,7 @@ class CensusResult:
             "context_bound": self.context_bound,
             "max_cosets_per_candidate": self.max_cosets,
             "entries": len(self.entries),
+            "outcome_counts": dict(self.outcome_counts),
             "skipped_candidates": [list(v) for v in self.skipped],
             "note": ("candidate vectors whose enumeration overflowed were "
                      "skipped; maps needing contexts beyond the seven "
@@ -177,35 +190,48 @@ def census_reflexible(max_group_order: int = DEFAULT_CENSUS_MAX_ORDER,
     group order within the bound.
 
     Each candidate vector is coset-enumerated; a candidate is kept when the
-    enumeration fits the order bound and the actual word orders reproduce
-    the vector (sufficiency).  Overflowing candidates are recorded, keeping
-    the census's incompleteness auditable.
+    enumeration fits the order bound, the actual word orders reproduce
+    the vector (sufficiency) and no earlier entry is the same map.
+    Overflowing candidates are recorded, keeping the census's
+    incompleteness auditable, and every candidate's outcome is counted.
+
+    Duplicates are found by canonical form: the enumerated groups act
+    regularly, so two of them are congruent as groups labeled t, l, r
+    exactly when their regular maps are rooted-isomorphic, that is when
+    their breadth-first canonical texts (``save_map``) are equal.
     """
     if max_cosets is None:
         max_cosets = 8 * max_group_order + 256
     entries = []
     skipped = []
-    seen_groups = []
+    seen_keys: set[str] = set()
+    counts = dict.fromkeys(CENSUS_OUTCOMES, 0)
     for vec in candidate_vectors(context_bound):
         presentation = vector_presentation(vec)
         try:
             lg, order = todd_coxeter(presentation, max_cosets=max_cosets)
         except EnumerationOverflow:
             skipped.append(vec)
+            counts["overflow"] += 1
             continue
         if order > max_group_order:
+            counts["order_too_large"] += 1
             continue
-        actual = tuple(word_order(lg, w) for w in degen.CONTEXT_WORDS)
-        if actual != vec:
+        if any(word_order(lg, w) != e
+               for w, e in zip(degen.CONTEXT_WORDS_PARSED, vec)):
+            counts["insufficient_context"] += 1
             continue
-        if any(congruent_labeled_groups(lg, prev) for prev in seen_groups):
-            continue
-        seen_groups.append(lg)
         m = regular_map_from_group(lg)
+        key = save_map(m)
+        if key in seen_keys:
+            counts["duplicate"] += 1
+            continue
+        seen_keys.add(key)
+        counts["kept"] += 1
         report = analyze_map(m) if analyze else None
         entries.append(CensusEntry(vec, order, m, report))
     return CensusResult(max_group_order, context_bound, max_cosets,
-                        tuple(entries), tuple(skipped))
+                        tuple(entries), tuple(skipped), counts)
 
 
 def write_census(result: CensusResult, out_dir: Path) -> None:

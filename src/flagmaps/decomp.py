@@ -76,26 +76,24 @@ def _verified_factor_pair(m: RootedMap, H1: PermGroup, H2: PermGroup,
 def decomposability_general(m: RootedMap,
                             bound: int = DEFAULT_ELEMENT_BOUND) -> DecompositionVerdict:
     """Search ordered pairs of distinct minimal normal subgroups of Mon(m)
-    for a pair witnessing decomposability; certificates are always verified."""
-    mon = m.monodromy_group()
+    for a pair witnessing decomposability; certificates are always verified.
+
+    For a normal H, S.H (S the root stabilizer) is the stabilizer of the
+    block root.H, and by transitivity S.H1 & S.H2 == S exactly when the
+    blocks root.H1 and root.H2 meet only in the root.
+    """
     try:
-        minimals = minimal_normal_subgroups(mon, bound)
-        elements = mon.elements(bound)
+        minimals = minimal_normal_subgroups(m.monodromy_group(), bound)
     except BoundExceeded as exc:
         return DecompositionVerdict(decomposable=None, reason=str(exc))
-    stabilizer = frozenset(
-        g for g in elements if g.images[m.root] == m.root)
-    min_elements = [frozenset(H.elements(bound)) for H in minimals]
-    products = []
-    for els in min_elements:
-        products.append(frozenset(s * h for s in stabilizer for h in els))
-    for i in range(len(minimals)):
-        if minimals[i].is_transitive():
+    blocks = [None if H.is_transitive() else frozenset(H.orbit(m.root))
+              for H in minimals]
+    root_only = frozenset((m.root,))
+    for i, block_i in enumerate(blocks):
+        if block_i is None:
             continue
-        for j in range(len(minimals)):
-            if i == j or minimals[j].is_transitive():
-                continue
-            if products[i] & products[j] != stabilizer:
+        for j, block_j in enumerate(blocks):
+            if i == j or block_j is None or block_i & block_j != root_only:
                 continue
             factors, cert = _verified_factor_pair(m, minimals[i], minimals[j])
             return DecompositionVerdict(

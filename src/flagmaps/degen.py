@@ -19,6 +19,8 @@ from .fpres import Presentation, Word, parse_word, todd_coxeter, word_power
 from .mapcore import RootedMap, regular_map_from_group
 
 CONTEXT_WORDS: tuple[str, ...] = ("t", "l", "r", "t*l", "r*t", "r*l", "t*l*r")
+# The same seven words, parsed once for the presentation and census loops.
+CONTEXT_WORDS_PARSED: tuple[Word, ...] = tuple(map(parse_word, CONTEXT_WORDS))
 
 
 @dataclass(frozen=True)
@@ -72,10 +74,9 @@ def lcm_vector_predict(v: ContextVector, w: ContextVector) -> ContextVector:
 
 def vector_presentation(orders) -> Presentation:
     """The presentation <t,l,r | W1^e1 = ... = W7^e7 = 1> for a vector."""
-    relators: list[Word] = []
-    for word_text, e in zip(CONTEXT_WORDS, orders):
-        relators.append(word_power(parse_word(word_text), e))
-    return Presentation(("t", "l", "r"), tuple(relators))
+    relators = tuple(word_power(word, e)
+                     for word, e in zip(CONTEXT_WORDS_PARSED, orders))
+    return Presentation(("t", "l", "r"), relators)
 
 
 # Degenerate families: context vectors and group orders.  Families 6, 7, 8

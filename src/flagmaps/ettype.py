@@ -80,6 +80,17 @@ class DegenerateSymbolAdvisory(ValueError):
     """Map symbols are certified for non-degenerate maps only."""
 
 
+class SymbolConditionFailed(ValueError):
+    """A map symbol breaks a divisibility side condition of its type (seen on
+    boundary-degenerate maps, whose cell sizes are not the surface's)."""
+
+    def __init__(self, type_label: str, condition: str, symbol: MapSymbol):
+        super().__init__(f"type {type_label} side condition {condition} fails "
+                         f"for symbol {symbol}")
+        self.type_label = type_label
+        self.condition = condition
+
+
 class LabelMismatch(ValueError):
     """Input group labels do not match the type's generator set."""
 
@@ -186,7 +197,8 @@ def map_symbol(m: RootedMap, type_label: str | None = None) -> MapSymbol:
     """The map symbol of an edge-transitive, non-degenerate map.
 
     Entries are cell sizes halved, per Aut-orbit.  The divisibility side
-    conditions of the detected type are asserted.
+    conditions of the detected type are checked; a failing one raises
+    ``SymbolConditionFailed``.
     """
     from .degen import classify_degeneracy  # local import; degen builds on mapcore
 
@@ -210,9 +222,7 @@ def map_symbol(m: RootedMap, type_label: str | None = None) -> MapSymbol:
             raise RuntimeError(f"more than two automorphism orbits on {f!r}")
     for f, divisor in TYPE_SYMBOL_CONDITIONS[type_label].items():
         if any(entry % divisor for entry in getattr(symbol, f)):
-            raise RuntimeError(
-                f"type {type_label} side condition {divisor}|{f} fails "
-                f"for symbol {symbol}")
+            raise SymbolConditionFailed(type_label, f"{divisor}|{f}", symbol)
     return symbol
 
 

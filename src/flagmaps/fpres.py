@@ -335,15 +335,7 @@ def todd_coxeter(p: Presentation,
 
 def word_order(lg: LabeledGenerators, word: Word | str) -> int:
     """Exact multiplicative order of a word evaluated in the group."""
-    if isinstance(word, str):
-        word = parse_word(word)
-    out = Perm.identity(lg.degree)
-    table = lg.as_dict()
-    for name, exp in word:
-        if name not in table:
-            raise ValueError(f"undeclared label {name!r}")
-        out = out * (table[name] ** exp)
-    return out.order()
+    return evaluate_word(lg, word).order()
 
 
 def evaluate_word(lg: LabeledGenerators, word: Word | str) -> Perm:
@@ -355,5 +347,6 @@ def evaluate_word(lg: LabeledGenerators, word: Word | str) -> Perm:
     for name, exp in word:
         if name not in table:
             raise ValueError(f"undeclared label {name!r}")
-        out = out * (table[name] ** exp)
+        g = table[name]
+        out = out * (g if exp == 1 else g ** exp)
     return out

@@ -205,11 +205,12 @@ class StabilizerChain:
                 self._rebuild(j)
             # re-close every level the new generator may have widened
             for j in range(i + 1):
-                for pt in list(self.trees[j]):
-                    u = self._transversal(j, pt)
-                    for h in self._level_gens(j):
-                        target = h.images[pt]
-                        schreier = u * h * self._transversal(j, target).inverse()
+                level_gens = self._level_gens(j)
+                reps = {pt: self._transversal(j, pt) for pt in self.trees[j]}
+                inverses = {pt: u.inverse() for pt, u in reps.items()}
+                for pt, u in reps.items():
+                    for h in level_gens:
+                        schreier = u * h * inverses[h.images[pt]]
                         if not schreier.is_identity():
                             queue.append(schreier)
 
@@ -340,24 +341,28 @@ def normal_closure(G: PermGroup, seed: Sequence[Perm],
     """Smallest normal subgroup of G containing the seed elements.
 
     Repeatedly conjugates the closure's generators by the generators of G,
-    adding any conjugate that fails membership, until stable.
+    adding any conjugate that fails membership, until stable.  One
+    stabilizer chain is extended generator by generator; it is the chain
+    the returned group would build from the same generators.
     """
     for s in seed:
         if s not in G:
             raise ValueError("seed element not in the ambient group")
     gens: list[Perm] = []
-    sub = PermGroup.trivial(G.degree)
+    chain = StabilizerChain(gens, G.degree)
     queue = [s for s in seed if not s.is_identity()]
     while queue:
         s = queue.pop(0)
-        if sub.contains(s):
+        if chain.contains(s):
             continue
         gens.append(s)
-        sub = PermGroup(G.degree, gens)
-        if sub.order() > bound:
+        chain._add(s)
+        if chain.order() > bound:
             raise BoundExceeded(f"normal closure exceeds element bound {bound}")
         for g in G.generators:
             queue.append(g.inverse() * s * g)
+    sub = PermGroup(G.degree, gens)
+    sub._chain = chain
     return sub
 
 

@@ -7,6 +7,15 @@ from flagmaps import (Perm, RootedMap, build_slightly_degenerate,
                       census_reflexible, regular_map_from_group, todd_coxeter)
 from flagmaps.mapcore import automorphism_to
 
+# A type-4 construction over Z2 (R fixes flags 3 and 5): boundary-degenerate,
+# so its halved cell sizes miss the type's map-symbol side condition 2|a.
+BOUNDARY_TYPE4_TEXT = """flags 8
+T 1 0 3 2 5 4 7 6
+L 2 3 0 1 6 7 4 5
+R 1 0 4 3 2 5 7 6
+root 0
+"""
+
 
 def map_from_vector(vec):
     """Reflexible map whose seven-word context is (exactly or not) vec."""

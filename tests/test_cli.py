@@ -5,7 +5,8 @@ import pytest
 from flagmaps import (analyze_map, build_degenerate, census_reflexible,
                       congruent_labeled_groups, isomorphism, load_map,
                       save_map)
-from flagmaps.cli import main, write_census
+from flagmaps.cli import (CENSUS_OUTCOMES, candidate_vectors, main,
+                          write_census)
 from flagmaps.perm import LabeledGenerators
 
 
@@ -43,6 +44,20 @@ def test_analyze_bad_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", str(bad))
     assert code == 1
     assert "error" in err
+
+
+def test_analyze_boundary_degenerate_symbol(capsys, tmp_path):
+    # type 4 at its canonical rooting, but R has fixed points: the map
+    # symbol's side condition 2|a fails and the report leaves it out
+    from .conftest import BOUNDARY_TYPE4_TEXT
+    path = tmp_path / "boundary.map"
+    path.write_text(BOUNDARY_TYPE4_TEXT)
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["edge_transitive_type"] == "4"
+    assert payload["orientability"] == "boundary-degenerate"
+    assert payload["map_symbol"] is None
 
 
 def test_product_command(capsys, tmp_path):
@@ -260,3 +275,48 @@ def test_census_contents_honor_context_sufficiency(default_census):
     for k in (4, 6):  # delta_even vectors present eps_2k, twice as large
         delta = build_slightly_degenerate("delta", k)
         assert vector_orders.get(context_vector(delta).orders) == 8 * k
+
+
+def test_census_outcome_counts(tmp_path):
+    result = census_reflexible(8, 6, analyze=False)
+    counts = result.outcome_counts
+    assert set(counts) == set(CENSUS_OUTCOMES)
+    assert sum(counts.values()) == len(list(candidate_vectors(6))) == 2592
+    assert counts["kept"] == len(result.entries)
+    assert counts["overflow"] == len(result.skipped)
+    # a kept map's context vector is its candidate vector, and candidate
+    # vectors are distinct, so no kept candidate repeats an earlier map
+    assert counts["duplicate"] == 0
+    write_census(result, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["outcome_counts"] == counts
+    assert manifest["skipped_candidates"] == [list(v) for v in result.skipped]
+
+
+def pairwise_census_vectors(max_order, context_bound):
+    """The census kept-vector list with duplicates found by pairwise labeled
+    congruence against every earlier entry (the reference dedupe)."""
+    from flagmaps import todd_coxeter, word_order
+    from flagmaps.degen import CONTEXT_WORDS, vector_presentation
+    from flagmaps.fpres import EnumerationOverflow
+    kept, groups = [], []
+    for vec in candidate_vectors(context_bound):
+        try:
+            lg, order = todd_coxeter(vector_presentation(vec),
+                                     max_cosets=8 * max_order + 256)
+        except EnumerationOverflow:
+            continue
+        if order > max_order:
+            continue
+        if tuple(word_order(lg, w) for w in CONTEXT_WORDS) != vec:
+            continue
+        if any(congruent_labeled_groups(lg, prev) for prev in groups):
+            continue
+        groups.append(lg)
+        kept.append(vec)
+    return kept
+
+
+def test_census_canonical_dedupe_matches_pairwise_congruence():
+    result = census_reflexible(24, 6, analyze=False)
+    assert [e.vector for e in result.entries] == pairwise_census_vectors(24, 6)

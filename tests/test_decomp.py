@@ -6,7 +6,7 @@ from flagmaps import (PermGroup, build_degenerate, build_slightly_degenerate,
                       congruent_labeled_groups, decomposability_edge_transitive,
                       decomposability_general, decomposability_reflexible,
                       decompose_with_certificate, du, isomorphism, k_quotient,
-                      parallel_product, pe)
+                      load_map, parallel_product, pe)
 from flagmaps.decomp import NotEdgeTransitive
 from flagmaps.perm import LabeledGenerators
 from flagmaps.product import NotReflexible
@@ -152,7 +152,11 @@ def test_agrees_with_bruteforce_small(fig3_quotient, non_edge_transitive,
                build_slightly_degenerate("delta", 2), fig3_quotient,
                non_edge_transitive]
     samples += [m for m in random_maps
-                if m.monodromy_group().order() <= 64][:5]
+                if m.monodromy_group().order() <= 64]
+    # two non-transitive minimal normal subgroups whose root blocks meet in
+    # two flags: indecomposable, though the blocks overlap only a little
+    samples.append(load_map("flags 6\nT 0 2 1 4 3 5\nL 0 3 4 1 2 5\n"
+                            "R 1 0 4 5 2 3\nroot 0\n"))
     for m in samples:
         verdict = decomposability_general(m)
         assert verdict.decomposable == decomposable_brute(m)
@@ -182,8 +186,11 @@ def test_decompose_with_certificate_rejects_indecomposable(tetrahedron):
 
 
 def test_minimal_normal_reduction_against_bruteforce():
-    # the minimal-normal pair search agrees with the all-normal-pairs oracle
-    # on groups with several normal subgroups
-    for k in (6, 10, 12):
-        m = build_degenerate(6, k)
+    # the minimal-normal pair search, decided on the blocks root.H, agrees
+    # with the oracle's stabilizer-product test over all normal pairs
+    samples = [build_degenerate(index, k) for index in (6, 7, 8)
+               for k in range(1, 13)]
+    samples += [build_slightly_degenerate(family, k)
+                for family in ("epsilon", "delta") for k in range(2, 13)]
+    for m in samples:
         assert decomposability_general(m).decomposable == decomposable_brute(m)

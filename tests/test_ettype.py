@@ -235,3 +235,17 @@ def test_construct_collapse_is_reported():
     assert report.detected == "1"
     assert not report.exact
     assert report.extra_automorphisms
+
+
+def test_boundary_degenerate_symbol_names_failed_condition():
+    # R fixes flags 3 and 5, so the halved cell sizes miss the type's
+    # divisibility condition; the failure names that condition
+    from flagmaps import load_map
+    from flagmaps.ettype import SymbolConditionFailed
+    from .conftest import BOUNDARY_TYPE4_TEXT
+    label, rooted = classify_type(load_map(BOUNDARY_TYPE4_TEXT))
+    assert label == "4"
+    with pytest.raises(SymbolConditionFailed) as info:
+        map_symbol(rooted, label)
+    assert info.value.type_label == "4"
+    assert info.value.condition == "2|a"

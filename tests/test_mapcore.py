@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 from flagmaps import (Perm, RootedMap, automorphism_group,
                       build_degenerate, build_slightly_degenerate, canonicalize,
                       cells, cells_and_surface, du, genus_symbol, is_reflexible,
-                      isomorphism, load_map, pe, reroot, save_map,
-                      simple_reroots, triality_class)
+                      isomorphism, load_map, pe, regular_map_from_group,
+                      reroot, save_map, simple_reroots, triality_class)
 from flagmaps.mapcore import (MapFormatError, MapInvariantError,
                               triality_composites)
 from flagmaps.perm import LabeledGenerators, congruent_labeled_groups
@@ -257,3 +259,39 @@ def test_petersen_map_row():
     assert sym.hexagonal_number == 3
     from flagmaps import decomposability_reflexible
     assert decomposability_reflexible(m).decomposable is False
+
+
+@functools.cache
+def regular_group_pool():
+    """Regular representations labeled t, l, r: the DM rows, eps_k and
+    delta_k, and the groups of a small census."""
+    from flagmaps import census_reflexible
+    maps = [build_degenerate(i) for i in (1, 2, 3, 4, 5, 9, 10, 11, 12)]
+    maps += [build_degenerate(i, k) for i in (6, 7, 8) for k in (2, 3, 4, 6)]
+    maps += [build_slightly_degenerate(family, k)
+             for family in ("epsilon", "delta") for k in (2, 3, 4)]
+    maps += [e.map for e in census_reflexible(24, 6, analyze=False).entries]
+    return [LabeledGenerators(("t", "l", "r"), m.generators()) for m in maps]
+
+
+def relabeled(lg, points):
+    """lg with its points renamed by i -> points[i]."""
+    pi = Perm(points)
+    pi_inv = pi.inverse()
+    return LabeledGenerators(lg.labels,
+                             tuple(pi_inv * g * pi for g in lg.generators))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_canonical_key_agrees_with_congruence(data):
+    pool = regular_group_pool()
+    i = data.draw(st.integers(0, len(pool) - 1))
+    # half the draws compare a group with a relabeling of itself
+    j = data.draw(st.sampled_from([i, data.draw(st.integers(0, len(pool) - 1))]))
+    a, b = pool[i], pool[j]
+    b = relabeled(b, data.draw(st.permutations(range(b.degree))))
+    key = lambda lg: save_map(regular_map_from_group(lg))
+    assert congruent_labeled_groups(a, b) == (key(a) == key(b))
+    if i == j:
+        assert key(a) == key(b)
