@@ -23,8 +23,15 @@ def is_prime_power(k: int) -> bool:
     return k == 1
 
 
-def main() -> None:
-    max_k = int(sys.argv[1]) if len(sys.argv) > 1 else 40
+USAGE = "usage: python scripts/dm_decomposability.py [MAX_K]"
+
+
+def main() -> int:
+    args = sys.argv[1:]
+    if len(args) > 1 or not all(a.isdecimal() for a in args):
+        print(USAGE, file=sys.stderr)
+        return 2
+    max_k = int(args[0]) if args else 40
     mismatches = 0
     print(" k  |Mon|  minimal normals  decomposable  factors")
     for k in range(2, max_k + 1):
@@ -41,7 +48,8 @@ def main() -> None:
         mismatches += verdict.decomposable != expected
     print("\nall consistent with the prime-power criterion"
           if not mismatches else f"\n{mismatches} MISMATCHES")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

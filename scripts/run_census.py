@@ -17,9 +17,17 @@ from flagmaps import census_reflexible
 from flagmaps.cli import write_census
 
 
-def main() -> None:
-    max_order = int(sys.argv[1]) if len(sys.argv) > 1 else 96
-    context_bound = int(sys.argv[2]) if len(sys.argv) > 2 else 12
+USAGE = ("usage: python scripts/run_census.py "
+         "[MAX_ORDER] [CONTEXT_BOUND] [OUT_DIR]")
+
+
+def main() -> int:
+    args = sys.argv[1:]
+    if len(args) > 3 or not all(a.isdecimal() for a in args[:2]):
+        print(USAGE, file=sys.stderr)
+        return 2
+    max_order = int(args[0]) if args else 96
+    context_bound = int(args[1]) if len(args) > 1 else 12
     result = census_reflexible(max_order, context_bound)
 
     by_class = Counter()
@@ -47,11 +55,12 @@ def main() -> None:
         print(f"  vector {entry.vector}  |Mon| {entry.group_order:3d}  "
               f"{report.degeneracy:20s} genus symbol {list(report.genus_symbol)}")
 
-    if len(sys.argv) > 3:
-        out = Path(sys.argv[3])
+    if len(args) > 2:
+        out = Path(args[2])
         write_census(result, out)
         print(f"\nwrote maps and reports to {out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

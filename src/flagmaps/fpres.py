@@ -14,6 +14,11 @@ from dataclasses import dataclass
 from .perm import LabeledGenerators, Perm
 
 DEFAULT_MAX_COSETS = 100_000
+# Longest word, counted in generator symbols, that is ever expanded into a
+# list: syllable lists in the parser, symbol lists for coset enumeration.
+MAX_WORD_LENGTH = 100_000
+# Deepest parenthesis nesting the word parser follows.
+MAX_NESTING_DEPTH = 200
 
 # A word is a tuple of (generator name, nonzero exponent) pairs.
 Word = tuple[tuple[str, int], ...]
@@ -54,9 +59,20 @@ def word_inverse(word: Word) -> Word:
     return _normalize([(name, -exp) for name, exp in reversed(word)])
 
 
+def word_length(word: Word) -> int:
+    """The number of generator symbols in the expanded word."""
+    return sum(abs(exp) for _, exp in word)
+
+
 def word_power(word: Word, exp: int) -> Word:
     if exp < 0:
         return word_power(word_inverse(word), -exp)
+    if len(word) == 1:
+        (name, base), = word
+        return _normalize([(name, base * exp)])
+    if word_length(word) * exp > MAX_WORD_LENGTH:
+        raise PresentationError(
+            f"power of a word longer than {MAX_WORD_LENGTH} symbols")
     return _normalize(list(word) * exp)
 
 
@@ -91,6 +107,7 @@ class _WordParser:
         self.text = text
         self.pos = 0
         self.line = line
+        self.depth = 0
 
     def error(self, message: str) -> PresentationError:
         return PresentationError(message, self.line, self.pos + 1)
@@ -113,11 +130,16 @@ class _WordParser:
     def parse_term(self) -> list[tuple[str, int]]:
         ch = self.peek()
         if ch == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING_DEPTH:
+                raise self.error(
+                    f"parentheses nested deeper than {MAX_NESTING_DEPTH}")
             self.pos += 1
             inner = self.parse_word()
             if self.peek() != ")":
                 raise self.error("expected ')'")
             self.pos += 1
+            self.depth -= 1
             pairs = inner
         else:
             m = _NAME_RE.match(self.text, self.pos)
@@ -132,7 +154,10 @@ class _WordParser:
             if not m:
                 raise self.error("expected integer exponent")
             self.pos = m.end()
-            exp = int(m.group())
+            try:
+                exp = int(m.group())
+            except ValueError:  # more digits than int() accepts
+                raise self.error("exponent too large") from None
             if exp == 0:
                 raise self.error("zero exponent")
             pairs = list(word_power(_normalize(pairs), exp))
@@ -194,6 +219,9 @@ def format_presentation(p: Presentation) -> str:
 def _flatten(p: Presentation, word: Word) -> list[int]:
     """Flatten a word to symbol indices: 2*g for generator g, 2*g+1 for its
     inverse."""
+    if word_length(word) > MAX_WORD_LENGTH:
+        raise EnumerationOverflow(
+            f"relator longer than {MAX_WORD_LENGTH} symbols")
     index = {name: i for i, name in enumerate(p.generators)}
     out: list[int] = []
     for name, exp in word:

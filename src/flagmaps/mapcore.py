@@ -80,6 +80,19 @@ class RootedMap:
 
 # --- .map file format ---------------------------------------------------
 
+def _ints(parts: list[str], lineno: int) -> list[int]:
+    try:
+        return [int(x) for x in parts]
+    except ValueError as exc:
+        raise MapFormatError(f"line {lineno}: {exc}") from exc
+
+
+def _single_value(parts: list[str], lineno: int) -> int:
+    if len(parts) != 2:
+        raise MapFormatError(f"line {lineno}: expected '{parts[0]} N'")
+    return _ints(parts[1:], lineno)[0]
+
+
 def load_map(text: str) -> RootedMap:
     """Parse ".map" text: "flags N", image lines for T, L, R, "root r"."""
     fields: dict[str, list[int]] = {}
@@ -94,7 +107,7 @@ def load_map(text: str) -> RootedMap:
         if key == "flags":
             if n is not None:
                 raise MapFormatError(f"line {lineno}: duplicate flags line")
-            n = int(parts[1])
+            n = _single_value(parts, lineno)
         elif key in ("T", "L", "R"):
             if key in fields:
                 raise MapFormatError(f"line {lineno}: duplicate {key} line")
@@ -103,11 +116,11 @@ def load_map(text: str) -> RootedMap:
             if len(parts) != n + 1:
                 raise MapFormatError(
                     f"line {lineno}: {key} needs exactly {n} images")
-            fields[key] = [int(x) for x in parts[1:]]
+            fields[key] = _ints(parts[1:], lineno)
         elif key == "root":
             if root is not None:
                 raise MapFormatError(f"line {lineno}: duplicate root line")
-            root = int(parts[1])
+            root = _single_value(parts, lineno)
         else:
             raise MapFormatError(f"line {lineno}: unknown directive {key!r}")
     if n is None or root is None or set(fields) != {"T", "L", "R"}:

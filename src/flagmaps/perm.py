@@ -2,14 +2,16 @@
 
 Composition is left to right everywhere: ``x . (p * q) == (x . p) . q``.
 Groups are given by generating permutations; orders and membership come
-from a stabilizer chain with Schreier-vector transversals, element lists
-from a bounded breadth-first closure.
+from an incremental Schreier-Sims stabilizer chain with explicit inverse
+transversals, element lists from a bounded breadth-first closure.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from math import lcm
+from math import isqrt, lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 DEFAULT_DEGREE_BOUND = 10_000
@@ -57,9 +59,11 @@ class Perm:
 
     def __mul__(self, other: "Perm") -> "Perm":
         # x . (p * q) = (x . p) . q
-        q = other.images
         p = Perm.__new__(Perm)
-        p.images = tuple(q[i] for i in self.images)
+        if len(self.images) > 1:
+            p.images = itemgetter(*self.images)(other.images)
+        else:  # itemgetter needs a key, and with one key returns a scalar
+            p.images = tuple(other.images[i] for i in self.images)
         return p
 
     def inverse(self) -> "Perm":
@@ -83,7 +87,7 @@ class Perm:
         return result
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def fixed_points(self) -> list[int]:
         return [i for i, j in enumerate(self.images) if i == j]
@@ -126,13 +130,66 @@ class Perm:
         return f"Perm[{body}]"
 
 
-class StabilizerChain:
-    """Deterministic Schreier-Sims stabilizer chain for order/membership.
+class _Level:
+    """One level of a stabilizer chain: a base point, strong generators
+    (each fixes the earlier base points), and the orbit of the base point
+    under them with one inverse transversal element per orbit point."""
 
-    Level i carries the base point b_i and a Schreier tree for the orbit of
-    b_i under the strong generators fixing b_0..b_{i-1}.  Transversal
-    elements are rebuilt on demand from the tree pointers, so memory stays
-    linear in the degree.
+    __slots__ = ("point", "gens", "gen_invs", "points", "inv", "done",
+                 "cursor")
+
+    def __init__(self, point: int, degree: int):
+        self.point = point
+        self.gens: list[Perm] = []
+        self.gen_invs: list[Perm] = []
+        # orbit points in discovery order; inv[pt] is u^-1 for the
+        # transversal element u with point . u == pt
+        self.points = [point]
+        self.inv = {point: Perm.identity(degree)}
+        # done[k]: the number of generators whose Schreier generators at
+        # points[k] have been sifted; every point before cursor is done
+        self.done = [0]
+        self.cursor = 0
+
+    def add_generator(self, s: Perm, s_inv: Perm) -> None:
+        """Append a generator and grow the orbit breadth first: the points
+        already known under s alone, the new points under every generator."""
+        self.gens.append(s)
+        self.gen_invs.append(s_inv)
+        self.cursor = 0
+        points, inv = self.points, self.inv
+        old = len(points)
+        step = [(s.images, s_inv)]
+        k = 0
+        while k < len(points):
+            if k == old:
+                step = [(g.images, g_inv)
+                        for g, g_inv in zip(self.gens, self.gen_invs)]
+            a = points[k]
+            for images, g_inv in step:
+                b = images[a]
+                if b not in inv:
+                    # u_b = u_a * g, so u_b^-1 = g^-1 * u_a^-1
+                    inv[b] = g_inv * inv[a]
+                    points.append(b)
+                    self.done.append(0)
+            k += 1
+
+
+class StabilizerChain:
+    """Incremental deterministic Schreier-Sims chain for order/membership.
+
+    Level i carries the base point b_i, strong generators that fix
+    b_0..b_{i-1}, and for each point pt in the orbit of b_i under them the
+    inverse u^-1 of a transversal element u with b_i . u == pt.  Only the
+    inverse is stored, one permutation per orbit point, so the chain holds
+    sum(orbit size) * degree image entries.  Sifting multiplies by the
+    stored inverses.  Each Schreier generator u_a * s * u_{a.s}^-1 of
+    level i is sifted once, from level i+1 on; a nontrivial residue that
+    stops at level j becomes a strong generator of levels i+1..j, and work
+    resumes at level j (Holt, Handbook of Computational Group Theory,
+    SCHREIERSIMS).  A generator added from outside is sifted from level 0
+    the same way.
     """
 
     def __init__(self, gens: Sequence[Perm], degree: int,
@@ -140,84 +197,73 @@ class StabilizerChain:
         if degree > degree_bound:
             raise BoundExceeded(f"degree {degree} exceeds bound {degree_bound}")
         self.degree = degree
-        self.base: list[int] = []
-        self.strong: list[Perm] = []
-        # trees[i]: point -> (parent point, generator) with base[i] -> None
-        self.trees: list[dict[int, tuple[int, Perm] | None]] = []
+        self.levels: list[_Level] = []
         for g in gens:
             self._add(g)
 
-    def _level_gens(self, i: int) -> list[Perm]:
-        prefix = self.base[:i]
-        return [g for g in self.strong
-                if all(g.images[b] == b for b in prefix)]
+    def _sift(self, p: Perm, start: int = 0) -> tuple[Perm, int]:
+        """Reduce p by transversal elements from level ``start`` on; the
+        residue is the identity iff p is a member.  Also returns the level
+        where sifting stopped."""
+        levels = self.levels
+        for i in range(start, len(levels)):
+            level = levels[i]
+            x = p.images[level.point]
+            if x != level.point:
+                u_inv = level.inv.get(x)
+                if u_inv is None:
+                    return p, i
+                p = p * u_inv
+        return p, len(levels)
 
-    def _rebuild(self, i: int) -> None:
-        gens = self._level_gens(i)
-        tree: dict[int, tuple[int, Perm] | None] = {self.base[i]: None}
-        queue = [self.base[i]]
-        while queue:
-            a = queue.pop(0)
-            for g in gens:
-                b = g.images[a]
-                if b not in tree:
-                    tree[b] = (a, g)
-                    queue.append(b)
-        self.trees[i] = tree
+    def _insert(self, h: Perm, first: int, last: int) -> None:
+        """Make h a strong generator of levels first..last, opening a new
+        level at the least point h moves when last is past the end."""
+        if last == len(self.levels):
+            moved = next(k for k, v in enumerate(h.images) if k != v)
+            self.levels.append(_Level(moved, self.degree))
+        h_inv = h.inverse()
+        for level in self.levels[first:last + 1]:
+            level.add_generator(h, h_inv)
 
-    def _transversal(self, i: int, pt: int) -> Perm:
-        """An element u with base[i] . u == pt."""
-        path = []
-        tree = self.trees[i]
-        while pt != self.base[i]:
-            parent, g = tree[pt]
-            path.append(g)
-            pt = parent
-        u = Perm.identity(self.degree)
-        for g in reversed(path):
-            u = u * g
-        return u
-
-    def _sift(self, p: Perm) -> tuple[Perm, int]:
-        """Reduce p by transversal elements; the residue is the identity iff
-        p is a member.  Also returns the level where sifting stopped."""
-        for i in range(len(self.base)):
-            x = p.images[self.base[i]]
-            if x == self.base[i]:
+    def _unsifted_residue(self, i: int) -> tuple[Perm, int] | None:
+        """Sift the Schreier generators of level i not yet sifted, through
+        the levels below it, up to the first nontrivial residue."""
+        level = self.levels[i]
+        gens, points, inv, done = level.gens, level.points, level.inv, level.done
+        for k in range(level.cursor, len(points)):
+            level.cursor = k
+            if done[k] == len(gens):
                 continue
-            if x not in self.trees[i]:
-                return p, i
-            p = p * self._transversal(i, x).inverse()
-        return p, len(self.base)
+            a = points[k]
+            u_a = inv[a].inverse()
+            for s in gens[done[k]:]:
+                done[k] += 1
+                residue, j = self._sift(u_a * s * inv[s.images[a]], i + 1)
+                if not residue.is_identity():
+                    return residue, j
+        level.cursor = len(points)
+        return None
 
     def _add(self, g: Perm) -> None:
-        queue = [g]
-        while queue:
-            residue, i = self._sift(queue.pop())
-            if residue.is_identity():
+        """Extend the chain to the group generated by its group and g."""
+        residue, i = self._sift(g)
+        if residue.is_identity():
+            return
+        self._insert(residue, 0, i)
+        while i >= 0:
+            found = self._unsifted_residue(i)
+            if found is None:
+                i -= 1
                 continue
-            if i == len(self.base):
-                moved = min(k for k, v in enumerate(residue.images) if k != v)
-                self.base.append(moved)
-                self.trees.append({})
-            self.strong.append(residue)
-            for j in range(i + 1):
-                self._rebuild(j)
-            # re-close every level the new generator may have widened
-            for j in range(i + 1):
-                level_gens = self._level_gens(j)
-                reps = {pt: self._transversal(j, pt) for pt in self.trees[j]}
-                inverses = {pt: u.inverse() for pt, u in reps.items()}
-                for pt, u in reps.items():
-                    for h in level_gens:
-                        schreier = u * h * inverses[h.images[pt]]
-                        if not schreier.is_identity():
-                            queue.append(schreier)
+            residue, j = found
+            self._insert(residue, i + 1, j)
+            i = j
 
     def order(self) -> int:
         n = 1
-        for tree in self.trees:
-            n *= len(tree)
+        for level in self.levels:
+            n *= len(level.points)
         return n
 
     def contains(self, p: Perm) -> bool:
@@ -350,17 +396,17 @@ def normal_closure(G: PermGroup, seed: Sequence[Perm],
             raise ValueError("seed element not in the ambient group")
     gens: list[Perm] = []
     chain = StabilizerChain(gens, G.degree)
-    queue = [s for s in seed if not s.is_identity()]
+    conjugators = [(g.inverse(), g) for g in G.generators]
+    queue = deque(s for s in seed if not s.is_identity())
     while queue:
-        s = queue.pop(0)
+        s = queue.popleft()
         if chain.contains(s):
             continue
         gens.append(s)
         chain._add(s)
         if chain.order() > bound:
             raise BoundExceeded(f"normal closure exceeds element bound {bound}")
-        for g in G.generators:
-            queue.append(g.inverse() * s * g)
+        queue.extend(g_inv * s * g for g_inv, g in conjugators)
     sub = PermGroup(G.degree, gens)
     sub._chain = chain
     return sub
@@ -390,28 +436,43 @@ def conjugacy_classes(G: PermGroup,
     return classes
 
 
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def _within(H: PermGroup, G: PermGroup) -> bool:
+    """Whether H is a subgroup of G (membership of H's generators)."""
+    return all(G.contains(h) for h in H.generators)
+
+
 def minimal_normal_subgroups(G: PermGroup,
                              bound: int = DEFAULT_ELEMENT_BOUND) -> list[PermGroup]:
     """All inclusion-minimal nontrivial normal subgroups of G.
 
-    Every minimal normal subgroup is the normal closure of any one of its
-    nontrivial elements, so closing one representative per nontrivial
-    conjugacy class and keeping the inclusion-minimal results is complete.
+    Every minimal normal subgroup N is the normal closure of any one of its
+    nontrivial elements.  By Cauchy's theorem N holds an element x of prime
+    order, and the class of x lies in N, so closing one representative of
+    each conjugacy class of prime order and keeping the inclusion-minimal
+    results is complete.  Closures are compared by order and membership of
+    generators; only the minimal ones are enumerated, for the sort.
     Results are sorted by order, then by element list, for determinism.
     """
     if G.is_trivial():
         return []
-    closures: dict[frozenset[Perm], PermGroup] = {}
+    closures: list[PermGroup] = []
     for cls in conjugacy_classes(G, bound):
         rep = cls[0]
-        if rep.is_identity():
+        if not _is_prime(rep.order()):
             continue
         N = normal_closure(G, [rep], bound)
-        closures.setdefault(frozenset(N.elements(bound)), N)
-    keys = list(closures)
-    minimal = [k for k in keys if not any(other < k for other in keys)]
-    minimal.sort(key=lambda k: (len(k), sorted(p.images for p in k)))
-    return [closures[k] for k in minimal]
+        if not any(M.order() == N.order() and _within(N, M) for M in closures):
+            closures.append(N)
+    minimal = [N for N in closures
+               if not any(M.order() < N.order() and _within(M, N)
+                          for M in closures)]
+    minimal.sort(key=lambda N: (N.order(),
+                                sorted(p.images for p in N.elements(bound))))
+    return minimal
 
 
 def is_normal_in(H: PermGroup, G: PermGroup) -> bool:

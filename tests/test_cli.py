@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from flagmaps import (analyze_map, build_degenerate, census_reflexible,
                       save_map)
 from flagmaps.cli import (CENSUS_OUTCOMES, candidate_vectors, main,
                           write_census)
+from flagmaps.mapcore import MapFormatError
 from flagmaps.perm import LabeledGenerators
 
 
@@ -44,6 +46,21 @@ def test_analyze_bad_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", str(bad))
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("text, line", [
+    ("flags\nT\nL\nR\nroot 0\n", 1),                      # no value
+    ("flags 2\nT 1 x\nL 1 0\nR 1 0\nroot 0\n", 2),          # not an int
+    ("flags 2\nT 1 0\nL 1 0\nR 1 0\nroot\n", 5),            # no value
+])
+def test_analyze_malformed_map(capsys, tmp_path, text, line):
+    with pytest.raises(MapFormatError, match=f"line {line}:"):
+        load_map(text)
+    bad = tmp_path / "bad.map"
+    bad.write_text(text)
+    code, _, err = run_cli(capsys, "analyze", str(bad))
+    assert code == 1
+    assert f"error: line {line}:" in err
 
 
 def test_analyze_boundary_degenerate_symbol(capsys, tmp_path):
@@ -201,6 +218,21 @@ def test_todd_coxeter_overflow_exit_code(capsys, tmp_path):
                            "--max-cosets", "100")
     assert code == 2
     assert "bound" in err
+
+
+@pytest.mark.parametrize("relator, code", [
+    ("(" * 3000 + "t" + ")" * 3000, 1),  # nesting past the parser's cap
+    ("t^99999999", 2),                   # relator past the length cap
+    ("(t*l)^99999999", 1),               # power past the length cap
+])
+def test_todd_coxeter_bounded_words(capsys, tmp_path, relator, code):
+    pres = tmp_path / "big.pres"
+    pres.write_text(f"gens t l\nrel {relator}\n")
+    start = time.perf_counter()
+    got, _, err = run_cli(capsys, "todd-coxeter", str(pres))
+    assert time.perf_counter() - start < 2
+    assert got == code
+    assert err
 
 
 def test_enum_reflexible_command(capsys, tmp_path):

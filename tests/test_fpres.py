@@ -59,6 +59,21 @@ def test_word_parsing_nested():
     assert parse_word("a*a^-1*b") == (("b", 1),)
 
 
+@given(st.integers(-6, 6).filter(bool), st.integers(-6, 6))
+def test_word_power_of_one_syllable(base, exp):
+    # the power multiplies the exponent; the oracle expands and merges
+    factors = [f"a^{base if exp > 0 else -base}"] * abs(exp)
+    expected = parse_word("*".join(factors)) if factors else ()
+    assert word_power((("a", base),), exp) == expected
+
+
+def test_long_relator_overflows():
+    p = parse_presentation("gens t\nrel t^2\nrel t^200001")
+    assert p.relators[1] == (("t", 200001),)
+    with pytest.raises(EnumerationOverflow):
+        todd_coxeter(p)
+
+
 def test_round_trip_through_printer():
     p = parse_presentation(TETRA_TEXT)
     text = format_presentation(p)

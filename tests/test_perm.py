@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,15 +81,38 @@ def test_membership_identity_group():
     assert G.contains(Perm.identity(2))
 
 
-@settings(deadline=None)
-@given(st.lists(st.integers(3, 6).flatmap(perm_strategy),
-                min_size=1, max_size=3))
-def test_order_matches_mulclose(gens):
+# degree 8 often gives S8 or A8, whose oracle closure takes about 0.2 s
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 8).flatmap(
+    lambda n: st.tuples(st.lists(perm_strategy(n), min_size=1, max_size=4),
+                        st.lists(perm_strategy(n), max_size=4))))
+def test_order_matches_mulclose(data):
+    gens, probes = data
     degree = gens[0].degree
-    gens = [g for g in gens if g.degree == degree]
     G = PermGroup(degree, gens)
-    assert G.order() == len(mulclose(list(gens) or [Perm.identity(degree)]))
-    assert set(G.elements()) == mulclose(list(gens) or [Perm.identity(degree)])
+    members = mulclose(gens)
+    assert G.order() == len(members)
+    assert set(G.elements()) == members
+    ordered = sorted(members, key=lambda p: p.images)
+    assert all(G.contains(p) for p in ordered[::max(1, len(ordered) // 100)])
+    for p in probes:
+        assert G.contains(p) == (p in members)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_composition_degree_below_two(n):
+    # the one-key itemgetter edge: composition stays a tuple of images
+    e = Perm.identity(n)
+    assert (e * e).images == tuple(range(n))
+    assert (e * e).is_identity()
+    assert (e * e.inverse()) == e
+
+
+def test_chain_order_budget():
+    from flagmaps import build_degenerate
+    start = time.perf_counter()
+    assert build_degenerate(6, 500).monodromy_group().order() == 1000
+    assert time.perf_counter() - start < 3
 
 
 def test_degree_bound():
@@ -163,6 +188,50 @@ def test_minimal_normals_match_bruteforce_dihedral(n):
     G = dihedral(n)
     got = {frozenset(N.elements()) for N in minimal_normal_subgroups(G)}
     assert got == set(map(frozenset, minimal_normals_brute(G)))
+
+
+@st.composite
+def small_groups(draw):
+    """Groups of degree <= 7 whose generators keep {0..cut-1} and
+    {cut..n-1} apart, so that direct-product-like groups come up often."""
+    n = draw(st.integers(3, 7))
+    cut = draw(st.integers(0, n))
+    gens = []
+    for _ in range(draw(st.integers(2, 3))):
+        left = draw(st.permutations(range(cut)))
+        right = draw(st.permutations(range(cut, n)))
+        gens.append(Perm(list(left) + list(right)))
+    return PermGroup(n, gens)
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_groups())
+def test_minimal_normals_match_bruteforce_random(G):
+    # the oracle's multiplication table is quadratic in the group order
+    if G.order() > 360:
+        return
+    got = [frozenset(N.elements()) for N in minimal_normal_subgroups(G)]
+    assert sorted(got, key=len) == got
+    assert set(got) == set(map(frozenset, minimal_normals_brute(G)))
+
+
+S4 = PermGroup(4, [Perm.from_cycles(4, [(0, 1, 2, 3)]),
+                  Perm.from_cycles(4, [(0, 1)])])
+# PSL(2,7) on the seven points of the Fano plane with lines {i, i+1, i+3}
+PSL27 = PermGroup(7, [Perm(tuple((i + 1) % 7 for i in range(7))),
+                      Perm.from_cycles(7, [(2, 4), (5, 6)])])
+
+
+@pytest.mark.parametrize("G, order", [(S4, 4), (PSL27, 168)],
+                         ids=["S4", "PSL(2,7)"])
+def test_minimal_normals_match_bruteforce_named(G, order):
+    # both have classes of order 4, which are never closed; the one
+    # minimal normal subgroup is V4 in S4 and all of the simple PSL(2,7)
+    assert any(p.order() == 4 for p in G.elements())
+    minimals = minimal_normal_subgroups(G)
+    got = {frozenset(N.elements()) for N in minimals}
+    assert got == set(map(frozenset, minimal_normals_brute(G)))
+    assert [N.order() for N in minimals] == [order]
 
 
 def test_minimal_normals_properties(c4_sphere, tetrahedron):
