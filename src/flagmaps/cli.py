@@ -18,7 +18,7 @@ from . import degen, ettype
 from .decomp import NotEdgeTransitive, decomposability_general
 from .degen import ContextVector, context_vector, vector_presentation
 from .fpres import (EnumerationOverflow, PresentationError,
-                    parse_presentation, todd_coxeter, word_order)
+                    parse_presentation, todd_coxeter)
 from .mapcore import (MapFormatError, MapInvariantError, RootedMap,
                       automorphism_group, cells_and_surface, du, genus_symbol,
                       is_reflexible, load_map, pe, regular_map_from_group,
@@ -182,6 +182,28 @@ def candidate_vectors(context_bound: int):
                                 yield (e1, e2, e3, e4, e5, e6, e7)
 
 
+def _has_context_orders(lg, vec) -> bool:
+    """Whether the seven context words have the orders ``vec`` in ``lg``.
+
+    ``lg`` must act regularly, as a coset enumeration over the trivial
+    subgroup does: then a word's order is the length of its cycle through
+    point 0, followed here pass by pass up to the expected order.  Stops
+    at the first word whose order differs.
+    """
+    images = dict(zip(lg.labels, (g.images for g in lg.generators)))
+    for word, e in zip(degen.CONTEXT_WORDS_PARSED, vec):
+        letters = [images[name] for name, exp in word for _ in range(exp)]
+        point = 0
+        for passes in range(1, e + 1):
+            for letter in letters:
+                point = letter[point]
+            if point == 0:
+                break
+        if point != 0 or passes != e:
+            return False
+    return True
+
+
 def census_reflexible(max_group_order: int = DEFAULT_CENSUS_MAX_ORDER,
                       context_bound: int = DEFAULT_CENSUS_CONTEXT_BOUND,
                       max_cosets: int | None = None,
@@ -217,8 +239,7 @@ def census_reflexible(max_group_order: int = DEFAULT_CENSUS_MAX_ORDER,
         if order > max_group_order:
             counts["order_too_large"] += 1
             continue
-        if any(word_order(lg, w) != e
-               for w, e in zip(degen.CONTEXT_WORDS_PARSED, vec)):
+        if not _has_context_orders(lg, vec):
             counts["insufficient_context"] += 1
             continue
         m = regular_map_from_group(lg)

@@ -13,6 +13,7 @@ the presentation pipeline is exercised rather than hard-coded tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm
 
 from .fpres import Presentation, Word, parse_word, todd_coxeter, word_power
@@ -72,10 +73,19 @@ def lcm_vector_predict(v: ContextVector, w: ContextVector) -> ContextVector:
     return ContextVector(tuple(lcm(a, b) for a, b in zip(v, w)))
 
 
+# Powers of the context words, reused across vector presentations: the
+# census asks for each (word, exponent) pair many times.  The key is an
+# index into CONTEXT_WORDS_PARSED, never a caller's word, and the number of
+# entries is bounded.
+@lru_cache(maxsize=128, typed=True)
+def _context_power(index: int, exp: int) -> Word:
+    return word_power(CONTEXT_WORDS_PARSED[index], exp)
+
+
 def vector_presentation(orders) -> Presentation:
     """The presentation <t,l,r | W1^e1 = ... = W7^e7 = 1> for a vector."""
-    relators = tuple(word_power(word, e)
-                     for word, e in zip(CONTEXT_WORDS_PARSED, orders))
+    relators = tuple(_context_power(index, e) for index, e
+                     in zip(range(len(CONTEXT_WORDS_PARSED)), orders))
     return Presentation(("t", "l", "r"), relators)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter, length_hint
 
 from .perm import LabeledGenerators, Perm
 
@@ -61,7 +62,7 @@ def word_inverse(word: Word) -> Word:
 
 def word_length(word: Word) -> int:
     """The number of generator symbols in the expanded word."""
-    return sum(abs(exp) for _, exp in word)
+    return sum(map(abs, map(itemgetter(1), word)))
 
 
 def word_power(word: Word, exp: int) -> Word:
@@ -216,18 +217,91 @@ def format_presentation(p: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _flatten(p: Presentation, word: Word) -> list[int]:
+def _flatten(symbols: dict[str, int], word: Word) -> list[int]:
     """Flatten a word to symbol indices: 2*g for generator g, 2*g+1 for its
-    inverse."""
+    inverse, where ``symbols`` maps each generator name to 2*g."""
     if word_length(word) > MAX_WORD_LENGTH:
         raise EnumerationOverflow(
             f"relator longer than {MAX_WORD_LENGTH} symbols")
-    index = {name: i for i, name in enumerate(p.generators)}
     out: list[int] = []
     for name, exp in word:
-        sym = 2 * index[name] + (1 if exp < 0 else 0)
-        out.extend([sym] * abs(exp))
+        if exp == 1:
+            out.append(symbols[name])
+        elif exp > 0:
+            out += [symbols[name]] * exp
+        else:
+            out += [symbols[name] + 1] * -exp
     return out
+
+
+def _rep(parent: list[int], a: int) -> int:
+    """The root of coset a, compressing the path to it."""
+    r = parent[a]
+    if r == a:
+        return a
+    while parent[r] != r:
+        r = parent[r]
+    while parent[a] != r:
+        parent[a], a = r, parent[a]
+    return r
+
+
+def _coincidence(parent: list[int], columns: list[tuple[list[int], list[int]]],
+                 a: int, b: int) -> int:
+    """Identify cosets a and b and every coincidence that follows; returns
+    the number of cosets killed.
+
+    ``columns`` pairs each symbol's column with its inverse's.  The queue
+    is processed last in, first out, each dead coset's row in symbol order,
+    and the larger root of each pair is the one that dies.
+    """
+    a, b = _rep(parent, a), _rep(parent, b)
+    if a == b:
+        return 0
+    if a > b:
+        a, b = b, a
+    parent[b] = a
+    queue = [b]
+    killed = 0
+    while queue:
+        e = queue.pop()
+        killed += 1
+        # the root of e; only a merge that kills it changes it below
+        e1 = parent[e]
+        if parent[e1] != e1:
+            e1 = _rep(parent, e)
+        for col, inv in columns:
+            f = col[e]
+            if f < 0:
+                continue
+            inv[f] = -1
+            f1 = parent[f]
+            if parent[f1] != f1:
+                f1 = _rep(parent, f)
+            u = col[e1]
+            if u >= 0:
+                x = f1
+                y = parent[u]
+                if parent[y] != y:
+                    y = _rep(parent, u)
+            else:
+                v = inv[f1]
+                if v < 0:
+                    col[e1] = f1
+                    inv[f1] = e1
+                    continue
+                x = e1
+                y = parent[v]
+                if parent[y] != y:
+                    y = _rep(parent, v)
+            if x != y:
+                if x > y:
+                    x, y = y, x
+                parent[y] = x
+                queue.append(y)
+                if y == e1:
+                    e1 = x
+    return killed
 
 
 def todd_coxeter(p: Presentation,
@@ -239,6 +313,14 @@ def todd_coxeter(p: Presentation,
     any undefined entries of the row are defined so the table completes.
     Returns the regular permutation representation (generators labeled as
     in the presentation) and the group order.
+
+    The order of definitions, scans and coincidences is part of the
+    contract, not only the result: ``EnumerationOverflow`` is raised when a
+    definition would take the live cosets past ``max_cosets`` (or the
+    allocated ones past 4 * max_cosets + 512), and HLT can pass that bound
+    on a finite group whose order is far below it.  Which census candidates
+    overflow, and so the census's ``manifest.json``, depends on these exact
+    steps; another strategy (Felsch, lookahead) would change it.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
@@ -246,117 +328,119 @@ def todd_coxeter(p: Presentation,
     if ngens == 0:
         raise PresentationError("presentation declares no generators")
     nsym = 2 * ngens
-    relators = [_flatten(p, w) for w in p.relators if w]
-    # involution-style inverse bookkeeping is uniform: symbol s pairs with s^1
-    table: list[list[int]] = [[-1] * nsym]
-    parent = [0]
-    dead = 0
-    # hard allocation cap keeps the table bounded even before coincidences
+    symbols = {name: 2 * g for g, name in enumerate(p.generators)}
+    relators = [_flatten(symbols, w) for w in p.relators if w]
+    # The coset table is stored by columns: cols[x][a] is the image of coset
+    # a under symbol x, or -1.  Symbol x pairs with its inverse x ^ 1.  A
+    # coset is live exactly when it is its own root in ``parent``.
+    # Columns grow by doubling up to the hard allocation cap, which keeps the
+    # table bounded even before coincidences.
     alloc_cap = 4 * max_cosets + 512
+    size = min(32, alloc_cap)
+    cols = [[-1] * size for _ in range(nsym)]
+    parent = list(range(size))
+    inverses = [cols[x ^ 1] for x in range(nsym)]
+    columns = list(zip(cols, inverses))
+    # each relator as the columns its letters read forward and backward
+    scans = [(list(map(cols.__getitem__, w)),
+              list(map(inverses.__getitem__, w)), len(w) - 1)
+             for w in relators]
+    top = 1  # cosets allocated
+    dead = 0
 
-    def rep(a: int) -> int:
-        r = a
-        while parent[r] != r:
-            r = parent[r]
-        while parent[a] != r:
-            parent[a], a = r, parent[a]
-        return r
-
-    def merge(a: int, b: int, queue: list[int]) -> None:
-        a, b = rep(a), rep(b)
-        if a != b:
-            if a > b:
-                a, b = b, a
-            parent[b] = a
-            queue.append(b)
-
-    def coincidence(a: int, b: int) -> None:
-        nonlocal dead
-        queue: list[int] = []
-        merge(a, b, queue)
-        while queue:
-            e = queue.pop()
-            dead += 1
-            row = table[e]
-            for x in range(nsym):
-                f = row[x]
-                if f == -1:
-                    continue
-                table[f][x ^ 1] = -1
-                e1, f1 = rep(e), rep(f)
-                u = table[e1][x]
-                if u != -1:
-                    merge(f1, rep(u), queue)
-                else:
-                    v = table[f1][x ^ 1]
-                    if v != -1:
-                        merge(e1, rep(v), queue)
-                    else:
-                        table[e1][x] = f1
-                        table[f1][x ^ 1] = e1
-
-    def define(a: int, x: int) -> int:
-        b = len(table)
-        if b - dead >= max_cosets or b >= alloc_cap:
+    def make_room(new: int, dead: int) -> int:
+        """Check the bounds for defining coset ``new``, growing the columns
+        if needed; returns the first coset number to check again.  Only
+        coincidences raise the bound on ``new`` (through ``dead``), so a
+        room computed before some of them stays safe, merely early."""
+        nonlocal size
+        if new - dead >= max_cosets or new >= alloc_cap:
             raise EnumerationOverflow(
                 f"live cosets exceed max_cosets={max_cosets}")
-        table.append([-1] * nsym)
-        parent.append(b)
-        table[a][x] = b
-        table[b][x ^ 1] = a
-        return b
+        if new == size:
+            extra = min(size, alloc_cap - size)
+            for col in cols:
+                col += [-1] * extra
+            parent.extend(range(size, size + extra))
+            size += extra
+        return min(max_cosets + dead, alloc_cap, size)
 
-    def scan_and_fill(a: int, w: list[int]) -> None:
-        f = b = a
-        i, j = 0, len(w) - 1
-        while True:
-            while i <= j:
-                nxt = table[f][w[i]]
-                if nxt == -1:
-                    break
-                f = nxt
-                i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return
-            while j >= i:
-                nxt = table[b][w[j] ^ 1]
-                if nxt == -1:
-                    break
-                b = nxt
-                j -= 1
-            if j < i:
-                coincidence(f, b)
-                return
-            if j == i:
-                table[f][w[i]] = b
-                table[b][w[i] ^ 1] = f
-                return
-            f = define(f, w[i])
-            i += 1
-
+    room = min(max_cosets, size)
     alpha = 0
-    while alpha < len(table):
-        if rep(alpha) != alpha:
+    while alpha < top:
+        if parent[alpha] != alpha:
             alpha += 1
             continue
-        for w in relators:
-            scan_and_fill(alpha, w)
-            if rep(alpha) != alpha:
+        for fwd, bwd, last in scans:
+            # scan the relator at alpha from the front ...
+            f = alpha
+            letters = iter(fwd)
+            for col in letters:
+                nxt = col[f]
+                if nxt < 0:
+                    break
+                f = nxt
+            else:
+                if f != alpha:
+                    dead += _coincidence(parent, columns, f, alpha)
+                    if parent[alpha] != alpha:
+                        break
+                continue
+            # ... then from the back, defining cosets until the gap closes;
+            # i is the letter that stopped the scan, found from those left
+            i = last - length_hint(letters)
+            b = alpha
+            j = last
+            while True:
+                while j >= i:
+                    nxt = bwd[j][b]
+                    if nxt < 0:
+                        break
+                    b = nxt
+                    j -= 1
+                if j <= i:
+                    if j == i:
+                        fwd[i][f] = b
+                        bwd[i][b] = f
+                        break
+                    dead += _coincidence(parent, columns, f, b)
+                    break
+                if top >= room:
+                    room = make_room(top, dead)
+                fwd[i][f] = top
+                bwd[i][top] = f
+                f = top
+                top += 1
+                i += 1
+                while i <= j:
+                    nxt = fwd[i][f]
+                    if nxt < 0:
+                        break
+                    f = nxt
+                    i += 1
+                if i > j:
+                    if f != b:
+                        dead += _coincidence(parent, columns, f, b)
+                    break
+            if parent[alpha] != alpha:
                 break
         else:
-            for x in range(nsym):
-                if rep(alpha) != alpha:
-                    break
-                if table[alpha][x] == -1:
-                    define(alpha, x)
+            # definitions never merge, so alpha stays live through its row
+            for col, inv in columns:
+                if col[alpha] < 0:
+                    if top >= room:
+                        room = make_room(top, dead)
+                    col[alpha] = top
+                    inv[top] = alpha
+                    top += 1
         alpha += 1
 
-    live = [a for a in range(len(table)) if rep(a) == a]
+    live = [a for a in range(top) if parent[a] == a]
     index = {a: i for i, a in enumerate(live)}
     perms = tuple(
-        Perm(index[rep(table[a][2 * g])] for a in live) for g in range(ngens))
+        Perm([index[c if parent[c] == c else _rep(parent, c)]
+              for c in map(col.__getitem__, live)])
+        for col in cols[::2])
     lg = LabeledGenerators(p.generators, perms)
     return lg, len(live)
 

@@ -584,10 +584,18 @@ def parse_group_file(text: str) -> LabeledGenerators:
                 raise ValueError(f"line {lineno}: duplicate degree line")
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'degree N'")
-            degree = int(parts[1])
+            try:
+                degree = int(parts[1])
+            except ValueError:
+                degree = -1
+            if degree < 0:
+                raise ValueError(f"line {lineno}: degree {parts[1]!r} is "
+                                 "not a non-negative integer")
         elif parts[0] == "gen":
             if degree is None:
                 raise ValueError(f"line {lineno}: 'gen' before 'degree'")
+            if len(parts) < 2:
+                raise ValueError(f"line {lineno}: 'gen' without a label")
             if len(parts) != degree + 2:
                 raise ValueError(
                     f"line {lineno}: expected {degree} images for generator")

@@ -5,6 +5,10 @@ indices, so closures and joins are plain integer BFS.
 """
 
 from flagmaps import Perm
+from flagmaps.fpres import (DEFAULT_MAX_COSETS, MAX_WORD_LENGTH,
+                            EnumerationOverflow, Presentation,
+                            PresentationError, Word, word_length)
+from flagmaps.perm import LabeledGenerators
 
 
 def mulclose(perms, bound=100_000):
@@ -154,3 +158,154 @@ def is_prime_power(k):
                 k //= p
             return k == 1
     return False
+
+
+# --- reference HLT coset enumeration ------------------------------------
+#
+# The enumerator as it stood before its table moved to columns and its
+# helpers were inlined, kept unchanged as the reference: the production
+# ``todd_coxeter`` must give the same images, order and overflow points.
+
+def _flatten(p: Presentation, word: Word) -> list[int]:
+    """Flatten a word to symbol indices: 2*g for generator g, 2*g+1 for its
+    inverse."""
+    if word_length(word) > MAX_WORD_LENGTH:
+        raise EnumerationOverflow(
+            f"relator longer than {MAX_WORD_LENGTH} symbols")
+    index = {name: i for i, name in enumerate(p.generators)}
+    out: list[int] = []
+    for name, exp in word:
+        sym = 2 * index[name] + (1 if exp < 0 else 0)
+        out.extend([sym] * abs(exp))
+    return out
+
+
+def todd_coxeter(p: Presentation,
+                 max_cosets: int = DEFAULT_MAX_COSETS) -> tuple[LabeledGenerators, int]:
+    """Enumerate the cosets of the trivial subgroup.
+
+    HLT strategy: relator tables are filled by scanning every relator at
+    every live coset, with a union-find coincidence queue; after scanning,
+    any undefined entries of the row are defined so the table completes.
+    Returns the regular permutation representation (generators labeled as
+    in the presentation) and the group order.
+    """
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be at least 1")
+    ngens = len(p.generators)
+    if ngens == 0:
+        raise PresentationError("presentation declares no generators")
+    nsym = 2 * ngens
+    relators = [_flatten(p, w) for w in p.relators if w]
+    # involution-style inverse bookkeeping is uniform: symbol s pairs with s^1
+    table: list[list[int]] = [[-1] * nsym]
+    parent = [0]
+    dead = 0
+    # hard allocation cap keeps the table bounded even before coincidences
+    alloc_cap = 4 * max_cosets + 512
+
+    def rep(a: int) -> int:
+        r = a
+        while parent[r] != r:
+            r = parent[r]
+        while parent[a] != r:
+            parent[a], a = r, parent[a]
+        return r
+
+    def merge(a: int, b: int, queue: list[int]) -> None:
+        a, b = rep(a), rep(b)
+        if a != b:
+            if a > b:
+                a, b = b, a
+            parent[b] = a
+            queue.append(b)
+
+    def coincidence(a: int, b: int) -> None:
+        nonlocal dead
+        queue: list[int] = []
+        merge(a, b, queue)
+        while queue:
+            e = queue.pop()
+            dead += 1
+            row = table[e]
+            for x in range(nsym):
+                f = row[x]
+                if f == -1:
+                    continue
+                table[f][x ^ 1] = -1
+                e1, f1 = rep(e), rep(f)
+                u = table[e1][x]
+                if u != -1:
+                    merge(f1, rep(u), queue)
+                else:
+                    v = table[f1][x ^ 1]
+                    if v != -1:
+                        merge(e1, rep(v), queue)
+                    else:
+                        table[e1][x] = f1
+                        table[f1][x ^ 1] = e1
+
+    def define(a: int, x: int) -> int:
+        b = len(table)
+        if b - dead >= max_cosets or b >= alloc_cap:
+            raise EnumerationOverflow(
+                f"live cosets exceed max_cosets={max_cosets}")
+        table.append([-1] * nsym)
+        parent.append(b)
+        table[a][x] = b
+        table[b][x ^ 1] = a
+        return b
+
+    def scan_and_fill(a: int, w: list[int]) -> None:
+        f = b = a
+        i, j = 0, len(w) - 1
+        while True:
+            while i <= j:
+                nxt = table[f][w[i]]
+                if nxt == -1:
+                    break
+                f = nxt
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i:
+                nxt = table[b][w[j] ^ 1]
+                if nxt == -1:
+                    break
+                b = nxt
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if j == i:
+                table[f][w[i]] = b
+                table[b][w[i] ^ 1] = f
+                return
+            f = define(f, w[i])
+            i += 1
+
+    alpha = 0
+    while alpha < len(table):
+        if rep(alpha) != alpha:
+            alpha += 1
+            continue
+        for w in relators:
+            scan_and_fill(alpha, w)
+            if rep(alpha) != alpha:
+                break
+        else:
+            for x in range(nsym):
+                if rep(alpha) != alpha:
+                    break
+                if table[alpha][x] == -1:
+                    define(alpha, x)
+        alpha += 1
+
+    live = [a for a in range(len(table)) if rep(a) == a]
+    index = {a: i for i, a in enumerate(live)}
+    perms = tuple(
+        Perm(index[rep(table[a][2 * g])] for a in live) for g in range(ngens))
+    lg = LabeledGenerators(p.generators, perms)
+    return lg, len(live)

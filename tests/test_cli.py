@@ -186,6 +186,22 @@ def test_build_unknown_preset(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("group_type", ["2", "3", "4", "5"])
+@pytest.mark.parametrize("text, message", [
+    ("degree -1\ngen\n", "line 1: degree '-1'"),
+    ("degree 2.5\ngen a 0 1\n", "line 1: degree '2.5'"),
+    ("degree 3\ngen\n", "line 2: 'gen' without a label"),
+])
+def test_construct_malformed_group(capsys, tmp_path, group_type, text,
+                                   message):
+    grp = tmp_path / "g.grp"
+    grp.write_text(text)
+    code, _, err = run_cli(capsys, "construct", "--type", group_type,
+                           "--group", str(grp), "-o", str(tmp_path / "o.map"))
+    assert code == 1
+    assert message in err
+
+
 def test_construct_command(capsys, tmp_path, tetrahedron):
     from flagmaps.perm import format_group_file
     grp = tmp_path / "tet.grp"
@@ -323,6 +339,15 @@ def test_census_outcome_counts(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["outcome_counts"] == counts
     assert manifest["skipped_candidates"] == [list(v) for v in result.skipped]
+
+
+def test_default_census_outcomes(default_census):
+    assert default_census.outcome_counts == {
+        "overflow": 796, "order_too_large": 54,
+        "insufficient_context": 19800, "duplicate": 0, "kept": 86}
+    # a group of order 24 on which HLT passes the 1,024-coset bound: a
+    # change in the order of definitions or coincidences shows here first
+    assert (2, 2, 2, 2, 3, 8, 9) in default_census.skipped
 
 
 def pairwise_census_vectors(max_order, context_bound):

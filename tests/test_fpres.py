@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagmaps import parse_presentation, todd_coxeter, word_order
@@ -8,6 +8,7 @@ from flagmaps.fpres import (EnumerationOverflow, Presentation,
                             format_presentation, parse_word, word_power)
 from flagmaps.perm import congruent_labeled_groups, LabeledGenerators
 
+from . import oracles
 from .oracles import mulclose
 
 F0_TEXT = """# the four standard relators
@@ -163,3 +164,51 @@ def test_word_order_eps3():
     m = build_slightly_degenerate("epsilon", 3)
     lg = LabeledGenerators(("t", "l", "r"), m.generators())
     assert word_order(lg, "t*l*r") == 6
+
+
+def enumeration_outcome(enumerate_cosets, p, max_cosets):
+    """Generator images and order, or "overflow"."""
+    try:
+        lg, order = enumerate_cosets(p, max_cosets)
+    except EnumerationOverflow:
+        return "overflow"
+    return tuple(g.images for g in lg.generators), order
+
+
+@st.composite
+def presentations(draw):
+    """1-3 generators, up to 5 relators of up to 6 syllables, exponents
+    +-1..3; syllables are not merged, so a letter can meet its inverse."""
+    names = ("a", "b", "c")[:draw(st.integers(1, 3))]
+    syllable = st.tuples(st.sampled_from(names),
+                         st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    relators = draw(st.lists(st.lists(syllable, min_size=1, max_size=6),
+                             max_size=5))
+    return Presentation(names, tuple(map(tuple, relators)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(presentations(), st.sampled_from((1, 2, 5, 20, 64, 300)))
+# scans leave two entries of a row to the final fill, whose order then
+# decides the coset numbers
+@example(Presentation(("a", "b"), ((("a", -2), ("b", -2), ("a", -2)),
+                                   (("a", -3),))), 300)
+def test_todd_coxeter_matches_reference_hlt(p, max_cosets):
+    # same images and order, or an overflow at the same bound
+    assert (enumeration_outcome(todd_coxeter, p, max_cosets)
+            == enumeration_outcome(oracles.todd_coxeter, p, max_cosets))
+
+
+def test_todd_coxeter_matches_reference_hlt_on_census_candidates():
+    # every candidate at census_reflexible(24, 6) bounds, 2,592 of them
+    from flagmaps.cli import candidate_vectors
+    from flagmaps.degen import vector_presentation
+    max_cosets = 8 * 24 + 256
+    outcomes = set()
+    for vec in candidate_vectors(6):
+        p = vector_presentation(vec)
+        got = enumeration_outcome(todd_coxeter, p, max_cosets)
+        assert got == enumeration_outcome(oracles.todd_coxeter, p,
+                                          max_cosets), vec
+        outcomes.add(got == "overflow")
+    assert outcomes == {True, False}
