@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .ettype import classify_type, is_edge_transitive
+from .ettype import classify_type
 from .mapcore import RootedMap, automorphism_group, is_reflexible, isomorphism
 from .perm import (DEFAULT_ELEMENT_BOUND, BoundExceeded, PermGroup,
                    minimal_normal_subgroups)
@@ -133,10 +133,10 @@ def decomposability_edge_transitive(m: RootedMap,
     inputs, where the reflexible route applies; otherwise the witness
     subgroups of Aut are returned as abstract factor data.
     """
-    if not is_edge_transitive(m):
-        raise NotEdgeTransitive("map is not edge-transitive")
     classified = classify_type(m)
-    if classified is not None and classified[0] == "1":
+    if classified is None:
+        raise NotEdgeTransitive("map is not edge-transitive")
+    if classified[0] == "1":
         return decomposability_reflexible(m, bound)
     aut = automorphism_group(m)
     try:

@@ -317,12 +317,22 @@ def is_reflexible(m: RootedMap) -> bool:
 
 
 def automorphism_group(m: RootedMap) -> PermGroup:
-    """Aut(m) as a permutation group on the flags (semiregular)."""
-    auts = []
+    """Aut(m) as a permutation group on the flags (semiregular).
+
+    An automorphism is fixed by the root's image, so flags already in the
+    root's orbit under the automorphisms found so far are skipped.  Each
+    kept generator at least doubles that orbit, so there are at most
+    log2 |Aut| generators.
+    """
+    auts: list[Perm] = []
+    orbit = {m.root}
     for d in range(m.n_flags):
+        if d in orbit:
+            continue
         a = automorphism_to(m, d)
         if a is not None:
             auts.append(a)
+            orbit = set(PermGroup(m.n_flags, auts).orbit(m.root))
     return PermGroup(m.n_flags, auts)
 
 

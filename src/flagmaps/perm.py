@@ -4,6 +4,8 @@ Composition is left to right everywhere: ``x . (p * q) == (x . p) . q``.
 Groups are given by generating permutations; orders and membership come
 from an incremental Schreier-Sims stabilizer chain with explicit inverse
 transversals, element lists from a bounded breadth-first closure.
+Conjugacy classes and minimal normal subgroups run on the regular
+representation that the closure records, with elements as indices.
 """
 
 from __future__ import annotations
@@ -128,6 +130,13 @@ class Perm:
             return f"Perm.identity({len(self.images)})"
         body = "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
         return f"Perm[{body}]"
+
+
+def _perm(images: tuple[int, ...]) -> Perm:
+    """A Perm from an image tuple already known to be a bijection."""
+    p = Perm.__new__(Perm)
+    p.images = images
+    return p
 
 
 class _Level:
@@ -286,6 +295,7 @@ class PermGroup:
         self.generators = tuple(g for g in generators if not g.is_identity())
         self._chain: StabilizerChain | None = None
         self._elements: tuple[Perm, ...] | None = None
+        self._right: list[list[int]] | None = None
 
     @staticmethod
     def trivial(degree: int) -> "PermGroup":
@@ -337,27 +347,31 @@ class PermGroup:
         return len(self.orbit(0)) == self.degree
 
     def elements(self, bound: int = DEFAULT_ELEMENT_BOUND) -> tuple[Perm, ...]:
-        """All elements, breadth first from the identity (deterministic order)."""
+        """All elements, breadth first from the identity (deterministic order).
+
+        The same pass records the right regular representation on indices
+        into this tuple: ``_right[j][x]`` is the index of x * generators[j].
+        """
         if self._elements is not None:
             return self._elements
-        e = Perm.identity(self.degree)
-        found = {e}
-        order_out = [e]
-        frontier = [e]
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in self.generators:
-                    c = a * g
-                    if c not in found:
-                        found.add(c)
-                        order_out.append(c)
-                        new.append(c)
-                        if len(found) > bound:
-                            raise BoundExceeded(
-                                f"group exceeds element bound {bound}")
-            frontier = new
-        self._elements = tuple(order_out)
+        identity = tuple(range(self.degree))
+        index = {identity: 0}
+        found = [identity]
+        gen_images = [g.images for g in self.generators]
+        right: list[list[int]] = [[] for _ in gen_images]
+        for a in found:  # grows while it is read: a breadth-first queue
+            times_a = itemgetter(*a)
+            for g, row in zip(gen_images, right):
+                c = times_a(g)
+                k = index.setdefault(c, len(found))
+                if k == len(found):
+                    if k >= bound:
+                        raise BoundExceeded(
+                            f"group exceeds element bound {bound}")
+                    found.append(c)
+                row.append(k)
+        self._right = right
+        self._elements = tuple(map(_perm, found))
         return self._elements
 
     def is_trivial(self) -> bool:
@@ -412,27 +426,101 @@ def normal_closure(G: PermGroup, seed: Sequence[Perm],
     return sub
 
 
+def _conjugation_tables(right: list[list[int]], n: int) -> list[list[int]]:
+    """``conj[j][x]``, the index of g_j^-1 * x * g_j, from the right
+    regular tables of ``PermGroup.elements`` with no Perm product.
+
+    Left multiplication is derived along the breadth-first tree of the
+    enumeration: when c was first reached as a * g_i, then
+    g_j * c = (g_j * a) * g_i.
+    """
+    left = [[row[0]] + [0] * (n - 1) for row in right]  # g_j = 1 * g_j
+    c = 1
+    for a in range(n):
+        for row in right:
+            if row[a] == c:  # the first time the enumeration reached c
+                for lrow in left:
+                    lrow[c] = row[lrow[a]]
+                c += 1
+    conj = []
+    for rrow, lrow in zip(right, left):
+        table = [0] * n
+        for x, y in enumerate(lrow):  # y = g_j * x: g_j^-1 * y * g_j = x * g_j
+            table[y] = rrow[x]
+        conj.append(table)
+    return conj
+
+
+def _index_classes(right: list[list[int]], n: int) -> list[list[int]]:
+    """Conjugacy classes as index lists, each headed by its least index,
+    by breadth-first search over the conjugation tables."""
+    conj = _conjugation_tables(right, n)
+    seen = [False] * n
+    classes = []
+    for x in range(n):
+        if seen[x]:
+            continue
+        seen[x] = True
+        cls = [x]
+        for y in cls:  # grows while it is read: a breadth-first queue
+            for row in conj:
+                z = row[y]
+                if not seen[z]:
+                    seen[z] = True
+                    cls.append(z)
+        classes.append(cls)
+    return classes
+
+
+def _identity_block(right: list[list[int]], n: int,
+                    seed: list[int]) -> list[int]:
+    """The subgroup generated by the seed indices, as an index list.
+
+    It is the identity's block in the finest partition of the indices that
+    joins 0 with every seed and is preserved by every right table (its
+    blocks are the right cosets).  Union-find with the smaller root
+    surviving, so index 0 stays a root; each point that stops being a root
+    is queued once and joins its images to its root's images (Atkinson, An
+    algorithm for finding the blocks of a permutation group, 1975).
+    """
+    parent = list(range(n))
+    queue = []
+    for s in seed:
+        if parent[s] != 0:
+            parent[s] = 0
+            queue.append(s)
+    for a in queue:  # grows while it is read
+        r = a
+        while parent[r] != r:
+            r = parent[r]
+        for row in right:
+            u = row[a]
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            v = row[r]
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            if u != v:
+                if u > v:
+                    u, v = v, u
+                parent[v] = u
+                queue.append(v)
+    # a parent is never larger than its child, so one ascending pass
+    # takes every point to its root
+    for x in range(n):
+        parent[x] = parent[parent[x]]
+    return [x for x in range(n) if parent[x] == 0]
+
+
 def conjugacy_classes(G: PermGroup,
                       bound: int = DEFAULT_ELEMENT_BOUND) -> list[list[Perm]]:
     """Conjugacy classes of G as sorted element lists, by least representative."""
     els = G.elements(bound)
-    inv_gens = [g.inverse() for g in G.generators]
-    seen: set[Perm] = set()
-    classes = []
-    for x in sorted(els, key=lambda p: p.images):
-        if x in seen:
-            continue
-        cls = {x}
-        queue = [x]
-        while queue:
-            y = queue.pop()
-            for g, gi in zip(G.generators, inv_gens):
-                z = gi * y * g
-                if z not in cls:
-                    cls.add(z)
-                    queue.append(z)
-        seen |= cls
-        classes.append(sorted(cls, key=lambda p: p.images))
+    classes = [sorted((els[i] for i in cls), key=lambda p: p.images)
+               for cls in _index_classes(G._right, len(els))]
+    classes.sort(key=lambda cls: cls[0].images)
     return classes
 
 
@@ -440,39 +528,39 @@ def _is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
-def _within(H: PermGroup, G: PermGroup) -> bool:
-    """Whether H is a subgroup of G (membership of H's generators)."""
-    return all(G.contains(h) for h in H.generators)
-
-
 def minimal_normal_subgroups(G: PermGroup,
                              bound: int = DEFAULT_ELEMENT_BOUND) -> list[PermGroup]:
     """All inclusion-minimal nontrivial normal subgroups of G.
 
-    Every minimal normal subgroup N is the normal closure of any one of its
-    nontrivial elements.  By Cauchy's theorem N holds an element x of prime
-    order, and the class of x lies in N, so closing one representative of
-    each conjugacy class of prime order and keeping the inclusion-minimal
-    results is complete.  Closures are compared by order and membership of
-    generators; only the minimal ones are enumerated, for the sort.
-    Results are sorted by order, then by element list, for determinism.
+    Works on G's regular representation: G is enumerated once, elements
+    become indices, and classes and closures are integer table lookups.
+    Every minimal normal subgroup N is the normal closure of any one of
+    its nontrivial elements.  By Cauchy's theorem N holds an element x of
+    prime order, and the class of x lies in N, so closing each conjugacy
+    class of prime order and keeping the inclusion-minimal results is
+    complete.  The normal closure of x is the subgroup generated by its
+    class, found as a block of the right regular action.  Results are sorted by order, then by element list, and each
+    is generated by the conjugacy class of its least nontrivial element.
     """
     if G.is_trivial():
         return []
-    closures: list[PermGroup] = []
-    for cls in conjugacy_classes(G, bound):
-        rep = cls[0]
-        if not _is_prime(rep.order()):
+    els = G.elements(bound)
+    right = G._right
+    n = len(els)
+    classes = _index_classes(right, n)
+    closures = {frozenset(_identity_block(right, n, cls)) for cls in classes
+                if _is_prime(els[cls[0]].order())}
+    keyed = []
+    for N in closures:
+        if any(M < N for M in closures):
             continue
-        N = normal_closure(G, [rep], bound)
-        if not any(M.order() == N.order() and _within(N, M) for M in closures):
-            closures.append(N)
-    minimal = [N for N in closures
-               if not any(M.order() < N.order() and _within(M, N)
-                          for M in closures)]
-    minimal.sort(key=lambda N: (N.order(),
-                                sorted(p.images for p in N.elements(bound))))
-    return minimal
+        members = sorted(N, key=lambda i: els[i].images)
+        keyed.append((len(N), [els[i].images for i in members], members[1]))
+    keyed.sort(key=lambda entry: entry[:2])
+    return [PermGroup(G.degree, sorted(
+                (els[i] for i in next(c for c in classes if least in c)),
+                key=lambda p: p.images))
+            for _, _, least in keyed]
 
 
 def is_normal_in(H: PermGroup, G: PermGroup) -> bool:

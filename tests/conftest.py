@@ -3,9 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from flagmaps import (Perm, RootedMap, build_slightly_degenerate,
-                      census_reflexible, regular_map_from_group, todd_coxeter)
+from flagmaps import (LabeledGenerators, Perm, PermGroup, RootedMap,
+                      build_slightly_degenerate, census_reflexible,
+                      construct_from_group, regular_map_from_group,
+                      todd_coxeter)
+from flagmaps.ettype import TYPE_GENERATORS
 from flagmaps.mapcore import automorphism_to
+
+from .oracles import mulclose
 
 # A type-4 construction over Z2 (R fixes flags 3 and 5): boundary-degenerate,
 # so its halved cell sizes miss the type's map-symbol side condition 2|a.
@@ -138,3 +143,40 @@ def random_rooted_map(rng, n_edges):
 def random_maps():
     rng = random.Random(20260810)
     return [random_rooted_map(rng, rng.randint(1, 5)) for _ in range(50)]
+
+
+# generating cycles of four small groups, as permutations of 4 or 5 points
+CONSTRUCTION_GROUPS = {
+    "V4": (4, [[(0, 1), (2, 3)], [(0, 2), (1, 3)]]),
+    "S3": (3, [[(0, 1, 2)], [(0, 1)]]),
+    "D4": (4, [[(0, 1, 2, 3)], [(1, 3)]]),
+    "D5": (5, [[(0, 1, 2, 3, 4)], [(1, 4), (2, 3)]]),
+}
+
+
+@pytest.fixture(scope="session")
+def constructions():
+    """Type 2, 2ex, 3, 4 and 5 constructions over V4, S3, D4 and D5: for
+    each type and group, the first two generator tuples of a seeded draw
+    that generate the whole group (involutions for tau and the thetas)."""
+    rng = random.Random(20261018)
+    out = []
+    for name, (degree, spec) in CONSTRUCTION_GROUPS.items():
+        elements = sorted(mulclose([Perm.from_cycles(degree, c) for c in spec]),
+                          key=lambda p: p.images)
+        others = [p for p in elements if not p.is_identity()]
+        involutions = [p for p in others if (p * p).is_identity()]
+        for type_label in ("2", "2ex", "3", "4", "5"):
+            labels = TYPE_GENERATORS[type_label]
+            found = 0
+            while found < 2:
+                gens = tuple(rng.choice(involutions
+                                        if label.startswith(("tau", "theta"))
+                                        else others) for label in labels)
+                if PermGroup(degree, gens).order() != len(elements):
+                    continue
+                m, _ = construct_from_group(
+                    type_label, LabeledGenerators(labels, gens))
+                out.append((f"type{type_label}-{name}-{found}", m))
+                found += 1
+    return out

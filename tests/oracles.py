@@ -4,11 +4,14 @@ Group work here runs over an explicit multiplication table on element
 indices, so closures and joins are plain integer BFS.
 """
 
+from math import isqrt
+
 from flagmaps import Perm
 from flagmaps.fpres import (DEFAULT_MAX_COSETS, MAX_WORD_LENGTH,
                             EnumerationOverflow, Presentation,
                             PresentationError, Word, word_length)
-from flagmaps.perm import LabeledGenerators
+from flagmaps.perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators,
+                           PermGroup, normal_closure)
 
 
 def mulclose(perms, bound=100_000):
@@ -147,6 +150,29 @@ def decomposable_brute(m):
                     == stabilizer:
                 return True
     return False
+
+
+def automorphisms_brute(m):
+    """Every automorphism of m, one candidate per flag d: the map grown
+    from root -> d along T, L and R, kept when it is a bijection that
+    commutes with all three."""
+    gens = [g.images for g in m.generators()]
+    out = set()
+    for d in range(m.n_flags):
+        image = {m.root: d}
+        queue = [m.root]
+        while queue:
+            x = queue.pop()
+            for g in gens:
+                if g[x] not in image:
+                    image[g[x]] = g[image[x]]
+                    queue.append(g[x])
+        if (len(image) == m.n_flags
+                and len(set(image.values())) == m.n_flags
+                and all(image[g[x]] == g[image[x]]
+                        for g in gens for x in range(m.n_flags))):
+            out.add(Perm([image[x] for x in range(m.n_flags)]))
+    return out
 
 
 def is_prime_power(k):
@@ -309,3 +335,74 @@ def todd_coxeter(p: Presentation,
         Perm(index[rep(table[a][2 * g])] for a in live) for g in range(ngens))
     lg = LabeledGenerators(p.generators, perms)
     return lg, len(live)
+
+
+# --- reference minimal normal subgroups ---------------------------------
+#
+# ``conjugacy_classes`` and ``minimal_normal_subgroups`` as they stood
+# before the search moved to the regular representation (Perm-set class
+# BFS, one stabilizer-chain normal closure per prime-order class), kept
+# unchanged as the reference: the production functions must give the same
+# classes, and the same subgroups in the same order.
+
+def conjugacy_classes(G: PermGroup,
+                      bound: int = DEFAULT_ELEMENT_BOUND) -> list[list[Perm]]:
+    """Conjugacy classes of G as sorted element lists, by least representative."""
+    els = G.elements(bound)
+    inv_gens = [g.inverse() for g in G.generators]
+    seen: set[Perm] = set()
+    classes = []
+    for x in sorted(els, key=lambda p: p.images):
+        if x in seen:
+            continue
+        cls = {x}
+        queue = [x]
+        while queue:
+            y = queue.pop()
+            for g, gi in zip(G.generators, inv_gens):
+                z = gi * y * g
+                if z not in cls:
+                    cls.add(z)
+                    queue.append(z)
+        seen |= cls
+        classes.append(sorted(cls, key=lambda p: p.images))
+    return classes
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def _within(H: PermGroup, G: PermGroup) -> bool:
+    """Whether H is a subgroup of G (membership of H's generators)."""
+    return all(G.contains(h) for h in H.generators)
+
+
+def minimal_normal_subgroups(G: PermGroup,
+                             bound: int = DEFAULT_ELEMENT_BOUND) -> list[PermGroup]:
+    """All inclusion-minimal nontrivial normal subgroups of G.
+
+    Every minimal normal subgroup N is the normal closure of any one of its
+    nontrivial elements.  By Cauchy's theorem N holds an element x of prime
+    order, and the class of x lies in N, so closing one representative of
+    each conjugacy class of prime order and keeping the inclusion-minimal
+    results is complete.  Closures are compared by order and membership of
+    generators; only the minimal ones are enumerated, for the sort.
+    Results are sorted by order, then by element list, for determinism.
+    """
+    if G.is_trivial():
+        return []
+    closures: list[PermGroup] = []
+    for cls in conjugacy_classes(G, bound):
+        rep = cls[0]
+        if not _is_prime(rep.order()):
+            continue
+        N = normal_closure(G, [rep], bound)
+        if not any(M.order() == N.order() and _within(N, M) for M in closures):
+            closures.append(N)
+    minimal = [N for N in closures
+               if not any(M.order() < N.order() and _within(M, N)
+                          for M in closures)]
+    minimal.sort(key=lambda N: (N.order(),
+                                sorted(p.images for p in N.elements(bound))))
+    return minimal

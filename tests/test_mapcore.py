@@ -14,6 +14,7 @@ from flagmaps.mapcore import (MapFormatError, MapInvariantError,
 from flagmaps.perm import LabeledGenerators, congruent_labeled_groups
 
 from .conftest import random_rooted_map
+from .oracles import automorphisms_brute
 
 DM9_LOOKING_TEXT = """flags 4
 T 1 0 3 2
@@ -185,6 +186,19 @@ def test_aut_semiregular_and_divides(tetrahedron, fig3_quotient, random_maps):
             image = a.images[m.root]
             assert image not in seen
             seen[image] = a
+
+
+def test_automorphism_group_matches_all_flags_search(
+        tetrahedron, fig3_quotient, c4_sphere, random_maps, constructions):
+    from flagmaps import build_degenerate
+    reflexible = [tetrahedron, c4_sphere] + [build_degenerate(6, k)
+                                             for k in (5, 12)]
+    for m in (reflexible + [fig3_quotient] + random_maps
+              + [m for _, m in constructions]):
+        aut = automorphism_group(m)
+        assert set(aut.elements()) == automorphisms_brute(m)
+        # each kept generator at least doubles the root's orbit
+        assert len(aut.generators) <= aut.order().bit_length() - 1
 
 
 def test_monautreg_chain(tetrahedron, fig3_quotient, random_maps):

@@ -10,6 +10,7 @@ from flagmaps import (BoundExceeded, LabeledGenerators, Perm, PermGroup,
 from flagmaps.perm import (conjugacy_classes, format_group_file, is_normal_in,
                            parse_group_file)
 
+from . import oracles
 from .oracles import minimal_normals_brute, mulclose
 
 
@@ -213,6 +214,57 @@ def test_minimal_normals_match_bruteforce_random(G):
     got = [frozenset(N.elements()) for N in minimal_normal_subgroups(G)]
     assert sorted(got, key=len) == got
     assert set(got) == set(map(frozenset, minimal_normals_brute(G)))
+
+
+def element_sets(groups):
+    return [frozenset(N.elements()) for N in groups]
+
+
+def assert_matches_reference(G):
+    """The same subgroups, in the same order, and the same classes as the
+    reference search kept in ``oracles``; each on a new group object, so that
+    no element list is shared."""
+    fresh = lambda: PermGroup(G.degree, G.generators)
+    got = minimal_normal_subgroups(fresh())
+    assert element_sets(got) == element_sets(
+        oracles.minimal_normal_subgroups(fresh()))
+    assert conjugacy_classes(fresh()) == oracles.conjugacy_classes(fresh())
+    return got
+
+
+@settings(deadline=None, max_examples=80)
+@given(small_groups(), st.data())
+def test_minimal_normals_match_reference(G, data):
+    got = assert_matches_reference(G)
+    for N in got:  # generated by the class of its least nontrivial element
+        least = sorted(N.elements(), key=lambda p: p.images)[1]
+        assert N.generators == tuple(next(
+            c for c in conjugacy_classes(G) if least in c))
+    order = G.order()
+    if order == 1:
+        return
+    bound = data.draw(st.integers(1, order - 1), label="bound")
+    for search in (minimal_normal_subgroups, oracles.minimal_normal_subgroups):
+        with pytest.raises(BoundExceeded):
+            search(PermGroup(G.degree, G.generators), bound)
+    assert element_sets(minimal_normal_subgroups(
+        PermGroup(G.degree, G.generators), order)) == element_sets(got)
+
+
+@pytest.mark.parametrize("family, top", [
+    ("DM6", 24), ("DM7", 24), ("DM8", 24), ("epsilon", 16), ("delta", 16)])
+def test_minimal_normals_of_families_match_reference(family, top):
+    from flagmaps import build_degenerate, build_slightly_degenerate
+    for k in range(2, top + 1):
+        m = (build_degenerate(int(family[2]), k) if family.startswith("DM")
+             else build_slightly_degenerate(family, k))
+        assert_matches_reference(m.monodromy_group())
+
+
+def test_minimal_normals_of_aut_match_reference(constructions):
+    from flagmaps import automorphism_group
+    for _, m in constructions:
+        assert_matches_reference(automorphism_group(m))
 
 
 S4 = PermGroup(4, [Perm.from_cycles(4, [(0, 1, 2, 3)]),
