@@ -11,6 +11,7 @@ of <L,R> and Petrie circuits of <TL,R>.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Literal
 
 from .perm import Perm, PermGroup, orbits_of
@@ -73,6 +74,20 @@ class RootedMap:
 
     def monodromy_group(self) -> PermGroup:
         return PermGroup(self.n_flags, self.generators())
+
+    @cached_property
+    def _automorphism_generators(self) -> tuple[Perm, ...]:
+        """Generators of Aut, found once per map (see automorphism_group)."""
+        auts: list[Perm] = []
+        orbit = {self.root}
+        for d in range(self.n_flags):
+            if d in orbit:
+                continue
+            a = automorphism_to(self, d)
+            if a is not None:
+                auts.append(a)
+                orbit = set(PermGroup(self.n_flags, auts).orbit(self.root))
+        return tuple(auts)
 
     def __repr__(self) -> str:
         return f"RootedMap(n_flags={self.n_flags}, root={self.root})"
@@ -308,12 +323,10 @@ def automorphism_to(m: RootedMap, d: int) -> Perm | None:
 def is_reflexible(m: RootedMap) -> bool:
     """Aut regular on flags.
 
-    It suffices that automorphisms to root.T, root.L and root.R exist: the
-    group they generate already moves the root onto every flag.
+    Aut is the centralizer of the transitive Mon, and it is regular exactly
+    when Mon is.
     """
-    return all(
-        automorphism_to(m, g.images[m.root]) is not None
-        for g in m.generators())
+    return m.monodromy_group().is_regular()
 
 
 def automorphism_group(m: RootedMap) -> PermGroup:
@@ -322,18 +335,10 @@ def automorphism_group(m: RootedMap) -> PermGroup:
     An automorphism is fixed by the root's image, so flags already in the
     root's orbit under the automorphisms found so far are skipped.  Each
     kept generator at least doubles that orbit, so there are at most
-    log2 |Aut| generators.
+    log2 |Aut| generators.  The generators are found once per map; each
+    call returns a new group on them.
     """
-    auts: list[Perm] = []
-    orbit = {m.root}
-    for d in range(m.n_flags):
-        if d in orbit:
-            continue
-        a = automorphism_to(m, d)
-        if a is not None:
-            auts.append(a)
-            orbit = set(PermGroup(m.n_flags, auts).orbit(m.root))
-    return PermGroup(m.n_flags, auts)
+    return PermGroup(m.n_flags, m._automorphism_generators)
 
 
 # --- re-rooting -------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Permutation algebra on the points {0..n-1}.
 
 Composition is left to right everywhere: ``x . (p * q) == (x . p) . q``.
-Groups are given by generating permutations; orders and membership come
-from an incremental Schreier-Sims stabilizer chain with explicit inverse
-transversals, element lists from a bounded breadth-first closure.
-Conjugacy classes and minimal normal subgroups run on the regular
-representation that the closure records, with elements as indices.
+Groups are given by generating permutations.  A regular group (Mon of a
+reflexible map, Aut of one) is recognised from its point tables: its order
+is the degree and membership is commuting with its centralizer.  Other
+groups get orders and membership from an incremental Schreier-Sims
+stabilizer chain with explicit inverse transversals.  Element lists come
+from a bounded breadth-first closure; conjugacy classes and minimal normal
+subgroups run on the regular representation that the closure records,
+with elements as indices.
 """
 
 from __future__ import annotations
@@ -296,6 +299,10 @@ class PermGroup:
         self._chain: StabilizerChain | None = None
         self._elements: tuple[Perm, ...] | None = None
         self._right: list[list[int]] | None = None
+        # set by is_regular: None until tested; for a regular group,
+        # generators of its centralizer in Sym(degree)
+        self._regular: bool | None = None
+        self._centralizer: tuple[Perm, ...] = ()
 
     @staticmethod
     def trivial(degree: int) -> "PermGroup":
@@ -306,12 +313,53 @@ class PermGroup:
             self._chain = StabilizerChain(self.generators, self.degree, degree_bound)
         return self._chain
 
+    def is_regular(self) -> bool:
+        """Whether G acts regularly: transitively, with trivial stabilizers.
+
+        For each generator g, the map that takes 0 to 0 . g and commutes
+        with every generator is grown breadth first from 0.  All of them
+        exist exactly when G is regular: they then generate the centralizer
+        C(G), which is transitive, and G = C(C(G)) (Dixon and Mortimer,
+        Permutation Groups, 4.2).  The first conflict answers no.
+        O(degree * ngens^2) integer work with no Perm product, cached.
+        """
+        if self._regular is None:
+            tables = [g.images for g in self.generators]
+            regular = bool(tables) or self.degree == 1
+            centralizer = []
+            for images in tables:
+                c = _centralizer_element(tables, self.degree, images[0])
+                if c is None:
+                    regular = False
+                    break
+                centralizer.append(_perm(tuple(c)))
+            self._regular = regular
+            if regular:
+                self._centralizer = tuple(centralizer)
+        return self._regular
+
+    def _answers_from_points(self) -> bool:
+        """Whether order and membership are read off the point tables:
+        the group is regular and no chain exists yet.  The chain's degree
+        bound applies here as well."""
+        if self._chain is not None:
+            return False
+        if self.degree > DEFAULT_DEGREE_BOUND:
+            raise BoundExceeded(
+                f"degree {self.degree} exceeds bound {DEFAULT_DEGREE_BOUND}")
+        return self.is_regular()
+
     def order(self) -> int:
+        if self._answers_from_points():
+            return self.degree
         return self.chain().order()
 
     def contains(self, p: Perm) -> bool:
         if not self.generators:
             return p.degree == self.degree and p.is_identity()
+        if self._answers_from_points():
+            return p.degree == self.degree and all(
+                p * c == c * p for c in self._centralizer)
         return self.chain().contains(p)
 
     __contains__ = contains
@@ -426,24 +474,40 @@ def normal_closure(G: PermGroup, seed: Sequence[Perm],
     return sub
 
 
+def _centralizer_element(tables: Sequence[Sequence[int]], n: int,
+                         image_of_0: int) -> list[int] | None:
+    """The map x -> x' of {0..n-1} with 0' = image_of_0 that commutes with
+    every table (t[x]' = t[x'] for all x), or None when there is none.
+
+    Grown breadth first from 0: when b is first reached as t[a], b' is
+    t[a']; every later step to b checks the same equation, so a conflict
+    ends the search at once.  When every point is reached, the map is
+    equivariant on a transitive set and so a bijection: the centralizer
+    element of the generated group that takes 0 to image_of_0.  On the
+    right regular tables of ``PermGroup.elements``, with image_of_0 the
+    index of g, it is left multiplication by g.
+    """
+    image = [-1] * n
+    image[0] = image_of_0
+    queue = [0]
+    for a in queue:  # grows while it is read: a breadth-first queue
+        ia = image[a]
+        for t in tables:
+            b = t[a]
+            if image[b] < 0:
+                image[b] = t[ia]
+                queue.append(b)
+            elif image[b] != t[ia]:
+                return None
+    return image if len(queue) == n else None
+
+
 def _conjugation_tables(right: list[list[int]], n: int) -> list[list[int]]:
     """``conj[j][x]``, the index of g_j^-1 * x * g_j, from the right
-    regular tables of ``PermGroup.elements`` with no Perm product.
-
-    Left multiplication is derived along the breadth-first tree of the
-    enumeration: when c was first reached as a * g_i, then
-    g_j * c = (g_j * a) * g_i.
-    """
-    left = [[row[0]] + [0] * (n - 1) for row in right]  # g_j = 1 * g_j
-    c = 1
-    for a in range(n):
-        for row in right:
-            if row[a] == c:  # the first time the enumeration reached c
-                for lrow in left:
-                    lrow[c] = row[lrow[a]]
-                c += 1
+    regular tables of ``PermGroup.elements`` with no Perm product."""
     conj = []
-    for rrow, lrow in zip(right, left):
+    for rrow in right:
+        lrow = _centralizer_element(right, n, rrow[0])  # x -> g_j * x
         table = [0] * n
         for x, y in enumerate(lrow):  # y = g_j * x: g_j^-1 * y * g_j = x * g_j
             table[y] = rrow[x]
@@ -470,6 +534,36 @@ def _index_classes(right: list[list[int]], n: int) -> list[list[int]]:
                     cls.append(z)
         classes.append(cls)
     return classes
+
+
+def _bfs_tree(right: list[list[int]], n: int) -> list[tuple[int, int]]:
+    """``tree[c] = (a, j)``: the breadth-first enumeration behind the right
+    tables first reached index c > 0 as a * g_j (``tree[0]`` is a dummy)."""
+    tree = [(0, -1)]
+    for a in range(n):
+        for j, row in enumerate(right):
+            if row[a] == len(tree):
+                tree.append((a, j))
+    return tree
+
+
+def _power_indices(right: list[list[int]], tree: list[tuple[int, int]],
+                   x: int, k: int) -> list[int]:
+    """The indices of x^2, ..., x^(k-1): right multiplication by x is the
+    word of x along the breadth-first tree, read through the right tables."""
+    word = []
+    c = x
+    while c:
+        c, j = tree[c]
+        word.append(right[j])
+    word.reverse()
+    out = []
+    y = x
+    for _ in range(k - 2):
+        for row in word:
+            y = row[y]
+        out.append(y)
+    return out
 
 
 def _identity_block(right: list[list[int]], n: int,
@@ -524,6 +618,15 @@ def conjugacy_classes(G: PermGroup,
     return classes
 
 
+def _cycle_length_at_0(p: Perm) -> int:
+    """The length of the cycle of p through point 0."""
+    images = p.images
+    length, x = 1, images[0]
+    while x:
+        length, x = length + 1, images[x]
+    return length
+
+
 def _is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
@@ -539,7 +642,11 @@ def minimal_normal_subgroups(G: PermGroup,
     prime order, and the class of x lies in N, so closing each conjugacy
     class of prime order and keeping the inclusion-minimal results is
     complete.  The normal closure of x is the subgroup generated by its
-    class, found as a block of the right regular action.  Results are sorted by order, then by element list, and each
+    class, found as a block of the right regular action; x^k for k prime
+    to the order of x has the same closure, so the classes of the powers
+    of a closed x are skipped.  On a regular G every element is
+    semiregular, and the order of x is the length of its cycle through
+    point 0.  Results are sorted by order, then by element list, and each
     is generated by the conjugacy class of its least nontrivial element.
     """
     if G.is_trivial():
@@ -548,8 +655,25 @@ def minimal_normal_subgroups(G: PermGroup,
     right = G._right
     n = len(els)
     classes = _index_classes(right, n)
-    closures = {frozenset(_identity_block(right, n, cls)) for cls in classes
-                if _is_prime(els[cls[0]].order())}
+    class_of = [0] * n
+    for ci, cls in enumerate(classes):
+        for x in cls:
+            class_of[x] = ci
+    order_of = _cycle_length_at_0 if G.is_regular() else Perm.order
+    skip = [False] * len(classes)
+    closures = set()
+    tree = None
+    for ci, cls in enumerate(classes):
+        if skip[ci]:
+            continue
+        k = order_of(els[cls[0]])
+        if not _is_prime(k):
+            continue
+        closures.add(frozenset(_identity_block(right, n, cls)))
+        if k > 2:
+            tree = tree or _bfs_tree(right, n)
+            for y in _power_indices(right, tree, cls[0], k):
+                skip[class_of[y]] = True
     keyed = []
     for N in closures:
         if any(M < N for M in closures):

@@ -201,6 +201,30 @@ def test_automorphism_group_matches_all_flags_search(
         assert len(aut.generators) <= aut.order().bit_length() - 1
 
 
+def test_is_reflexible_matches_all_flags_search(
+        tetrahedron, fig3_quotient, c4_sphere, random_maps, constructions):
+    maps = ([tetrahedron, fig3_quotient, c4_sphere, build_degenerate(6, 12)]
+            + random_maps + [m for _, m in constructions])
+    for m in maps:
+        for c in triality_composites(m):
+            assert is_reflexible(c) == (
+                len(automorphisms_brute(c)) == c.n_flags)
+
+
+def test_automorphism_generators_found_once_per_map(tetrahedron):
+    m = RootedMap(*tetrahedron.generators(), root=tetrahedron.root)
+    assert "_automorphism_generators" not in vars(m)
+    first = automorphism_group(m)
+    cached = vars(m)["_automorphism_generators"]
+    second = automorphism_group(m)
+    assert vars(m)["_automorphism_generators"] is cached
+    assert first is not second and first._chain is None
+    assert first.generators == second.generators == cached
+    # a new map object searches again and finds the same generators
+    again = RootedMap(*tetrahedron.generators(), root=tetrahedron.root)
+    assert automorphism_group(again).generators == first.generators
+
+
 def test_monautreg_chain(tetrahedron, fig3_quotient, random_maps):
     for m in [tetrahedron, fig3_quotient] + random_maps[:10]:
         aut_order = automorphism_group(m).order()

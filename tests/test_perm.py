@@ -1,7 +1,8 @@
+import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flagmaps import (BoundExceeded, LabeledGenerators, Perm, PermGroup,
@@ -110,15 +111,38 @@ def test_composition_degree_below_two(n):
 
 
 def test_chain_order_budget():
+    # Mon(DM6(500)) is regular, so order() would skip the chain: time it
     from flagmaps import build_degenerate
     start = time.perf_counter()
-    assert build_degenerate(6, 500).monodromy_group().order() == 1000
+    assert build_degenerate(6, 500).monodromy_group().chain().order() == 1000
     assert time.perf_counter() - start < 3
+
+
+def test_regular_order_budget():
+    from flagmaps import build_degenerate
+    G = build_degenerate(6, 500).monodromy_group()
+    start = time.perf_counter()
+    assert G.order() == 1000
+    assert all(G.contains(g) for g in G.generators)
+    assert not G.contains(Perm.from_cycles(1000, [(0, 1)]))
+    assert G._chain is None
+    assert time.perf_counter() - start < 0.3
 
 
 def test_degree_bound():
     with pytest.raises(BoundExceeded):
         PermGroup(20_001, [Perm.identity(20_001)]).chain(degree_bound=10_000)
+
+
+def test_degree_bound_on_regular_groups():
+    n = 20_001
+    cycle = Perm(tuple((i + 1) % n for i in range(n)))
+    with pytest.raises(BoundExceeded):
+        PermGroup(n, [cycle]).order()
+    with pytest.raises(BoundExceeded):
+        PermGroup(n, [cycle]).contains(cycle)
+    # the test itself is not bounded: it is the reflexibility test of maps
+    assert PermGroup(n, [cycle]).is_regular()
 
 
 def dihedral(n):
@@ -352,3 +376,116 @@ def test_group_file_errors():
         parse_group_file("gen a 0 1\n")  # no degree line
     with pytest.raises(ValueError):
         parse_group_file("degree 2\ngen a 0 0\n")  # not a bijection
+
+
+# --- regular groups: order and membership from the point tables -------------
+
+def right_regular(G):
+    """The right regular representation of G, on its element list."""
+    els = G.elements()
+    index = {p: i for i, p in enumerate(els)}
+    return PermGroup(len(els), [Perm(index[e * g] for e in els)
+                                for g in G.generators])
+
+
+@st.composite
+def regular_groups(draw):
+    """Mon of the smallest reflexible cover of a random map, or the right
+    regular representation of a small group."""
+    if draw(st.booleans()):
+        from flagmaps import smallest_reflexible_cover
+        from .conftest import random_rooted_map
+        rng = random.Random(draw(st.integers(0, 2**32), label="map seed"))
+        m = random_rooted_map(rng, draw(st.integers(1, 3)))
+        try:
+            return smallest_reflexible_cover(m, bound=720).monodromy_group()
+        except BoundExceeded:
+            pass
+    G = draw(small_groups())
+    assume(G.order() <= 720)
+    return right_regular(G)
+
+
+def assert_answers_match_chain(G, probes):
+    """order() and contains() agree with a stabilizer chain built on a
+    separate group object (an existing chain would answer for G itself)."""
+    chain = PermGroup(G.degree, G.generators).chain()
+    assert G.order() == chain.order()
+    for p in probes:
+        assert G.contains(p) == chain.contains(p)
+
+
+@settings(deadline=None, max_examples=60)
+@given(regular_groups(), st.randoms(use_true_random=False))
+def test_regular_groups_answer_from_point_tables(G, rng):
+    assert G.is_regular()
+    members = mulclose(list(G.generators) or [Perm.identity(G.degree)])
+    assert G.order() == len(members) == G.degree
+    ordered = sorted(members, key=lambda p: p.images)
+    sample = rng.sample(ordered, min(len(ordered), 30))
+    # non-members: a transposition times a member (past degree 2 a regular
+    # group has no transposition), and random permutations
+    points = list(range(G.degree))
+    near = [Perm.from_cycles(G.degree, [rng.sample(points, 2)]) * p
+            for p in sample[:10]] if G.degree > 2 else []
+    shuffled = [Perm(rng.sample(points, len(points))) for _ in range(10)]
+    probes = sample + near + shuffled
+    for p in probes:
+        assert G.contains(p) == (p in members)
+    assert not any(G.contains(p) for p in near)
+    assert_answers_match_chain(G, probes)
+    assert G._chain is None
+
+
+def symmetric(n):
+    return PermGroup(n, [Perm(tuple((i + 1) % n for i in range(n))),
+                         Perm.from_cycles(n, [(0, 1)])])
+
+
+# AGL(1,7): x -> ax + b on Z/7, generated by x + 1 and 3x
+AGL17 = PermGroup(7, [Perm(tuple((x + 1) % 7 for x in range(7))),
+                      Perm(tuple(3 * x % 7 for x in range(7)))])
+
+
+@pytest.mark.parametrize("G", [symmetric(n) for n in (3, 4, 5, 6)]
+                         + [dihedral(n) for n in (3, 4, 5, 8)] + [AGL17],
+                         ids=[f"S{n}" for n in (3, 4, 5, 6)]
+                         + [f"D{n}" for n in (3, 4, 5, 8)] + ["AGL(1,7)"])
+def test_transitive_groups_that_are_not_regular(G):
+    assert G.is_transitive() and not G.is_regular()
+    members = sorted(mulclose(list(G.generators)), key=lambda p: p.images)
+    rng = random.Random(G.degree)
+    points = list(range(G.degree))
+    probes = members[::3] + [Perm(rng.sample(points, G.degree))
+                             for _ in range(20)]
+    assert_answers_match_chain(G, probes)
+    assert G.order() == len(members)
+
+
+def test_aut_of_constructions_is_regular_iff_reflexible(constructions):
+    from flagmaps import automorphism_group
+    kinds = set()
+    for _, m in constructions:
+        aut = automorphism_group(m)
+        reflexible = len(oracles.automorphisms_brute(m)) == m.n_flags
+        kinds.add(reflexible)
+        # Aut is semiregular; regular exactly when transitive
+        assert aut.is_regular() == reflexible
+        assert_answers_match_chain(aut, list(aut.elements())
+                                   + list(m.generators()))
+    assert kinds == {False, True}
+
+
+def test_regular_groups_named():
+    cyclic = PermGroup(6, [Perm(tuple((i + 1) % 6 for i in range(6)))])
+    klein = PermGroup(4, [Perm.from_cycles(4, [(0, 1), (2, 3)]),
+                          Perm.from_cycles(4, [(0, 2), (1, 3)])])
+    assert cyclic.is_regular() and klein.is_regular()
+    assert PermGroup.trivial(1).is_regular()
+    assert not PermGroup.trivial(2).is_regular()
+    # semiregular but not transitive
+    assert not PermGroup(4, [Perm.from_cycles(4, [(0, 1), (2, 3)])]).is_regular()
+    assert klein.order() == 4
+    assert not klein.contains(Perm.from_cycles(4, [(0, 1)]))
+    assert klein.contains(Perm.from_cycles(4, [(0, 3), (1, 2)]))
+    assert not klein.contains(Perm.identity(5))
