@@ -3,15 +3,13 @@
 the self-dual self-Petrie covers that sit above them."""
 
 from flagmaps import (build_slightly_degenerate, genus_symbol, du, pe,
-                      isomorphism, todd_coxeter, parse_presentation,
-                      regular_map_from_group, totally_symmetric_cover)
+                      isomorphism, todd_coxeter, regular_map_from_group,
+                      totally_symmetric_cover)
+from flagmaps.degen import vector_presentation
 
 
 def map_from_vector(vec):
-    words = ("t", "l", "r", "(t*l)", "(r*t)", "(r*l)", "(t*l*r)")
-    text = "gens t l r\n" + "\n".join(
-        f"rel {w}^{e}" for w, e in zip(words, vec))
-    lg, _ = todd_coxeter(parse_presentation(text))
+    lg, _ = todd_coxeter(vector_presentation(vec))
     return regular_map_from_group(lg)
 
 

@@ -15,16 +15,16 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import degen, ettype
-from .decomp import NotEdgeTransitive, decomposability_general
+from .decomp import (NotEdgeTransitive, _decomposability_general,
+                     decomposability_general)
 from .degen import ContextVector, context_vector, vector_presentation
 from .fpres import (EnumerationOverflow, PresentationError,
                     parse_presentation, todd_coxeter)
 from .mapcore import (MapFormatError, MapInvariantError, RootedMap,
-                      automorphism_group, cells_and_surface, du, genus_symbol,
-                      is_reflexible, load_map, pe, regular_map_from_group,
-                      save_map)
-from .perm import (BoundExceeded, PermGroup, format_group_file,
-                   normal_closure, parse_group_file)
+                      _genus_symbol, automorphism_group, cells_and_surface, du,
+                      load_map, pe, regular_map_from_group, save_map)
+from .perm import (DEFAULT_ELEMENT_BOUND, BoundExceeded, PermGroup,
+                   format_group_file, normal_closure, parse_group_file)
 from .product import (NotReflexible, parallel_product,
                       smallest_reflexible_cover, totally_symmetric_cover)
 from .quotient import (StabilizerNotContained, k_quotient, monodromy_quotient)
@@ -91,9 +91,14 @@ class AnalysisReport:
 
 
 def analyze_map(m: RootedMap) -> AnalysisReport:
+    """Every fact of the report, each computed once: one Mon serves the
+    reflexibility test, the genus symbol, the decomposability search and
+    the order, and the Aut generators and context vector are kept on m."""
+    mon = m.monodromy_group()
+    reflexible = mon.is_regular()
     surface = cells_and_surface(m)
     vec = context_vector(m)
-    gsym = genus_symbol(m)
+    gsym = _genus_symbol(m, reflexible, surface)
     aut = automorphism_group(m)
     classified = ettype.classify_type(m)
     degeneracy = degen.classify_vector(vec)
@@ -103,12 +108,11 @@ def analyze_map(m: RootedMap) -> AnalysisReport:
             symbol = str(ettype.map_symbol(classified[1], classified[0]))
         except ettype.SymbolConditionFailed:
             pass  # boundary-degenerate cells can miss the type's condition
-    verdict = decomposability_general(m)
-    reflexible = is_reflexible(m)
+    verdict = _decomposability_general(m, mon, DEFAULT_ELEMENT_BOUND)
     report = AnalysisReport(
         n_flags=m.n_flags,
         n_edges=len(surface.cells.edges),
-        monodromy_order=m.monodromy_group().order(),
+        monodromy_order=mon.order(),
         automorphism_order=aut.order(),
         reflexible=reflexible,
         degeneracy=degeneracy,

@@ -82,8 +82,15 @@ def decomposability_general(m: RootedMap,
     block root.H, and by transitivity S.H1 & S.H2 == S exactly when the
     blocks root.H1 and root.H2 meet only in the root.
     """
+    return _decomposability_general(m, m.monodromy_group(), bound)
+
+
+def _decomposability_general(m: RootedMap, mon: PermGroup,
+                             bound: int) -> DecompositionVerdict:
+    """decomposability_general on a given Mon(m), whose element list and
+    regularity test are then there for the caller to reuse."""
     try:
-        minimals = minimal_normal_subgroups(m.monodromy_group(), bound)
+        minimals = minimal_normal_subgroups(mon, bound)
     except BoundExceeded as exc:
         return DecompositionVerdict(decomposable=None, reason=str(exc))
     blocks = [None if H.is_transitive() else frozenset(H.orbit(m.root))

@@ -17,10 +17,9 @@ from functools import lru_cache
 from math import lcm
 
 from .fpres import Presentation, Word, parse_word, todd_coxeter, word_power
-from .mapcore import RootedMap, regular_map_from_group
+from .mapcore import CONTEXT_WORDS, RootedMap, regular_map_from_group
 
-CONTEXT_WORDS: tuple[str, ...] = ("t", "l", "r", "t*l", "r*t", "r*l", "t*l*r")
-# The same seven words, parsed once for the presentation and census loops.
+# The seven words, parsed once for the presentation and census loops.
 CONTEXT_WORDS_PARSED: tuple[Word, ...] = tuple(map(parse_word, CONTEXT_WORDS))
 
 
@@ -50,8 +49,8 @@ class ContextVector:
 
 
 def context_vector(m: RootedMap) -> ContextVector:
-    return ContextVector(tuple(
-        m.evaluate(w.replace("*", "")).order() for w in CONTEXT_WORDS))
+    """The orders are found once per map object and kept on it."""
+    return ContextVector(m._context_orders)
 
 
 def classify_degeneracy(m: RootedMap) -> str:
@@ -83,10 +82,14 @@ def _context_power(index: int, exp: int) -> Word:
 
 
 def vector_presentation(orders) -> Presentation:
-    """The presentation <t,l,r | W1^e1 = ... = W7^e7 = 1> for a vector."""
+    """The presentation <t,l,r | W1^e1 = ... = W7^e7 = 1> for a vector.
+
+    Its relators are powers of the context words, which name only t, l and
+    r, and a power keeps no zero exponent, so they are not checked again.
+    """
     relators = tuple(_context_power(index, e) for index, e
                      in zip(range(len(CONTEXT_WORDS_PARSED)), orders))
-    return Presentation(("t", "l", "r"), relators)
+    return Presentation._from_checked(("t", "l", "r"), relators)
 
 
 # Degenerate families: context vectors and group orders.  Families 6, 7, 8

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .mapcore import (RootedMap, automorphism_group, automorphism_to,
-                      cells, simple_reroots)
+from .mapcore import RootedMap, automorphism_group, cells, simple_reroots
 from .perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators, Perm, PermGroup)
 
 # Defining words over t, l, r for the thirteen named automorphisms.
@@ -101,11 +100,15 @@ class RelationViolation(ValueError):
 
 def named_automorphisms_present(m: RootedMap) -> frozenset[str]:
     """Which of the thirteen named automorphisms m contains at its root."""
-    present = set()
-    for name, word in NAMED_AUTOMORPHISM_WORDS.items():
-        if automorphism_to(m, m.act(m.root, word)) is not None:
-            present.add(name)
-    return frozenset(present)
+    return _named_automorphisms(m, automorphism_group(m))
+
+
+def _named_automorphisms(m: RootedMap, aut: PermGroup) -> frozenset[str]:
+    """named_automorphisms_present, given Aut(m).  Some automorphism takes
+    the root to root.W exactly when root.W lies in the root's Aut-orbit."""
+    orbit = set(aut.orbit(m.root))
+    return frozenset(name for name, word in NAMED_AUTOMORPHISM_WORDS.items()
+                     if m.act(m.root, word) in orbit)
 
 
 def is_edge_transitive(m: RootedMap) -> bool:
@@ -136,12 +139,13 @@ def classify_type(m: RootedMap) -> tuple[str, RootedMap] | None:
 
     The four simple re-rootings are tried in the order root, root.T,
     root.L, root.TL; the first whose named-automorphism set equals a type
-    row wins.
+    row wins.  Aut is the same group at every rooting.
     """
     if not is_edge_transitive(m):
         return None
+    aut = automorphism_group(m)
     for candidate in simple_reroots(m):
-        present = named_automorphisms_present(candidate)
+        present = _named_automorphisms(candidate, aut)
         for label, required in TYPE_TABLE.items():
             if present == required:
                 return label, candidate

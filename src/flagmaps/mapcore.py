@@ -17,6 +17,8 @@ from typing import Iterable, Literal
 from .perm import Perm, PermGroup, orbits_of
 
 GENERATOR_NAMES = ("t", "l", "r")
+# The seven mandatory context words T, L, R, TL, RT, RL, TLR (see degen).
+CONTEXT_WORDS: tuple[str, ...] = ("t", "l", "r", "t*l", "r*t", "r*l", "t*l*r")
 
 
 class MapFormatError(ValueError):
@@ -88,6 +90,13 @@ class RootedMap:
                 auts.append(a)
                 orbit = set(PermGroup(self.n_flags, auts).orbit(self.root))
         return tuple(auts)
+
+    @cached_property
+    def _context_orders(self) -> tuple[int, ...]:
+        """Orders of the seven context words, found once per map (see
+        degen.context_vector)."""
+        return tuple(self.evaluate(w.replace("*", "")).order()
+                     for w in CONTEXT_WORDS)
 
     def __repr__(self) -> str:
         return f"RootedMap(n_flags={self.n_flags}, root={self.root})"
@@ -214,6 +223,14 @@ def cells(m: RootedMap) -> CellStructure:
     )
 
 
+def _surface_kind_and_genus(chi: int, orientation_orbits: int) -> tuple[str, int]:
+    """Orientability and signed genus from the Euler characteristic and the
+    number of orbits of the orientation-preserving subgroup <RT, RL>."""
+    if orientation_orbits == 2:
+        return "orientable", (2 - chi) // 2
+    return "non-orientable", -(2 - chi)
+
+
 def cells_and_surface(m: RootedMap) -> SurfaceInfo:
     """Cell counts, Euler characteristic and the signed genus.
 
@@ -226,12 +243,7 @@ def cells_and_surface(m: RootedMap) -> SurfaceInfo:
     t, l, r = m.generators()
     degenerate = any(p.fixed_points() for p in (t, l, r, t * l))
     n_or = len(orbits_of((m.r * m.t, m.r * m.l), m.n_flags))
-    if n_or == 2:
-        genus = (2 - chi) // 2
-        kind = "orientable"
-    else:
-        genus = -(2 - chi)
-        kind = "non-orientable"
+    kind, genus = _surface_kind_and_genus(chi, n_or)
     return SurfaceInfo(
         cells=cs,
         orientability="boundary-degenerate" if degenerate else kind,
@@ -261,17 +273,19 @@ def triality_composites(m: RootedMap) -> list[RootedMap]:
 
 # --- isomorphism and automorphisms -----------------------------------------
 
-def _grow_flag_bijection(m: RootedMap, n: RootedMap,
+def _grow_flag_bijection(m_gens: tuple[Perm, ...], m_root: int,
+                         n_gens: tuple[Perm, ...],
                          root_image: int) -> list[int] | None:
-    """The unique generator-respecting candidate with m.root -> root_image,
-    or None when no such bijection exists."""
-    if m.n_flags != n.n_flags:
+    """The unique bijection from the flags of the map on ``m_gens`` to
+    those of the map on ``n_gens`` that respects the generators pairwise
+    and takes m_root to root_image, or None when no such bijection exists."""
+    size = m_gens[0].degree
+    if n_gens[0].degree != size:
         return None
-    size = m.n_flags
     image = [-1] * size
-    image[m.root] = root_image
-    stack = [m.root]
-    gen_pairs = list(zip(m.generators(), n.generators()))
+    image[m_root] = root_image
+    stack = [m_root]
+    gen_pairs = list(zip(m_gens, n_gens))
     while stack:
         x = stack.pop()
         ix = image[x]
@@ -293,6 +307,21 @@ def _grow_flag_bijection(m: RootedMap, n: RootedMap,
     return image
 
 
+def _generalized_isomorphism(m_gens: tuple[Perm, ...], m_root: int,
+                             n_gens: tuple[Perm, ...], n_root: int,
+                             n_reflexible: bool) -> list[int] | None:
+    """A generator-respecting flag bijection taking m_root to any flag,
+    the first found in flag order.  All re-rootings of a reflexible map are
+    isomorphic, so when the target is reflexible one try decides."""
+    if n_reflexible:
+        return _grow_flag_bijection(m_gens, m_root, n_gens, n_root)
+    for d in range(n_gens[0].degree):
+        image = _grow_flag_bijection(m_gens, m_root, n_gens, d)
+        if image is not None:
+            return image
+    return None
+
+
 def isomorphism(m: RootedMap, n: RootedMap,
                 mode: Literal["rooted", "generalized"] = "rooted") -> list[int] | None:
     """A flag bijection m -> n respecting T, L, R, or None.
@@ -304,19 +333,16 @@ def isomorphism(m: RootedMap, n: RootedMap,
     if m.n_flags != n.n_flags:
         return None
     if mode == "rooted":
-        return _grow_flag_bijection(m, n, n.root)
-    if is_reflexible(n):
-        return _grow_flag_bijection(m, n, n.root)
-    for d in range(n.n_flags):
-        image = _grow_flag_bijection(m, n, d)
-        if image is not None:
-            return image
-    return None
+        return _grow_flag_bijection(m.generators(), m.root, n.generators(),
+                                    n.root)
+    return _generalized_isomorphism(m.generators(), m.root, n.generators(),
+                                    n.root, is_reflexible(n))
 
 
 def automorphism_to(m: RootedMap, d: int) -> Perm | None:
     """The unique automorphism taking the root to flag d, if consistent."""
-    image = _grow_flag_bijection(m, m, d)
+    gens = m.generators()
+    image = _grow_flag_bijection(gens, m.root, gens, d)
     return Perm(image) if image is not None else None
 
 
@@ -343,8 +369,19 @@ def automorphism_group(m: RootedMap) -> PermGroup:
 
 # --- re-rooting -------------------------------------------------------------
 
+# Facts cached on a map that do not depend on its root: Aut is the
+# centralizer of Mon, and the context orders are orders of Mon elements.
+_ROOT_FREE_CACHES = ("_automorphism_generators", "_context_orders")
+
+
 def reroot(m: RootedMap, flag: int) -> RootedMap:
-    return RootedMap(m.t, m.l, m.r, flag)
+    """The same map rooted at ``flag``; it keeps m's root-free cached facts."""
+    out = RootedMap(m.t, m.l, m.r, flag)
+    cached, fresh = vars(m), vars(out)
+    for name in _ROOT_FREE_CACHES:
+        if name in cached:
+            fresh[name] = cached[name]
+    return out
 
 
 def simple_reroots(m: RootedMap) -> list[RootedMap]:
@@ -380,33 +417,84 @@ class GenusSymbol:
             raise ValueError("hexagonal number must count distinct entries")
 
 
-def genus_symbol(m: RootedMap) -> GenusSymbol:
-    composites = triality_composites(m)
-    infos = [cells_and_surface(c) for c in composites]
-    genera = tuple(info.signed_genus for info in infos)
-    iso = []
-    for i, ci in enumerate(composites):
+# The six triality composites in the order M, Du, Pe, PeDu, DuPe, DuPeDu,
+# each with generators (a, b, R): a and b are indices into (T, L, TL) and c
+# is the third index.  Du swaps T and L and Pe replaces L by LT (= TL), so
+# a composite's vertices <a,R>, faces <b,R> and Petrie circuits <c,R> are
+# M's vertices <T,R>, faces <L,R> or Petrie circuits <TL,R>, and its edges
+# <a,b> are M's edges <T,L>.  Its orientation subgroup <Ra,Rb> depends on
+# c alone, so the six lie on three surfaces.
+_TRIALITY_PAIRS = ((0, 1), (1, 0), (0, 2), (1, 2), (2, 0), (2, 1))
+
+
+def _composite_invariants(m: RootedMap, surface: SurfaceInfo,
+                          ) -> list[tuple[int, int, int, int, int]]:
+    """(vertices, edges, faces, Petrie circuits, orientation orbits) of each
+    triality composite, from ``surface = cells_and_surface(m)`` and the
+    orientation orbits of the two other surfaces."""
+    cs = surface.cells
+    n = m.n_flags
+    bases = (m.t, m.l, m.t * m.l)
+    # the orbits of <x,R> for x = T, L, TL
+    counts = (len(cs.vertices), len(cs.faces), len(cs.petrie_circuits))
+    n_edges = len(cs.edges)
+    turns = [m.r * x for x in bases]
+    # orbits of <Ra,Rb> by the third index c; c = 2 is M's own surface
+    surfaces = (len(orbits_of((turns[1], turns[2]), n)),
+                len(orbits_of((turns[0], turns[2]), n)),
+                surface.orientation_orbits)
+    return [(counts[a], n_edges, counts[b], counts[3 - a - b],
+             surfaces[3 - a - b]) for a, b in _TRIALITY_PAIRS]
+
+
+def _iso_pattern(m: RootedMap, reflexible: bool,
+                 invariants: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """iso_symbol of the genus symbol.  A flag bijection respecting the
+    generators maps orbits to orbits, so composites with different
+    invariants are not isomorphic and are not tested.  All six share Mon as
+    a permutation group, so m's reflexibility decides for each of them."""
+    bases = (m.t, m.l, m.t * m.l)
+    gens = [(bases[a], bases[b], m.r) for a, b in _TRIALITY_PAIRS]
+    iso: list[int] = []
+    for i, key in enumerate(invariants):
         first = i
         for j in range(i):
-            if isomorphism(composites[j], ci, mode="generalized") is not None:
+            # the least isomorphic composite is the first of its class
+            if (iso[j] == j + 1 and invariants[j] == key
+                    and _generalized_isomorphism(gens[j], m.root, gens[i],
+                                                 m.root, reflexible)
+                    is not None):
                 first = j
                 break
         iso.append(first + 1)
+    return tuple(iso)
+
+
+def genus_symbol(m: RootedMap) -> GenusSymbol:
+    return _genus_symbol(m, is_reflexible(m), cells_and_surface(m))
+
+
+def _genus_symbol(m: RootedMap, reflexible: bool,
+                  surface: SurfaceInfo) -> GenusSymbol:
+    """genus_symbol, given whether m is reflexible and m's surface.  Every
+    composite has the generators T, L, R and TL up to order, so m's
+    boundary degeneracy is theirs."""
+    invariants = _composite_invariants(m, surface)
+    iso = _iso_pattern(m, reflexible, invariants)
     return GenusSymbol(
-        genera=genera,
-        iso_symbol=tuple(iso),
+        genera=tuple(_surface_kind_and_genus(v - e + f, n_or)[1]
+                     for v, e, f, _, n_or in invariants),
+        iso_symbol=iso,
         hexagonal_number=len(set(iso)),
-        advisory=any(info.genus_advisory for info in infos),
+        advisory=surface.genus_advisory,
     )
 
 
 def triality_class(m: RootedMap) -> list[RootedMap]:
-    """Pairwise non-isomorphic members among the six composites."""
-    out: list[RootedMap] = []
-    for c in triality_composites(m):
-        if all(isomorphism(prev, c, mode="generalized") is None for prev in out):
-            out.append(c)
-    return out
+    """Pairwise non-isomorphic members among the six composites: those
+    that are the first of their class in the iso symbol."""
+    iso = genus_symbol(m).iso_symbol
+    return [c for i, c in enumerate(triality_composites(m)) if iso[i] == i + 1]
 
 
 def regular_map_from_group(lg) -> RootedMap:

@@ -352,6 +352,8 @@ class PermGroup:
     def order(self) -> int:
         if self._answers_from_points():
             return self.degree
+        if self._elements is not None:
+            return len(self._elements)
         return self.chain().order()
 
     def contains(self, p: Perm) -> bool:

@@ -7,9 +7,14 @@ indices, so closures and joins are plain integer BFS.
 from math import isqrt
 
 from flagmaps import Perm
+from flagmaps.ettype import (NAMED_AUTOMORPHISM_WORDS, TYPE_TABLE,
+                             is_edge_transitive)
 from flagmaps.fpres import (DEFAULT_MAX_COSETS, MAX_WORD_LENGTH,
                             EnumerationOverflow, Presentation,
                             PresentationError, Word, word_length)
+from flagmaps.mapcore import (GenusSymbol, RootedMap, automorphism_to,
+                              cells_and_surface, isomorphism, simple_reroots,
+                              triality_composites)
 from flagmaps.perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators,
                            PermGroup, normal_closure)
 
@@ -406,3 +411,67 @@ def minimal_normal_subgroups(G: PermGroup,
     minimal.sort(key=lambda N: (N.order(),
                                 sorted(p.images for p in N.elements(bound))))
     return minimal
+
+
+# --- reference genus symbol and edge-transitive type ----------------------
+#
+# The genus symbol as it stood when it built the six triality composites,
+# their 24 cell partitions and a generalized isomorphism test per pair, and
+# the type as it stood when each named automorphism was its own flag
+# bijection grown at each candidate rooting; kept unchanged as references.
+
+def genus_symbol(m: RootedMap) -> GenusSymbol:
+    composites = triality_composites(m)
+    infos = [cells_and_surface(c) for c in composites]
+    genera = tuple(info.signed_genus for info in infos)
+    iso = []
+    for i, ci in enumerate(composites):
+        first = i
+        for j in range(i):
+            if isomorphism(composites[j], ci, mode="generalized") is not None:
+                first = j
+                break
+        iso.append(first + 1)
+    return GenusSymbol(
+        genera=genera,
+        iso_symbol=tuple(iso),
+        hexagonal_number=len(set(iso)),
+        advisory=any(info.genus_advisory for info in infos),
+    )
+
+
+def triality_class(m: RootedMap) -> list[RootedMap]:
+    """Pairwise non-isomorphic members among the six composites."""
+    out: list[RootedMap] = []
+    for c in triality_composites(m):
+        if all(isomorphism(prev, c, mode="generalized") is None for prev in out):
+            out.append(c)
+    return out
+
+
+def named_automorphisms_present(m: RootedMap) -> frozenset[str]:
+    """Which of the thirteen named automorphisms m contains at its root."""
+    present = set()
+    for name, word in NAMED_AUTOMORPHISM_WORDS.items():
+        if automorphism_to(m, m.act(m.root, word)) is not None:
+            present.add(name)
+    return frozenset(present)
+
+
+def classify_type(m: RootedMap) -> tuple[str, RootedMap] | None:
+    """The edge-transitive type and a canonical rooting, or None when the
+    map is not edge-transitive.
+
+    The four simple re-rootings are tried in the order root, root.T,
+    root.L, root.TL; the first whose named-automorphism set equals a type
+    row wins.
+    """
+    if not is_edge_transitive(m):
+        return None
+    for candidate in simple_reroots(m):
+        present = named_automorphisms_present(candidate)
+        for label, required in TYPE_TABLE.items():
+            if present == required:
+                return label, candidate
+    raise RuntimeError(
+        "edge-transitive map matches no type row at any simple re-rooting")

@@ -307,6 +307,39 @@ def test_analysis_report_consistency(tetrahedron):
     assert report.decomposability["decomposable"] is False
 
 
+def test_analysis_builds_one_monodromy_group(monkeypatch, tetrahedron,
+                                             fig3_quotient, random_maps):
+    # an indecomposable map needs no quotient, whose check builds its own
+    from flagmaps import RootedMap, decomposability_general
+    from flagmaps.degen import context_vector
+    from flagmaps.mapcore import genus_symbol, is_reflexible
+    built = []
+    original = RootedMap.monodromy_group
+
+    def counted(m):
+        built.append(m)
+        return original(m)
+
+    for m in [tetrahedron, fig3_quotient] + random_maps[:15]:
+        m = RootedMap(*m.generators(), root=m.root)
+        expected = (decomposability_general(m).to_json_dict(), is_reflexible(m),
+                    original(m).order(), genus_symbol(m))
+        if expected[0]["decomposable"]:
+            continue
+        monkeypatch.setattr(RootedMap, "monodromy_group", counted)
+        built.clear()
+        report = analyze_map(m)
+        monkeypatch.undo()
+        assert len(built) == 1
+        assert (report.decomposability, report.reflexible,
+                report.monodromy_order) == expected[:3]
+        assert (report.genus_symbol, report.isomorphism_symbol,
+                report.hexagonal_number) == (expected[3].genera,
+                                             expected[3].iso_symbol,
+                                             expected[3].hexagonal_number)
+        assert report.context_vector == context_vector(m).orders
+
+
 def test_census_contents_honor_context_sufficiency(default_census):
     # eps_even is reachable by seven-word vectors; delta_even needs the
     # non-power relators and eps/delta odd beyond the context bound carry

@@ -212,3 +212,30 @@ def test_todd_coxeter_matches_reference_hlt_on_census_candidates():
                                           max_cosets), vec
         outcomes.add(got == "overflow")
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("relators, message", [
+    (((("a", 1), ("x", 2)),), "undeclared generator 'x'"),
+    (((("a", 0),),), "zero exponent in relator"),
+    # the first bad syllable in relator order names the error
+    (((("a", 1),), (("a", 0),), (("y", 1),)), "zero exponent in relator"),
+    (((("a", 1), ("y", 0)), (("a", 0),)), "undeclared generator 'y'"),
+])
+def test_presentation_check_messages(relators, message):
+    with pytest.raises(PresentationError) as err:
+        Presentation(("a", "b"), relators)
+    assert str(err.value) == message
+
+
+def test_presentation_duplicate_generator_message():
+    with pytest.raises(PresentationError) as err:
+        Presentation(("a", "a"), ())
+    assert str(err.value) == "duplicate generator name"
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(-3, 12), min_size=7, max_size=7))
+def test_vector_presentation_passes_the_check(vec):
+    from flagmaps.degen import vector_presentation
+    p = vector_presentation(vec)
+    assert Presentation(p.generators, p.relators) == p

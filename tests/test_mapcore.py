@@ -6,14 +6,16 @@ from hypothesis import strategies as st
 
 from flagmaps import (Perm, RootedMap, automorphism_group,
                       build_degenerate, build_slightly_degenerate, canonicalize,
-                      cells, cells_and_surface, du, genus_symbol, is_reflexible,
-                      isomorphism, load_map, pe, regular_map_from_group,
+                      cells, cells_and_surface, classify_type, context_vector,
+                      du, genus_symbol, is_reflexible, isomorphism, load_map,
+                      named_automorphisms_present, pe, regular_map_from_group,
                       reroot, save_map, simple_reroots, triality_class)
 from flagmaps.mapcore import (MapFormatError, MapInvariantError,
-                              triality_composites)
+                              _composite_invariants, triality_composites)
 from flagmaps.perm import LabeledGenerators, congruent_labeled_groups
 
-from .conftest import random_rooted_map
+from . import oracles
+from .conftest import map_from_vector, random_rooted_map
 from .oracles import automorphisms_brute
 
 DM9_LOOKING_TEXT = """flags 4
@@ -333,3 +335,103 @@ def test_canonical_key_agrees_with_congruence(data):
     assert congruent_labeled_groups(a, b) == (key(a) == key(b))
     if i == j:
         assert key(a) == key(b)
+
+
+# --- triality facts from M's own partitions ----------------------------------
+
+# Cells of the six triality composites (order M, Du, Pe, PeDu, DuPe,
+# DuPeDu) as M's vertices V, edges E, faces F and Petrie circuits P.
+COMPOSITE_CELLS = ("VEFP", "FEVP", "VEPF", "FEPV", "PEVF", "PEFV")
+
+
+def cell_counts(m):
+    cs = cells(m)
+    return dict(V=len(cs.vertices), E=len(cs.edges), F=len(cs.faces),
+                P=len(cs.petrie_circuits))
+
+
+def check_triality_facts(m):
+    """Cell counts against the table, and the genus symbol, named
+    automorphisms and type of every composite against the references."""
+    counts = cell_counts(m)
+    invariants = _composite_invariants(m, cells_and_surface(m))
+    fresh = triality_composites(RootedMap(*m.generators(), root=m.root))
+    for i, (c, d) in enumerate(zip(triality_composites(m), fresh)):
+        got = cell_counts(c)
+        assert [got[k] for k in "VEFP"] == [counts[k]
+                                           for k in COMPOSITE_CELLS[i]]
+        assert invariants[i] == (got["V"], got["E"], got["F"], got["P"],
+                                 cells_and_surface(c).orientation_orbits)
+        assert genus_symbol(c) == oracles.genus_symbol(d)
+        assert (named_automorphisms_present(c)
+                == oracles.named_automorphisms_present(d))
+        kind, want = classify_type(c), oracles.classify_type(d)
+        if want is None:
+            assert kind is None
+        else:
+            assert kind[0] == want[0]
+            assert kind[1].root == want[1].root
+            assert kind[1].generators() == want[1].generators()
+    assert ([c.generators() for c in triality_class(m)]
+            == [c.generators() for c in oracles.triality_class(m)])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_triality_facts_on_random_maps(seed, n_edges):
+    import random as _random
+    check_triality_facts(random_rooted_map(_random.Random(seed), n_edges))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_triality_facts_on_constructions(constructions, data):
+    _, m = data.draw(st.sampled_from(constructions))
+    root = data.draw(st.integers(0, m.n_flags - 1))
+    check_triality_facts(RootedMap(*m.generators(), root=root))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: map_from_vector((2, 2, 2, 2, 3, 3, 4)),
+    lambda: build_slightly_degenerate("epsilon", 5),
+    lambda: build_slightly_degenerate("delta", 4),
+    lambda: build_degenerate(7, 6),
+])
+def test_triality_facts_on_reflexible_maps(build):
+    check_triality_facts(build())
+
+
+# --- the .map text ------------------------------------------------------------
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.randoms())
+def test_save_load_round_trip_and_relabeling(seed, n_edges, rnd):
+    import random as _random
+    m = random_rooted_map(_random.Random(seed), n_edges)
+    text = save_map(m)
+    assert isomorphism(load_map(text), m, mode="rooted") is not None
+    sigma = list(range(m.n_flags))
+    rnd.shuffle(sigma)
+    lg = relabeled(LabeledGenerators(("t", "l", "r"), m.generators()), sigma)
+    other = RootedMap(*lg.generators, root=sigma[m.root])
+    assert isomorphism(m, other, mode="rooted") == sigma
+    assert save_map(other) == text
+
+
+# --- facts that do not depend on the root -----------------------------------
+
+def test_reroot_keeps_root_free_facts(random_maps, fig3_quotient):
+    for m in [fig3_quotient] + random_maps[:20]:
+        m = RootedMap(*m.generators(), root=m.root)
+        early = reroot(m, m.n_flags - 1)
+        assert "_automorphism_generators" not in vars(early)
+        vec = context_vector(m)
+        automorphism_group(m)
+        for f in range(0, m.n_flags, 3):
+            moved = reroot(m, f)
+            assert (vars(moved)["_automorphism_generators"]
+                    is vars(m)["_automorphism_generators"])
+            assert context_vector(moved) == vec
+            fresh = RootedMap(*m.generators(), root=f)
+            assert automorphism_group(moved) == automorphism_group(fresh)
+            assert context_vector(fresh) == vec

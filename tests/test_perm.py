@@ -129,6 +129,20 @@ def test_regular_order_budget():
     assert time.perf_counter() - start < 0.3
 
 
+def test_order_from_enumerated_elements():
+    # a non-regular group whose elements are listed answers order() from
+    # the list, with no chain; the degree bound still applies first
+    G = symmetric(5)
+    assert not G.is_regular()
+    assert len(G.elements()) == 120
+    assert G.order() == 120
+    assert G._chain is None
+    H = PermGroup(20_001, [Perm.from_cycles(20_001, [(0, 1)])])
+    assert len(H.elements()) == 2
+    with pytest.raises(BoundExceeded):
+        H.order()
+
+
 def test_degree_bound():
     with pytest.raises(BoundExceeded):
         PermGroup(20_001, [Perm.identity(20_001)]).chain(degree_bound=10_000)
