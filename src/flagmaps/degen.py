@@ -82,14 +82,10 @@ def _context_power(index: int, exp: int) -> Word:
 
 
 def vector_presentation(orders) -> Presentation:
-    """The presentation <t,l,r | W1^e1 = ... = W7^e7 = 1> for a vector.
-
-    Its relators are powers of the context words, which name only t, l and
-    r, and a power keeps no zero exponent, so they are not checked again.
-    """
+    """The presentation <t,l,r | W1^e1 = ... = W7^e7 = 1> for a vector."""
     relators = tuple(_context_power(index, e) for index, e
                      in zip(range(len(CONTEXT_WORDS_PARSED)), orders))
-    return Presentation._from_checked(("t", "l", "r"), relators)
+    return Presentation(("t", "l", "r"), relators)
 
 
 # Degenerate families: context vectors and group orders.  Families 6, 7, 8

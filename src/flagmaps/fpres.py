@@ -95,17 +95,6 @@ class Presentation:
                 if exp == 0:
                     raise PresentationError("zero exponent in relator")
 
-    @classmethod
-    def _from_checked(cls, generators: tuple[str, ...],
-                      relators: tuple[Word, ...]) -> "Presentation":
-        """A presentation whose relators are already known to use only
-        the declared names with nonzero exponents, built without walking
-        them again (the census builds 20,736 from seven fixed words)."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "generators", generators)
-        object.__setattr__(p, "relators", relators)
-        return p
-
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*")
 _INT_RE = re.compile(r"-?\d+")

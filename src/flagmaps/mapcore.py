@@ -369,19 +369,8 @@ def automorphism_group(m: RootedMap) -> PermGroup:
 
 # --- re-rooting -------------------------------------------------------------
 
-# Facts cached on a map that do not depend on its root: Aut is the
-# centralizer of Mon, and the context orders are orders of Mon elements.
-_ROOT_FREE_CACHES = ("_automorphism_generators", "_context_orders")
-
-
 def reroot(m: RootedMap, flag: int) -> RootedMap:
-    """The same map rooted at ``flag``; it keeps m's root-free cached facts."""
-    out = RootedMap(m.t, m.l, m.r, flag)
-    cached, fresh = vars(m), vars(out)
-    for name in _ROOT_FREE_CACHES:
-        if name in cached:
-            fresh[name] = cached[name]
-    return out
+    return RootedMap(m.t, m.l, m.r, flag)
 
 
 def simple_reroots(m: RootedMap) -> list[RootedMap]:

@@ -231,11 +231,3 @@ def test_presentation_duplicate_generator_message():
     with pytest.raises(PresentationError) as err:
         Presentation(("a", "a"), ())
     assert str(err.value) == "duplicate generator name"
-
-
-@settings(deadline=None, max_examples=200)
-@given(st.lists(st.integers(-3, 12), min_size=7, max_size=7))
-def test_vector_presentation_passes_the_check(vec):
-    from flagmaps.degen import vector_presentation
-    p = vector_presentation(vec)
-    assert Presentation(p.generators, p.relators) == p

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from flagmaps import (Perm, RootedMap, automorphism_group,
                       build_degenerate, build_slightly_degenerate, canonicalize,
-                      cells, cells_and_surface, classify_type, context_vector,
-                      du, genus_symbol, is_reflexible, isomorphism, load_map,
+                      cells, cells_and_surface, classify_type, du,
+                      genus_symbol, is_reflexible, isomorphism, load_map,
                       named_automorphisms_present, pe, regular_map_from_group,
                       reroot, save_map, simple_reroots, triality_class)
 from flagmaps.mapcore import (MapFormatError, MapInvariantError,
@@ -416,22 +416,3 @@ def test_save_load_round_trip_and_relabeling(seed, n_edges, rnd):
     other = RootedMap(*lg.generators, root=sigma[m.root])
     assert isomorphism(m, other, mode="rooted") == sigma
     assert save_map(other) == text
-
-
-# --- facts that do not depend on the root -----------------------------------
-
-def test_reroot_keeps_root_free_facts(random_maps, fig3_quotient):
-    for m in [fig3_quotient] + random_maps[:20]:
-        m = RootedMap(*m.generators(), root=m.root)
-        early = reroot(m, m.n_flags - 1)
-        assert "_automorphism_generators" not in vars(early)
-        vec = context_vector(m)
-        automorphism_group(m)
-        for f in range(0, m.n_flags, 3):
-            moved = reroot(m, f)
-            assert (vars(moved)["_automorphism_generators"]
-                    is vars(m)["_automorphism_generators"])
-            assert context_vector(moved) == vec
-            fresh = RootedMap(*m.generators(), root=f)
-            assert automorphism_group(moved) == automorphism_group(fresh)
-            assert context_vector(fresh) == vec
