@@ -93,19 +93,22 @@ class AnalysisReport:
 def analyze_map(m: RootedMap) -> AnalysisReport:
     """Every fact of the report, each computed once: one Mon serves the
     reflexibility test, the genus symbol, the decomposability search and
-    the order, and the Aut generators and context vector are kept on m."""
+    the order; one set of cell partitions serves the surface, the genus
+    symbol, the type and the map symbol; and the Aut generators and
+    context vector are kept on m."""
     mon = m.monodromy_group()
     reflexible = mon.is_regular()
     surface = cells_and_surface(m)
     vec = context_vector(m)
     gsym = _genus_symbol(m, reflexible, surface)
     aut = automorphism_group(m)
-    classified = ettype.classify_type(m)
+    classified = ettype._classify_type(m, surface.cells.edges)
     degeneracy = degen.classify_vector(vec)
     symbol = None
     if classified is not None and degeneracy != "degenerate":
         try:
-            symbol = str(ettype.map_symbol(classified[1], classified[0]))
+            symbol = str(ettype._map_symbol(classified[1], classified[0],
+                                            surface.cells))
         except ettype.SymbolConditionFailed:
             pass  # boundary-degenerate cells can miss the type's condition
     verdict = _decomposability_general(m, mon, DEFAULT_ELEMENT_BOUND)

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .ettype import classify_type
-from .mapcore import RootedMap, automorphism_group, is_reflexible, isomorphism
+from .mapcore import RootedMap, automorphism_group, isomorphism
 from .perm import (DEFAULT_ELEMENT_BOUND, BoundExceeded, PermGroup,
                    minimal_normal_subgroups)
 from .product import NotReflexible, parallel_product
-from .quotient import monodromy_quotient
+from .quotient import _monodromy_quotient
 
 
 class NotEdgeTransitive(ValueError):
@@ -60,10 +60,13 @@ class DecompositionVerdict:
         return out
 
 
-def _verified_factor_pair(m: RootedMap, H1: PermGroup, H2: PermGroup,
+def _verified_factor_pair(m: RootedMap, mon: PermGroup, H1: PermGroup,
+                          H2: PermGroup,
                           ) -> tuple[tuple[RootedMap, RootedMap], tuple[int, ...]]:
-    f1, _ = monodromy_quotient(m, H1)
-    f2, _ = monodromy_quotient(m, H2)
+    """The quotients of m by H1 and H2, both taken in the one given Mon(m),
+    and the verified rooted isomorphism from their product onto m."""
+    f1, _ = _monodromy_quotient(m, mon, H1)
+    f2, _ = _monodromy_quotient(m, mon, H2)
     cert = isomorphism(parallel_product(f1, f2).product, m, mode="rooted")
     if cert is None:
         raise VerificationFailed(
@@ -102,7 +105,8 @@ def _decomposability_general(m: RootedMap, mon: PermGroup,
         for j, block_j in enumerate(blocks):
             if i == j or block_j is None or block_i & block_j != root_only:
                 continue
-            factors, cert = _verified_factor_pair(m, minimals[i], minimals[j])
+            factors, cert = _verified_factor_pair(m, mon, minimals[i],
+                                                  minimals[j])
             return DecompositionVerdict(
                 decomposable=True,
                 witnesses=(minimals[i], minimals[j]),
@@ -115,17 +119,19 @@ def _decomposability_general(m: RootedMap, mon: PermGroup,
 def decomposability_reflexible(m: RootedMap,
                                bound: int = DEFAULT_ELEMENT_BOUND) -> DecompositionVerdict:
     """For reflexible maps the stabilizer is trivial, so decomposability is
-    exactly: Mon(m) has at least two nontrivial minimal normal subgroups."""
-    if not is_reflexible(m):
+    exactly: Mon(m) has at least two nontrivial minimal normal subgroups.
+    One Mon serves the reflexibility test, the search and the quotients."""
+    mon = m.monodromy_group()
+    if not mon.is_regular():
         raise NotReflexible("map is not reflexible")
     try:
-        minimals = minimal_normal_subgroups(m.monodromy_group(), bound)
+        minimals = minimal_normal_subgroups(mon, bound)
     except BoundExceeded as exc:
         return DecompositionVerdict(decomposable=None, reason=str(exc))
     if len(minimals) < 2:
         return DecompositionVerdict(decomposable=False)
     H1, H2 = minimals[0], minimals[1]
-    factors, cert = _verified_factor_pair(m, H1, H2)
+    factors, cert = _verified_factor_pair(m, mon, H1, H2)
     return DecompositionVerdict(
         decomposable=True, witnesses=(H1, H2), factors=factors,
         certificate=cert)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .mapcore import RootedMap, automorphism_group, cells, simple_reroots
+from .mapcore import (CellStructure, RootedMap, automorphism_group, cells,
+                      simple_reroots)
 from .perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators, Perm, PermGroup)
 
 # Defining words over t, l, r for the thirteen named automorphisms.
@@ -113,7 +114,12 @@ def _named_automorphisms(m: RootedMap, aut: PermGroup) -> frozenset[str]:
 
 def is_edge_transitive(m: RootedMap) -> bool:
     """Whether Aut(m) is transitive on the edge set."""
-    edge_blocks = cells(m).edges
+    return _is_edge_transitive(m, cells(m).edges)
+
+
+def _is_edge_transitive(m: RootedMap,
+                        edge_blocks: tuple[tuple[int, ...], ...]) -> bool:
+    """is_edge_transitive, given m's edge partition."""
     if len(edge_blocks) == 1:
         return True
     edge_of = [0] * m.n_flags
@@ -141,7 +147,13 @@ def classify_type(m: RootedMap) -> tuple[str, RootedMap] | None:
     root.L, root.TL; the first whose named-automorphism set equals a type
     row wins.  Aut is the same group at every rooting.
     """
-    if not is_edge_transitive(m):
+    return _classify_type(m, cells(m).edges)
+
+
+def _classify_type(m: RootedMap, edge_blocks: tuple[tuple[int, ...], ...],
+                   ) -> tuple[str, RootedMap] | None:
+    """classify_type, given m's edge partition."""
+    if not _is_edge_transitive(m, edge_blocks):
         return None
     aut = automorphism_group(m)
     for candidate in simple_reroots(m):
@@ -209,12 +221,19 @@ def map_symbol(m: RootedMap, type_label: str | None = None) -> MapSymbol:
     if classify_degeneracy(m) == "degenerate":
         raise DegenerateSymbolAdvisory(
             "map symbol is certified for non-degenerate maps only")
+    cs = cells(m)
     if type_label is None:
-        classified = classify_type(m)
+        classified = _classify_type(m, cs.edges)
         if classified is None:
             raise ValueError("map is not edge-transitive")
         type_label, m = classified
-    cs = cells(m)
+    return _map_symbol(m, type_label, cs)
+
+
+def _map_symbol(m: RootedMap, type_label: str, cs: CellStructure) -> MapSymbol:
+    """map_symbol of a map known not to be degenerate, given its type and
+    its cell partitions.  Neither depends on the root, so a re-rooted map
+    shares them."""
     aut = automorphism_group(m)
     symbol = MapSymbol(
         a=_orbit_sizes_by_aut(m, cs.vertices, aut),

@@ -6,9 +6,9 @@ reflexible map, Aut of one) is recognised from its point tables: its order
 is the degree and membership is commuting with its centralizer.  Other
 groups get orders and membership from an incremental Schreier-Sims
 stabilizer chain with explicit inverse transversals.  Element lists come
-from a bounded breadth-first closure; conjugacy classes and minimal normal
-subgroups run on the regular representation that the closure records,
-with elements as indices.
+from a bounded breadth-first closure; conjugacy classes run on the regular
+representation that the closure records, with elements as indices, and
+minimal normal subgroups grow the closure of each class inside itself.
 """
 
 from __future__ import annotations
@@ -367,17 +367,16 @@ class PermGroup:
     __contains__ = contains
 
     def orbit(self, point: int) -> list[int]:
+        """The orbit of point, breadth first from it."""
         seen = {point}
-        queue = [point]
         out = [point]
-        while queue:
-            a = queue.pop(0)
-            for g in self.generators:
-                b = g.images[a]
+        tables = [g.images for g in self.generators]
+        for a in out:  # grows while it is read: a breadth-first queue
+            for images in tables:
+                b = images[a]
                 if b not in seen:
                     seen.add(b)
                     out.append(b)
-                    queue.append(b)
         return out
 
     def orbits(self) -> list[list[int]]:
@@ -538,78 +537,6 @@ def _index_classes(right: list[list[int]], n: int) -> list[list[int]]:
     return classes
 
 
-def _bfs_tree(right: list[list[int]], n: int) -> list[tuple[int, int]]:
-    """``tree[c] = (a, j)``: the breadth-first enumeration behind the right
-    tables first reached index c > 0 as a * g_j (``tree[0]`` is a dummy)."""
-    tree = [(0, -1)]
-    for a in range(n):
-        for j, row in enumerate(right):
-            if row[a] == len(tree):
-                tree.append((a, j))
-    return tree
-
-
-def _power_indices(right: list[list[int]], tree: list[tuple[int, int]],
-                   x: int, k: int) -> list[int]:
-    """The indices of x^2, ..., x^(k-1): right multiplication by x is the
-    word of x along the breadth-first tree, read through the right tables."""
-    word = []
-    c = x
-    while c:
-        c, j = tree[c]
-        word.append(right[j])
-    word.reverse()
-    out = []
-    y = x
-    for _ in range(k - 2):
-        for row in word:
-            y = row[y]
-        out.append(y)
-    return out
-
-
-def _identity_block(right: list[list[int]], n: int,
-                    seed: list[int]) -> list[int]:
-    """The subgroup generated by the seed indices, as an index list.
-
-    It is the identity's block in the finest partition of the indices that
-    joins 0 with every seed and is preserved by every right table (its
-    blocks are the right cosets).  Union-find with the smaller root
-    surviving, so index 0 stays a root; each point that stops being a root
-    is queued once and joins its images to its root's images (Atkinson, An
-    algorithm for finding the blocks of a permutation group, 1975).
-    """
-    parent = list(range(n))
-    queue = []
-    for s in seed:
-        if parent[s] != 0:
-            parent[s] = 0
-            queue.append(s)
-    for a in queue:  # grows while it is read
-        r = a
-        while parent[r] != r:
-            r = parent[r]
-        for row in right:
-            u = row[a]
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            v = row[r]
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            if u != v:
-                if u > v:
-                    u, v = v, u
-                parent[v] = u
-                queue.append(v)
-    # a parent is never larger than its child, so one ascending pass
-    # takes every point to its root
-    for x in range(n):
-        parent[x] = parent[parent[x]]
-    return [x for x in range(n) if parent[x] == 0]
-
-
 def conjugacy_classes(G: PermGroup,
                       bound: int = DEFAULT_ELEMENT_BOUND) -> list[list[Perm]]:
     """Conjugacy classes of G as sorted element lists, by least representative."""
@@ -633,59 +560,126 @@ def _is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
+def _right_cosets(H: list, by_point: bool):
+    """The map from the images of t to the names of the coset H t.  Named
+    by point, those are t's images of the names in H; named by image
+    tuple, they are t composed after each element of H."""
+    if not by_point:
+        after = [itemgetter(*h) for h in H]
+        return lambda t: [h_then(t) for h_then in after]
+    if len(H) > 1:
+        return itemgetter(*H)
+    return lambda t: (t[0],)  # H is trivial: the name of t alone
+
+
+def _class_closure(els: Sequence[Perm], cls: list[int], names: list,
+                   where, dead: set, by_point: bool) -> list | None:
+    """The names of the subgroup generated by the class ``cls``, or None
+    once it meets a name in ``dead``.
+
+    Grown from the identity inside itself (Dimino's algorithm): a class
+    element c becomes a generator only when the subgroup H so far lacks
+    it, and <H, c> is then the union of the right cosets H t, whose
+    representatives t = r * g are found breadth first over the
+    representatives r and the generators g.
+    """
+    identity = names[0]
+    found = [identity]
+    inside = {identity}
+    gens: list[tuple[int, ...]] = []
+    for c in cls:
+        if names[c] in inside:
+            continue
+        gens.append(els[c].images)
+        coset_of = _right_cosets(found, by_point)
+        reps = [identity]
+        for r in reps:  # grows while it is read: a breadth-first queue
+            times_r = itemgetter(r) if by_point else itemgetter(*r)
+            for g in gens:
+                t = times_r(g)
+                if t in inside:
+                    continue
+                coset = coset_of(els[where[t]].images if by_point else t)
+                if not dead.isdisjoint(coset):
+                    return None
+                inside.update(coset)
+                found.extend(coset)
+                reps.append(t)
+    return found
+
+
 def minimal_normal_subgroups(G: PermGroup,
                              bound: int = DEFAULT_ELEMENT_BOUND) -> list[PermGroup]:
     """All inclusion-minimal nontrivial normal subgroups of G.
 
-    Works on G's regular representation: G is enumerated once, elements
-    become indices, and classes and closures are integer table lookups.
-    Every minimal normal subgroup N is the normal closure of any one of
-    its nontrivial elements.  By Cauchy's theorem N holds an element x of
-    prime order, and the class of x lies in N, so closing each conjugacy
-    class of prime order and keeping the inclusion-minimal results is
-    complete.  The normal closure of x is the subgroup generated by its
-    class, found as a block of the right regular action; x^k for k prime
-    to the order of x has the same closure, so the classes of the powers
-    of a closed x are skipped.  On a regular G every element is
-    semiregular, and the order of x is the length of its cycle through
-    point 0.  Results are sorted by order, then by element list, and each
-    is generated by the conjugacy class of its least nontrivial element.
+    G is enumerated once and its classes found on the regular
+    representation.  Every minimal normal subgroup N is the normal closure
+    of any one of its nontrivial elements.  By Cauchy's theorem N holds an
+    element x of prime order, and the class of x lies in N, so closing
+    each conjugacy class of prime order and keeping the inclusion-minimal
+    results is complete.  Classes are closed smallest first (ties in index
+    order); the normal closure N_C of a class C is the subgroup it
+    generates, grown inside itself.  A closure that meets a class D
+    visited earlier is dropped at once: N_D lies in N_C, so N_C repeats a
+    closure already kept or is not minimal.  Each minimal N is still
+    found, by the first class visited inside it.  x^k for k prime to the
+    order of x has the same closure, so the classes of the powers of a
+    visited x are skipped and count as visited.
+
+    Elements are named so that a product is one step: when the images of
+    point 0 tell them apart (G is semiregular, say), by the image of 0,
+    so that x * c is named c[x] and the order of x is the length of its
+    cycle through 0; otherwise by their image tuples.  Results are sorted
+    by order, then by element list, and each is generated by the
+    conjugacy class of its least nontrivial element.
     """
     if G.is_trivial():
         return []
     els = G.elements(bound)
-    right = G._right
     n = len(els)
-    classes = _index_classes(right, n)
+    classes = _index_classes(G._right, n)
     class_of = [0] * n
     for ci, cls in enumerate(classes):
         for x in cls:
             class_of[x] = ci
-    order_of = _cycle_length_at_0 if G.is_regular() else Perm.order
-    skip = [False] * len(classes)
-    closures = set()
-    tree = None
-    for ci, cls in enumerate(classes):
-        if skip[ci]:
+    names: list = [p.images[0] for p in els]
+    by_point = len(set(names)) == n
+    if by_point:
+        order_of = _cycle_length_at_0
+        where: list[int] | dict[tuple[int, ...], int] = [0] * G.degree
+        for i, name in enumerate(names):
+            where[name] = i
+    else:
+        order_of = Perm.order
+        names = [p.images for p in els]
+        where = {name: i for i, name in enumerate(names)}
+    dead: set = set()  # the names in the classes visited
+    kept = []
+    for cls in sorted(classes, key=len):  # stable: ties in index order
+        if names[cls[0]] in dead:
             continue
-        k = order_of(els[cls[0]])
+        x = els[cls[0]]
+        k = order_of(x)
         if not _is_prime(k):
             continue
-        closures.add(frozenset(_identity_block(right, n, cls)))
-        if k > 2:
-            tree = tree or _bfs_tree(right, n)
-            for y in _power_indices(right, tree, cls[0], k):
-                skip[class_of[y]] = True
+        found = _class_closure(els, cls, names, where, dead, by_point)
+        if found is not None:
+            kept.append(frozenset(map(where.__getitem__, found)))
+        power = names[cls[0]]
+        for _ in range(k - 1):  # x, x^2, ..., x^(k-1)
+            if power not in dead:
+                dead.update(names[i] for i in classes[class_of[where[power]]])
+            power = (x.images[power] if by_point
+                     else itemgetter(*power)(x.images))
     keyed = []
-    for N in closures:
-        if any(M < N for M in closures):
+    for N in kept:
+        if any(M < N for M in kept):
             continue
         members = sorted(N, key=lambda i: els[i].images)
         keyed.append((len(N), [els[i].images for i in members], members[1]))
     keyed.sort(key=lambda entry: entry[:2])
-    return [PermGroup(G.degree, sorted(
-                (els[i] for i in next(c for c in classes if least in c)),
-                key=lambda p: p.images))
+    return [PermGroup(G.degree, sorted((els[i] for i in classes[class_of[least]]),
+                                       key=lambda p: p.images))
             for _, _, least in keyed]
 
 

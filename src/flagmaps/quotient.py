@@ -119,7 +119,13 @@ def monodromy_quotient(m: RootedMap, H: PermGroup) -> tuple[RootedMap, MapMorphi
 
     All automorphisms of m project along the returned morphism.
     """
-    mon = m.monodromy_group()
+    return _monodromy_quotient(m, m.monodromy_group(), H)
+
+
+def _monodromy_quotient(m: RootedMap, mon: PermGroup,
+                        H: PermGroup) -> tuple[RootedMap, MapMorphism]:
+    """monodromy_quotient on a given Mon(m), so that one Mon, and its
+    stabilizer chain, serves several quotients."""
     if H.degree != m.n_flags:
         raise ValueError("H must act on the flags of m")
     for g in H.generators:

@@ -1,5 +1,6 @@
 import random
 import time
+from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from flagmaps import (BoundExceeded, LabeledGenerators, Perm, PermGroup,
                       congruent_labeled_groups, minimal_normal_subgroups,
-                      normal_closure, parallel_product)
+                      normal_closure, parallel_product, perm)
 from flagmaps.perm import (conjugacy_classes, format_group_file, is_normal_in,
                            parse_group_file)
 
@@ -260,12 +261,16 @@ def element_sets(groups):
 
 def assert_matches_reference(G):
     """The same subgroups, in the same order, and the same classes as the
-    reference search kept in ``oracles``; each on a new group object, so that
-    no element list is shared."""
+    reference searches kept in ``oracles``, and the same generators as the
+    union-find one; each on a new group object, so that no element list is
+    shared."""
     fresh = lambda: PermGroup(G.degree, G.generators)
     got = minimal_normal_subgroups(fresh())
     assert element_sets(got) == element_sets(
         oracles.minimal_normal_subgroups(fresh()))
+    assert [N.generators for N in got] == [
+        N.generators
+        for N in oracles.minimal_normal_subgroups_union_find(fresh())]
     assert conjugacy_classes(fresh()) == oracles.conjugacy_classes(fresh())
     return got
 
@@ -322,6 +327,97 @@ def test_minimal_normals_match_bruteforce_named(G, order):
     got = {frozenset(N.elements()) for N in minimals}
     assert got == set(map(frozenset, minimal_normals_brute(G)))
     assert [N.order() for N in minimals] == [order]
+
+
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_minimal_normals_of_symmetric_groups_match_reference(n):
+    # on its points S_n is not semiregular, so elements are named by their
+    # image tuples; V4 in S4, A_n beyond
+    got = assert_matches_reference(symmetric(n))
+    assert [N.order() for N in got] == [4 if n == 4 else factorial(n) // 2]
+
+
+def assert_closure_invariants(G, monkeypatch):
+    """Run the search on G, recording each class closure: the element
+    list, the class, the element names, the dead names it was handed and
+    what it returned.  Classes are closed smallest first, ties in index
+    order; each closure is handed as dead exactly the elements of the
+    classes visited before it and of the classes of their powers, and no
+    such class is closed again."""
+    calls = []
+    original = perm._class_closure
+
+    def spy(els, cls, names, where, dead, by_point):
+        before = frozenset(dead)
+        found = original(els, cls, names, where, dead, by_point)
+        calls.append((els, list(cls), names, before, found))
+        return found
+
+    monkeypatch.setattr(perm, "_class_closure", spy)
+    minimals = minimal_normal_subgroups(G)
+    monkeypatch.undo()
+    if not calls:
+        return minimals, calls
+    els = calls[0][0]
+    index = {p: i for i, p in enumerate(els)}
+    class_of = {p: cls for cls in oracles.conjugacy_classes(G) for p in cls}
+    expected = set()
+    heads = []
+    for _, cls, names, dead, _ in calls:
+        assert dead == expected
+        assert names[cls[0]] not in expected
+        heads.append((len(cls), cls[0]))
+        x = els[cls[0]]
+        for k in range(1, x.order()):
+            expected |= {names[index[y]] for y in class_of[x ** k]}
+    assert heads == sorted(heads)
+    return minimals, calls
+
+
+def test_minimal_normals_close_smallest_class_first(monkeypatch):
+    # in S7 the transpositions are closed first and complete all of S7,
+    # which is not minimal; the 3-cycles complete A7, and every later
+    # closure meets a class already visited and is dropped
+    G = symmetric(7)
+    minimals, calls = assert_closure_invariants(G, monkeypatch)
+    assert [len(cls) for _, cls, _, _, _ in calls][:2] == [21, 70]
+    assert [None if found is None else len(found)
+            for *_, found in calls] == [5040, 2520] + [None] * 5
+    assert [N.order() for N in minimals] == [2520]
+
+
+def cyclic(n):
+    return PermGroup(n, [Perm(tuple((i + 1) % n for i in range(n)))])
+
+
+@pytest.mark.parametrize("G", [dihedral(5), dihedral(12), cyclic(15)],
+                         ids=["D5", "D12", "C15"])
+def test_minimal_normals_skip_power_classes(monkeypatch, G):
+    # a rotation r of the n-gon is conjugate to r^-1 only, and in the
+    # regular C15 every element is its own class, so the classes of the
+    # other powers are marked when the class of r is visited
+    minimals, _ = assert_closure_invariants(G, monkeypatch)
+    assert set(element_sets(minimals)) == set(
+        map(frozenset, minimal_normals_brute(G)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_groups())
+def test_minimal_normals_closure_invariants(G):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_closure_invariants(G, monkeypatch)
+
+
+def test_minimal_normals_budget():
+    from flagmaps import build_degenerate
+    G = symmetric(7)
+    start = time.perf_counter()
+    assert [N.order() for N in minimal_normal_subgroups(G)] == [2520]
+    assert time.perf_counter() - start < 0.5
+    G = build_degenerate(6, 500).monodromy_group()
+    start = time.perf_counter()
+    assert len(minimal_normal_subgroups(G)) == 2
+    assert time.perf_counter() - start < 0.5
 
 
 def test_minimal_normals_properties(c4_sphere, tetrahedron):
