@@ -120,21 +120,16 @@ def decomposability_reflexible(m: RootedMap,
                                bound: int = DEFAULT_ELEMENT_BOUND) -> DecompositionVerdict:
     """For reflexible maps the stabilizer is trivial, so decomposability is
     exactly: Mon(m) has at least two nontrivial minimal normal subgroups.
-    One Mon serves the reflexibility test, the search and the quotients."""
+
+    This is the general search on the regular Mon: a minimal normal H is
+    transitive only when H = Mon, which is then the only one, and the root
+    blocks of two distinct minimal normal subgroups meet only in the root,
+    so the first pair is the witness.  One Mon serves the reflexibility
+    test, the search and the quotients."""
     mon = m.monodromy_group()
     if not mon.is_regular():
         raise NotReflexible("map is not reflexible")
-    try:
-        minimals = minimal_normal_subgroups(mon, bound)
-    except BoundExceeded as exc:
-        return DecompositionVerdict(decomposable=None, reason=str(exc))
-    if len(minimals) < 2:
-        return DecompositionVerdict(decomposable=False)
-    H1, H2 = minimals[0], minimals[1]
-    factors, cert = _verified_factor_pair(m, mon, H1, H2)
-    return DecompositionVerdict(
-        decomposable=True, witnesses=(H1, H2), factors=factors,
-        certificate=cert)
+    return _decomposability_general(m, mon, bound)
 
 
 def decomposability_edge_transitive(m: RootedMap,

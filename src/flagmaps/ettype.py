@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .mapcore import (CellStructure, RootedMap, automorphism_group, cells,
                       simple_reroots)
-from .perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators, Perm, PermGroup)
+from .perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators, Perm, PermGroup,
+                   _block_index)
 
 # Defining words over t, l, r for the thirteen named automorphisms.
 NAMED_AUTOMORPHISM_WORDS: dict[str, str] = {
@@ -122,21 +123,26 @@ def _is_edge_transitive(m: RootedMap,
     """is_edge_transitive, given m's edge partition."""
     if len(edge_blocks) == 1:
         return True
-    edge_of = [0] * m.n_flags
-    for ei, block in enumerate(edge_blocks):
-        for x in block:
-            edge_of[x] = ei
-    aut = automorphism_group(m)
-    seen = {edge_of[m.root]}
-    queue = [edge_blocks[edge_of[m.root]][0]]
-    while queue:
-        x = queue.pop()
-        for a in aut.generators:
-            y = a.images[x]
-            if edge_of[y] not in seen:
-                seen.add(edge_of[y])
-                queue.append(y)
-    return len(seen) == len(edge_blocks)
+    edge_of = _block_index(edge_blocks, m.n_flags)
+    orbit = _cell_orbit(automorphism_group(m), edge_blocks, edge_of,
+                        edge_of[m.root])
+    return len(orbit) == len(edge_blocks)
+
+
+def _cell_orbit(aut: PermGroup, blocks, cell_of: list[int],
+                start: int) -> set[int]:
+    """The cells in the Aut-orbit of cell ``start``, grown breadth first
+    through the first flag of each cell: automorphisms map cells to cells,
+    so any one flag of a cell finds the images of the whole cell."""
+    orbit = {start}
+    queue = [blocks[start][0]]
+    for x in queue:  # grows while it is read: a breadth-first queue
+        for g in aut.generators:
+            ci = cell_of[g.images[x]]
+            if ci not in orbit:
+                orbit.add(ci)
+                queue.append(blocks[ci][0])
+    return orbit
 
 
 def classify_type(m: RootedMap) -> tuple[str, RootedMap] | None:
@@ -183,10 +189,7 @@ class MapSymbol:
 def _orbit_sizes_by_aut(m: RootedMap, blocks, aut: PermGroup) -> tuple[int, ...]:
     """Half-sizes of the cells, one entry per Aut-orbit of cells, the orbit
     of the root flag's cell first."""
-    cell_of = [0] * m.n_flags
-    for ci, block in enumerate(blocks):
-        for x in block:
-            cell_of[x] = ci
+    cell_of = _block_index(blocks, m.n_flags)
     seen_cells: set[int] = set()
     orbit_entries: list[int] = []
     ordering = [cell_of[m.root]] + [ci for ci in range(len(blocks))
@@ -194,18 +197,8 @@ def _orbit_sizes_by_aut(m: RootedMap, blocks, aut: PermGroup) -> tuple[int, ...]
     for start in ordering:
         if start in seen_cells:
             continue
-        orbit = {start}
-        queue = [blocks[start][0]]
-        while queue:
-            x = queue.pop()
-            for g in aut.generators:
-                ci = cell_of[g.images[x]]
-                if ci not in orbit:
-                    orbit.add(ci)
-                    queue.append(blocks[ci][0])
-        seen_cells |= orbit
-        size = len(blocks[start])
-        orbit_entries.append((size + 1) // 2)
+        seen_cells |= _cell_orbit(aut, blocks, cell_of, start)
+        orbit_entries.append((len(blocks[start]) + 1) // 2)
     return tuple(orbit_entries)
 
 
@@ -325,11 +318,6 @@ class AdmissibilityReport:
     extra_automorphisms: frozenset[str]
 
 
-def _group_elements(g: LabeledGenerators, bound: int) -> tuple[list[Perm], dict[Perm, int]]:
-    elements = list(g.group().elements(bound))
-    return elements, {e: i for i, e in enumerate(elements)}
-
-
 def construct_from_group(type_label: str, g: LabeledGenerators,
                          bound: int = DEFAULT_ELEMENT_BOUND,
                          ) -> tuple[RootedMap, AdmissibilityReport]:
@@ -351,15 +339,19 @@ def construct_from_group(type_label: str, g: LabeledGenerators,
         if not g.evaluate(relation).is_identity():
             raise RelationViolation(
                 f"required relation {'*'.join(relation)} fails")
-    elements, index = _group_elements(g, bound)
-    gen = g.as_dict()
-    identity = Perm.identity(g.degree)
+    tables = dict(zip(g.labels, g.group()._right_tables(g.generators, bound)))
 
-    def right(label: str, invert: bool = False):
-        p = gen[label].inverse() if invert else gen[label]
-        return lambda e: index[e * p]
+    def right(label: str, invert: bool = False) -> list[int]:
+        table = tables[label]
+        if not invert:
+            return table
+        inverse = [0] * len(table)
+        for x, y in enumerate(table):
+            inverse[y] = x
+        return inverse
 
-    stay = lambda e: index[e]
+    order = len(tables[g.labels[0]])
+    stay = range(order)  # the identity table
 
     if type_label == "1":
         s_size = 1
@@ -388,18 +380,18 @@ def construct_from_group(type_label: str, g: LabeledGenerators,
             r_move = [(right("sigma_x1"), 2), (right("sigma_x2", invert=True), 3),
                       (right("sigma_x1", invert=True), 0), (right("sigma_x2"), 1)]
 
-    n_flags = len(elements) * s_size
+    n_flags = order * s_size
 
     def build(moves) -> Perm:
         images = [0] * n_flags
-        for ei, e in enumerate(elements):
+        for ei in range(order):
             for offset in range(s_size):
-                func, new_offset = moves[offset]
-                images[ei * s_size + offset] = func(e) * s_size + new_offset
+                table, new_offset = moves[offset]
+                images[ei * s_size + offset] = table[ei] * s_size + new_offset
         return Perm(images)
 
-    root = index[identity] * s_size
-    result = RootedMap(build(t_move), build(l_move), build(r_move), root=root)
+    # the identity is element 0
+    result = RootedMap(build(t_move), build(l_move), build(r_move), root=0)
 
     present = named_automorphisms_present(result)
     classified = classify_type(result)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Literal
 
-from .perm import Perm, PermGroup, orbits_of
+from .perm import Perm, PermGroup, _equivariant_map, orbits_of
 
 GENERATOR_NAMES = ("t", "l", "r")
 # The seven mandatory context words T, L, R, TL, RT, RL, TLR (see degen).
@@ -162,16 +162,13 @@ def canonicalize(m: RootedMap) -> RootedMap:
     """Renumber flags by BFS from the root over T, L, R; root becomes 0."""
     number = {m.root: 0}
     order = [m.root]
-    queue = [m.root]
     gens = m.generators()
-    while queue:
-        x = queue.pop(0)
+    for x in order:  # grows while it is read: a breadth-first queue
         for g in gens:
             y = g.images[x]
             if y not in number:
                 number[y] = len(order)
                 order.append(y)
-                queue.append(y)
     relabeled = [Perm(number[g.images[x]] for x in order) for g in gens]
     return RootedMap(*relabeled, root=0)
 
@@ -273,50 +270,22 @@ def triality_composites(m: RootedMap) -> list[RootedMap]:
 
 # --- isomorphism and automorphisms -----------------------------------------
 
-def _grow_flag_bijection(m_gens: tuple[Perm, ...], m_root: int,
-                         n_gens: tuple[Perm, ...],
-                         root_image: int) -> list[int] | None:
-    """The unique bijection from the flags of the map on ``m_gens`` to
-    those of the map on ``n_gens`` that respects the generators pairwise
-    and takes m_root to root_image, or None when no such bijection exists."""
-    size = m_gens[0].degree
-    if n_gens[0].degree != size:
-        return None
-    image = [-1] * size
-    image[m_root] = root_image
-    stack = [m_root]
-    gen_pairs = list(zip(m_gens, n_gens))
-    while stack:
-        x = stack.pop()
-        ix = image[x]
-        for gm, gn in gen_pairs:
-            y = gm.images[x]
-            iy = gn.images[ix]
-            if image[y] == -1:
-                image[y] = iy
-                stack.append(y)
-            elif image[y] != iy:
-                return None
-    # transitivity reached every flag; verify every edge of the flag graph
-    for gm, gn in gen_pairs:
-        for x in range(size):
-            if image[gm.images[x]] != gn.images[image[x]]:
-                return None
-    if len(set(image)) != size:
-        return None
-    return image
+def _tables(m: RootedMap) -> tuple[tuple[int, ...], ...]:
+    """The image tables of T, L and R."""
+    return (m.t.images, m.l.images, m.r.images)
 
 
-def _generalized_isomorphism(m_gens: tuple[Perm, ...], m_root: int,
-                             n_gens: tuple[Perm, ...], n_root: int,
-                             n_reflexible: bool) -> list[int] | None:
-    """A generator-respecting flag bijection taking m_root to any flag,
-    the first found in flag order.  All re-rootings of a reflexible map are
-    isomorphic, so when the target is reflexible one try decides."""
-    if n_reflexible:
-        return _grow_flag_bijection(m_gens, m_root, n_gens, n_root)
-    for d in range(n_gens[0].degree):
-        image = _grow_flag_bijection(m_gens, m_root, n_gens, d)
+def _generalized_isomorphism(m_tables: tuple[tuple[int, ...], ...],
+                             m_root: int,
+                             n_tables: tuple[tuple[int, ...], ...],
+                             n_root: int, n_reflexible: bool) -> list[int] | None:
+    """A flag bijection respecting the generator tables pairwise and taking
+    m_root to any flag, the first found in flag order.  All re-rootings of
+    a reflexible map are isomorphic, so when the target is reflexible one
+    try decides."""
+    size = len(m_tables[0])
+    for d in ((n_root,) if n_reflexible else range(size)):
+        image = _equivariant_map(m_tables, m_root, n_tables, d, size)
         if image is not None:
             return image
     return None
@@ -333,16 +302,16 @@ def isomorphism(m: RootedMap, n: RootedMap,
     if m.n_flags != n.n_flags:
         return None
     if mode == "rooted":
-        return _grow_flag_bijection(m.generators(), m.root, n.generators(),
-                                    n.root)
-    return _generalized_isomorphism(m.generators(), m.root, n.generators(),
-                                    n.root, is_reflexible(n))
+        return _equivariant_map(_tables(m), m.root, _tables(n), n.root,
+                                m.n_flags)
+    return _generalized_isomorphism(_tables(m), m.root, _tables(n), n.root,
+                                    is_reflexible(n))
 
 
 def automorphism_to(m: RootedMap, d: int) -> Perm | None:
     """The unique automorphism taking the root to flag d, if consistent."""
-    gens = m.generators()
-    image = _grow_flag_bijection(gens, m.root, gens, d)
+    tables = _tables(m)
+    image = _equivariant_map(tables, m.root, tables, d, m.n_flags)
     return Perm(image) if image is not None else None
 
 
@@ -442,15 +411,15 @@ def _iso_pattern(m: RootedMap, reflexible: bool,
     generators maps orbits to orbits, so composites with different
     invariants are not isomorphic and are not tested.  All six share Mon as
     a permutation group, so m's reflexibility decides for each of them."""
-    bases = (m.t, m.l, m.t * m.l)
-    gens = [(bases[a], bases[b], m.r) for a, b in _TRIALITY_PAIRS]
+    bases = (m.t.images, m.l.images, (m.t * m.l).images)
+    tables = [(bases[a], bases[b], m.r.images) for a, b in _TRIALITY_PAIRS]
     iso: list[int] = []
     for i, key in enumerate(invariants):
         first = i
         for j in range(i):
             # the least isomorphic composite is the first of its class
             if (iso[j] == j + 1 and invariants[j] == key
-                    and _generalized_isomorphism(gens[j], m.root, gens[i],
+                    and _generalized_isomorphism(tables[j], m.root, tables[i],
                                                  m.root, reflexible)
                     is not None):
                 first = j

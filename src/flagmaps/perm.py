@@ -6,9 +6,13 @@ reflexible map, Aut of one) is recognised from its point tables: its order
 is the degree and membership is commuting with its centralizer.  Other
 groups get orders and membership from an incremental Schreier-Sims
 stabilizer chain with explicit inverse transversals.  Element lists come
-from a bounded breadth-first closure; conjugacy classes run on the regular
-representation that the closure records, with elements as indices, and
+from a bounded breadth-first closure that records the right regular
+tables; conjugacy classes run on them, with elements as indices, and
 minimal normal subgroups grow the closure of each class inside itself.
+One routine grows the unique map that turns one list of tables into
+another: it finds the centralizer of a regular group, left multiplication
+on the right regular tables, labeled congruence of groups, and the
+isomorphisms and automorphisms of maps.
 """
 
 from __future__ import annotations
@@ -328,7 +332,7 @@ class PermGroup:
             regular = bool(tables) or self.degree == 1
             centralizer = []
             for images in tables:
-                c = _centralizer_element(tables, self.degree, images[0])
+                c = _equivariant_map(tables, 0, tables, images[0], self.degree)
                 if c is None:
                     regular = False
                     break
@@ -423,6 +427,16 @@ class PermGroup:
         self._elements = tuple(map(_perm, found))
         return self._elements
 
+    def _right_tables(self, perms: Sequence[Perm],
+                      bound: int) -> list[list[int]]:
+        """The right regular table of each given permutation, which is a
+        generator or the identity, on the indices of ``elements(bound)``:
+        ``table[x]`` is the index of x * p."""
+        self.elements(bound)
+        identity = list(range(len(self._elements)))
+        return [identity if p.is_identity()
+                else self._right[self.generators.index(p)] for p in perms]
+
     def is_trivial(self) -> bool:
         return not self.generators
 
@@ -438,6 +452,15 @@ class PermGroup:
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
+
+
+def _block_index(blocks: Iterable[Iterable[int]], n: int) -> list[int]:
+    """For each of the n points, the index of its block in a partition."""
+    block_of = [0] * n
+    for i, block in enumerate(blocks):
+        for x in block:
+            block_of[x] = i
+    return block_of
 
 
 def orbits_of(gens: Sequence[Perm], degree: int) -> list[list[int]]:
@@ -475,32 +498,34 @@ def normal_closure(G: PermGroup, seed: Sequence[Perm],
     return sub
 
 
-def _centralizer_element(tables: Sequence[Sequence[int]], n: int,
-                         image_of_0: int) -> list[int] | None:
-    """The map x -> x' of {0..n-1} with 0' = image_of_0 that commutes with
-    every table (t[x]' = t[x'] for all x), or None when there is none.
+def _equivariant_map(src: Sequence[Sequence[int]], start: int,
+                     dst: Sequence[Sequence[int]], image_of_start: int,
+                     n: int) -> list[int] | None:
+    """The bijection f of {0..n-1} with f(start) = image_of_start and
+    f(s[x]) = d[f(x)] for each pair of tables (s, d) of ``zip(src, dst)``,
+    or None when there is none.
 
-    Grown breadth first from 0: when b is first reached as t[a], b' is
-    t[a']; every later step to b checks the same equation, so a conflict
-    ends the search at once.  When every point is reached, the map is
-    equivariant on a transitive set and so a bijection: the centralizer
-    element of the generated group that takes 0 to image_of_0.  On the
-    right regular tables of ``PermGroup.elements``, with image_of_0 the
-    index of g, it is left multiplication by g.
+    Grown breadth first from start: when b is first reached as s[a], f(b)
+    is d[f(a)]; each equation is checked once, as its edge is first
+    crossed, and a conflict ends the search at once.  A map that reaches
+    every point is unique; it must also be injective.
     """
     image = [-1] * n
-    image[0] = image_of_0
-    queue = [0]
+    image[start] = image_of_start
+    queue = [start]
+    pairs = list(zip(src, dst))
     for a in queue:  # grows while it is read: a breadth-first queue
         ia = image[a]
-        for t in tables:
-            b = t[a]
+        for s, d in pairs:
+            b = s[a]
             if image[b] < 0:
-                image[b] = t[ia]
+                image[b] = d[ia]
                 queue.append(b)
-            elif image[b] != t[ia]:
+            elif image[b] != d[ia]:
                 return None
-    return image if len(queue) == n else None
+    if len(queue) != n or len(set(image)) != n:
+        return None
+    return image
 
 
 def _conjugation_tables(right: list[list[int]], n: int) -> list[list[int]]:
@@ -508,7 +533,7 @@ def _conjugation_tables(right: list[list[int]], n: int) -> list[list[int]]:
     regular tables of ``PermGroup.elements`` with no Perm product."""
     conj = []
     for rrow in right:
-        lrow = _centralizer_element(right, n, rrow[0])  # x -> g_j * x
+        lrow = _equivariant_map(right, 0, right, rrow[0], n)  # x -> g_j * x
         table = [0] * n
         for x, y in enumerate(lrow):  # y = g_j * x: g_j^-1 * y * g_j = x * g_j
             table[y] = rrow[x]
@@ -638,10 +663,7 @@ def minimal_normal_subgroups(G: PermGroup,
     els = G.elements(bound)
     n = len(els)
     classes = _index_classes(G._right, n)
-    class_of = [0] * n
-    for ci, cls in enumerate(classes):
-        for x in cls:
-            class_of[x] = ci
+    class_of = _block_index(classes, n)
     names: list = [p.images[0] for p in els]
     by_point = len(set(names)) == n
     if by_point:
@@ -736,39 +758,21 @@ def congruent_labeled_groups(A: LabeledGenerators, B: LabeledGenerators,
     """Whether the label-respecting generator assignment extends to an
     isomorphism of the generated groups.
 
-    Walks the Cayley graph of A breadth first, carrying the would-be image
-    in B, and fails on the first coincidence the images disagree on.  A
-    conflict-free walk defines an epimorphism A -> B; it is an isomorphism
-    exactly when the group orders match.
+    With equal orders, that isomorphism is the bijection from A to B,
+    identity to identity, that turns the right regular table of each
+    generator of A into that of the same label in B.  Groups of more than
+    bound + 1 elements raise ``BoundExceeded``.
     """
     if sorted(A.labels) != sorted(B.labels):
         raise ValueError("label multisets differ")
-    gens_a = [A.generator(lbl) for lbl in A.labels]
-    gens_b = [B.generator(lbl) for lbl in A.labels]
-    if A.group().order() != B.group().order():
+    group_a, group_b = A.group(), B.group()
+    n = group_a.order()
+    if n != group_b.order():
         return False
-    image = {Perm.identity(A.degree): Perm.identity(B.degree)}
-    frontier = list(image)
-    count = 0
-    while frontier:
-        new = []
-        for a in frontier:
-            b = image[a]
-            for ga, gb in zip(gens_a, gens_b):
-                a2 = a * ga
-                b2 = b * gb
-                prev = image.get(a2)
-                if prev is None:
-                    image[a2] = b2
-                    new.append(a2)
-                    count += 1
-                    if count > bound:
-                        raise BoundExceeded(
-                            f"group exceeds element bound {bound}")
-                elif prev != b2:
-                    return False
-        frontier = new
-    return len(set(image.values())) == len(image)
+    src = group_a._right_tables(A.generators, bound + 1)
+    dst = group_b._right_tables([B.generator(lbl) for lbl in A.labels],
+                                bound + 1)
+    return _equivariant_map(src, 0, dst, 0, n) is not None
 
 
 # --- .grp file format -------------------------------------------------------

@@ -44,16 +44,13 @@ def parallel_product(m: RootedMap, n: RootedMap) -> ProductWitness:
     """Breadth-first orbit of (root, root) under (T,T), (L,L), (R,R)."""
     pairs: dict[tuple[int, int], int] = {(m.root, n.root): 0}
     order: list[tuple[int, int]] = [(m.root, n.root)]
-    queue = [(m.root, n.root)]
     gen_pairs = list(zip(m.generators(), n.generators()))
-    while queue:
-        x, y = queue.pop(0)
+    for x, y in order:  # grows while it is read: a breadth-first queue
         for gm, gn in gen_pairs:
             z = (gm.images[x], gn.images[y])
             if z not in pairs:
                 pairs[z] = len(order)
                 order.append(z)
-                queue.append(z)
     perms = [Perm(pairs[(gm.images[x], gn.images[y])] for x, y in order)
              for gm, gn in gen_pairs]
     product = RootedMap(*perms, root=0)
@@ -80,10 +77,8 @@ def smallest_reflexible_cover(m: RootedMap,
                               bound: int = DEFAULT_ELEMENT_BOUND) -> RootedMap:
     """The regular representation of Mon(m) acting on itself, rooted at the
     identity; reflexible, and a cover of m."""
-    elements = m.monodromy_group().elements(bound)
-    index = {g: i for i, g in enumerate(elements)}
-    perms = [Perm(index[e * g] for e in elements) for g in m.generators()]
-    return RootedMap(*perms, root=index[Perm.identity(m.n_flags)])
+    tables = m.monodromy_group()._right_tables(m.generators(), bound)
+    return RootedMap(*map(Perm, tables), root=0)
 
 
 def total_parallel_product(m: RootedMap,

@@ -10,9 +10,10 @@ itself is never enumerated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .mapcore import RootedMap, isomorphism
-from .perm import Perm, PermGroup, is_normal_in
+from .mapcore import GENERATOR_NAMES, RootedMap, isomorphism
+from .perm import Perm, PermGroup, _block_index, is_normal_in
 
 
 class StabilizerNotContained(ValueError):
@@ -51,9 +52,10 @@ class MapMorphism:
         return self.flag_map[flag]
 
 
-def _blocks_to_map(m: RootedMap, blocks: list[tuple[int, ...]],
-                   block_of: list[int]) -> tuple[RootedMap, MapMorphism]:
+def _blocks_to_map(m: RootedMap, blocks: Sequence[Sequence[int]],
+                   ) -> tuple[RootedMap, MapMorphism]:
     """Quotient map induced on a block system, plus the projection."""
+    block_of = _block_index(blocks, m.n_flags)
     reps = [b[0] for b in blocks]
     induced = []
     for g in m.generators():
@@ -90,7 +92,7 @@ def k_quotient(m: RootedMap, K: PermGroup) -> tuple[RootedMap, MapMorphism]:
     block_of = [-1] * m.n_flags
     blocks: list[tuple[int, ...]] = []
 
-    def add_block(flags: frozenset[int]) -> int:
+    def add_block(flags: frozenset[int]) -> None:
         idx = len(blocks)
         blocks.append(tuple(sorted(flags)))
         for x in flags:
@@ -98,20 +100,18 @@ def k_quotient(m: RootedMap, K: PermGroup) -> tuple[RootedMap, MapMorphism]:
                 raise StabilizerNotContained(
                     "K-orbit of the root does not generate a block system")
             block_of[x] = idx
-        return idx
 
-    queue = [add_block(base)]
-    while queue:
-        bi = queue.pop(0)
+    add_block(base)
+    for block in blocks:  # grows while it is read: a breadth-first queue
         for g in m.generators():
-            image = frozenset(g.images[x] for x in blocks[bi])
+            image = frozenset(g.images[x] for x in block)
             seen = {block_of[x] for x in image}
             if seen == {-1}:
-                queue.append(add_block(image))
+                add_block(image)
             elif len(seen) != 1 or blocks[seen.pop()] != tuple(sorted(image)):
                 raise StabilizerNotContained(
                     "K-orbit of the root does not generate a block system")
-    return _blocks_to_map(m, blocks, block_of)
+    return _blocks_to_map(m, blocks)
 
 
 def monodromy_quotient(m: RootedMap, H: PermGroup) -> tuple[RootedMap, MapMorphism]:
@@ -133,12 +133,7 @@ def _monodromy_quotient(m: RootedMap, mon: PermGroup,
             raise NotNormal("H is not a subgroup of the monodromy group")
     if not is_normal_in(H, mon):
         raise NotNormal("H is not normal in the monodromy group")
-    blocks = [tuple(b) for b in H.orbits()]
-    block_of = [-1] * m.n_flags
-    for bi, b in enumerate(blocks):
-        for x in b:
-            block_of[x] = bi
-    return _blocks_to_map(m, blocks, block_of)
+    return _blocks_to_map(m, H.orbits())
 
 
 def automorphism_quotient(m: RootedMap, A: PermGroup) -> tuple[RootedMap, MapMorphism]:
@@ -151,12 +146,7 @@ def automorphism_quotient(m: RootedMap, A: PermGroup) -> tuple[RootedMap, MapMor
             if a * g != g * a:
                 raise NotAnAutomorphism(
                     "generator of A does not commute with the monodromy action")
-    blocks = [tuple(b) for b in A.orbits()]
-    block_of = [-1] * m.n_flags
-    for bi, b in enumerate(blocks):
-        for x in b:
-            block_of[x] = bi
-    return _blocks_to_map(m, blocks, block_of)
+    return _blocks_to_map(m, A.orbits())
 
 
 def project_automorphism(proj: MapMorphism, a: Perm) -> Perm:
@@ -200,32 +190,23 @@ def morphism_to_k_quotient(phi: MapMorphism) -> KQuotientCharacterization:
     the target flags, evaluated in the source generators.
     """
     src, tgt = phi.source, phi.target
-    src_gens = src.generators()
-    tgt_gens = tgt.generators()
-    # BFS transversal over target flags: a word (gen indices) per flag.
-    words: dict[int, tuple[int, ...]] = {tgt.root: ()}
-    queue = [tgt.root]
-    while queue:
-        y = queue.pop(0)
-        for gi, g in enumerate(tgt_gens):
+    named = list(zip(GENERATOR_NAMES, src.generators(), tgt.generators()))
+    # BFS transversal over target flags: a word over t, l, r per flag.
+    words: dict[int, str] = {tgt.root: ""}
+    reached = [tgt.root]
+    for y in reached:  # grows while it is read: a breadth-first queue
+        for name, _, g in named:
             z = g.images[y]
             if z not in words:
-                words[z] = words[y] + (gi,)
-                queue.append(z)
-
-    def eval_in_source(word: tuple[int, ...]) -> Perm:
-        out = Perm.identity(src.n_flags)
-        for gi in word:
-            out = out * src_gens[gi]
-        return out
+                words[z] = words[y] + name
+                reached.append(z)
 
     gens: list[Perm] = []
     for y, word in words.items():
-        u = eval_in_source(word)
-        for gi, g in enumerate(tgt_gens):
-            z = g.images[y]
+        u = src.evaluate(word)
+        for _, s, g in named:
             # generators are involutions, so the inverse word is the reverse
-            schreier = u * src_gens[gi] * eval_in_source(words[z][::-1])
+            schreier = u * s * src.evaluate(words[g.images[y]][::-1])
             if not schreier.is_identity():
                 gens.append(schreier)
     K = PermGroup(src.n_flags, gens)

@@ -15,9 +15,9 @@ from flagmaps.fpres import (DEFAULT_MAX_COSETS, MAX_WORD_LENGTH,
 from flagmaps.mapcore import (GenusSymbol, RootedMap, automorphism_to,
                               cells_and_surface, isomorphism, simple_reroots,
                               triality_composites)
-from flagmaps.perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators,
-                           PermGroup, _cycle_length_at_0, _index_classes,
-                           normal_closure)
+from flagmaps.perm import (DEFAULT_ELEMENT_BOUND, BoundExceeded,
+                           LabeledGenerators, PermGroup, _cycle_length_at_0,
+                           _index_classes, normal_closure)
 
 
 def mulclose(perms, bound=100_000):
@@ -612,3 +612,83 @@ def classify_type(m: RootedMap) -> tuple[str, RootedMap] | None:
                 return label, candidate
     raise RuntimeError(
         "edge-transitive map matches no type row at any simple re-rooting")
+
+
+# --- reference equivariant maps -----------------------------------------
+#
+# The flag-bijection grower of the isomorphism and automorphism tests and
+# the Perm-product Cayley walk of labeled congruence, as they stood before
+# both moved onto ``perm._equivariant_map``, kept unchanged as references.
+
+def _grow_flag_bijection(m_gens: tuple[Perm, ...], m_root: int,
+                         n_gens: tuple[Perm, ...],
+                         root_image: int) -> list[int] | None:
+    """The unique bijection from the flags of the map on ``m_gens`` to
+    those of the map on ``n_gens`` that respects the generators pairwise
+    and takes m_root to root_image, or None when no such bijection exists."""
+    size = m_gens[0].degree
+    if n_gens[0].degree != size:
+        return None
+    image = [-1] * size
+    image[m_root] = root_image
+    stack = [m_root]
+    gen_pairs = list(zip(m_gens, n_gens))
+    while stack:
+        x = stack.pop()
+        ix = image[x]
+        for gm, gn in gen_pairs:
+            y = gm.images[x]
+            iy = gn.images[ix]
+            if image[y] == -1:
+                image[y] = iy
+                stack.append(y)
+            elif image[y] != iy:
+                return None
+    # transitivity reached every flag; verify every edge of the flag graph
+    for gm, gn in gen_pairs:
+        for x in range(size):
+            if image[gm.images[x]] != gn.images[image[x]]:
+                return None
+    if len(set(image)) != size:
+        return None
+    return image
+
+
+def congruent_labeled_groups(A: LabeledGenerators, B: LabeledGenerators,
+                             bound: int = DEFAULT_ELEMENT_BOUND) -> bool:
+    """Whether the label-respecting generator assignment extends to an
+    isomorphism of the generated groups.
+
+    Walks the Cayley graph of A breadth first, carrying the would-be image
+    in B, and fails on the first coincidence the images disagree on.  A
+    conflict-free walk defines an epimorphism A -> B; it is an isomorphism
+    exactly when the group orders match.
+    """
+    if sorted(A.labels) != sorted(B.labels):
+        raise ValueError("label multisets differ")
+    gens_a = [A.generator(lbl) for lbl in A.labels]
+    gens_b = [B.generator(lbl) for lbl in A.labels]
+    if A.group().order() != B.group().order():
+        return False
+    image = {Perm.identity(A.degree): Perm.identity(B.degree)}
+    frontier = list(image)
+    count = 0
+    while frontier:
+        new = []
+        for a in frontier:
+            b = image[a]
+            for ga, gb in zip(gens_a, gens_b):
+                a2 = a * ga
+                b2 = b * gb
+                prev = image.get(a2)
+                if prev is None:
+                    image[a2] = b2
+                    new.append(a2)
+                    count += 1
+                    if count > bound:
+                        raise BoundExceeded(
+                            f"group exceeds element bound {bound}")
+                elif prev != b2:
+                    return False
+        frontier = new
+    return len(set(image.values())) == len(image)

@@ -113,12 +113,27 @@ def test_reflexible_requires_reflexible(fig3_quotient):
         decomposability_reflexible(fig3_quotient)
 
 
-def test_reflexible_agrees_with_general():
-    for m in (build_degenerate(6, 6), build_degenerate(6, 9),
-              build_slightly_degenerate("epsilon", 6),
-              build_slightly_degenerate("delta", 8)):
-        assert (decomposability_reflexible(m).decomposable
-                == decomposability_general(m).decomposable)
+def verdict_facts(v):
+    return (v.decomposable, v.reason, v.witness_group, v.certificate,
+            [[g.images for g in H.generators] for H in v.witnesses or ()],
+            [f.generators() + (f.root,) for f in v.factors or ()])
+
+
+def test_reflexible_agrees_with_general(default_census):
+    # the reflexible route is the general search on a regular Mon: the
+    # same verdicts, witnesses, factors and certificates
+    maps = [build_degenerate(index, k) for index in (6, 7, 8)
+            for k in range(1, 13)]
+    maps += [build_slightly_degenerate(family, k)
+             for family in ("epsilon", "delta") for k in range(2, 13)]
+    maps += [entry.map for entry in default_census.entries]
+    verdicts = set()
+    for m in maps:
+        reflexible = decomposability_reflexible(m)
+        assert verdict_facts(reflexible) == verdict_facts(
+            decomposability_general(m))
+        verdicts.add(reflexible.decomposable)
+    assert verdicts == {False, True}
 
 
 def test_edge_transitive_route_reflexible(tetrahedron, c4_sphere):
