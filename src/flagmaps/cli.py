@@ -18,13 +18,15 @@ from . import degen, ettype
 from .decomp import (NotEdgeTransitive, _decomposability_general,
                      decomposability_general)
 from .degen import ContextVector, context_vector, vector_presentation
-from .fpres import (EnumerationOverflow, PresentationError,
+from .fpres import (EnumerationOverflow, PresentationError, evaluate_word,
                     parse_presentation, todd_coxeter)
-from .mapcore import (MapFormatError, MapInvariantError, RootedMap,
-                      _genus_symbol, automorphism_group, cells_and_surface, du,
-                      load_map, pe, regular_map_from_group, save_map)
-from .perm import (DEFAULT_ELEMENT_BOUND, BoundExceeded, PermGroup,
-                   format_group_file, normal_closure, parse_group_file)
+from .mapcore import (CONTEXT_WORDS, GENERATOR_NAMES, MapFormatError,
+                      MapInvariantError, RootedMap, _genus_symbol,
+                      automorphism_group, cells_and_surface, du, load_map, pe,
+                      regular_map_from_group, save_map)
+from .perm import (DEFAULT_ELEMENT_BOUND, BoundExceeded, LabeledGenerators,
+                   PermGroup, format_group_file, normal_closure,
+                   parse_group_file)
 from .product import (NotReflexible, parallel_product,
                       smallest_reflexible_cover, totally_symmetric_cover)
 from .quotient import (StabilizerNotContained, k_quotient, monodromy_quotient)
@@ -198,7 +200,7 @@ def _has_context_orders(lg, vec) -> bool:
     at the first word whose order differs.
     """
     images = dict(zip(lg.labels, (g.images for g in lg.generators)))
-    for word, e in zip(degen.CONTEXT_WORDS_PARSED, vec):
+    for word, e in zip(CONTEXT_WORDS, vec):
         letters = [images[name] for name, exp in word for _ in range(exp)]
         point = 0
         for passes in range(1, e + 1):
@@ -292,6 +294,8 @@ def _write_map(m: RootedMap, path: str) -> None:
 
 
 def _words_to_perms(m: RootedMap, words: str):
+    """The permutations of comma-separated letter strings over t, l, r."""
+    lg = LabeledGenerators(GENERATOR_NAMES, m.generators())
     out = []
     for chunk in words.split(","):
         chunk = chunk.strip()
@@ -299,7 +303,7 @@ def _words_to_perms(m: RootedMap, words: str):
             continue
         if any(ch not in "tlr" for ch in chunk):
             raise ValueError(f"subgroup words use letters t, l, r only: {chunk!r}")
-        out.append(m.evaluate(chunk))
+        out.append(evaluate_word(lg, tuple((ch, 1) for ch in chunk)))
     return out
 
 

@@ -19,9 +19,6 @@ from math import lcm
 from .fpres import Presentation, Word, parse_word, todd_coxeter, word_power
 from .mapcore import CONTEXT_WORDS, RootedMap, regular_map_from_group
 
-# The seven words, parsed once for the presentation and census loops.
-CONTEXT_WORDS_PARSED: tuple[Word, ...] = tuple(map(parse_word, CONTEXT_WORDS))
-
 
 @dataclass(frozen=True)
 class ContextVector:
@@ -74,17 +71,17 @@ def lcm_vector_predict(v: ContextVector, w: ContextVector) -> ContextVector:
 
 # Powers of the context words, reused across vector presentations: the
 # census asks for each (word, exponent) pair many times.  The key is an
-# index into CONTEXT_WORDS_PARSED, never a caller's word, and the number of
+# index into CONTEXT_WORDS, never a caller's word, and the number of
 # entries is bounded.
 @lru_cache(maxsize=128, typed=True)
 def _context_power(index: int, exp: int) -> Word:
-    return word_power(CONTEXT_WORDS_PARSED[index], exp)
+    return word_power(CONTEXT_WORDS[index], exp)
 
 
 def vector_presentation(orders) -> Presentation:
     """The presentation <t,l,r | W1^e1 = ... = W7^e7 = 1> for a vector."""
     relators = tuple(_context_power(index, e) for index, e
-                     in zip(range(len(CONTEXT_WORDS_PARSED)), orders))
+                     in zip(range(len(CONTEXT_WORDS)), orders))
     return Presentation(("t", "l", "r"), relators)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fpres import evaluate_word
 from .mapcore import (CellStructure, RootedMap, automorphism_group, cells,
                       simple_reroots)
 from .perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators, Perm, PermGroup,
@@ -295,14 +296,12 @@ TYPE_GENERATORS: dict[str, tuple[str, ...]] = {
     "5": ("sigma_x1", "sigma_x2"),
 }
 
-TYPE_REQUIRED_RELATIONS: dict[str, tuple[tuple[str, ...], ...]] = {
-    "1": (("tau", "tau"), ("lambda", "lambda"), ("theta1", "theta1"),
-          ("tau", "lambda", "tau", "lambda")),
-    "2": (("tau", "tau"), ("theta1", "theta1"), ("theta2", "theta2")),
-    "2ex": (("tau", "tau"),),
-    "3": (("theta1", "theta1"), ("theta2", "theta2"),
-          ("theta3", "theta3"), ("theta4", "theta4")),
-    "4": (("theta2", "theta2"), ("theta4", "theta4")),
+TYPE_REQUIRED_RELATIONS: dict[str, tuple[str, ...]] = {
+    "1": ("tau^2", "lambda^2", "theta1^2", "(tau*lambda)^2"),
+    "2": ("tau^2", "theta1^2", "theta2^2"),
+    "2ex": ("tau^2",),
+    "3": ("theta1^2", "theta2^2", "theta3^2", "theta4^2"),
+    "4": ("theta2^2", "theta4^2"),
     "5": (),
 }
 
@@ -336,9 +335,8 @@ def construct_from_group(type_label: str, g: LabeledGenerators,
             f"type {type_label} needs labels {sorted(expected)}, "
             f"got {sorted(g.labels)}")
     for relation in TYPE_REQUIRED_RELATIONS[type_label]:
-        if not g.evaluate(relation).is_identity():
-            raise RelationViolation(
-                f"required relation {'*'.join(relation)} fails")
+        if not evaluate_word(g, relation).is_identity():
+            raise RelationViolation(f"required relation {relation} fails")
     tables = dict(zip(g.labels, g.group()._right_tables(g.generators, bound)))
 
     def right(label: str, invert: bool = False) -> list[int]:

@@ -4,6 +4,12 @@ Presentations are read from a small text grammar ("gens ..." / "rel ..."
 lines).  Enumeration over the trivial subgroup yields the regular
 permutation representation with generators labeled as declared, which is
 how monodromy groups are realized from relation data.
+
+A word is a tuple of (generator name, nonzero exponent) pairs, read from
+text by ``parse_word``.  ``evaluate_word`` (and ``word_order`` on top of
+it) is the one place a word becomes a permutation: relators, the seven
+context words, the relations of edge-transitive types and command-line
+words all go through it.
 """
 
 from __future__ import annotations
@@ -197,11 +203,6 @@ def parse_presentation(text: str) -> Presentation:
             relators.append(parse_word(line[3:], lineno))
         else:
             raise PresentationError(f"unknown directive {line.split()[0]!r}", lineno)
-    declared = set(gens)
-    for word in relators:
-        for name, _ in word:
-            if name not in declared:
-                raise PresentationError(f"undeclared generator {name!r}")
     return Presentation(tuple(gens), tuple(relators))
 
 
@@ -451,14 +452,15 @@ def word_order(lg: LabeledGenerators, word: Word | str) -> int:
 
 
 def evaluate_word(lg: LabeledGenerators, word: Word | str) -> Perm:
-    """Evaluate a word (left to right) in the labeled generators."""
+    """Evaluate a word (left to right) in the labeled generators; text is
+    parsed first."""
     if isinstance(word, str):
         word = parse_word(word)
-    out = Perm.identity(lg.degree)
     table = lg.as_dict()
+    out = None
     for name, exp in word:
         if name not in table:
             raise ValueError(f"undeclared label {name!r}")
-        g = table[name]
-        out = out * (g if exp == 1 else g ** exp)
-    return out
+        g = table[name] if exp == 1 else table[name] ** exp
+        out = g if out is None else out * g
+    return Perm.identity(lg.degree) if out is None else out

@@ -6,6 +6,10 @@ construction), and a root flag is distinguished.  T exchanges the two
 sides of an edge end, L the two ends, R the two edge positions in a
 vertex-face corner; edges are orbits of <T,L>, vertices of <T,R>, faces
 of <L,R> and Petrie circuits of <TL,R>.
+
+Words over t, l, r are ``fpres`` words, evaluated by ``fpres.evaluate_word``
+on the generators labeled by GENERATOR_NAMES; ``act`` follows a string of
+letters from one flag.
 """
 
 from __future__ import annotations
@@ -14,11 +18,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Literal
 
-from .perm import Perm, PermGroup, _equivariant_map, orbits_of
+from .fpres import Word, parse_word, word_order
+from .perm import (LabeledGenerators, Perm, PermGroup, _equivariant_map,
+                   orbits_of)
 
 GENERATOR_NAMES = ("t", "l", "r")
 # The seven mandatory context words T, L, R, TL, RT, RL, TLR (see degen).
-CONTEXT_WORDS: tuple[str, ...] = ("t", "l", "r", "t*l", "r*t", "r*l", "t*l*r")
+CONTEXT_WORDS: tuple[Word, ...] = tuple(map(parse_word, (
+    "t", "l", "r", "t*l", "r*t", "r*l", "t*l*r")))
 
 
 class MapFormatError(ValueError):
@@ -62,13 +69,6 @@ class RootedMap:
     def generator(self, name: str) -> Perm:
         return {"t": self.t, "l": self.l, "r": self.r}[name.lower()]
 
-    def evaluate(self, word: Iterable[str]) -> Perm:
-        """Evaluate a word over t, l, r (left to right) in the monodromy."""
-        out = Perm.identity(self.n_flags)
-        for ch in word:
-            out = out * self.generator(ch)
-        return out
-
     def act(self, flag: int, word: Iterable[str]) -> int:
         for ch in word:
             flag = self.generator(ch).images[flag]
@@ -95,8 +95,8 @@ class RootedMap:
     def _context_orders(self) -> tuple[int, ...]:
         """Orders of the seven context words, found once per map (see
         degen.context_vector)."""
-        return tuple(self.evaluate(w.replace("*", "")).order()
-                     for w in CONTEXT_WORDS)
+        lg = LabeledGenerators(GENERATOR_NAMES, self.generators())
+        return tuple(word_order(lg, w) for w in CONTEXT_WORDS)
 
     def __repr__(self) -> str:
         return f"RootedMap(n_flags={self.n_flags}, root={self.root})"
@@ -160,16 +160,10 @@ def load_map(text: str) -> RootedMap:
 
 def canonicalize(m: RootedMap) -> RootedMap:
     """Renumber flags by BFS from the root over T, L, R; root becomes 0."""
-    number = {m.root: 0}
-    order = [m.root]
-    gens = m.generators()
-    for x in order:  # grows while it is read: a breadth-first queue
-        for g in gens:
-            y = g.images[x]
-            if y not in number:
-                number[y] = len(order)
-                order.append(y)
-    relabeled = [Perm(number[g.images[x]] for x in order) for g in gens]
+    order = m.monodromy_group().orbit(m.root)
+    number = {x: i for i, x in enumerate(order)}
+    relabeled = [Perm(number[g.images[x]] for x in order)
+                 for g in m.generators()]
     return RootedMap(*relabeled, root=0)
 
 

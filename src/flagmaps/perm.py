@@ -208,10 +208,10 @@ class StabilizerChain:
     the same way.
     """
 
-    def __init__(self, gens: Sequence[Perm], degree: int,
-                 degree_bound: int = DEFAULT_DEGREE_BOUND):
-        if degree > degree_bound:
-            raise BoundExceeded(f"degree {degree} exceeds bound {degree_bound}")
+    def __init__(self, gens: Sequence[Perm], degree: int):
+        if degree > DEFAULT_DEGREE_BOUND:
+            raise BoundExceeded(
+                f"degree {degree} exceeds bound {DEFAULT_DEGREE_BOUND}")
         self.degree = degree
         self.levels: list[_Level] = []
         for g in gens:
@@ -312,9 +312,9 @@ class PermGroup:
     def trivial(degree: int) -> "PermGroup":
         return PermGroup(degree, ())
 
-    def chain(self, degree_bound: int = DEFAULT_DEGREE_BOUND) -> StabilizerChain:
+    def chain(self) -> StabilizerChain:
         if self._chain is None:
-            self._chain = StabilizerChain(self.generators, self.degree, degree_bound)
+            self._chain = StabilizerChain(self.generators, self.degree)
         return self._chain
 
     def is_regular(self) -> bool:
@@ -743,14 +743,6 @@ class LabeledGenerators:
 
     def group(self) -> PermGroup:
         return PermGroup(self.degree, self.generators)
-
-    def evaluate(self, word: Iterable[str]) -> Perm:
-        names = list(word)
-        out = Perm.identity(self.degree)
-        table = self.as_dict()
-        for name in names:
-            out = out * table[name]
-        return out
 
 
 def congruent_labeled_groups(A: LabeledGenerators, B: LabeledGenerators,

@@ -4,7 +4,8 @@ A morphism is stored as its flag surjection; the group epimorphism is
 determined on generators and never materialized.  The K-quotient realizes
 cosets of K concretely as a block system on the flags (the K-orbit of the
 root, pushed around by the monodromy generators), so the monodromy group
-itself is never enumerated.
+itself is never enumerated.  The K of a morphism is recovered from a
+breadth-first transversal of permutations, with no words.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .mapcore import GENERATOR_NAMES, RootedMap, isomorphism
+from .mapcore import RootedMap, isomorphism
 from .perm import Perm, PermGroup, _block_index, is_normal_in
 
 
@@ -185,28 +186,29 @@ class KQuotientCharacterization:
 def morphism_to_k_quotient(phi: MapMorphism) -> KQuotientCharacterization:
     """Recover K with target isomorphic to source/K.
 
-    K is the preimage of the target root stabilizer: Schreier generators of
-    the stabilizer of target.root, for the action of the source monodromy on
-    the target flags, evaluated in the source generators.
+    K is the preimage of the target root stabilizer, for the action of the
+    source monodromy on the target flags.  A breadth-first transversal
+    keeps, for each target flag z, a source monodromy element u[z] taking
+    the target root to z: u[z] = u[y] * s when z = y . g is first reached,
+    where s and g are the same generator of source and target.  K is
+    generated by the Schreier generators u[y] * s * u[y . g]^-1.
     """
     src, tgt = phi.source, phi.target
-    named = list(zip(GENERATOR_NAMES, src.generators(), tgt.generators()))
-    # BFS transversal over target flags: a word over t, l, r per flag.
-    words: dict[int, str] = {tgt.root: ""}
+    pairs = list(zip(src.generators(), tgt.generators()))
+    transversal = {tgt.root: Perm.identity(src.n_flags)}
     reached = [tgt.root]
     for y in reached:  # grows while it is read: a breadth-first queue
-        for name, _, g in named:
+        for s, g in pairs:
             z = g.images[y]
-            if z not in words:
-                words[z] = words[y] + name
+            if z not in transversal:
+                transversal[z] = transversal[y] * s
                 reached.append(z)
+    inverses = {z: u.inverse() for z, u in transversal.items()}
 
     gens: list[Perm] = []
-    for y, word in words.items():
-        u = src.evaluate(word)
-        for _, s, g in named:
-            # generators are involutions, so the inverse word is the reverse
-            schreier = u * s * src.evaluate(words[g.images[y]][::-1])
+    for y, u in transversal.items():
+        for s, g in pairs:
+            schreier = u * s * inverses[g.images[y]]
             if not schreier.is_identity():
                 gens.append(schreier)
     K = PermGroup(src.n_flags, gens)

@@ -203,7 +203,8 @@ def test_criterion_8_property_suites(default_census, random_maps, c4_sphere,
             for word in ("r", "rt", "lr", "tlr", "rl"):
                 if sampled >= 20:
                     break
-                K = PermGroup(m.n_flags, [m.evaluate(word)])
+                K = PermGroup(m.n_flags, [evaluate_word(
+                    tlr(m), tuple((ch, 1) for ch in word))])
                 try:
                     _, phi = k_quotient(m, K)
                 except ValueError:

@@ -1,10 +1,11 @@
 import pytest
 
-from flagmaps import (Perm, PermGroup, automorphism_group,
+from flagmaps import (LabeledGenerators, Perm, PermGroup, automorphism_group,
                       automorphism_quotient, is_reflexible,
                       isomorphism, k_quotient, minimal_normal_subgroups,
                       monodromy_quotient, morphism_to_k_quotient,
                       project_automorphism)
+from flagmaps.fpres import evaluate_word
 from flagmaps.mapcore import automorphism_to
 from flagmaps.quotient import (MapMorphism, NotAnAutomorphism, NotNormal,
                                StabilizerNotContained)
@@ -188,7 +189,9 @@ def test_morphism_factors_through_monodromy_quotient(c4_sphere, subgroup_words):
     # Any morphism factors as (r, Id) . (monodromy projection by ker psi),
     # where r is a further flag morphism whose group part is an isomorphism.
     m = c4_sphere
-    K = PermGroup(m.n_flags, [m.evaluate(w) for w in subgroup_words])
+    lg = LabeledGenerators(("t", "l", "r"), m.generators())
+    K = PermGroup(m.n_flags, [evaluate_word(lg, tuple((ch, 1) for ch in w))
+                              for w in subgroup_words])
     target, phi = k_quotient(m, K)
     kernel = group_kernel_of_morphism(phi)
     mq, mproj = monodromy_quotient(m, kernel)
@@ -201,7 +204,6 @@ def test_morphism_factors_through_monodromy_quotient(c4_sphere, subgroup_words):
     MapMorphism(mq, target, tuple(r[z] for z in range(mq.n_flags)))
     # the group part is an isomorphism: labeled monodromy groups congruent
     from flagmaps import congruent_labeled_groups
-    from flagmaps.perm import LabeledGenerators
     assert congruent_labeled_groups(
         LabeledGenerators(("t", "l", "r"), mq.generators()),
         LabeledGenerators(("t", "l", "r"), target.generators()))
