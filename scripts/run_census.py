@@ -43,6 +43,8 @@ def main() -> int:
     print(f"bounds: |Mon| <= {max_order}, context words <= {context_bound}")
     print(f"kept {len(result.entries)} maps, "
           f"skipped {len(result.skipped)} overflowing candidates")
+    print("outcome counts: " + ", ".join(
+        f"{outcome} {count}" for outcome, count in result.outcome_counts.items()))
     print("\ndegeneracy classes:")
     for name, count in sorted(by_class.items()):
         print(f"  {name:20s} {count}")

@@ -16,8 +16,40 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-from .fpres import Presentation, Word, parse_word, todd_coxeter, word_power
+from .fpres import (Presentation, Word, format_word, parse_word, todd_coxeter,
+                    word_power)
 from .mapcore import CONTEXT_WORDS, RootedMap, regular_map_from_group
+
+
+# FORCED_EQUALITIES[i] lists the pairs of context words (indices into
+# CONTEXT_WORDS) whose orders agree in any group where word i is trivial.
+# t, l, r are involutions, so each trivial word identifies two of them (or
+# one with 1), and then each of the other six words equals another one, its
+# inverse or a conjugate of it (marked ~ below).  For example T = 1 turns
+# RT into R, TL into L and TLR into LR, the inverse of RL; RT = 1 sets
+# r = t and turns RL into TL, TLR into a conjugate of L, and R into T.
+FORCED_EQUALITIES: tuple[tuple[tuple[int, int], ...], ...] = (
+    ((4, 2), (6, 5), (3, 1)),  # T = 1: RT = R, TLR ~ RL, TL = L
+    ((5, 2), (3, 0), (6, 4)),  # L = 1: RL = R, TL = T, TLR ~ RT
+    ((4, 0), (5, 1), (6, 3)),  # R = 1: RT = T, RL = L, TLR = TL
+    ((0, 1), (5, 4), (6, 2)),  # TL = 1: T = L, RL = RT, TLR = R
+    ((5, 3), (6, 1), (2, 0)),  # RT = 1: RL = TL, TLR ~ L, R = T
+    ((4, 3), (6, 0), (2, 1)),  # RL = 1: RT ~ TL, TLR = T, R = L
+    ((4, 1), (5, 0), (2, 3)),  # TLR = 1: RT = L, RL ~ T, R ~ TL
+)
+
+
+def broken_forcing(orders) -> tuple[int, int, int] | None:
+    """The first (i, a, b) with word i of order 1 but words a and b of
+    different orders, or None.  In no group do the seven context words
+    have orders that break a row, so such a candidate vector is
+    insufficient whatever group it presents."""
+    for i, pairs in enumerate(FORCED_EQUALITIES):
+        if orders[i] == 1:
+            for a, b in pairs:
+                if orders[a] != orders[b]:
+                    return i, a, b
+    return None
 
 
 @dataclass(frozen=True)
@@ -29,11 +61,13 @@ class ContextVector:
     def __post_init__(self):
         if len(self.orders) != 7 or any(e < 1 for e in self.orders):
             raise ValueError("need seven positive orders")
-        e1, e2, e3, e4 = self.orders[:4]
-        if max(e1, e2, e3, e4) > 2:
+        if max(self.orders[:4]) > 2:
             raise ValueError("orders of T, L, R, TL are at most 2")
-        if e4 == 1 and e1 != e2:
-            raise ValueError("TL trivial forces T and L to share an order")
+        broken = broken_forcing(self.orders)
+        if broken is not None:
+            i, a, b = map(format_word, map(CONTEXT_WORDS.__getitem__, broken))
+            raise ValueError(
+                f"{i} trivial forces {a} and {b} to share an order")
 
     def __iter__(self):
         return iter(self.orders)

@@ -86,14 +86,18 @@ class Perm:
     def __pow__(self, n: int) -> "Perm":
         if n < 0:
             return self.inverse() ** (-n)
-        result = Perm.identity(len(self.images))
+        if n == 0:
+            return _perm(tuple(range(len(self.images))))
+        # square only while higher bits remain
+        result = None
         square = self
-        while n:
+        while True:
             if n & 1:
-                result = result * square
-            square = square * square
+                result = square if result is None else result * square
             n >>= 1
-        return result
+            if not n:
+                return result
+            square = square * square
 
     def is_identity(self) -> bool:
         return self.images == tuple(range(len(self.images)))

@@ -6,8 +6,10 @@ import pytest
 from flagmaps import (analyze_map, build_degenerate, census_reflexible,
                       congruent_labeled_groups, isomorphism, load_map,
                       save_map)
-from flagmaps.cli import (CENSUS_OUTCOMES, candidate_vectors, main,
-                          write_census)
+from flagmaps.cli import (CENSUS_OUTCOMES, _has_context_orders,
+                          candidate_vectors, main, write_census)
+from flagmaps.degen import broken_forcing, vector_presentation
+from flagmaps.fpres import EnumerationOverflow, todd_coxeter
 from flagmaps.mapcore import MapFormatError
 from flagmaps.perm import LabeledGenerators
 
@@ -363,6 +365,11 @@ def test_census_outcome_counts(tmp_path):
     counts = result.outcome_counts
     assert set(counts) == set(CENSUS_OUTCOMES)
     assert sum(counts.values()) == len(list(candidate_vectors(6))) == 2592
+    # the forced-equality rule runs before enumeration, so twelve
+    # candidates whose groups exceed order 8 count as insufficient
+    assert counts == {"overflow": 17, "order_too_large": 43,
+                      "insufficient_context": 2510, "duplicate": 0,
+                      "kept": 22}
     assert counts["kept"] == len(result.entries)
     assert counts["overflow"] == len(result.skipped)
     # a kept map's context vector is its candidate vector, and candidate
@@ -383,12 +390,32 @@ def test_default_census_outcomes(default_census):
     assert (2, 2, 2, 2, 3, 8, 9) in default_census.skipped
 
 
+@pytest.mark.parametrize("max_order, context_bound", [(24, 6), (8, 8)])
+def test_forced_insufficient_candidates_fail_on_the_full_path(
+        max_order, context_bound):
+    # a candidate the census rules out unenumerated would have been
+    # dropped by enumeration too: it overflows, is too large, or some word
+    # order differs from the vector
+    max_cosets = 8 * max_order + 256
+    ruled_out = 0
+    for vec in candidate_vectors(context_bound):
+        if broken_forcing(vec) is None:
+            continue
+        ruled_out += 1
+        try:
+            lg, order = todd_coxeter(vector_presentation(vec),
+                                     max_cosets=max_cosets)
+        except EnumerationOverflow:
+            continue
+        assert order > max_order or not _has_context_orders(lg, vec), vec
+    assert ruled_out > 0
+
+
 def pairwise_census_vectors(max_order, context_bound):
     """The census kept-vector list with duplicates found by pairwise labeled
     congruence against every earlier entry (the reference dedupe)."""
-    from flagmaps import todd_coxeter, word_order
-    from flagmaps.degen import CONTEXT_WORDS, vector_presentation
-    from flagmaps.fpres import EnumerationOverflow
+    from flagmaps import word_order
+    from flagmaps.degen import CONTEXT_WORDS
     kept, groups = [], []
     for vec in candidate_vectors(context_bound):
         try:

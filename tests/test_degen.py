@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,10 +8,13 @@ from flagmaps import (ContextVector, build_degenerate,
                       build_slightly_degenerate, cells_and_surface,
                       classify_degeneracy, context_vector, du,
                       isomorphism, lcm_vector_predict, parallel_product, pe)
-from flagmaps.degen import (classify_vector, dm_group_order, dm_vector,
+from flagmaps.degen import (DM_FIXED, DM_PARAMETRIC, broken_forcing,
+                            classify_vector, dm_group_order, dm_vector,
                             slightly_degenerate_presentation)
 from flagmaps.fpres import evaluate_word
 from flagmaps.perm import LabeledGenerators
+
+from .conftest import random_rooted_map
 
 
 def test_context_vector_dm6_5():
@@ -29,6 +34,29 @@ def test_context_vector_validation():
         ContextVector((3, 2, 2, 2, 2, 2, 2))  # e1 > 2
     with pytest.raises(ValueError):
         ContextVector((1, 2, 2, 1, 2, 2, 2))  # e4 = 1 but e1 != e2
+    with pytest.raises(ValueError, match="t trivial forces r.t and r "):
+        ContextVector((1, 2, 2, 2, 3, 2, 2))  # e1 = 1 but e5 != e3
+
+
+def test_real_context_vectors_satisfy_forced_equalities(
+        default_census, tetrahedron, geometric_tetrahedron, c4_sphere,
+        fig3_quotient, constructions, random_maps):
+    rng = random.Random(20261018)
+    maps = [tetrahedron, geometric_tetrahedron, c4_sphere, fig3_quotient]
+    maps += [m for _, m in constructions]
+    maps += random_maps
+    maps += [random_rooted_map(rng, rng.randint(1, 3)) for _ in range(300)]
+    maps += [build_degenerate(index) for index in DM_FIXED]
+    maps += [build_degenerate(index, k)
+             for index in DM_PARAMETRIC for k in range(1, 9)]
+    maps += [build_slightly_degenerate(family, k)
+             for family in ("epsilon", "delta") for k in range(2, 9)]
+    maps += [entry.map for entry in default_census.entries]
+    for m in maps:
+        assert broken_forcing(m._context_orders) is None, m._context_orders
+    # every row is exercised: each context word is trivial in some map
+    assert {i for m in maps for i, e in enumerate(m._context_orders)
+            if e == 1} == set(range(7))
 
 
 def test_classify_degenerate():

@@ -36,6 +36,15 @@ def test_inverse_and_order(p):
         assert not (p ** k).is_identity()
 
 
+@given(st.integers(0, 8).flatmap(perm_strategy), st.integers(-6, 40))
+def test_power_matches_repeated_multiplication(p, n):
+    base = p if n >= 0 else p.inverse()
+    expected = Perm.identity(p.degree)
+    for _ in range(abs(n)):
+        expected = expected * base
+    assert p ** n == expected
+
+
 def test_perm_rejects_non_bijection():
     with pytest.raises(ValueError):
         Perm([0, 0, 1])

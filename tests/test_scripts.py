@@ -31,6 +31,8 @@ def test_script_runs(tmp_path, name, args):
     done = run_script(name, *(a.format(out=tmp_path / "census") for a in args))
     assert done.returncode == 0, done.stderr
     assert done.stdout
+    if name == "run_census.py":
+        assert "outcome counts: overflow " in done.stdout
 
 
 @pytest.mark.parametrize("name", ["dm_decomposability.py", "run_census.py"])
