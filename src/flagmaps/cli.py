@@ -22,9 +22,9 @@ from .degen import (ContextVector, broken_forcing, context_vector,
 from .fpres import (EnumerationOverflow, PresentationError, evaluate_word,
                     parse_presentation, todd_coxeter)
 from .mapcore import (CONTEXT_WORDS, GENERATOR_NAMES, MapFormatError,
-                      MapInvariantError, RootedMap, _genus_symbol,
-                      automorphism_group, cells_and_surface, du, load_map, pe,
-                      regular_map_from_group, save_map)
+                      MapInvariantError, RootedMap, automorphism_group,
+                      cells_and_surface, du, genus_symbol, is_reflexible,
+                      load_map, pe, regular_map_from_group, save_map)
 from .perm import (DEFAULT_ELEMENT_BOUND, BoundExceeded, LabeledGenerators,
                    PermGroup, format_group_file, normal_closure,
                    parse_group_file)
@@ -94,33 +94,31 @@ class AnalysisReport:
 
 
 def analyze_map(m: RootedMap) -> AnalysisReport:
-    """Every fact of the report, each computed once: one Mon serves the
-    reflexibility test, the genus symbol, the decomposability search and
-    the order; one set of cell partitions serves the surface, the genus
-    symbol, the type and the map symbol; and the Aut generators and
-    context vector are kept on m."""
-    mon = m.monodromy_group()
-    reflexible = mon.is_regular()
+    """Every fact of the report, each computed once: the surface, the Aut
+    generators and the context vector are kept on m and shared with its
+    re-rootings, and the one Mon built here serves the decomposability
+    search and its own order.  Reflexibility is read three independent
+    ways, which must agree: the root's Aut-orbit, |Aut| and |Mon|."""
     surface = cells_and_surface(m)
     vec = context_vector(m)
-    gsym = _genus_symbol(m, reflexible, surface)
-    aut = automorphism_group(m)
-    classified = ettype._classify_type(m, surface.cells.edges)
+    gsym = genus_symbol(m)
+    classified = ettype.classify_type(m)
     degeneracy = degen.classify_vector(vec)
     symbol = None
     if classified is not None and degeneracy != "degenerate":
+        label, rooted = classified
         try:
-            symbol = str(ettype._map_symbol(classified[1], classified[0],
-                                            surface.cells))
+            symbol = str(ettype.map_symbol(rooted, label))
         except ettype.SymbolConditionFailed:
             pass  # boundary-degenerate cells can miss the type's condition
+    mon = m.monodromy_group()
     verdict = _decomposability_general(m, mon, DEFAULT_ELEMENT_BOUND)
     report = AnalysisReport(
         n_flags=m.n_flags,
         n_edges=len(surface.cells.edges),
         monodromy_order=mon.order(),
-        automorphism_order=aut.order(),
-        reflexible=reflexible,
+        automorphism_order=automorphism_group(m).order(),
+        reflexible=is_reflexible(m),
         degeneracy=degeneracy,
         context_vector=vec.orders,
         orientability=surface.orientability,
@@ -133,7 +131,9 @@ def analyze_map(m: RootedMap) -> AnalysisReport:
         map_symbol=symbol,
         decomposability=verdict.to_json_dict(),
     )
-    if report.reflexible != (report.automorphism_order == report.n_flags):
+    n = report.n_flags
+    if not (report.reflexible == (report.automorphism_order == n)
+            == (report.monodromy_order == n)):
         raise RuntimeError("inconsistent reflexibility in report")
     return report
 

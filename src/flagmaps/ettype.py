@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .degen import classify_degeneracy
 from .fpres import evaluate_word
-from .mapcore import (CellStructure, RootedMap, automorphism_group, cells,
-                      simple_reroots)
+from .mapcore import RootedMap, automorphism_group, cells, simple_reroots
 from .perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators, Perm, PermGroup,
                    _block_index)
 
@@ -102,26 +102,17 @@ class RelationViolation(ValueError):
 
 
 def named_automorphisms_present(m: RootedMap) -> frozenset[str]:
-    """Which of the thirteen named automorphisms m contains at its root."""
-    return _named_automorphisms(m, automorphism_group(m))
-
-
-def _named_automorphisms(m: RootedMap, aut: PermGroup) -> frozenset[str]:
-    """named_automorphisms_present, given Aut(m).  Some automorphism takes
-    the root to root.W exactly when root.W lies in the root's Aut-orbit."""
-    orbit = set(aut.orbit(m.root))
+    """Which of the thirteen named automorphisms m contains at its root.
+    Some automorphism takes the root to root.W exactly when root.W lies in
+    the root's Aut-orbit."""
+    orbit = set(automorphism_group(m).orbit(m.root))
     return frozenset(name for name, word in NAMED_AUTOMORPHISM_WORDS.items()
                      if m.act(m.root, word) in orbit)
 
 
 def is_edge_transitive(m: RootedMap) -> bool:
     """Whether Aut(m) is transitive on the edge set."""
-    return _is_edge_transitive(m, cells(m).edges)
-
-
-def _is_edge_transitive(m: RootedMap,
-                        edge_blocks: tuple[tuple[int, ...], ...]) -> bool:
-    """is_edge_transitive, given m's edge partition."""
+    edge_blocks = cells(m).edges
     if len(edge_blocks) == 1:
         return True
     edge_of = _block_index(edge_blocks, m.n_flags)
@@ -152,19 +143,14 @@ def classify_type(m: RootedMap) -> tuple[str, RootedMap] | None:
 
     The four simple re-rootings are tried in the order root, root.T,
     root.L, root.TL; the first whose named-automorphism set equals a type
-    row wins.  Aut is the same group at every rooting.
+    row wins.  Aut is the same group at every rooting, so it is found on m
+    before re-rooting, and each re-rooting shares it.
     """
-    return _classify_type(m, cells(m).edges)
-
-
-def _classify_type(m: RootedMap, edge_blocks: tuple[tuple[int, ...], ...],
-                   ) -> tuple[str, RootedMap] | None:
-    """classify_type, given m's edge partition."""
-    if not _is_edge_transitive(m, edge_blocks):
+    if not is_edge_transitive(m):
         return None
-    aut = automorphism_group(m)
+    automorphism_group(m)
     for candidate in simple_reroots(m):
-        present = _named_automorphisms(candidate, aut)
+        present = named_automorphisms_present(candidate)
         for label, required in TYPE_TABLE.items():
             if present == required:
                 return label, candidate
@@ -210,24 +196,15 @@ def map_symbol(m: RootedMap, type_label: str | None = None) -> MapSymbol:
     conditions of the detected type are checked; a failing one raises
     ``SymbolConditionFailed``.
     """
-    from .degen import classify_degeneracy  # local import; degen builds on mapcore
-
     if classify_degeneracy(m) == "degenerate":
         raise DegenerateSymbolAdvisory(
             "map symbol is certified for non-degenerate maps only")
-    cs = cells(m)
     if type_label is None:
-        classified = _classify_type(m, cs.edges)
+        classified = classify_type(m)
         if classified is None:
             raise ValueError("map is not edge-transitive")
         type_label, m = classified
-    return _map_symbol(m, type_label, cs)
-
-
-def _map_symbol(m: RootedMap, type_label: str, cs: CellStructure) -> MapSymbol:
-    """map_symbol of a map known not to be degenerate, given its type and
-    its cell partitions.  Neither depends on the root, so a re-rooted map
-    shares them."""
+    cs = cells(m)
     aut = automorphism_group(m)
     symbol = MapSymbol(
         a=_orbit_sizes_by_aut(m, cs.vertices, aut),

@@ -98,6 +98,31 @@ class RootedMap:
         lg = LabeledGenerators(GENERATOR_NAMES, self.generators())
         return tuple(word_order(lg, w) for w in CONTEXT_WORDS)
 
+    @cached_property
+    def _surface(self) -> SurfaceInfo:
+        """Cells and surface, found once per map (see cells_and_surface)."""
+        n = self.n_flags
+        t, l, r = self.generators()
+        as_tuples = lambda blocks: tuple(tuple(b) for b in blocks)
+        cs = CellStructure(
+            vertices=as_tuples(orbits_of((t, r), n)),
+            edges=as_tuples(orbits_of((t, l), n)),
+            faces=as_tuples(orbits_of((l, r), n)),
+            petrie_circuits=as_tuples(orbits_of((t * l, r), n)),
+        )
+        chi = len(cs.vertices) - len(cs.edges) + len(cs.faces)
+        degenerate = any(p.fixed_points() for p in (t, l, r, t * l))
+        n_or = len(orbits_of((r * t, r * l), n))
+        kind, genus = _surface_kind_and_genus(chi, n_or)
+        return SurfaceInfo(
+            cells=cs,
+            orientability="boundary-degenerate" if degenerate else kind,
+            euler_characteristic=chi,
+            signed_genus=genus,
+            orientation_orbits=n_or,
+            genus_advisory=degenerate,
+        )
+
     def __repr__(self) -> str:
         return f"RootedMap(n_flags={self.n_flags}, root={self.root})"
 
@@ -203,15 +228,7 @@ class SurfaceInfo:
 
 
 def cells(m: RootedMap) -> CellStructure:
-    n = m.n_flags
-    t, l, r = m.generators()
-    as_tuples = lambda blocks: tuple(tuple(b) for b in blocks)
-    return CellStructure(
-        vertices=as_tuples(orbits_of((t, r), n)),
-        edges=as_tuples(orbits_of((t, l), n)),
-        faces=as_tuples(orbits_of((l, r), n)),
-        petrie_circuits=as_tuples(orbits_of((m.t * m.l, r), n)),
-    )
+    return m._surface.cells
 
 
 def _surface_kind_and_genus(chi: int, orientation_orbits: int) -> tuple[str, int]:
@@ -223,26 +240,14 @@ def _surface_kind_and_genus(chi: int, orientation_orbits: int) -> tuple[str, int
 
 
 def cells_and_surface(m: RootedMap) -> SurfaceInfo:
-    """Cell counts, Euler characteristic and the signed genus.
+    """Cell counts, Euler characteristic and the signed genus, found once
+    per map and kept on it.
 
     The closed-surface reading needs T, L, R and TL fixed-point-free; when
     any has a fixed point the result is flagged boundary-degenerate and the
     genus numbers are advisory only.
     """
-    cs = cells(m)
-    chi = len(cs.vertices) - len(cs.edges) + len(cs.faces)
-    t, l, r = m.generators()
-    degenerate = any(p.fixed_points() for p in (t, l, r, t * l))
-    n_or = len(orbits_of((m.r * m.t, m.r * m.l), m.n_flags))
-    kind, genus = _surface_kind_and_genus(chi, n_or)
-    return SurfaceInfo(
-        cells=cs,
-        orientability="boundary-degenerate" if degenerate else kind,
-        euler_characteristic=chi,
-        signed_genus=genus,
-        orientation_orbits=n_or,
-        genus_advisory=degenerate,
-    )
+    return m._surface
 
 
 # --- triality ---------------------------------------------------------------
@@ -310,12 +315,10 @@ def automorphism_to(m: RootedMap, d: int) -> Perm | None:
 
 
 def is_reflexible(m: RootedMap) -> bool:
-    """Aut regular on flags.
-
-    Aut is the centralizer of the transitive Mon, and it is regular exactly
-    when Mon is.
-    """
-    return m.monodromy_group().is_regular()
+    """Aut regular on flags: the root's Aut-orbit is every flag.  Aut is
+    semiregular, so this reads the generators kept on m and builds no
+    Mon."""
+    return len(automorphism_group(m).orbit(m.root)) == m.n_flags
 
 
 def automorphism_group(m: RootedMap) -> PermGroup:
@@ -332,8 +335,17 @@ def automorphism_group(m: RootedMap) -> PermGroup:
 
 # --- re-rooting -------------------------------------------------------------
 
+# The facts kept on a map that do not depend on its root.
+_ROOT_FREE_FACTS = ("_surface", "_automorphism_generators", "_context_orders")
+
+
 def reroot(m: RootedMap, flag: int) -> RootedMap:
-    return RootedMap(m.t, m.l, m.r, flag)
+    """m rooted at flag, sharing the root-free facts m has already found:
+    its surface, the generators of Aut and the context orders."""
+    out = RootedMap(m.t, m.l, m.r, flag)
+    out.__dict__.update((name, value) for name, value in vars(m).items()
+                        if name in _ROOT_FREE_FACTS)
+    return out
 
 
 def simple_reroots(m: RootedMap) -> list[RootedMap]:
@@ -423,16 +435,11 @@ def _iso_pattern(m: RootedMap, reflexible: bool,
 
 
 def genus_symbol(m: RootedMap) -> GenusSymbol:
-    return _genus_symbol(m, is_reflexible(m), cells_and_surface(m))
-
-
-def _genus_symbol(m: RootedMap, reflexible: bool,
-                  surface: SurfaceInfo) -> GenusSymbol:
-    """genus_symbol, given whether m is reflexible and m's surface.  Every
-    composite has the generators T, L, R and TL up to order, so m's
-    boundary degeneracy is theirs."""
+    """Every composite has the generators T, L, R and TL up to order, so
+    m's boundary degeneracy is theirs."""
+    surface = cells_and_surface(m)
     invariants = _composite_invariants(m, surface)
-    iso = _iso_pattern(m, reflexible, invariants)
+    iso = _iso_pattern(m, is_reflexible(m), invariants)
     return GenusSymbol(
         genera=tuple(_surface_kind_and_genus(v - e + f, n_or)[1]
                      for v, e, f, _, n_or in invariants),

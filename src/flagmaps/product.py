@@ -41,7 +41,10 @@ class ProductWitness:
 
 
 def parallel_product(m: RootedMap, n: RootedMap) -> ProductWitness:
-    """Breadth-first orbit of (root, root) under (T,T), (L,L), (R,R)."""
+    """Breadth-first orbit of (root, root) under (T,T), (L,L), (R,R).
+
+    Raises BoundExceeded as soon as the orbit passes DEFAULT_ELEMENT_BOUND
+    flags, before any product map is built."""
     pairs: dict[tuple[int, int], int] = {(m.root, n.root): 0}
     order: list[tuple[int, int]] = [(m.root, n.root)]
     gen_pairs = list(zip(m.generators(), n.generators()))
@@ -49,6 +52,9 @@ def parallel_product(m: RootedMap, n: RootedMap) -> ProductWitness:
         for gm, gn in gen_pairs:
             z = (gm.images[x], gn.images[y])
             if z not in pairs:
+                if len(order) == DEFAULT_ELEMENT_BOUND:
+                    raise BoundExceeded(
+                        f"parallel product exceeds {DEFAULT_ELEMENT_BOUND} flags")
                 pairs[z] = len(order)
                 order.append(z)
     perms = [Perm(pairs[(gm.images[x], gn.images[y])] for x, y in order)
@@ -59,17 +65,13 @@ def parallel_product(m: RootedMap, n: RootedMap) -> ProductWitness:
     return ProductWitness(product, left, right, tuple(order))
 
 
-def fold_parallel_product(maps: list[RootedMap],
-                          bound: int = DEFAULT_ELEMENT_BOUND) -> RootedMap:
+def fold_parallel_product(maps: list[RootedMap]) -> RootedMap:
     """Left fold of the parallel product over a nonempty list of maps."""
     if not maps:
         raise ValueError("need at least one map")
     current = maps[0]
     for other in maps[1:]:
         current = parallel_product(current, other).product
-        if current.n_flags > bound:
-            raise BoundExceeded(
-                f"iterated product exceeds {bound} flags")
     return current
 
 
@@ -81,16 +83,14 @@ def smallest_reflexible_cover(m: RootedMap,
     return RootedMap(*map(Perm, tables), root=0)
 
 
-def total_parallel_product(m: RootedMap,
-                           bound: int = DEFAULT_ELEMENT_BOUND) -> RootedMap:
+def total_parallel_product(m: RootedMap) -> RootedMap:
     """Parallel product of all n_flags re-rootings (ascending root flag).
 
     Cross-checked against the regular-representation cover, which it must
     equal up to rooted isomorphism.
     """
-    result = fold_parallel_product(
-        [reroot(m, f) for f in range(m.n_flags)], bound)
-    cover = smallest_reflexible_cover(m, bound)
+    result = fold_parallel_product([reroot(m, f) for f in range(m.n_flags)])
+    cover = smallest_reflexible_cover(m)
     if isomorphism(result, cover, mode="generalized") is None:
         raise RuntimeError(
             "total parallel product differs from the regular-representation "
@@ -98,10 +98,9 @@ def total_parallel_product(m: RootedMap,
     return result
 
 
-def totally_symmetric_cover(m: RootedMap,
-                            bound: int = DEFAULT_ELEMENT_BOUND) -> RootedMap:
+def totally_symmetric_cover(m: RootedMap) -> RootedMap:
     """Parallel product over the triality class of a reflexible map: the
     unique minimal self-dual self-Petrie reflexible cover."""
     if not is_reflexible(m):
         raise NotReflexible("totally symmetric cover needs a reflexible map")
-    return fold_parallel_product(triality_class(m), bound)
+    return fold_parallel_product(triality_class(m))

@@ -120,15 +120,9 @@ def monodromy_quotient(m: RootedMap, H: PermGroup) -> tuple[RootedMap, MapMorphi
 
     All automorphisms of m project along the returned morphism.
     """
-    return _monodromy_quotient(m, m.monodromy_group(), H)
-
-
-def _monodromy_quotient(m: RootedMap, mon: PermGroup,
-                        H: PermGroup) -> tuple[RootedMap, MapMorphism]:
-    """monodromy_quotient on a given Mon(m), so that one Mon, and its
-    stabilizer chain, serves several quotients."""
     if H.degree != m.n_flags:
         raise ValueError("H must act on the flags of m")
+    mon = m.monodromy_group()
     for g in H.generators:
         if g not in mon:
             raise NotNormal("H is not a subgroup of the monodromy group")

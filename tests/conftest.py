@@ -1,4 +1,5 @@
 import random
+from functools import cached_property
 from itertools import combinations
 
 import pytest
@@ -20,6 +21,22 @@ L 2 3 0 1 6 7 4 5
 R 1 0 4 3 2 5 7 6
 root 0
 """
+
+
+def count_fact_runs(mp, name):
+    """The maps on which RootedMap's kept fact ``name`` (a cached property)
+    is computed from now on, recorded through the MonkeyPatch ``mp``."""
+    runs = []
+    find = vars(RootedMap)[name].func
+
+    def counted(m):
+        runs.append(m)
+        return find(m)
+
+    fact = cached_property(counted)
+    fact.__set_name__(RootedMap, name)
+    mp.setattr(RootedMap, name, fact)
+    return runs
 
 
 def map_from_vector(vec):

@@ -3,9 +3,9 @@ import time
 
 import pytest
 
-from flagmaps import (analyze_map, build_degenerate, census_reflexible,
-                      congruent_labeled_groups, isomorphism, load_map,
-                      save_map)
+from flagmaps import (analyze_map, build_degenerate, build_slightly_degenerate,
+                      census_reflexible, congruent_labeled_groups,
+                      isomorphism, load_map, save_map)
 from flagmaps.cli import (CENSUS_OUTCOMES, _has_context_orders,
                           candidate_vectors, main, write_census)
 from flagmaps.degen import broken_forcing, vector_presentation
@@ -159,6 +159,15 @@ def test_cover_command(capsys, tmp_path, fig3_quotient, c4_sphere):
     assert isomorphism(cover, c4_sphere, mode="generalized") is not None
 
 
+def test_cover_totally_symmetric_past_the_bound(capsys, tmp_path):
+    src = tmp_path / "delta100.map"
+    src.write_text(save_map(build_slightly_degenerate("delta", 100)))
+    code, _, err = run_cli(capsys, "cover", str(src), "--totally-symmetric",
+                           "-o", str(tmp_path / "cover.map"))
+    assert code == 2
+    assert "resource bound exceeded" in err
+
+
 def test_cover_totally_symmetric(capsys, tmp_path, tetrahedron):
     src = tmp_path / "tet.map"
     src.write_text(save_map(tetrahedron))
@@ -310,11 +319,15 @@ def test_analysis_report_consistency(tetrahedron):
 
 
 def test_analysis_builds_one_monodromy_group(monkeypatch, tetrahedron,
-                                             fig3_quotient, random_maps):
-    # an indecomposable map needs no quotient, whose check builds its own
+                                             fig3_quotient, c4_sphere,
+                                             random_maps):
+    # a cold map: one Mon, one surface and one Aut generator search serve
+    # the whole report, the decomposition of a decomposable map included
     from flagmaps import RootedMap, decomposability_general
     from flagmaps.degen import context_vector
     from flagmaps.mapcore import genus_symbol, is_reflexible
+
+    from .conftest import count_fact_runs
     built = []
     original = RootedMap.monodromy_group
 
@@ -322,24 +335,29 @@ def test_analysis_builds_one_monodromy_group(monkeypatch, tetrahedron,
         built.append(m)
         return original(m)
 
-    for m in [tetrahedron, fig3_quotient] + random_maps[:15]:
+    decomposable = 0
+    for m in [tetrahedron, fig3_quotient, c4_sphere, build_degenerate(6, 6)
+              ] + random_maps[:15]:
+        copy = RootedMap(*m.generators(), root=m.root)
+        expected = (decomposability_general(copy).to_json_dict(),
+                    is_reflexible(copy), copy.monodromy_group().order())
+        gsym = genus_symbol(copy)
+        decomposable += bool(expected[0]["decomposable"])
         m = RootedMap(*m.generators(), root=m.root)
-        expected = (decomposability_general(m).to_json_dict(), is_reflexible(m),
-                    original(m).order(), genus_symbol(m))
-        if expected[0]["decomposable"]:
-            continue
-        monkeypatch.setattr(RootedMap, "monodromy_group", counted)
-        built.clear()
-        report = analyze_map(m)
-        monkeypatch.undo()
-        assert len(built) == 1
+        with monkeypatch.context() as mp:
+            mp.setattr(RootedMap, "monodromy_group", counted)
+            surfaces = count_fact_runs(mp, "_surface")
+            searches = count_fact_runs(mp, "_automorphism_generators")
+            built.clear()
+            report = analyze_map(m)
+        assert built == surfaces == searches == [m]
         assert (report.decomposability, report.reflexible,
-                report.monodromy_order) == expected[:3]
+                report.monodromy_order) == expected
         assert (report.genus_symbol, report.isomorphism_symbol,
-                report.hexagonal_number) == (expected[3].genera,
-                                             expected[3].iso_symbol,
-                                             expected[3].hexagonal_number)
-        assert report.context_vector == context_vector(m).orders
+                report.hexagonal_number) == (gsym.genera, gsym.iso_symbol,
+                                             gsym.hexagonal_number)
+        assert report.context_vector == context_vector(copy).orders
+    assert decomposable >= 2
 
 
 def test_census_contents_honor_context_sufficiency(default_census):

@@ -6,7 +6,7 @@ from flagmaps import (PermGroup, build_degenerate, build_slightly_degenerate,
                       congruent_labeled_groups, decomposability_edge_transitive,
                       decomposability_general, decomposability_reflexible,
                       decompose_with_certificate, du, isomorphism, k_quotient,
-                      load_map, parallel_product, pe)
+                      load_map, monodromy_quotient, parallel_product, pe)
 from flagmaps.decomp import NotEdgeTransitive
 from flagmaps.perm import LabeledGenerators
 from flagmaps.product import NotReflexible
@@ -134,6 +134,34 @@ def test_reflexible_agrees_with_general(default_census):
             decomposability_general(m))
         verdicts.add(reflexible.decomposable)
     assert verdicts == {False, True}
+
+
+def test_factors_are_the_checked_monodromy_quotients(constructions):
+    # the search quotients by the witnesses' orbits without checking them
+    # again; the public, checked route must give the same factors
+    maps = [build_degenerate(index, k) for index in (6, 7, 8)
+            for k in range(1, 13)]
+    maps += [build_slightly_degenerate(family, k)
+             for family in ("epsilon", "delta") for k in range(2, 13)]
+    maps += [m for _, m in constructions]
+    decomposable = 0
+    for m in maps:
+        verdict = decomposability_general(m)
+        if not verdict.decomposable:
+            continue
+        decomposable += 1
+        for H, factor in zip(verdict.witnesses, verdict.factors):
+            quotient, _ = monodromy_quotient(m, H)
+            assert (quotient.generators() + (quotient.root,)
+                    == factor.generators() + (factor.root,))
+        product = parallel_product(*verdict.factors).product
+        cert = verdict.certificate
+        assert sorted(cert) == list(range(m.n_flags))
+        assert cert[product.root] == m.root
+        for gp, gm in zip(product.generators(), m.generators()):
+            assert all(cert[gp.images[x]] == gm.images[cert[x]]
+                       for x in range(m.n_flags))
+    assert decomposable >= 10
 
 
 def test_edge_transitive_route_reflexible(tetrahedron, c4_sphere):

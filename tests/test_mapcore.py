@@ -6,16 +6,17 @@ from hypothesis import strategies as st
 
 from flagmaps import (Perm, RootedMap, automorphism_group,
                       build_degenerate, build_slightly_degenerate, canonicalize,
-                      cells, cells_and_surface, classify_type, du,
-                      genus_symbol, is_reflexible, isomorphism, load_map,
-                      named_automorphisms_present, pe, regular_map_from_group,
-                      reroot, save_map, simple_reroots, triality_class)
+                      cells, cells_and_surface, classify_type, context_vector,
+                      du, genus_symbol, is_reflexible, isomorphism, load_map,
+                      map_symbol, named_automorphisms_present, pe,
+                      regular_map_from_group, reroot, save_map, simple_reroots,
+                      triality_class)
 from flagmaps.mapcore import (MapFormatError, MapInvariantError,
                               _composite_invariants, triality_composites)
 from flagmaps.perm import LabeledGenerators, congruent_labeled_groups
 
 from . import oracles
-from .conftest import map_from_vector, random_rooted_map
+from .conftest import count_fact_runs, map_from_vector, random_rooted_map
 from .oracles import automorphisms_brute
 
 DM9_LOOKING_TEXT = """flags 4
@@ -257,6 +258,54 @@ def test_reroots_in_distinct_orbits_not_isomorphic(fig3_quotient):
     # same orbit: isomorphic
     c = reroot(fig3_quotient, orbits[0][-1])
     assert isomorphism(a, c, mode="rooted") is not None
+
+
+def reroot_facts(m):
+    """Every fact of m that reroot may share or that depends on the root."""
+    classified = classify_type(m)
+    try:
+        symbol = str(map_symbol(m))
+    except ValueError as exc:  # degenerate, not edge-transitive or failing
+        symbol = f"{type(exc).__name__}: {exc}"
+    return (cells_and_surface(m), context_vector(m), is_reflexible(m),
+            named_automorphisms_present(m),
+            classified and (classified[0], classified[1].root,
+                            classified[1].generators()),
+            symbol, genus_symbol(m))
+
+
+def check_reroot_shares_root_free_facts(m, flags):
+    cells_and_surface(m), context_vector(m), automorphism_group(m)
+    for f in flags:
+        with pytest.MonkeyPatch.context() as mp:
+            runs = [count_fact_runs(mp, name) for name in (
+                "_surface", "_automorphism_generators", "_context_orders")]
+            shared = reroot(m, f)
+            shared_facts = reroot_facts(shared)
+            shared_aut = automorphism_group(shared)
+            assert runs == [[], [], []]  # found once, on m
+        cold = RootedMap(m.t, m.l, m.r, f)
+        assert shared_facts == reroot_facts(cold)
+        assert shared_aut == automorphism_group(cold)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.data())
+def test_reroot_shares_root_free_facts_of_random_maps(seed, n_edges, data):
+    import random as _random
+    m = random_rooted_map(_random.Random(seed), n_edges)
+    flags = data.draw(st.lists(st.integers(0, m.n_flags - 1), min_size=1,
+                               max_size=4))
+    check_reroot_shares_root_free_facts(m, flags)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_reroot_shares_root_free_facts_of_constructions(constructions, data):
+    _, m = data.draw(st.sampled_from(constructions))
+    root, *flags = data.draw(st.lists(st.integers(0, m.n_flags - 1),
+                                      min_size=2, max_size=4))
+    check_reroot_shares_root_free_facts(reroot(m, root), flags)
 
 
 def test_simple_reroots_order(tetrahedron):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from flagmaps import (Perm, automorphism_group, build_degenerate,
@@ -7,6 +9,7 @@ from flagmaps import (Perm, automorphism_group, build_degenerate,
                       parallel_product, pe, reroot, smallest_reflexible_cover,
                       total_parallel_product, totally_symmetric_cover)
 from flagmaps.mapcore import automorphism_to
+from flagmaps.perm import DEFAULT_ELEMENT_BOUND, BoundExceeded
 from flagmaps.product import NotReflexible, fold_parallel_product
 
 from .conftest import map_from_vector
@@ -177,3 +180,23 @@ def test_totally_symmetric_cover_dm1():
 def test_totally_symmetric_cover_needs_reflexible(fig3_quotient):
     with pytest.raises(NotReflexible):
         totally_symmetric_cover(fig3_quotient)
+
+
+def test_totally_symmetric_cover_bound_checked_while_building(monkeypatch):
+    # delta_100 has 400 flags; its triality class folds to 80,000 flags
+    # and then to 4,000,000, which must be refused before it is built
+    from flagmaps import product
+    built = []
+    original = product.RootedMap
+
+    def recorded(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    m = build_slightly_degenerate("delta", 100)
+    monkeypatch.setattr(product, "RootedMap", recorded)
+    start = time.perf_counter()
+    with pytest.raises(BoundExceeded):
+        totally_symmetric_cover(m)
+    assert time.perf_counter() - start < 5
+    assert built and max(b.n_flags for b in built) <= DEFAULT_ELEMENT_BOUND + 1
