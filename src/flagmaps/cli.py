@@ -98,7 +98,7 @@ def analyze_map(m: RootedMap) -> AnalysisReport:
     generators and the context vector are kept on m and shared with its
     re-rootings, and the one Mon built here serves the decomposability
     search and its own order.  Reflexibility is read three independent
-    ways, which must agree: the root's Aut-orbit, |Aut| and |Mon|."""
+    ways, which must agree: ``is_reflexible``, |Aut| and |Mon|."""
     surface = cells_and_surface(m)
     vec = context_vector(m)
     gsym = genus_symbol(m)
@@ -222,7 +222,6 @@ def _has_context_orders(lg, vec) -> bool:
 
 def census_reflexible(max_group_order: int = DEFAULT_CENSUS_MAX_ORDER,
                       context_bound: int = DEFAULT_CENSUS_CONTEXT_BOUND,
-                      max_cosets: int | None = None,
                       analyze: bool = True) -> CensusResult:
     """Enumerate reflexible maps with a sufficient seven-word context and
     group order within the bound.
@@ -249,8 +248,7 @@ def census_reflexible(max_group_order: int = DEFAULT_CENSUS_MAX_ORDER,
     exactly when their regular maps are rooted-isomorphic, that is when
     their breadth-first canonical texts (``save_map``) are equal.
     """
-    if max_cosets is None:
-        max_cosets = 8 * max_group_order + 256
+    max_cosets = 8 * max_group_order + 256
     entries = []
     skipped = []
     seen_keys: set[str] = set()
@@ -496,9 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cover", help="reflexible or totally symmetric cover")
     p.add_argument("map")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--reflexible", action="store_true", default=True)
-    group.add_argument("--totally-symmetric", action="store_true")
+    p.add_argument("--totally-symmetric", action="store_true")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_cover)
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from .degen import classify_degeneracy
 from .fpres import evaluate_word
 from .mapcore import RootedMap, automorphism_group, cells, simple_reroots
-from .perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators, Perm, PermGroup,
-                   _block_index)
+from .perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators, Perm,
+                   _block_index, _orbits)
 
 # Defining words over t, l, r for the thirteen named automorphisms.
 NAMED_AUTOMORPHISM_WORDS: dict[str, str] = {
@@ -112,29 +112,20 @@ def named_automorphisms_present(m: RootedMap) -> frozenset[str]:
 
 def is_edge_transitive(m: RootedMap) -> bool:
     """Whether Aut(m) is transitive on the edge set."""
-    edge_blocks = cells(m).edges
-    if len(edge_blocks) == 1:
-        return True
-    edge_of = _block_index(edge_blocks, m.n_flags)
-    orbit = _cell_orbit(automorphism_group(m), edge_blocks, edge_of,
-                        edge_of[m.root])
-    return len(orbit) == len(edge_blocks)
+    return len(_cell_orbits(m, cells(m).edges)) == 1
 
 
-def _cell_orbit(aut: PermGroup, blocks, cell_of: list[int],
-                start: int) -> set[int]:
-    """The cells in the Aut-orbit of cell ``start``, grown breadth first
-    through the first flag of each cell: automorphisms map cells to cells,
-    so any one flag of a cell finds the images of the whole cell."""
-    orbit = {start}
-    queue = [blocks[start][0]]
-    for x in queue:  # grows while it is read: a breadth-first queue
-        for g in aut.generators:
-            ci = cell_of[g.images[x]]
-            if ci not in orbit:
-                orbit.add(ci)
-                queue.append(blocks[ci][0])
-    return orbit
+def _cell_orbits(m: RootedMap, blocks) -> list[list[int]]:
+    """The Aut-orbits of a cell partition, as lists of cell indices, the
+    orbit of the root flag's cell first and the others by least cell.
+    Automorphisms map cells to cells, so each Aut generator acts on the
+    cells through the first flag of each cell."""
+    cell_of = _block_index(blocks, m.n_flags)
+    tables = [[cell_of[g.images[block[0]]] for block in blocks]
+              for g in automorphism_group(m).generators]
+    orbits = _orbits(tables, len(blocks))
+    root = next(i for i, o in enumerate(orbits) if cell_of[m.root] in o)
+    return [orbits.pop(root)] + orbits
 
 
 def classify_type(m: RootedMap) -> tuple[str, RootedMap] | None:
@@ -173,22 +164,6 @@ class MapSymbol:
         return f"<{part(self.a)}; {part(self.b)}; {part(self.c)}>"
 
 
-def _orbit_sizes_by_aut(m: RootedMap, blocks, aut: PermGroup) -> tuple[int, ...]:
-    """Half-sizes of the cells, one entry per Aut-orbit of cells, the orbit
-    of the root flag's cell first."""
-    cell_of = _block_index(blocks, m.n_flags)
-    seen_cells: set[int] = set()
-    orbit_entries: list[int] = []
-    ordering = [cell_of[m.root]] + [ci for ci in range(len(blocks))
-                                    if ci != cell_of[m.root]]
-    for start in ordering:
-        if start in seen_cells:
-            continue
-        seen_cells |= _cell_orbit(aut, blocks, cell_of, start)
-        orbit_entries.append((len(blocks[start]) + 1) // 2)
-    return tuple(orbit_entries)
-
-
 def map_symbol(m: RootedMap, type_label: str | None = None) -> MapSymbol:
     """The map symbol of an edge-transitive, non-degenerate map.
 
@@ -205,12 +180,12 @@ def map_symbol(m: RootedMap, type_label: str | None = None) -> MapSymbol:
             raise ValueError("map is not edge-transitive")
         type_label, m = classified
     cs = cells(m)
-    aut = automorphism_group(m)
-    symbol = MapSymbol(
-        a=_orbit_sizes_by_aut(m, cs.vertices, aut),
-        b=_orbit_sizes_by_aut(m, cs.faces, aut),
-        c=_orbit_sizes_by_aut(m, cs.petrie_circuits, aut),
-    )
+    # automorphisms keep cell sizes, so the first cell of an orbit stands
+    # for all of it
+    half_sizes = lambda blocks: tuple((len(blocks[o[0]]) + 1) // 2
+                                      for o in _cell_orbits(m, blocks))
+    symbol = MapSymbol(a=half_sizes(cs.vertices), b=half_sizes(cs.faces),
+                       c=half_sizes(cs.petrie_circuits))
     for f in ("a", "b", "c"):
         if len(getattr(symbol, f)) > 2:
             raise RuntimeError(f"more than two automorphism orbits on {f!r}")

@@ -21,6 +21,10 @@ from operator import itemgetter, length_hint
 from .perm import LabeledGenerators, Perm
 
 DEFAULT_MAX_COSETS = 100_000
+# Largest max_cosets accepted: the table grows linearly with it, and on
+# Python 3.11 a million cosets of a free group on two generators peak at
+# about 130 MB.
+MAX_COSETS = 1_000_000
 # Longest word, counted in generator symbols, that is ever expanded into a
 # list: syllable lists in the parser, symbol lists for coset enumeration.
 MAX_WORD_LENGTH = 100_000
@@ -323,8 +327,8 @@ def todd_coxeter(p: Presentation,
     overflow, and so the census's ``manifest.json``, depends on these exact
     steps; another strategy (Felsch, lookahead) would change it.
     """
-    if max_cosets < 1:
-        raise ValueError("max_cosets must be at least 1")
+    if not 1 <= max_cosets <= MAX_COSETS:
+        raise ValueError(f"max_cosets must be from 1 to {MAX_COSETS:,}")
     ngens = len(p.generators)
     if ngens == 0:
         raise PresentationError("presentation declares no generators")

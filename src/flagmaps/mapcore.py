@@ -20,7 +20,7 @@ from typing import Iterable, Literal
 
 from .fpres import Word, parse_word, word_order
 from .perm import (LabeledGenerators, Perm, PermGroup, _equivariant_map,
-                   orbits_of)
+                   _orbit, _orbits)
 
 GENERATOR_NAMES = ("t", "l", "r")
 # The seven mandatory context words T, L, R, TL, RT, RL, TLR (see degen).
@@ -56,7 +56,7 @@ class RootedMap:
             raise MapInvariantError("(TL)^2 not the identity")
         if not (0 <= self.root < n):
             raise MapInvariantError("root flag out of range")
-        if len(PermGroup(n, (self.t, self.l, self.r)).orbit(self.root)) != n:
+        if len(_orbit(_tables(self), self.root)) != n:
             raise MapInvariantError("action not transitive")
 
     @property
@@ -88,7 +88,7 @@ class RootedMap:
             a = automorphism_to(self, d)
             if a is not None:
                 auts.append(a)
-                orbit = set(PermGroup(self.n_flags, auts).orbit(self.root))
+                orbit = set(_orbit([g.images for g in auts], self.root))
         return tuple(auts)
 
     @cached_property
@@ -103,16 +103,18 @@ class RootedMap:
         """Cells and surface, found once per map (see cells_and_surface)."""
         n = self.n_flags
         t, l, r = self.generators()
-        as_tuples = lambda blocks: tuple(tuple(b) for b in blocks)
+        tl = t * l
+        blocks = lambda *gens: tuple(tuple(sorted(b)) for b in _orbits(
+            [g.images for g in gens], n))
         cs = CellStructure(
-            vertices=as_tuples(orbits_of((t, r), n)),
-            edges=as_tuples(orbits_of((t, l), n)),
-            faces=as_tuples(orbits_of((l, r), n)),
-            petrie_circuits=as_tuples(orbits_of((t * l, r), n)),
+            vertices=blocks(t, r),
+            edges=blocks(t, l),
+            faces=blocks(l, r),
+            petrie_circuits=blocks(tl, r),
         )
         chi = len(cs.vertices) - len(cs.edges) + len(cs.faces)
-        degenerate = any(p.fixed_points() for p in (t, l, r, t * l))
-        n_or = len(orbits_of((r * t, r * l), n))
+        degenerate = any(p.fixed_points() for p in (t, l, r, tl))
+        n_or = len(_orbits([(r * t).images, (r * l).images], n))
         kind, genus = _surface_kind_and_genus(chi, n_or)
         return SurfaceInfo(
             cells=cs,
@@ -185,7 +187,7 @@ def load_map(text: str) -> RootedMap:
 
 def canonicalize(m: RootedMap) -> RootedMap:
     """Renumber flags by BFS from the root over T, L, R; root becomes 0."""
-    order = m.monodromy_group().orbit(m.root)
+    order = _orbit(_tables(m), m.root)
     number = {x: i for i, x in enumerate(order)}
     relabeled = [Perm(number[g.images[x]] for x in order)
                  for g in m.generators()]
@@ -315,10 +317,14 @@ def automorphism_to(m: RootedMap, d: int) -> Perm | None:
 
 
 def is_reflexible(m: RootedMap) -> bool:
-    """Aut regular on flags: the root's Aut-orbit is every flag.  Aut is
-    semiregular, so this reads the generators kept on m and builds no
-    Mon."""
-    return len(automorphism_group(m).orbit(m.root)) == m.n_flags
+    """Aut regular on flags: for each g of T, L and R some automorphism b
+    takes the root to root.g, and the first failure answers no.  Then the
+    root's Aut-orbit O is closed under T, L and R, since a(root).g =
+    a(root.g) = a(b(root)) for each automorphism a, so O is every flag.
+    Builds neither Mon nor Aut."""
+    tables = _tables(m)
+    return all(_equivariant_map(tables, m.root, tables, g[m.root], m.n_flags)
+               is not None for g in tables)
 
 
 def automorphism_group(m: RootedMap) -> PermGroup:
@@ -404,8 +410,8 @@ def _composite_invariants(m: RootedMap, surface: SurfaceInfo,
     n_edges = len(cs.edges)
     turns = [m.r * x for x in bases]
     # orbits of <Ra,Rb> by the third index c; c = 2 is M's own surface
-    surfaces = (len(orbits_of((turns[1], turns[2]), n)),
-                len(orbits_of((turns[0], turns[2]), n)),
+    surfaces = (len(_orbits((turns[1].images, turns[2].images), n)),
+                len(_orbits((turns[0].images, turns[2].images), n)),
                 surface.orientation_orbits)
     return [(counts[a], n_edges, counts[b], counts[3 - a - b],
              surfaces[3 - a - b]) for a, b in _TRIALITY_PAIRS]

@@ -9,10 +9,11 @@ stabilizer chain with explicit inverse transversals.  Element lists come
 from a bounded breadth-first closure that records the right regular
 tables; conjugacy classes run on them, with elements as indices, and
 minimal normal subgroups grow the closure of each class inside itself.
-One routine grows the unique map that turns one list of tables into
-another: it finds the centralizer of a regular group, left multiplication
-on the right regular tables, labeled congruence of groups, and the
-isomorphisms and automorphisms of maps.
+Every orbit and orbit partition comes from ``_orbit`` and ``_orbits`` on
+point tables.  One routine grows the unique map that turns one list of
+tables into another: it finds the centralizer of a regular group, left
+multiplication on the right regular tables, labeled congruence of groups,
+and the isomorphisms and automorphisms of maps.
 """
 
 from __future__ import annotations
@@ -376,29 +377,12 @@ class PermGroup:
 
     def orbit(self, point: int) -> list[int]:
         """The orbit of point, breadth first from it."""
-        seen = {point}
-        out = [point]
-        tables = [g.images for g in self.generators]
-        for a in out:  # grows while it is read: a breadth-first queue
-            for images in tables:
-                b = images[a]
-                if b not in seen:
-                    seen.add(b)
-                    out.append(b)
-        return out
+        return _orbit([g.images for g in self.generators], point)
 
     def orbits(self) -> list[list[int]]:
         """Orbit partition of {0..degree-1}, blocks sorted by least point."""
-        seen = [False] * self.degree
-        out = []
-        for i in range(self.degree):
-            if seen[i]:
-                continue
-            block = self.orbit(i)
-            for x in block:
-                seen[x] = True
-            out.append(sorted(block))
-        return out
+        return [sorted(block) for block in
+                _orbits([g.images for g in self.generators], self.degree)]
 
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree
@@ -467,9 +451,32 @@ def _block_index(blocks: Iterable[Iterable[int]], n: int) -> list[int]:
     return block_of
 
 
-def orbits_of(gens: Sequence[Perm], degree: int) -> list[list[int]]:
-    """Orbit partition of {0..degree-1} under a list of permutations."""
-    return PermGroup(degree, [g for g in gens if not g.is_identity()]).orbits()
+def _orbit(tables: Sequence[Sequence[int]], start: int) -> list[int]:
+    """The orbit of start under point tables (image lists), breadth first
+    from it."""
+    seen = {start}
+    out = [start]
+    for a in out:  # grows while it is read: a breadth-first queue
+        for images in tables:
+            b = images[a]
+            if b not in seen:
+                seen.add(b)
+                out.append(b)
+    return out
+
+
+def _orbits(tables: Sequence[Sequence[int]], n: int) -> list[list[int]]:
+    """The orbits of {0..n-1} under point tables, ordered by least point,
+    each breadth first from its least point."""
+    seen = [False] * n
+    out = []
+    for x in range(n):
+        if not seen[x]:
+            block = _orbit(tables, x)
+            for y in block:
+                seen[y] = True
+            out.append(block)
+    return out
 
 
 def normal_closure(G: PermGroup, seed: Sequence[Perm],
@@ -546,24 +553,9 @@ def _conjugation_tables(right: list[list[int]], n: int) -> list[list[int]]:
 
 
 def _index_classes(right: list[list[int]], n: int) -> list[list[int]]:
-    """Conjugacy classes as index lists, each headed by its least index,
-    by breadth-first search over the conjugation tables."""
-    conj = _conjugation_tables(right, n)
-    seen = [False] * n
-    classes = []
-    for x in range(n):
-        if seen[x]:
-            continue
-        seen[x] = True
-        cls = [x]
-        for y in cls:  # grows while it is read: a breadth-first queue
-            for row in conj:
-                z = row[y]
-                if not seen[z]:
-                    seen[z] = True
-                    cls.append(z)
-        classes.append(cls)
-    return classes
+    """Conjugacy classes as index lists, each headed by its least index:
+    the orbits of the conjugation tables."""
+    return _orbits(_conjugation_tables(right, n), n)
 
 
 def conjugacy_classes(G: PermGroup,

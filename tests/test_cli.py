@@ -247,6 +247,23 @@ def test_todd_coxeter_overflow_exit_code(capsys, tmp_path):
     assert "bound" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("todd-coxeter", "{pres}", "--max-cosets", "100000000"),
+    # the census asks 8 * 200,000 + 256 cosets of each candidate
+    ("enum-reflexible", "--max-order", "200000", "--out", "{out}"),
+])
+def test_coset_bound_is_capped(capsys, tmp_path, argv):
+    pres = tmp_path / "free.pres"
+    pres.write_text("gens a b c\nrel a^2\nrel b^2\nrel c^2\n")
+    out = tmp_path / "census"
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, *(arg.format(pres=pres, out=out)
+                                     for arg in argv))
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert "max_cosets" in err
+
+
 @pytest.mark.parametrize("relator, code", [
     ("(" * 3000 + "t" + ")" * 3000, 1),  # nesting past the parser's cap
     ("t^99999999", 2),                   # relator past the length cap

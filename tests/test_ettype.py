@@ -1,16 +1,21 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagmaps import (LabeledGenerators, Perm, PermGroup,
-                      build_slightly_degenerate, classify_type,
+                      build_slightly_degenerate, cells, classify_type,
                       construct_from_group, du, is_edge_transitive,
                       isomorphism, k_quotient, map_symbol,
                       named_automorphisms_present, partial_order, pe,
                       type_transforms)
 from flagmaps.ettype import (NAMED_AUTOMORPHISM_WORDS, TYPE_LABELS, TYPE_TABLE,
                              DegenerateSymbolAdvisory, LabelMismatch,
-                             RelationViolation)
+                             RelationViolation, _cell_orbits)
+from flagmaps.perm import _block_index
 
 from .conftest import map_from_vector
+from .oracles import automorphisms_brute
+from .test_equivariant_map import maps
 
 
 def test_reflexible_has_all_thirteen(tetrahedron):
@@ -249,3 +254,27 @@ def test_boundary_degenerate_symbol_names_failed_condition():
         map_symbol(rooted, label)
     assert info.value.type_label == "4"
     assert info.value.condition == "2|a"
+
+
+def brute_cell_orbits(m, blocks, auts):
+    """The cell partition that the automorphisms induce, as sets of cell
+    indices: the root's cell's orbit first, the others by least cell."""
+    cell_of = _block_index(blocks, m.n_flags)
+    orbits = sorted({frozenset(cell_of[a.images[block[0]]] for a in auts)
+                     for block in blocks}, key=min)
+    orbits.sort(key=lambda orbit: cell_of[m.root] not in orbit)
+    return orbits
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_cell_orbits_match_brute_force_automorphisms(constructions, data):
+    m = data.draw(maps(constructions))
+    auts = automorphisms_brute(m)
+    cs = cells(m)
+    for blocks in (cs.vertices, cs.edges, cs.faces, cs.petrie_circuits):
+        got = _cell_orbits(m, blocks)
+        assert sorted(x for orbit in got for x in orbit) == list(
+            range(len(blocks)))
+        assert list(map(frozenset, got)) == brute_cell_orbits(m, blocks, auts)
+    assert is_edge_transitive(m) == (len(_cell_orbits(m, cs.edges)) == 1)

@@ -3,7 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagmaps import parse_presentation, todd_coxeter, word_order
-from flagmaps.fpres import (EnumerationOverflow, Presentation,
+from flagmaps.fpres import (MAX_COSETS, EnumerationOverflow, Presentation,
                             PresentationError, evaluate_word,
                             format_presentation, parse_word, word_power)
 from flagmaps.perm import congruent_labeled_groups, LabeledGenerators
@@ -110,6 +110,17 @@ def test_todd_coxeter_overflow():
     with pytest.raises(EnumerationOverflow):
         todd_coxeter(parse_presentation("gens a b c\nrel a^2\nrel b^2\nrel c^2"),
                      max_cosets=200)
+
+
+def test_todd_coxeter_caps_max_cosets():
+    # the cap is checked before any table is allocated
+    p = parse_presentation("gens a b c\nrel a^2\nrel b^2\nrel c^2")
+    for max_cosets in (0, MAX_COSETS + 1, 10**12):
+        with pytest.raises(ValueError, match="max_cosets"):
+            todd_coxeter(p, max_cosets=max_cosets)
+    _, order = todd_coxeter(parse_presentation(TETRA_TEXT),
+                            max_cosets=MAX_COSETS)
+    assert order == 24
 
 
 def test_todd_coxeter_relators_satisfied():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from flagmaps import (BoundExceeded, LabeledGenerators, Perm, PermGroup,
                       congruent_labeled_groups, minimal_normal_subgroups,
                       normal_closure, parallel_product, perm)
-from flagmaps.perm import (conjugacy_classes, format_group_file, is_normal_in,
-                           parse_group_file)
+from flagmaps.perm import (_orbit, _orbits, conjugacy_classes,
+                           format_group_file, is_normal_in, parse_group_file)
 
 from . import oracles
 from .oracles import minimal_normals_brute, mulclose
@@ -74,6 +74,50 @@ def test_orbits_partition(gens):
     blocks = G.orbits()
     covered = sorted(x for b in blocks for x in b)
     assert covered == list(range(G.degree))
+
+
+@st.composite
+def point_tables(draw):
+    """1-4 image tables on n points, 1 <= n <= 40: the identity, random
+    permutations and products of a few transpositions (mostly fixed
+    points)."""
+    n = draw(st.integers(1, 40))
+
+    def swaps(pairs):
+        images = list(range(n))
+        for a, b in pairs:
+            images[a], images[b] = images[b], images[a]
+        return images
+
+    point = st.integers(0, n - 1)
+    table = st.one_of(st.just(list(range(n))), st.permutations(range(n)),
+                      st.lists(st.tuples(point, point), max_size=3).map(swaps))
+    return draw(st.lists(table, min_size=1, max_size=4)), n
+
+
+def closure(tables, start):
+    """The points reached from start, by repeated images until none is new."""
+    found = {start}
+    while True:
+        more = found | {t[x] for t in tables for x in found}
+        if more == found:
+            return found
+        found = more
+
+
+@settings(deadline=None, max_examples=200)
+@given(point_tables())
+def test_orbits_partition_the_points(case):
+    tables, n = case
+    blocks = _orbits(tables, n)
+    assert sorted(x for b in blocks for x in b) == list(range(n))
+    least = [min(b) for b in blocks]
+    assert least == sorted(least)
+    for block in blocks:
+        assert block[0] == min(block)
+        assert block == _orbit(tables, block[0])
+        assert set(block) == closure(tables, block[0])
+        assert all(t[x] in block for t in tables for x in block)
 
 
 def test_order_symmetric_group():
