@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 invalid input, 2 resource bound exceeded,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -186,16 +187,11 @@ class CensusResult:
 
 def candidate_vectors(context_bound: int):
     """All candidate context vectors, in lexicographic order."""
-    for e1 in (1, 2):
-        for e2 in (1, 2):
-            for e3 in (1, 2):
-                for e4 in (1, 2):
-                    if e4 == 1 and e1 != e2:
-                        continue
-                    for e5 in range(1, context_bound + 1):
-                        for e6 in range(1, context_bound + 1):
-                            for e7 in range(1, context_bound + 1):
-                                yield (e1, e2, e3, e4, e5, e6, e7)
+    orders = range(1, context_bound + 1)
+    for vec in itertools.product((1, 2), (1, 2), (1, 2), (1, 2),
+                                 orders, orders, orders):
+        if vec[3] == 2 or vec[0] == vec[1]:  # TL = 1 forces T = L
+            yield vec
 
 
 def _has_context_orders(lg, vec) -> bool:

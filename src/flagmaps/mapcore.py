@@ -20,7 +20,7 @@ from typing import Iterable, Literal
 
 from .fpres import Word, parse_word, word_order
 from .perm import (LabeledGenerators, Perm, PermGroup, _equivariant_map,
-                   _orbit, _orbits)
+                   _numbered_orbit, _orbit, _orbits)
 
 GENERATOR_NAMES = ("t", "l", "r")
 # The seven mandatory context words T, L, R, TL, RT, RL, TLR (see degen).
@@ -187,11 +187,9 @@ def load_map(text: str) -> RootedMap:
 
 def canonicalize(m: RootedMap) -> RootedMap:
     """Renumber flags by BFS from the root over T, L, R; root becomes 0."""
-    order = _orbit(_tables(m), m.root)
-    number = {x: i for i, x in enumerate(order)}
-    relabeled = [Perm(number[g.images[x]] for x in order)
-                 for g in m.generators()]
-    return RootedMap(*relabeled, root=0)
+    t, l, r = _tables(m)
+    _, relabeled = _numbered_orbit(m.root, lambda x: (t[x], l[x], r[x]))
+    return RootedMap(*map(Perm, relabeled), root=0)
 
 
 def save_map(m: RootedMap) -> str:

@@ -5,24 +5,25 @@ Groups are given by generating permutations.  A regular group (Mon of a
 reflexible map, Aut of one) is recognised from its point tables: its order
 is the degree and membership is commuting with its centralizer.  Other
 groups get orders and membership from an incremental Schreier-Sims
-stabilizer chain with explicit inverse transversals.  Element lists come
-from a bounded breadth-first closure that records the right regular
-tables; conjugacy classes run on them, with elements as indices, and
-minimal normal subgroups grow the closure of each class inside itself.
-Every orbit and orbit partition comes from ``_orbit`` and ``_orbits`` on
-point tables.  One routine grows the unique map that turns one list of
-tables into another: it finds the centralizer of a regular group, left
-multiplication on the right regular tables, labeled congruence of groups,
-and the isomorphisms and automorphisms of maps.
+stabilizer chain with explicit inverse transversals.  Orbits whose
+objects are numbered come from ``_numbered_orbit``, a bounded breadth-first
+walk that records its Schreier tables; element lists are the orbit of the
+identity, with the right regular tables.  Conjugacy classes run on those,
+with elements as indices, and minimal normal subgroups grow the closure of
+each class inside itself.  Plain orbits and orbit partitions of points
+come from ``_orbit`` and ``_orbits``.  One routine grows the unique map
+that turns one list of tables into another: it finds the centralizer of a
+regular group, left multiplication on the right regular tables, labeled
+congruence of groups, and the isomorphisms and automorphisms of maps.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import isqrt, lcm
+from math import inf, isqrt, lcm
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 DEFAULT_DEGREE_BOUND = 10_000
 DEFAULT_ELEMENT_BOUND = 100_000
@@ -392,27 +393,17 @@ class PermGroup:
 
         The same pass records the right regular representation on indices
         into this tuple: ``_right[j][x]`` is the index of x * generators[j].
+        A group of more than bound elements raises, listed already or not.
         """
-        if self._elements is not None:
-            return self._elements
-        identity = tuple(range(self.degree))
-        index = {identity: 0}
-        found = [identity]
-        gen_images = [g.images for g in self.generators]
-        right: list[list[int]] = [[] for _ in gen_images]
-        for a in found:  # grows while it is read: a breadth-first queue
-            times_a = itemgetter(*a)
-            for g, row in zip(gen_images, right):
-                c = times_a(g)
-                k = index.setdefault(c, len(found))
-                if k == len(found):
-                    if k >= bound:
-                        raise BoundExceeded(
-                            f"group exceeds element bound {bound}")
-                    found.append(c)
-                row.append(k)
-        self._right = right
-        self._elements = tuple(map(_perm, found))
+        message = f"group exceeds element bound {bound}"
+        if self._elements is None:
+            gen_images = [g.images for g in self.generators]
+            found, self._right = _numbered_orbit(
+                tuple(range(self.degree)),
+                lambda a: map(itemgetter(*a), gen_images), bound, message)
+            self._elements = tuple(map(_perm, found))
+        elif len(self._elements) > bound:
+            raise BoundExceeded(message)
         return self._elements
 
     def _right_tables(self, perms: Sequence[Perm],
@@ -449,6 +440,28 @@ def _block_index(blocks: Iterable[Iterable[int]], n: int) -> list[int]:
         for x in block:
             block_of[x] = i
     return block_of
+
+
+def _numbered_orbit(start: Hashable, images: Callable[[Any], Iterable],
+                    bound: float = inf, message: str = "",
+                    ) -> tuple[list, list[list[int]]]:
+    """The orbit of start, numbered breadth first in discovery order, and
+    its Schreier tables (Holt, Handbook of CGT, 4.1): ``images(a)`` gives
+    the images of object a under the generators in order, and
+    ``tables[j][i]`` is the number of the j-th image of object i.  Raises
+    ``BoundExceeded(message)`` before it numbers object ``bound``."""
+    index = {start: 0}
+    found = [start]
+    tables: list[list[int]] = [[] for _ in images(start)]
+    for a in found:  # grows while it is read: a breadth-first queue
+        for b, row in zip(images(a), tables):
+            k = index.setdefault(b, len(found))
+            if k == len(found):
+                if k >= bound:
+                    raise BoundExceeded(message)
+                found.append(b)
+            row.append(k)
+    return found, tables
 
 
 def _orbit(tables: Sequence[Sequence[int]], start: int) -> list[int]:

@@ -1,19 +1,20 @@
 """The parallel product and the covers built from it.
 
 The product of two rooted maps lives on the orbit of the paired roots
-under the paired generator actions; it is the unique minimal common
-cover.  The smallest reflexible cover of a map is the regular
-representation of its monodromy group; the total parallel product of all
-re-rootings is kept as an independent route to the same map.
+under the paired generator actions, numbered by ``perm._numbered_orbit``;
+it is the unique minimal common cover.  The smallest reflexible cover of
+a map is the regular representation of its monodromy group; the total
+parallel product of all re-rootings is kept as an independent route to
+the same map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .mapcore import (RootedMap, is_reflexible, isomorphism, reroot,
+from .mapcore import (RootedMap, _tables, is_reflexible, isomorphism, reroot,
                       triality_class)
-from .perm import DEFAULT_ELEMENT_BOUND, BoundExceeded, Perm
+from .perm import DEFAULT_ELEMENT_BOUND, Perm, _numbered_orbit
 from .quotient import MapMorphism
 
 
@@ -43,23 +44,19 @@ class ProductWitness:
 def parallel_product(m: RootedMap, n: RootedMap) -> ProductWitness:
     """Breadth-first orbit of (root, root) under (T,T), (L,L), (R,R).
 
-    Raises BoundExceeded as soon as the orbit passes DEFAULT_ELEMENT_BOUND
-    flags, before any product map is built."""
-    pairs: dict[tuple[int, int], int] = {(m.root, n.root): 0}
-    order: list[tuple[int, int]] = [(m.root, n.root)]
-    gen_pairs = list(zip(m.generators(), n.generators()))
-    for x, y in order:  # grows while it is read: a breadth-first queue
-        for gm, gn in gen_pairs:
-            z = (gm.images[x], gn.images[y])
-            if z not in pairs:
-                if len(order) == DEFAULT_ELEMENT_BOUND:
-                    raise BoundExceeded(
-                        f"parallel product exceeds {DEFAULT_ELEMENT_BOUND} flags")
-                pairs[z] = len(order)
-                order.append(z)
-    perms = [Perm(pairs[(gm.images[x], gn.images[y])] for x, y in order)
-             for gm, gn in gen_pairs]
-    product = RootedMap(*perms, root=0)
+    The walk's tables are the product's T, L and R.  Raises BoundExceeded
+    as soon as the orbit passes DEFAULT_ELEMENT_BOUND flags, before any
+    product map is built."""
+    (mt, ml, mr), (nt, nl, nr) = _tables(m), _tables(n)
+
+    def images(xy: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+        x, y = xy
+        return (mt[x], nt[y]), (ml[x], nl[y]), (mr[x], nr[y])
+
+    order, tables = _numbered_orbit(
+        (m.root, n.root), images, DEFAULT_ELEMENT_BOUND,
+        f"parallel product exceeds {DEFAULT_ELEMENT_BOUND} flags")
+    product = RootedMap(*map(Perm, tables), root=0)
     left = MapMorphism(product, m, tuple(x for x, _ in order))
     right = MapMorphism(product, n, tuple(y for _, y in order))
     return ProductWitness(product, left, right, tuple(order))

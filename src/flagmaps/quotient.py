@@ -2,10 +2,11 @@
 
 A morphism is stored as its flag surjection; the group epimorphism is
 determined on generators and never materialized.  The K-quotient realizes
-cosets of K concretely as a block system on the flags (the K-orbit of the
-root, pushed around by the monodromy generators), so the monodromy group
-itself is never enumerated.  The K of a morphism is recovered from a
-breadth-first transversal of permutations, with no words.
+cosets of K concretely as a block system on the flags: the orbit of the
+block root.K under the monodromy generators, walked and numbered by
+``perm._numbered_orbit`` up to the number of cosets, so the monodromy
+group itself is never enumerated.  The K of a morphism is recovered from
+a breadth-first transversal of permutations, with no words.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .mapcore import RootedMap, isomorphism
-from .perm import Perm, PermGroup, _block_index, is_normal_in
+from .perm import (BoundExceeded, Perm, PermGroup, _block_index,
+                   _numbered_orbit, is_normal_in)
 
 
 class StabilizerNotContained(ValueError):
@@ -90,29 +92,18 @@ def k_quotient(m: RootedMap, K: PermGroup) -> tuple[RootedMap, MapMorphism]:
             "K does not contain the stabilizer of the root flag")
 
     base = frozenset(root_orbit)
-    block_of = [-1] * m.n_flags
-    blocks: list[tuple[int, ...]] = []
-
-    def add_block(flags: frozenset[int]) -> None:
-        idx = len(blocks)
-        blocks.append(tuple(sorted(flags)))
-        for x in flags:
-            if block_of[x] != -1:
-                raise StabilizerNotContained(
-                    "K-orbit of the root does not generate a block system")
-            block_of[x] = idx
-
-    add_block(base)
-    for block in blocks:  # grows while it is read: a breadth-first queue
-        for g in m.generators():
-            image = frozenset(g.images[x] for x in block)
-            seen = {block_of[x] for x in image}
-            if seen == {-1}:
-                add_block(image)
-            elif len(seen) != 1 or blocks[seen.pop()] != tuple(sorted(image)):
-                raise StabilizerNotContained(
-                    "K-orbit of the root does not generate a block system")
-    return _blocks_to_map(m, blocks)
+    gens = [g.images for g in m.generators()]
+    message = "K-orbit of the root does not generate a block system"
+    # The images of base cover the flags (the action is transitive), so
+    # they are pairwise disjoint exactly when at most n_flags / |base|
+    # of them are found.
+    try:
+        blocks, _ = _numbered_orbit(
+            base, lambda b: [frozenset(map(g.__getitem__, b)) for g in gens],
+            m.n_flags // len(base), message)
+    except BoundExceeded:
+        raise StabilizerNotContained(message) from None
+    return _blocks_to_map(m, [tuple(sorted(b)) for b in blocks])
 
 
 def monodromy_quotient(m: RootedMap, H: PermGroup) -> tuple[RootedMap, MapMorphism]:

@@ -4,7 +4,9 @@ Group work here runs over an explicit multiplication table on element
 indices, so closures and joins are plain integer BFS.
 """
 
+from collections import deque
 from math import isqrt
+from operator import itemgetter
 
 from flagmaps import Perm
 from flagmaps.ettype import (NAMED_AUTOMORPHISM_WORDS, TYPE_TABLE,
@@ -12,12 +14,14 @@ from flagmaps.ettype import (NAMED_AUTOMORPHISM_WORDS, TYPE_TABLE,
 from flagmaps.fpres import (DEFAULT_MAX_COSETS, MAX_WORD_LENGTH,
                             EnumerationOverflow, Presentation,
                             PresentationError, Word, word_length)
-from flagmaps.mapcore import (GenusSymbol, RootedMap, automorphism_to,
-                              cells_and_surface, isomorphism, simple_reroots,
-                              triality_composites)
+from flagmaps.mapcore import (GenusSymbol, RootedMap, _tables,
+                              automorphism_to, cells_and_surface, isomorphism,
+                              simple_reroots, triality_composites)
 from flagmaps.perm import (DEFAULT_ELEMENT_BOUND, BoundExceeded,
                            LabeledGenerators, PermGroup, _cycle_length_at_0,
-                           _index_classes, normal_closure)
+                           _index_classes, _orbit, normal_closure)
+from flagmaps.product import ProductWitness
+from flagmaps.quotient import MapMorphism, StabilizerNotContained
 
 
 def mulclose(perms, bound=100_000):
@@ -692,3 +696,113 @@ def congruent_labeled_groups(A: LabeledGenerators, B: LabeledGenerators,
                     return False
         frontier = new
     return len(set(image.values())) == len(image)
+
+
+# --- reference numbered orbits -------------------------------------------
+#
+# The four hand-written "number it as you find it" walks as they stood
+# before all moved onto ``perm._numbered_orbit``, kept unchanged as
+# references: the element listing of ``PermGroup.elements``, the pair walk
+# of ``parallel_product``, the block walk of ``k_quotient`` and the flag
+# renumbering of ``canonicalize``; and a plain level-by-level BFS that the
+# routine itself is checked against.
+
+def numbered_bfs(start, images):
+    """The orbit of start under ``images`` in breadth-first discovery
+    order, and ``tables[j][i]``, the position of the j-th image of the
+    i-th object, found after the walk."""
+    order = [start]
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        a = queue.popleft()
+        for b in images(a):
+            if b not in seen:
+                seen.add(b)
+                order.append(b)
+                queue.append(b)
+    position = {x: i for i, x in enumerate(order)}
+    rows = [[position[b] for b in images(a)] for a in order]
+    return order, [list(column) for column in zip(*rows)]
+
+
+def elements_and_right(G: PermGroup, bound: int = DEFAULT_ELEMENT_BOUND):
+    """The elements of G breadth first from the identity, and the right
+    regular tables on their indices."""
+    identity = tuple(range(G.degree))
+    index = {identity: 0}
+    found = [identity]
+    gen_images = [g.images for g in G.generators]
+    right: list[list[int]] = [[] for _ in gen_images]
+    for a in found:  # grows while it is read: a breadth-first queue
+        times_a = itemgetter(*a)
+        for g, row in zip(gen_images, right):
+            c = times_a(g)
+            k = index.setdefault(c, len(found))
+            if k == len(found):
+                if k >= bound:
+                    raise BoundExceeded(
+                        f"group exceeds element bound {bound}")
+                found.append(c)
+            row.append(k)
+    return tuple(map(Perm, found)), right
+
+
+def parallel_product(m: RootedMap, n: RootedMap) -> ProductWitness:
+    """Breadth-first orbit of (root, root) under (T,T), (L,L), (R,R)."""
+    pairs: dict[tuple[int, int], int] = {(m.root, n.root): 0}
+    order: list[tuple[int, int]] = [(m.root, n.root)]
+    gen_pairs = list(zip(m.generators(), n.generators()))
+    for x, y in order:  # grows while it is read: a breadth-first queue
+        for gm, gn in gen_pairs:
+            z = (gm.images[x], gn.images[y])
+            if z not in pairs:
+                if len(order) == DEFAULT_ELEMENT_BOUND:
+                    raise BoundExceeded(
+                        f"parallel product exceeds {DEFAULT_ELEMENT_BOUND} flags")
+                pairs[z] = len(order)
+                order.append(z)
+    perms = [Perm(pairs[(gm.images[x], gn.images[y])] for x, y in order)
+             for gm, gn in gen_pairs]
+    product = RootedMap(*perms, root=0)
+    left = MapMorphism(product, m, tuple(x for x, _ in order))
+    right = MapMorphism(product, n, tuple(y for _, y in order))
+    return ProductWitness(product, left, right, tuple(order))
+
+
+def k_quotient_blocks(m: RootedMap, K: PermGroup) -> list[tuple[int, ...]]:
+    """The block system of the K-quotient: the K-orbit of the root pushed
+    around by the monodromy generators, blocks in discovery order."""
+    base = frozenset(K.orbit(m.root))
+    block_of = [-1] * m.n_flags
+    blocks: list[tuple[int, ...]] = []
+
+    def add_block(flags: frozenset[int]) -> None:
+        idx = len(blocks)
+        blocks.append(tuple(sorted(flags)))
+        for x in flags:
+            if block_of[x] != -1:
+                raise StabilizerNotContained(
+                    "K-orbit of the root does not generate a block system")
+            block_of[x] = idx
+
+    add_block(base)
+    for block in blocks:  # grows while it is read: a breadth-first queue
+        for g in m.generators():
+            image = frozenset(g.images[x] for x in block)
+            seen = {block_of[x] for x in image}
+            if seen == {-1}:
+                add_block(image)
+            elif len(seen) != 1 or blocks[seen.pop()] != tuple(sorted(image)):
+                raise StabilizerNotContained(
+                    "K-orbit of the root does not generate a block system")
+    return blocks
+
+
+def canonicalize(m: RootedMap) -> RootedMap:
+    """Renumber flags by BFS from the root over T, L, R; root becomes 0."""
+    order = _orbit(_tables(m), m.root)
+    number = {x: i for i, x in enumerate(order)}
+    relabeled = [Perm(number[g.images[x]] for x in order)
+                 for g in m.generators()]
+    return RootedMap(*relabeled, root=0)

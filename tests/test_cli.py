@@ -1,3 +1,4 @@
+import itertools
 import json
 import time
 
@@ -393,6 +394,18 @@ def test_census_contents_honor_context_sufficiency(default_census):
     for k in (4, 6):  # delta_even vectors present eps_2k, twice as large
         delta = build_slightly_degenerate("delta", k)
         assert vector_orders.get(context_vector(delta).orders) == 8 * k
+
+
+@pytest.mark.parametrize("context_bound", [1, 2, 3, 4])
+def test_candidate_vectors_are_the_sorted_filtered_product(context_bound):
+    # e1..e4 are 1 or 2, e5..e7 run up to the bound, and TL = 1 (e4 = 1)
+    # forces T and L to have one order
+    values = range(1, max(context_bound, 2) + 1)
+    expected = sorted(
+        vec for vec in itertools.product(values, repeat=7)
+        if max(vec[:4]) <= 2 and max(vec[4:]) <= context_bound
+        and not (vec[3] == 1 and vec[0] != vec[1]))
+    assert list(candidate_vectors(context_bound)) == expected
 
 
 def test_census_outcome_counts(tmp_path):

@@ -197,6 +197,20 @@ def test_order_from_enumerated_elements():
         H.order()
 
 
+def test_listed_elements_still_answer_to_the_bound():
+    from flagmaps import build_slightly_degenerate
+    G = build_slightly_degenerate("epsilon", 10).monodromy_group()
+    message = "^group exceeds element bound 20$"
+    with pytest.raises(BoundExceeded, match=message):
+        minimal_normal_subgroups(G, bound=20)
+    assert len(G.elements()) == 40
+    with pytest.raises(BoundExceeded, match=message):
+        minimal_normal_subgroups(G, bound=20)
+    with pytest.raises(BoundExceeded, match="^group exceeds element bound 5$"):
+        G.elements(5)
+    assert len(G.elements(40)) == 40
+
+
 def test_degree_bound():
     with pytest.raises(BoundExceeded):
         PermGroup(20_001, [Perm.identity(20_001)]).chain()
