@@ -7,6 +7,21 @@ minimal normal subgroups; this is complete, because any witnessing pair
 can be shrunk to a minimal one (sub-subgroups stay non-transitive, the
 stabilizer-product condition only tightens, and distinct minimal normal
 subgroups intersect trivially).
+
+When Mon is not regular, a block test runs first and can settle the
+verdict without listing Mon.  The root orbits of two witnesses H1, H2 are
+blocks of Mon.  They are proper, since H1 and H2 are not transitive, and
+they hold more than the root, since a nontrivial normal subgroup of a
+transitive group fixes no point.  They meet only in the root.  So a
+decomposable map has two proper blocks at the root that meet only in the
+root, and then so do the least blocks B_x and B_y holding the root and
+some x in the first and some y in the second.  The test finds B_x for each
+flag x, breadth first from the root (``perm._least_block``), and stops at
+the first two proper ones that meet only in the root; the full search
+then runs.  When there is no such pair (a primitive Mon has no proper
+block at all), the map is indecomposable.  The test costs at most n - 1
+closures of O(3n) lookups each on an n-flag map, and listing Mon costs at
+least n^2, since |Mon| >= n.
 """
 
 from __future__ import annotations
@@ -17,7 +32,7 @@ from typing import Any
 from .ettype import classify_type
 from .mapcore import RootedMap, automorphism_group, is_reflexible, isomorphism
 from .perm import (DEFAULT_ELEMENT_BOUND, BoundExceeded, PermGroup,
-                   minimal_normal_subgroups)
+                   _least_block, _orbit, minimal_normal_subgroups)
 from .product import NotReflexible, parallel_product
 from .quotient import _blocks_to_map
 
@@ -34,10 +49,12 @@ class VerificationFailed(RuntimeError):
 class DecompositionVerdict:
     """Outcome of a decomposability decision.
 
-    ``decomposable`` is None for an unknown verdict (a resource bound was
-    exceeded; the bound is recorded in ``reason``).  When decomposable via
-    the monodromy route, the witness subgroups, quotient factors and the
-    verified rooted isomorphism (product of factors -> input) are present.
+    ``decomposable`` is None for an unknown verdict, and ``reason`` then
+    names the resource bound that was exceeded.  A verdict that the block
+    test settled (module docstring) is False with ``BLOCK_TEST_REASON``;
+    other verdicts have no reason.  When decomposable via the monodromy
+    route, the witness subgroups, quotient factors and the verified rooted
+    isomorphism (product of factors -> input) are present.
     """
 
     decomposable: bool | None
@@ -85,18 +102,50 @@ def decomposability_general(m: RootedMap,
 
     For a normal H, S.H (S the root stabilizer) is the stabilizer of the
     block root.H, and by transitivity S.H1 & S.H2 == S exactly when the
-    blocks root.H1 and root.H2 meet only in the root.
+    blocks root.H1 and root.H2 meet only in the root.  A Mon that is not
+    regular first meets the block test (module docstring), which can
+    settle the verdict without listing Mon.
     """
     return _decomposability_general(m, m.monodromy_group(), bound)
+
+
+BLOCK_TEST_REASON = "no two proper blocks of Mon at the root meet only in the root"
+
+
+def _root_blocks_meet_only_in_root(m: RootedMap, mon: PermGroup) -> bool:
+    """Whether two proper blocks of Mon(m) that hold the root meet only in
+    the root.  For each flag x, breadth first from the root, B_x is the
+    least block holding the root and x; the first pair of proper ones that
+    meet only in the root answers yes."""
+    tables = [g.images for g in mon.generators]
+    n = m.n_flags
+    blocks: list[set[int]] = []
+    for x in _orbit(tables, m.root)[1:]:
+        block = _least_block(tables, n, m.root, x)
+        if len(block) == n:
+            continue
+        block_set = set(block)
+        if any(len(block_set.intersection(other)) == 1 for other in blocks):
+            return True
+        blocks.append(block_set)
+    return False
 
 
 def _decomposability_general(m: RootedMap, mon: PermGroup,
                              bound: int) -> DecompositionVerdict:
     """decomposability_general on a given Mon(m).  It is kept apart so that
-    analyze_map can read |Mon| from the element list the search builds.
-    Keeping Mon on the map instead would keep that list alive as long as
-    the map, which raised the peak RSS of the benchmark's analyze corpus
-    by 18 % (README)."""
+    analyze_map shares one Mon, and with it the regularity test, the chain
+    or the element list, with |Mon| in its report.  Keeping Mon on the map
+    instead would keep an element list alive as long as the map, which
+    raised the peak RSS of the benchmark's analyze corpus by 18 % (README)."""
+    if not mon.is_regular() and not _root_blocks_meet_only_in_root(m, mon):
+        return DecompositionVerdict(decomposable=False, reason=BLOCK_TEST_REASON)
+    return _minimal_normal_search(m, mon, bound)
+
+
+def _minimal_normal_search(m: RootedMap, mon: PermGroup,
+                           bound: int) -> DecompositionVerdict:
+    """The search over pairs of minimal normal subgroups of Mon(m)."""
     try:
         minimals = minimal_normal_subgroups(mon, bound)
     except BoundExceeded as exc:

@@ -11,9 +11,11 @@ walk that records its Schreier tables; element lists are the orbit of the
 identity, with the right regular tables.  Conjugacy classes run on those,
 with elements as indices, and minimal normal subgroups grow the closure of
 each class inside itself.  Plain orbits and orbit partitions of points
-come from ``_orbit`` and ``_orbits``.  One routine grows the unique map
-that turns one list of tables into another: it finds the centralizer of a
-regular group, left multiplication on the right regular tables, labeled
+come from ``_orbit`` and ``_orbits``, and the least block holding two
+points from ``_least_block``.  One routine grows the unique map that
+turns one list of tables into another: it finds the centralizer of a
+regular group (which also gives its left regular tables), left
+multiplication on the right regular tables of other groups, labeled
 congruence of groups, and the isomorphisms and automorphisms of maps.
 """
 
@@ -393,18 +395,49 @@ class PermGroup:
 
         The same pass records the right regular representation on indices
         into this tuple: ``_right[j][x]`` is the index of x * generators[j].
-        A group of more than bound elements raises, listed already or not.
+        A group of more than bound elements raises, listed already or not;
+        when its order is known (listed, from a chain, or the degree of a
+        regular group), it raises before listing anything.
         """
         message = f"group exceeds element bound {bound}"
+        if self._known_order() > bound:
+            raise BoundExceeded(message)
         if self._elements is None:
             gen_images = [g.images for g in self.generators]
             found, self._right = _numbered_orbit(
                 tuple(range(self.degree)),
                 lambda a: map(itemgetter(*a), gen_images), bound, message)
             self._elements = tuple(map(_perm, found))
-        elif len(self._elements) > bound:
-            raise BoundExceeded(message)
         return self._elements
+
+    def _known_order(self) -> int:
+        """The order when it is known without new work, else 0."""
+        if self._elements is not None:
+            return len(self._elements)
+        if self._chain is not None:
+            return self._chain.order()
+        return self.degree if self._regular else 0
+
+    def _left_tables(self) -> list[list[int]]:
+        """The left regular table of each generator g_j on the indices of
+        ``elements()``: ``table[x]`` is the index of g_j * x.
+
+        A regular group names x by the point 0 . x, and 0 . (g_j * x) is
+        c_j[0 . x] for the centralizer element c_j that ``is_regular``
+        grew with 0 . c_j = 0 . g_j.  Otherwise each table is the map that
+        takes the identity to g_j and turns the right tables into
+        themselves."""
+        els, right = self._elements, self._right
+        n = len(els)
+        if not self.is_regular():
+            return [_equivariant_map(right, 0, right, row[0], n)
+                    for row in right]
+        names = [p.images[0] for p in els]
+        where = [0] * n
+        for i, name in enumerate(names):
+            where[name] = i
+        return [[where[c.images[name]] for name in names]
+                for c in self._centralizer]
 
     def _right_tables(self, perms: Sequence[Perm],
                       bound: int) -> list[list[int]]:
@@ -476,6 +509,38 @@ def _orbit(tables: Sequence[Sequence[int]], start: int) -> list[int]:
                 seen.add(b)
                 out.append(b)
     return out
+
+
+def _least_block(tables: Sequence[Sequence[int]], n: int,
+                 a: int, b: int) -> list[int]:
+    """The class of a, sorted, in the finest partition of {0..n-1} that
+    joins a and b and that the point tables map onto itself: for a
+    transitive group, the least block holding a and b.
+
+    Atkinson's closure (Atkinson, Math. Comp. 29, 1975; Dixon and
+    Mortimer, Permutation Groups, 1.5): classes start as points, and each
+    pair of points joined, a and b first, joins the classes of its images
+    under every table.  A join relabels the smaller class, so the class of
+    a point is one lookup; at most n - 1 joins, O(n * tables) lookups."""
+    if a == b:
+        return [a]
+    label = list(range(n))
+    members: list[list[int]] = [[x] for x in range(n)]
+    joined = [(a, b)]
+    label[b] = a
+    members[a].append(b)
+    for x, y in joined:  # grows while it is read: a queue of joins
+        for images in tables:
+            p, q = images[x], images[y]
+            u, v = label[p], label[q]
+            if u != v:
+                if len(members[u]) < len(members[v]):
+                    u, v = v, u
+                for z in members[v]:
+                    label[z] = u
+                members[u] += members[v]
+                joined.append((p, q))
+    return sorted(members[label[a]])
 
 
 def _orbits(tables: Sequence[Sequence[int]], n: int) -> list[list[int]]:
@@ -552,23 +617,19 @@ def _equivariant_map(src: Sequence[Sequence[int]], start: int,
     return image
 
 
-def _conjugation_tables(right: list[list[int]], n: int) -> list[list[int]]:
-    """``conj[j][x]``, the index of g_j^-1 * x * g_j, from the right
-    regular tables of ``PermGroup.elements`` with no Perm product."""
+def _index_classes(G: PermGroup) -> list[list[int]]:
+    """Conjugacy classes of a listed G as lists of indices into
+    ``elements()``, each headed by its least index: the orbits of the
+    conjugation tables, ``conj[j][x]`` the index of g_j^-1 * x * g_j, found
+    from the right and left regular tables with no Perm product."""
+    n = len(G._elements)
     conj = []
-    for rrow in right:
-        lrow = _equivariant_map(right, 0, right, rrow[0], n)  # x -> g_j * x
+    for rrow, lrow in zip(G._right, G._left_tables()):
         table = [0] * n
         for x, y in enumerate(lrow):  # y = g_j * x: g_j^-1 * y * g_j = x * g_j
             table[y] = rrow[x]
         conj.append(table)
-    return conj
-
-
-def _index_classes(right: list[list[int]], n: int) -> list[list[int]]:
-    """Conjugacy classes as index lists, each headed by its least index:
-    the orbits of the conjugation tables."""
-    return _orbits(_conjugation_tables(right, n), n)
+    return _orbits(conj, n)
 
 
 def conjugacy_classes(G: PermGroup,
@@ -576,7 +637,7 @@ def conjugacy_classes(G: PermGroup,
     """Conjugacy classes of G as sorted element lists, by least representative."""
     els = G.elements(bound)
     classes = [sorted((els[i] for i in cls), key=lambda p: p.images)
-               for cls in _index_classes(G._right, len(els))]
+               for cls in _index_classes(G)]
     classes.sort(key=lambda cls: cls[0].images)
     return classes
 
@@ -671,7 +732,7 @@ def minimal_normal_subgroups(G: PermGroup,
         return []
     els = G.elements(bound)
     n = len(els)
-    classes = _index_classes(G._right, n)
+    classes = _index_classes(G)
     class_of = _block_index(classes, n)
     names: list = [p.images[0] for p in els]
     by_point = len(set(names)) == n

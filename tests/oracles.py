@@ -521,7 +521,7 @@ def minimal_normal_subgroups_union_find(G: PermGroup,
     els = G.elements(bound)
     right = G._right
     n = len(els)
-    classes = _index_classes(right, n)
+    classes = _index_classes(G)
     class_of = [0] * n
     for ci, cls in enumerate(classes):
         for x in cls:

@@ -211,6 +211,46 @@ def test_listed_elements_still_answer_to_the_bound():
     assert len(G.elements(40)) == 40
 
 
+def test_known_order_raises_before_listing(monkeypatch):
+    # with the order known (from a chain, or as the degree of a regular
+    # group), elements(bound) raises before it lists a single element
+    from flagmaps import build_slightly_degenerate
+    walks = []
+    walk = perm._numbered_orbit
+    monkeypatch.setattr(perm, "_numbered_orbit",
+                        lambda *args: walks.append(args) or walk(*args))
+    s5 = PermGroup(5, [Perm((1, 2, 3, 4, 0)), Perm((1, 0, 2, 3, 4))])
+    assert s5.order() == 120 and not s5.is_regular()
+    regular = build_slightly_degenerate("epsilon", 10).monodromy_group()
+    assert regular.is_regular()
+    for G, bound in ((s5, 119), (regular, 39)):
+        with pytest.raises(BoundExceeded,
+                           match=f"^group exceeds element bound {bound}$"):
+            G.elements(bound)
+        with pytest.raises(BoundExceeded):
+            minimal_normal_subgroups(G, bound)
+        assert G._elements is None
+    assert walks == []
+    assert len(s5.elements(120)) == 120 and len(regular.elements(40)) == 40
+
+
+def test_left_tables_are_left_multiplication():
+    # regular groups read them from the centralizer, others grow them
+    from flagmaps import (automorphism_group, build_degenerate,
+                          build_slightly_degenerate)
+    maps = [build_degenerate(7, 6), build_slightly_degenerate("delta", 6),
+            build_slightly_degenerate("epsilon", 5)]
+    groups = [m.monodromy_group() for m in maps]
+    groups += [automorphism_group(m) for m in maps]
+    groups.append(PermGroup(5, [Perm((1, 2, 3, 4, 0)), Perm((1, 0, 2, 3, 4))]))
+    assert {G.is_regular() for G in groups} == {True, False}
+    for G in groups:
+        els = G.elements()
+        where = {p: i for i, p in enumerate(els)}
+        assert G._left_tables() == [[where[g * x] for x in els]
+                                    for g in G.generators]
+
+
 def test_degree_bound():
     with pytest.raises(BoundExceeded):
         PermGroup(20_001, [Perm.identity(20_001)]).chain()
