@@ -1,0 +1,226 @@
+"""Elements of a permutation group named by the images of a base.
+
+``PermGroup._listed`` makes one ``Listing`` per group, and the readers in
+``perm`` (``elements()``, ``_right_tables``, ``conjugacy_classes`` and
+``minimal_normal_subgroups``) work on it.  The walks and the map routine
+are ``perm``'s, looked up when called, since ``perm`` imports this module.
+"""
+
+from __future__ import annotations
+
+from operator import itemgetter
+from typing import Any, Callable, Hashable, Sequence
+
+from . import perm
+
+
+class Listing:
+    """The elements of a group, named by the images of a base.
+
+    An element x is named b.x for a tuple of points b on whose orbit the
+    group acts regularly and faithfully, so every element has one name and
+    x * t is named b.x.t, one ``itemgetter`` call on the images of t.
+    When b is the point 0 (a regular or a semiregular group) the names
+    are points, else tuples of points.  Elements are indices, the identity
+    0: ``names[i]`` is the name of element i and ``where[name]`` its
+    index, ``right[j][i]`` is the index of element i * g_j and
+    ``left[j][i]`` that of g_j * element i.  A regular group's indices
+    are its points, its right tables are its generators and its left
+    tables the centralizer generators that ``is_regular`` grew (g_j * x
+    is named c_j[0.x]).  Other listings number the names in the order
+    that the walk of the base's orbit finds them, which is the
+    breadth-first order of ``elements()``.  Image tuples are built only on
+    demand (``image_builder``).
+    """
+
+    __slots__ = ("gens", "names", "right", "degree", "points", "_where",
+                 "_left", "_tree")
+
+    def __init__(self, gens: list[tuple[int, ...]], names: Sequence,
+                 right: Sequence[Sequence[int]],
+                 left: Sequence[Sequence[int]] | None, degree: int):
+        self.gens = gens
+        self.names = names
+        self.right = right
+        self.degree = degree
+        self.points = not isinstance(names[0], tuple)
+        self._left = left
+        self._where = names if isinstance(names, range) else None
+        self._tree: tuple[list[int], list] | None = None
+
+    @property
+    def count(self) -> int:
+        return len(self.names)
+
+    @property
+    def where(self) -> Any:
+        if self._where is None:
+            self._where = dict(zip(self.names, range(self.count)))
+        return self._where
+
+    @property
+    def left(self) -> Sequence[Sequence[int]]:
+        if self._left is None:  # a base of every point is always regular
+            self._left = left_tables(self.right, self.count)
+        return self._left
+
+    def times(self, name: Hashable) -> Callable[[Sequence[int]], Any]:
+        """The map from the images of t to the name of x * t, for the x
+        named ``name``."""
+        return itemgetter(name) if self.points else itemgetter(*name)
+
+    def sort_key(self, images: Callable[[int], tuple[int, ...]],
+                 ) -> Callable[[int], Any]:
+        """A key on indices that sorts elements as their image tuples do:
+        the name, when the base is a prefix 0, 1, ..., k-1 of the points,
+        else the images."""
+        base = self.names[0]
+        if self.points or base == tuple(range(len(base))):
+            return self.names.__getitem__
+        return images
+
+    def breadth_first(self) -> tuple[list[int], list]:
+        """The indices breadth first from the identity over the right
+        tables, and ``parent[c] = (a, j)``: c was first found as a * g_j."""
+        if self._tree is None:
+            parent: list = [None] * self.count
+            parent[0] = (0, -1)
+            order = [0]
+            for a in order:  # grows while it is read: a breadth-first queue
+                for j, row in enumerate(self.right):
+                    c = row[a]
+                    if parent[c] is None:
+                        parent[c] = (a, j)
+                        order.append(c)
+            self._tree = order, parent
+        return self._tree
+
+    def breadth_first_order(self) -> Sequence[int]:
+        """The indices in the order of ``elements()``."""
+        if isinstance(self.names, range):  # a regular group's points
+            return self.breadth_first()[0]
+        return range(self.count)  # numbered breadth first by the walk
+
+    def image_builder(self) -> Callable[[int], tuple[int, ...]]:
+        """The function from an index to the image tuple of its element.
+        Each element asked for is built from its parent in the
+        breadth-first tree by one composition, and kept for the function's
+        later calls."""
+        if self.names[0] == tuple(range(self.degree)):
+            return self.names.__getitem__  # a base of every point
+        _, parent = self.breadth_first()
+        gens = self.gens
+        built: list = [None] * self.count
+        built[0] = tuple(range(self.degree))
+
+        def images(i: int) -> tuple[int, ...]:
+            path = []
+            while built[i] is None:
+                path.append(i)
+                i = parent[i][0]
+            result = built[i]
+            for c in reversed(path):
+                result = built[c] = itemgetter(*result)(gens[parent[c][1]])
+            return result
+
+        return images
+
+    def breadth_first_right(self) -> Sequence[Sequence[int]]:
+        """The right tables on the indices of ``elements()``."""
+        order = self.breadth_first_order()
+        if isinstance(order, range):
+            return self.right
+        position = [0] * self.count
+        for i, c in enumerate(order):
+            position[c] = i
+        return [[position[row[c]] for c in order] for row in self.right]
+
+
+def left_tables(right: Sequence[Sequence[int]],
+                n: int) -> list[list[int]] | None:
+    """The maps that take the identity to g_j and turn each right table
+    into itself: left multiplication by g_j when the group acts regularly
+    on the n names, else None."""
+    left = []
+    for row in right:
+        table = perm._equivariant_map(right, 0, right, row[0], n)
+        if table is None:
+            return None
+        left.append(table)
+    return left
+
+
+def stabilizer_moves(listing: Listing) -> int:
+    """A point that the stabilizer of the base moves, for a listing
+    numbered by its walk whose stabilizer is not trivial: the least point
+    moved by the first nontrivial Schreier generator u_a * g_j * u_c^-1
+    with c = a * g_j, u_a the element of index a (Holt, Handbook of CGT,
+    4.1).  The edges are crossed in the walk's order, so that each new
+    index is a tree edge, u_c = u_a * g_j, and the elements are built only
+    as far as the generator found."""
+    built = [tuple(range(listing.degree))]
+    for a, u_a in enumerate(built):  # grows while it is read
+        then_a = itemgetter(*u_a)
+        for g, row in zip(listing.gens, listing.right):
+            c, product = row[a], then_a(g)
+            if c == len(built):
+                built.append(product)
+            elif product != built[c]:
+                return next(x for x, (y, z)
+                            in enumerate(zip(product, built[c])) if y != z)
+    raise AssertionError("the stabilizer of the base is trivial")
+
+
+def base_listing(gens: list[tuple[int, ...]], degree: int, order: int,
+                 bound: int, message: str) -> Listing:
+    """The listing of a group that is not regular, of the given order, or
+    0 when that is not known.
+
+    The base b starts as the point 0 and grows until the group acts
+    regularly and faithfully on the orbit of b, walked by
+    ``perm._numbered_orbit`` within the element bound: until the
+    stabilizer of b is trivial.  With the order known, that is when the
+    orbit has as many names as the group has elements.  Otherwise the
+    action is regular when ``left_tables`` finds the left tables.  Its
+    kernel is then the stabilizer of b, a normal subgroup, so it is
+    faithful when that fixes the least point y of each orbit of the group
+    that b misses: when b.x -> y.x is a well-defined map
+    (``perm._equivariant_map``).  The point added is the first y that
+    fails, or, when the action is not regular, a point that the stabilizer
+    of b moves (``stabilizer_moves``), so each new point shrinks the
+    stabilizer.  A semiregular group (Aut of a map) is listed on the orbit
+    of 0 with points for names.  Once b would hold half the points, it is
+    every point, and the names are the image tuples.
+    """
+    orbit_of: list[int] | None = None
+    base: tuple[int, ...] = (0,)
+    while True:
+        everything = 2 * len(base) > degree
+        if everything:
+            base = tuple(range(degree))
+        if len(base) == 1:
+            names, right = perm._numbered_orbit(
+                0, lambda a: [g[a] for g in gens], bound, message)
+        else:
+            names, right = perm._numbered_orbit(
+                base, lambda a: map(itemgetter(*a), gens), bound, message)
+        count = len(names)
+        if everything or count == order:
+            return Listing(gens, names, right, None, degree)
+        listing = Listing(gens, names, right,
+                          None if order else left_tables(right, count),
+                          degree)
+        if listing._left is None:
+            base += (stabilizer_moves(listing),)
+            continue
+        if orbit_of is None:
+            orbits = perm._orbits(gens, degree)
+            orbit_of = perm._block_index(orbits, degree)
+        met = {orbit_of[x] for x in base}
+        unfixed = next((orbit[0] for k, orbit in enumerate(orbits)
+                        if k not in met and perm._equivariant_map(
+                            right, 0, gens, orbit[0], count,
+                            injective=False) is None), None)
+        if unfixed is None:
+            return listing
+        base += (unfixed,)

@@ -135,8 +135,8 @@ def _decomposability_general(m: RootedMap, mon: PermGroup,
                              bound: int) -> DecompositionVerdict:
     """decomposability_general on a given Mon(m).  It is kept apart so that
     analyze_map shares one Mon, and with it the regularity test, the chain
-    or the element list, with |Mon| in its report.  Keeping Mon on the map
-    instead would keep an element list alive as long as the map, which
+    or the element listing, with |Mon| in its report.  Keeping Mon on the
+    map instead would keep an element list alive as long as the map, which
     raised the peak RSS of the benchmark's analyze corpus by 18 % (README)."""
     if not mon.is_regular() and not _root_blocks_meet_only_in_root(m, mon):
         return DecompositionVerdict(decomposable=False, reason=BLOCK_TEST_REASON)

@@ -92,6 +92,13 @@ class RootedMap:
         return tuple(auts)
 
     @cached_property
+    def _automorphism_order(self) -> int:
+        """|Aut|, found once per map: Aut is semiregular, so it is the size
+        of the root's orbit under the Aut generators."""
+        return len(_orbit([g.images for g in self._automorphism_generators],
+                          self.root))
+
+    @cached_property
     def _context_orders(self) -> tuple[int, ...]:
         """Orders of the seven context words, found once per map (see
         degen.context_vector)."""
@@ -331,21 +338,24 @@ def automorphism_group(m: RootedMap) -> PermGroup:
     An automorphism is fixed by the root's image, so flags already in the
     root's orbit under the automorphisms found so far are skipped.  Each
     kept generator at least doubles that orbit, so there are at most
-    log2 |Aut| generators.  The generators are found once per map; each
-    call returns a new group on them.
+    log2 |Aut| generators.  The generators and the order are found once
+    per map; each call returns a new group on them, which knows its order.
     """
-    return PermGroup(m.n_flags, m._automorphism_generators)
+    aut = PermGroup(m.n_flags, m._automorphism_generators)
+    aut._order = m._automorphism_order
+    return aut
 
 
 # --- re-rooting -------------------------------------------------------------
 
 # The facts kept on a map that do not depend on its root.
-_ROOT_FREE_FACTS = ("_surface", "_automorphism_generators", "_context_orders")
+_ROOT_FREE_FACTS = ("_surface", "_automorphism_generators",
+                    "_automorphism_order", "_context_orders")
 
 
 def reroot(m: RootedMap, flag: int) -> RootedMap:
     """m rooted at flag, sharing the root-free facts m has already found:
-    its surface, the generators of Aut and the context orders."""
+    its surface, the generators and order of Aut and the context orders."""
     out = RootedMap(m.t, m.l, m.r, flag)
     out.__dict__.update((name, value) for name, value in vars(m).items()
                         if name in _ROOT_FREE_FACTS)

@@ -7,16 +7,20 @@ is the degree and membership is commuting with its centralizer.  Other
 groups get orders and membership from an incremental Schreier-Sims
 stabilizer chain with explicit inverse transversals.  Orbits whose
 objects are numbered come from ``_numbered_orbit``, a bounded breadth-first
-walk that records its Schreier tables; element lists are the orbit of the
-identity, with the right regular tables.  Conjugacy classes run on those,
-with elements as indices, and minimal normal subgroups grow the closure of
-each class inside itself.  Plain orbits and orbit partitions of points
-come from ``_orbit`` and ``_orbits``, and the least block holding two
-points from ``_least_block``.  One routine grows the unique map that
-turns one list of tables into another: it finds the centralizer of a
-regular group (which also gives its left regular tables), left
-multiplication on the right regular tables of other groups, labeled
-congruence of groups, and the isomorphisms and automorphisms of maps.
+walk that records its Schreier tables.  A group's elements are listed
+once (``_listing.Listing``), each named by the images of a base on whose
+orbit the group acts regularly: the points of a regular group with no
+walk at all, the orbit of point 0 for a semiregular one, the orbit of a
+grown base otherwise.  Conjugacy classes, minimal normal subgroups, the right
+regular tables and ``elements()`` read that listing, and image tuples are
+built on demand along its breadth-first tree.  Plain orbits and orbit
+partitions of points come from ``_orbit`` and ``_orbits``, and the least
+block holding two points from ``_least_block``.  One routine grows the
+unique map that turns one list of tables into another: it finds the
+centralizer of a regular group (which also gives its left regular
+tables), left multiplication on the names of other groups, whether the
+stabilizer of a base fixes a point, labeled congruence of groups, and the
+isomorphisms and automorphisms of maps.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from dataclasses import dataclass
 from math import inf, isqrt, lcm
 from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Sequence
+
+from . import _listing
 
 DEFAULT_DEGREE_BOUND = 10_000
 DEFAULT_ELEMENT_BOUND = 100_000
@@ -310,7 +316,9 @@ class PermGroup:
         self.generators = tuple(g for g in generators if not g.is_identity())
         self._chain: StabilizerChain | None = None
         self._elements: tuple[Perm, ...] | None = None
-        self._right: list[list[int]] | None = None
+        self._listing: _listing.Listing | None = None
+        # the order, when whoever built the group already knew it
+        self._order: int | None = None
         # set by is_regular: None until tested; for a regular group,
         # generators of its centralizer in Sym(degree)
         self._regular: bool | None = None
@@ -364,9 +372,7 @@ class PermGroup:
     def order(self) -> int:
         if self._answers_from_points():
             return self.degree
-        if self._elements is not None:
-            return len(self._elements)
-        return self.chain().order()
+        return self._known_order() or self.chain().order()
 
     def contains(self, p: Perm) -> bool:
         if not self.generators:
@@ -393,61 +399,64 @@ class PermGroup:
     def elements(self, bound: int = DEFAULT_ELEMENT_BOUND) -> tuple[Perm, ...]:
         """All elements, breadth first from the identity (deterministic order).
 
-        The same pass records the right regular representation on indices
-        into this tuple: ``_right[j][x]`` is the index of x * generators[j].
-        A group of more than bound elements raises, listed already or not;
-        when its order is known (listed, from a chain, or the degree of a
-        regular group), it raises before listing anything.
+        They are read off the listing (``_listed``), each built from its
+        parent in the breadth-first tree by one composition.  A group of
+        more than bound elements raises, listed already or not; when its
+        order is known (listed, from a chain, the degree of a regular
+        group, or given by whoever built it), it raises before listing
+        anything.
         """
-        message = f"group exceeds element bound {bound}"
         if self._known_order() > bound:
-            raise BoundExceeded(message)
+            raise BoundExceeded(f"group exceeds element bound {bound}")
         if self._elements is None:
-            gen_images = [g.images for g in self.generators]
-            found, self._right = _numbered_orbit(
-                tuple(range(self.degree)),
-                lambda a: map(itemgetter(*a), gen_images), bound, message)
-            self._elements = tuple(map(_perm, found))
+            listing = self._listed(bound)
+            self._elements = tuple(map(_perm, map(
+                listing.image_builder(), listing.breadth_first_order())))
         return self._elements
 
     def _known_order(self) -> int:
         """The order when it is known without new work, else 0."""
+        if self._listing is not None:
+            return self._listing.count
         if self._elements is not None:
             return len(self._elements)
+        if self._order is not None:
+            return self._order
         if self._chain is not None:
             return self._chain.order()
         return self.degree if self._regular else 0
 
-    def _left_tables(self) -> list[list[int]]:
-        """The left regular table of each generator g_j on the indices of
-        ``elements()``: ``table[x]`` is the index of g_j * x.
-
-        A regular group names x by the point 0 . x, and 0 . (g_j * x) is
-        c_j[0 . x] for the centralizer element c_j that ``is_regular``
-        grew with 0 . c_j = 0 . g_j.  Otherwise each table is the map that
-        takes the identity to g_j and turns the right tables into
-        themselves."""
-        els, right = self._elements, self._right
-        n = len(els)
-        if not self.is_regular():
-            return [_equivariant_map(right, 0, right, row[0], n)
-                    for row in right]
-        names = [p.images[0] for p in els]
-        where = [0] * n
-        for i, name in enumerate(names):
-            where[name] = i
-        return [[where[c.images[name]] for name in names]
-                for c in self._centralizer]
+    def _listed(self, bound: int) -> _listing.Listing:
+        """The elements named by the images of a base
+        (``_listing.Listing``), listed once: for a regular group no walk at
+        all, else the orbit of the base.  A group of more than bound
+        elements raises before its element bound is named, and before
+        anything is walked when its order is known."""
+        message = f"group exceeds element bound {bound}"
+        order = self._known_order()
+        if self._listing is None and order <= bound:
+            gens = [g.images for g in self.generators]
+            if order not in (0, self.degree) or not self.is_regular():
+                self._listing = _listing.base_listing(
+                    gens, self.degree, order, bound, message)
+            elif self.degree <= bound:
+                self._listing = _listing.Listing(
+                    gens, range(self.degree), gens,
+                    [c.images for c in self._centralizer], self.degree)
+        if self._known_order() > bound:
+            raise BoundExceeded(message)
+        return self._listing
 
     def _right_tables(self, perms: Sequence[Perm],
                       bound: int) -> list[list[int]]:
         """The right regular table of each given permutation, which is a
         generator or the identity, on the indices of ``elements(bound)``:
-        ``table[x]`` is the index of x * p."""
-        self.elements(bound)
-        identity = list(range(len(self._elements)))
+        ``table[x]`` is the index of x * p.  No ``Perm`` is built."""
+        listing = self._listed(bound)
+        right = listing.breadth_first_right()
+        identity = list(range(listing.count))
         return [identity if p.is_identity()
-                else self._right[self.generators.index(p)] for p in perms]
+                else right[self.generators.index(p)] for p in perms]
 
     def is_trivial(self) -> bool:
         return not self.generators
@@ -589,7 +598,7 @@ def normal_closure(G: PermGroup, seed: Sequence[Perm],
 
 def _equivariant_map(src: Sequence[Sequence[int]], start: int,
                      dst: Sequence[Sequence[int]], image_of_start: int,
-                     n: int) -> list[int] | None:
+                     n: int, injective: bool = True) -> list[int] | None:
     """The bijection f of {0..n-1} with f(start) = image_of_start and
     f(s[x]) = d[f(x)] for each pair of tables (s, d) of ``zip(src, dst)``,
     or None when there is none.
@@ -597,7 +606,10 @@ def _equivariant_map(src: Sequence[Sequence[int]], start: int,
     Grown breadth first from start: when b is first reached as s[a], f(b)
     is d[f(a)]; each equation is checked once, as its edge is first
     crossed, and a conflict ends the search at once.  A map that reaches
-    every point is unique; it must also be injective.
+    every point is unique; it must also be injective unless ``injective``
+    is false.  From the orbit of start under a group into points of the
+    same group, such a map then exists exactly when the stabilizer of
+    start fixes image_of_start.
     """
     image = [-1] * n
     image[start] = image_of_start
@@ -612,19 +624,19 @@ def _equivariant_map(src: Sequence[Sequence[int]], start: int,
                 queue.append(b)
             elif image[b] != d[ia]:
                 return None
-    if len(queue) != n or len(set(image)) != n:
+    if len(queue) != n or (injective and len(set(image)) != n):
         return None
     return image
 
 
-def _index_classes(G: PermGroup) -> list[list[int]]:
-    """Conjugacy classes of a listed G as lists of indices into
-    ``elements()``, each headed by its least index: the orbits of the
-    conjugation tables, ``conj[j][x]`` the index of g_j^-1 * x * g_j, found
-    from the right and left regular tables with no Perm product."""
-    n = len(G._elements)
+def _index_classes(listing: _listing.Listing) -> list[list[int]]:
+    """Conjugacy classes as lists of listing indices, each headed by its
+    least index: the orbits of the conjugation tables, ``conj[j][x]`` the
+    index of g_j^-1 * x * g_j, found from the right and left tables with
+    no Perm product."""
+    n = listing.count
     conj = []
-    for rrow, lrow in zip(G._right, G._left_tables()):
+    for rrow, lrow in zip(listing.right, listing.left):
         table = [0] * n
         for x, y in enumerate(lrow):  # y = g_j * x: g_j^-1 * y * g_j = x * g_j
             table[y] = rrow[x]
@@ -634,32 +646,26 @@ def _index_classes(G: PermGroup) -> list[list[int]]:
 
 def conjugacy_classes(G: PermGroup,
                       bound: int = DEFAULT_ELEMENT_BOUND) -> list[list[Perm]]:
-    """Conjugacy classes of G as sorted element lists, by least representative."""
-    els = G.elements(bound)
-    classes = [sorted((els[i] for i in cls), key=lambda p: p.images)
-               for cls in _index_classes(G)]
+    """Conjugacy classes of G as sorted element lists, by least
+    representative.  Only the elements returned are built."""
+    listing = G._listed(bound)
+    images = listing.image_builder()
+    key = listing.sort_key(images)
+    classes = [[_perm(images(i)) for i in sorted(cls, key=key)]
+               for cls in _index_classes(listing)]
     classes.sort(key=lambda cls: cls[0].images)
     return classes
-
-
-def _cycle_length_at_0(p: Perm) -> int:
-    """The length of the cycle of p through point 0."""
-    images = p.images
-    length, x = 1, images[0]
-    while x:
-        length, x = length + 1, images[x]
-    return length
 
 
 def _is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
-def _right_cosets(H: list, by_point: bool):
-    """The map from the images of t to the names of the coset H t.  Named
-    by point, those are t's images of the names in H; named by image
-    tuple, they are t composed after each element of H."""
-    if not by_point:
+def _right_cosets(H: list, points: bool):
+    """The map from the images of t to the names of the coset H t, which
+    are t's images of the names in H: one lookup each for points, one
+    ``itemgetter`` call each for tuples."""
+    if not points:
         after = [itemgetter(*h) for h in H]
         return lambda t: [h_then(t) for h_then in after]
     if len(H) > 1:
@@ -667,8 +673,9 @@ def _right_cosets(H: list, by_point: bool):
     return lambda t: (t[0],)  # H is trivial: the name of t alone
 
 
-def _class_closure(els: Sequence[Perm], cls: list[int], names: list,
-                   where, dead: set, by_point: bool) -> list | None:
+def _class_closure(listing: _listing.Listing,
+                   images: Callable[[int], tuple[int, ...]],
+                   cls: list[int], dead: set) -> list | None:
     """The names of the subgroup generated by the class ``cls``, or None
     once it meets a name in ``dead``.
 
@@ -676,8 +683,10 @@ def _class_closure(els: Sequence[Perm], cls: list[int], names: list,
     element c becomes a generator only when the subgroup H so far lacks
     it, and <H, c> is then the union of the right cosets H t, whose
     representatives t = r * g are found breadth first over the
-    representatives r and the generators g.
+    representatives r and the generators g.  Image tuples are built for
+    the generators and the representatives only.
     """
+    names, times = listing.names, listing.times
     identity = names[0]
     found = [identity]
     inside = {identity}
@@ -685,21 +694,22 @@ def _class_closure(els: Sequence[Perm], cls: list[int], names: list,
     for c in cls:
         if names[c] in inside:
             continue
-        gens.append(els[c].images)
-        coset_of = _right_cosets(found, by_point)
-        reps = [identity]
-        for r in reps:  # grows while it is read: a breadth-first queue
-            times_r = itemgetter(r) if by_point else itemgetter(*r)
+        gens.append(images(c))
+        coset_of = _right_cosets(found, listing.points)
+        reps = [(identity, images(0))]
+        for r, r_images in reps:  # grows while it is read: a queue
+            times_r, then_r = times(r), itemgetter(*r_images)
             for g in gens:
                 t = times_r(g)
                 if t in inside:
                     continue
-                coset = coset_of(els[where[t]].images if by_point else t)
+                t_images = then_r(g)
+                coset = coset_of(t_images)
                 if not dead.isdisjoint(coset):
                     return None
                 inside.update(coset)
                 found.extend(coset)
-                reps.append(t)
+                reps.append((t, t_images))
     return found
 
 
@@ -707,72 +717,75 @@ def minimal_normal_subgroups(G: PermGroup,
                              bound: int = DEFAULT_ELEMENT_BOUND) -> list[PermGroup]:
     """All inclusion-minimal nontrivial normal subgroups of G.
 
-    G is enumerated once and its classes found on the regular
-    representation.  Every minimal normal subgroup N is the normal closure
-    of any one of its nontrivial elements.  By Cauchy's theorem N holds an
-    element x of prime order, and the class of x lies in N, so closing
-    each conjugacy class of prime order and keeping the inclusion-minimal
-    results is complete.  Classes are closed smallest first (ties in index
-    order); the normal closure N_C of a class C is the subgroup it
-    generates, grown inside itself.  A closure that meets a class D
-    visited earlier is dropped at once: N_D lies in N_C, so N_C repeats a
-    closure already kept or is not minimal.  Each minimal N is still
-    found, by the first class visited inside it.  x^k for k prime to the
-    order of x has the same closure, so the classes of the powers of a
-    visited x are skipped and count as visited.
+    G is listed once (``PermGroup._listed``): its elements are named by
+    the images of a base, points for a regular or semiregular G, and no
+    image tuple is built but for the class representatives, the closure
+    generators and coset representatives, and, when the names do not sort
+    as the images do, the members of the subgroups kept.  The classes are
+    found on the right and left tables.  Every minimal normal subgroup N
+    is the normal closure of any one of its nontrivial elements.  By
+    Cauchy's theorem N holds an element x of prime order, and the class of
+    x lies in N, so closing each conjugacy class of prime order and
+    keeping the inclusion-minimal results is complete.  Classes are closed
+    smallest first (ties in index order); the normal closure N_C of a
+    class C is the subgroup it generates, grown inside itself.  A closure
+    that meets a class D visited earlier is dropped at once: N_D lies in
+    N_C, so N_C repeats a closure already kept or is not minimal.  Each
+    minimal N is still found, by the first class visited inside it.  The
+    order of x is the length of the cycle of the base under x, whose names
+    are those of x, x^2, ...; x^k for k prime to the order of x has the
+    same closure, so the classes of the powers of a visited x are skipped
+    and count as visited.
 
-    Elements are named so that a product is one step: when the images of
-    point 0 tell them apart (G is semiregular, say), by the image of 0,
-    so that x * c is named c[x] and the order of x is the length of its
-    cycle through 0; otherwise by their image tuples.  Results are sorted
-    by order, then by element list, and each is generated by the
-    conjugacy class of its least nontrivial element.
+    Results are sorted by order, then by element list, and each is
+    generated by the conjugacy class of its least nontrivial element; its
+    order is known without a stabilizer chain.  A group of more than bound
+    elements raises ``BoundExceeded`` before its element bound is named.
     """
     if G.is_trivial():
         return []
-    els = G.elements(bound)
-    n = len(els)
-    classes = _index_classes(G)
-    class_of = _block_index(classes, n)
-    names: list = [p.images[0] for p in els]
-    by_point = len(set(names)) == n
-    if by_point:
-        order_of = _cycle_length_at_0
-        where: list[int] | dict[tuple[int, ...], int] = [0] * G.degree
-        for i, name in enumerate(names):
-            where[name] = i
-    else:
-        order_of = Perm.order
-        names = [p.images for p in els]
-        where = {name: i for i, name in enumerate(names)}
+    listing = G._listed(bound)
+    names, where = listing.names, listing.where
+    classes = _index_classes(listing)
+    class_of = _block_index(classes, listing.count)
+    images = listing.image_builder()
+    identity = names[0]
     dead: set = set()  # the names in the classes visited
     kept = []
     for cls in sorted(classes, key=len):  # stable: ties in index order
         if names[cls[0]] in dead:
             continue
-        x = els[cls[0]]
-        k = order_of(x)
-        if not _is_prime(k):
+        x = images(cls[0])
+        times_x = (x.__getitem__ if listing.points
+                   else lambda name: itemgetter(*name)(x))
+        powers = []  # the names of x, x^2, ..., x^(k-1), k the order of x
+        power = names[cls[0]]
+        while power != identity:
+            powers.append(power)
+            power = times_x(power)
+        if not _is_prime(len(powers) + 1):
             continue
-        found = _class_closure(els, cls, names, where, dead, by_point)
+        found = _class_closure(listing, images, cls, dead)
         if found is not None:
             kept.append(frozenset(map(where.__getitem__, found)))
-        power = names[cls[0]]
-        for _ in range(k - 1):  # x, x^2, ..., x^(k-1)
+        for power in powers:
             if power not in dead:
                 dead.update(names[i] for i in classes[class_of[where[power]]])
-            power = (x.images[power] if by_point
-                     else itemgetter(*power)(x.images))
+    key = listing.sort_key(images)
     keyed = []
     for N in kept:
         if any(M < N for M in kept):
             continue
-        members = sorted(N, key=lambda i: els[i].images)
-        keyed.append((len(N), [els[i].images for i in members], members[1]))
+        members = sorted(N, key=key)
+        keyed.append((len(N), [key(i) for i in members], members[1]))
     keyed.sort(key=lambda entry: entry[:2])
-    return [PermGroup(G.degree, sorted((els[i] for i in classes[class_of[least]]),
-                                       key=lambda p: p.images))
-            for _, _, least in keyed]
+    minimals = []
+    for size, _, least in keyed:
+        N = PermGroup(G.degree, [_perm(images(i)) for i in
+                                 sorted(classes[class_of[least]], key=key)])
+        N._order = size
+        minimals.append(N)
+    return minimals
 
 
 def is_normal_in(H: PermGroup, G: PermGroup) -> bool:

@@ -5,7 +5,6 @@ indices, so closures and joins are plain integer BFS.
 """
 
 from collections import deque
-from math import isqrt
 from operator import itemgetter
 
 from flagmaps import Perm
@@ -18,8 +17,7 @@ from flagmaps.mapcore import (GenusSymbol, RootedMap, _tables,
                               automorphism_to, cells_and_surface, isomorphism,
                               simple_reroots, triality_composites)
 from flagmaps.perm import (DEFAULT_ELEMENT_BOUND, BoundExceeded,
-                           LabeledGenerators, PermGroup, _cycle_length_at_0,
-                           _index_classes, _orbit, normal_closure)
+                           LabeledGenerators, PermGroup, _orbit)
 from flagmaps.product import ProductWitness
 from flagmaps.quotient import MapMorphism, StabilizerNotContained
 
@@ -345,213 +343,6 @@ def todd_coxeter(p: Presentation,
         Perm(index[rep(table[a][2 * g])] for a in live) for g in range(ngens))
     lg = LabeledGenerators(p.generators, perms)
     return lg, len(live)
-
-
-# --- reference minimal normal subgroups ---------------------------------
-#
-# ``conjugacy_classes`` and ``minimal_normal_subgroups`` as they stood
-# before the search moved to the regular representation (Perm-set class
-# BFS, one stabilizer-chain normal closure per prime-order class), kept
-# unchanged as the reference: the production functions must give the same
-# classes, and the same subgroups in the same order.
-
-def conjugacy_classes(G: PermGroup,
-                      bound: int = DEFAULT_ELEMENT_BOUND) -> list[list[Perm]]:
-    """Conjugacy classes of G as sorted element lists, by least representative."""
-    els = G.elements(bound)
-    inv_gens = [g.inverse() for g in G.generators]
-    seen: set[Perm] = set()
-    classes = []
-    for x in sorted(els, key=lambda p: p.images):
-        if x in seen:
-            continue
-        cls = {x}
-        queue = [x]
-        while queue:
-            y = queue.pop()
-            for g, gi in zip(G.generators, inv_gens):
-                z = gi * y * g
-                if z not in cls:
-                    cls.add(z)
-                    queue.append(z)
-        seen |= cls
-        classes.append(sorted(cls, key=lambda p: p.images))
-    return classes
-
-
-def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
-
-
-def _within(H: PermGroup, G: PermGroup) -> bool:
-    """Whether H is a subgroup of G (membership of H's generators)."""
-    return all(G.contains(h) for h in H.generators)
-
-
-def minimal_normal_subgroups(G: PermGroup,
-                             bound: int = DEFAULT_ELEMENT_BOUND) -> list[PermGroup]:
-    """All inclusion-minimal nontrivial normal subgroups of G.
-
-    Every minimal normal subgroup N is the normal closure of any one of its
-    nontrivial elements.  By Cauchy's theorem N holds an element x of prime
-    order, and the class of x lies in N, so closing one representative of
-    each conjugacy class of prime order and keeping the inclusion-minimal
-    results is complete.  Closures are compared by order and membership of
-    generators; only the minimal ones are enumerated, for the sort.
-    Results are sorted by order, then by element list, for determinism.
-    """
-    if G.is_trivial():
-        return []
-    closures: list[PermGroup] = []
-    for cls in conjugacy_classes(G, bound):
-        rep = cls[0]
-        if not _is_prime(rep.order()):
-            continue
-        N = normal_closure(G, [rep], bound)
-        if not any(M.order() == N.order() and _within(N, M) for M in closures):
-            closures.append(N)
-    minimal = [N for N in closures
-               if not any(M.order() < N.order() and _within(M, N)
-                          for M in closures)]
-    minimal.sort(key=lambda N: (N.order(),
-                                sorted(p.images for p in N.elements(bound))))
-    return minimal
-
-
-# --- reference union-find minimal normal subgroups ------------------------
-#
-# ``minimal_normal_subgroups`` as it stood when each prime-order class, in
-# index order, was closed by one union-find pass over the right regular
-# action of all of G, kept unchanged as the reference: the production
-# search must give the same subgroups, in the same order, with the same
-# generators.
-
-def _bfs_tree(right: list[list[int]], n: int) -> list[tuple[int, int]]:
-    """``tree[c] = (a, j)``: the breadth-first enumeration behind the right
-    tables first reached index c > 0 as a * g_j (``tree[0]`` is a dummy)."""
-    tree = [(0, -1)]
-    for a in range(n):
-        for j, row in enumerate(right):
-            if row[a] == len(tree):
-                tree.append((a, j))
-    return tree
-
-
-def _power_indices(right: list[list[int]], tree: list[tuple[int, int]],
-                   x: int, k: int) -> list[int]:
-    """The indices of x^2, ..., x^(k-1): right multiplication by x is the
-    word of x along the breadth-first tree, read through the right tables."""
-    word = []
-    c = x
-    while c:
-        c, j = tree[c]
-        word.append(right[j])
-    word.reverse()
-    out = []
-    y = x
-    for _ in range(k - 2):
-        for row in word:
-            y = row[y]
-        out.append(y)
-    return out
-
-
-def _identity_block(right: list[list[int]], n: int,
-                    seed: list[int]) -> list[int]:
-    """The subgroup generated by the seed indices, as an index list.
-
-    It is the identity's block in the finest partition of the indices that
-    joins 0 with every seed and is preserved by every right table (its
-    blocks are the right cosets).  Union-find with the smaller root
-    surviving, so index 0 stays a root; each point that stops being a root
-    is queued once and joins its images to its root's images (Atkinson, An
-    algorithm for finding the blocks of a permutation group, 1975).
-    """
-    parent = list(range(n))
-    queue = []
-    for s in seed:
-        if parent[s] != 0:
-            parent[s] = 0
-            queue.append(s)
-    for a in queue:  # grows while it is read
-        r = a
-        while parent[r] != r:
-            r = parent[r]
-        for row in right:
-            u = row[a]
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            v = row[r]
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            if u != v:
-                if u > v:
-                    u, v = v, u
-                parent[v] = u
-                queue.append(v)
-    # a parent is never larger than its child, so one ascending pass
-    # takes every point to its root
-    for x in range(n):
-        parent[x] = parent[parent[x]]
-    return [x for x in range(n) if parent[x] == 0]
-
-
-def minimal_normal_subgroups_union_find(G: PermGroup,
-                                         bound: int = DEFAULT_ELEMENT_BOUND) -> list[PermGroup]:
-    """All inclusion-minimal nontrivial normal subgroups of G.
-
-    Works on G's regular representation: G is enumerated once, elements
-    become indices, and classes and closures are integer table lookups.
-    Every minimal normal subgroup N is the normal closure of any one of
-    its nontrivial elements.  By Cauchy's theorem N holds an element x of
-    prime order, and the class of x lies in N, so closing each conjugacy
-    class of prime order and keeping the inclusion-minimal results is
-    complete.  The normal closure of x is the subgroup generated by its
-    class, found as a block of the right regular action; x^k for k prime
-    to the order of x has the same closure, so the classes of the powers
-    of a closed x are skipped.  On a regular G every element is
-    semiregular, and the order of x is the length of its cycle through
-    point 0.  Results are sorted by order, then by element list, and each
-    is generated by the conjugacy class of its least nontrivial element.
-    """
-    if G.is_trivial():
-        return []
-    els = G.elements(bound)
-    right = G._right
-    n = len(els)
-    classes = _index_classes(G)
-    class_of = [0] * n
-    for ci, cls in enumerate(classes):
-        for x in cls:
-            class_of[x] = ci
-    order_of = _cycle_length_at_0 if G.is_regular() else Perm.order
-    skip = [False] * len(classes)
-    closures = set()
-    tree = None
-    for ci, cls in enumerate(classes):
-        if skip[ci]:
-            continue
-        k = order_of(els[cls[0]])
-        if not _is_prime(k):
-            continue
-        closures.add(frozenset(_identity_block(right, n, cls)))
-        if k > 2:
-            tree = tree or _bfs_tree(right, n)
-            for y in _power_indices(right, tree, cls[0], k):
-                skip[class_of[y]] = True
-    keyed = []
-    for N in closures:
-        if any(M < N for M in closures):
-            continue
-        members = sorted(N, key=lambda i: els[i].images)
-        keyed.append((len(N), [els[i].images for i in members], members[1]))
-    keyed.sort(key=lambda entry: entry[:2])
-    return [PermGroup(G.degree, sorted(
-                (els[i] for i in next(c for c in classes if least in c)),
-                key=lambda p: p.images))
-            for _, _, least in keyed]
 
 
 # --- reference genus symbol and edge-transitive type ----------------------

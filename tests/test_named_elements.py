@@ -1,0 +1,228 @@
+"""Elements named by the images of a base (``_listing.Listing``): the
+minimal-normal search on them against the search that listed every
+element as its full image tuple (kept in ``tests/reference_search.py``),
+the other readers of the listing against the oracles, and what the
+search builds and where it stops."""
+
+import random
+from itertools import permutations
+from math import factorial
+
+import pytest
+
+from flagmaps import (BoundExceeded, LabeledGenerators, Perm, PermGroup,
+                      analyze_map, automorphism_group, build_degenerate,
+                      build_slightly_degenerate, construct_from_group,
+                      minimal_normal_subgroups, perm)
+from flagmaps.perm import DEFAULT_ELEMENT_BOUND, conjugacy_classes
+
+from . import oracles, reference_search
+from .conftest import random_rooted_map
+
+# <(0 1)(2 3), (2 3)> acts regularly on the orbit {0, 1} of point 0, yet
+# has order 4: (2 3) fixes that orbit, so naming elements by the image of
+# 0 would merge them in pairs
+KERNEL_ON_ORBIT_OF_0 = PermGroup(4, [Perm.from_cycles(4, [(0, 1), (2, 3)]),
+                                     Perm.from_cycles(4, [(2, 3)])])
+
+
+def symmetric(n):
+    return PermGroup(n, [Perm(tuple((i + 1) % n for i in range(n))),
+                         Perm.from_cycles(n, [(0, 1)])])
+
+
+def alternating(n):
+    return PermGroup(n, [Perm.from_cycles(n, [(0, 1, i)])
+                         for i in range(2, n)])
+
+
+def assert_same_search(G):
+    """The same subgroups, in the same order, with the same generators and
+    orders as the full-tuple search, each on a new group object."""
+    fresh = lambda: PermGroup(G.degree, G.generators)
+    got = minimal_normal_subgroups(fresh())
+    expected = reference_search.minimal_normal_subgroups_full_tuples(fresh())
+    assert [N.generators for N in got] == [N.generators for N in expected]
+    assert [N.order() for N in got] == [len(N.elements()) for N in expected]
+    assert ([frozenset(N.elements()) for N in got]
+            == [frozenset(N.elements()) for N in expected])
+    return got
+
+
+def family_maps():
+    return ([build_degenerate(i, k) for i in (6, 7, 8) for k in range(2, 13)]
+            + [build_slightly_degenerate(family, k)
+               for family in ("epsilon", "delta") for k in range(2, 11)])
+
+
+def test_family_maps_match_full_tuple_search():
+    for m in family_maps():
+        assert_same_search(m.monodromy_group())
+        assert_same_search(automorphism_group(m))
+
+
+def test_constructions_match_full_tuple_search(constructions):
+    for _, m in constructions:
+        assert_same_search(m.monodromy_group())
+        assert_same_search(automorphism_group(m))
+
+
+def test_random_maps_match_full_tuple_search(random_maps):
+    rng = random.Random(20261019)
+    maps = random_maps + [random_rooted_map(rng, rng.randint(1, 4))
+                          for _ in range(30)]
+    searched = 0
+    for m in maps:
+        for G in (m.monodromy_group(), automorphism_group(m)):
+            if G.order() <= 5_000:
+                assert_same_search(G)
+                searched += 1
+    assert searched > 100
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_symmetric_and_alternating_groups_match_full_tuple_search(n):
+    assert [N.order() for N in assert_same_search(symmetric(n))] == (
+        [2] if n == 2 else [3] if n == 3 else [4] if n == 4
+        else [factorial(n) // 2])
+    if n >= 3:
+        assert_same_search(alternating(n))
+
+
+def test_a_regular_orbit_of_0_is_not_enough():
+    assert_same_search(KERNEL_ON_ORBIT_OF_0)
+    listing = PermGroup(4, KERNEL_ON_ORBIT_OF_0.generators)._listed(10)
+    assert listing.count == 4
+    assert len(set(listing.names)) == 4
+    assert conjugacy_classes(KERNEL_ON_ORBIT_OF_0) == [
+        [p] for p in sorted(oracles.mulclose(
+            list(KERNEL_ON_ORBIT_OF_0.generators)), key=lambda p: p.images)]
+
+
+def test_every_group_on_three_points_matches():
+    # every generating set of at most two permutations of three points,
+    # transitive or not
+    perms = [Perm(p) for p in permutations(range(3))]
+    for a in perms:
+        for b in perms:
+            assert_same_search(PermGroup(3, [a, b]))
+
+
+def test_listings_take_the_cheap_names(constructions):
+    # regular groups are listed on their points with no walk, Aut of every
+    # map on the orbit of point 0, and other groups on a base: three
+    # points for the type-4 map over D6, which has 48 flags
+    reflexible = [build_degenerate(7, 5),
+                  build_slightly_degenerate("delta", 4)]
+    for m in reflexible:
+        listing = m.monodromy_group()._listed(DEFAULT_ELEMENT_BOUND)
+        assert listing.names == range(m.n_flags)
+    for _, m in constructions:
+        aut = automorphism_group(m)
+        assert aut.order() == len(oracles.automorphisms_brute(m))
+        listing = aut._listed(DEFAULT_ELEMENT_BOUND)
+        assert listing.points and listing.count == aut.order()
+        mon = m.monodromy_group()
+        if not mon.is_regular():
+            listing = mon._listed(DEFAULT_ELEMENT_BOUND)
+            assert not listing.points
+            assert listing.count == mon.chain().order()
+    mon = construct_from_group("4", TYPE4_D6)[0].monodromy_group()
+    assert mon._listed(DEFAULT_ELEMENT_BOUND).names[0] == (0, 1, 2)
+
+
+def reader_groups(constructions):
+    regular = [build_degenerate(6, 4).monodromy_group(),
+               build_slightly_degenerate("epsilon", 5).monodromy_group()]
+    others = [G for G in (m.monodromy_group() for _, m in constructions[::5])
+              if not G.is_regular()]
+    auts = [automorphism_group(m) for _, m in constructions[::5]]
+    assert all(G.is_regular() for G in regular) and len(others) > 4
+    return regular + others + auts + [KERNEL_ON_ORBIT_OF_0, symmetric(5)]
+
+
+def test_readers_of_the_listing_match_the_oracles(constructions):
+    for G in reader_groups(constructions):
+        fresh = lambda: PermGroup(G.degree, G.generators)
+        els, right = oracles.elements_and_right(fresh())
+        listed = fresh()
+        assert listed._right_tables(listed.generators, 10_000) == right
+        assert listed.elements() == els
+        assert (conjugacy_classes(fresh())
+                == reference_search.conjugacy_classes(fresh()))
+
+
+def test_readers_build_only_what_they_return(constructions, monkeypatch):
+    # the right tables build no Perm; conjugacy classes build each
+    # element once
+    made = []
+    real = perm._perm
+    monkeypatch.setattr(perm, "_perm", lambda images: made.append(images)
+                        or real(images))
+    for G in reader_groups(constructions):
+        tabled, classed = (PermGroup(G.degree, G.generators) for _ in "tc")
+        tabled.is_regular()  # its centralizer generators are Perms
+        classed.is_regular()
+        made.clear()
+        tabled._right_tables(G.generators, 10_000)
+        assert made == []
+        classes = conjugacy_classes(classed)
+        assert len(made) == sum(map(len, classes)) == G.order()
+
+
+# the seed-1 type-4 construction over D6 of the benchmark's analyze corpus
+TYPE4_D6 = LabeledGenerators(("sigma_x1", "theta2", "theta4"), (
+    Perm([5, 4, 3, 2, 1, 0]), Perm([4, 3, 2, 1, 0, 5]),
+    Perm([5, 4, 3, 2, 1, 0])))
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_analyze_reads_mon_order_from_the_listing(monkeypatch):
+    m, _ = construct_from_group("4", TYPE4_D6)
+    assert m.n_flags == 48
+    chains = count_calls(monkeypatch, perm.StabilizerChain, "__init__")
+    listed = count_calls(monkeypatch, PermGroup, "elements")
+    report = analyze_map(m)
+    assert report.monodromy_order == 1728
+    assert report.decomposability["witness_orders"] == [2, 3]
+    assert chains == [] and listed == []
+
+
+@pytest.mark.parametrize("G", [
+    build_slightly_degenerate("epsilon", 6).monodromy_group(),
+    automorphism_group(construct_from_group("4", TYPE4_D6)[0]),
+    construct_from_group("4", TYPE4_D6)[0].monodromy_group(),
+    symmetric(6), KERNEL_ON_ORBIT_OF_0],
+    ids=["regular", "semiregular", "base", "every-point", "kernel"])
+def test_search_stops_before_the_element_bound(G, monkeypatch):
+    order = PermGroup(G.degree, G.generators).chain().order()
+    walks = []
+    real = perm._numbered_orbit
+
+    def walk(start, images, bound, message):
+        numbered = []
+        try:
+            return real(start, lambda a: numbered.append(a) or images(a),
+                        bound, message)
+        finally:
+            walks.append((bound, len(set(numbered))))
+
+    monkeypatch.setattr(perm, "_numbered_orbit", walk)
+    for bound in sorted({1, order // 2, order - 1} - {0}):
+        walks.clear()
+        with pytest.raises(BoundExceeded,
+                           match=f"^group exceeds element bound {bound}$"):
+            minimal_normal_subgroups(PermGroup(G.degree, G.generators), bound)
+        assert all(b == bound and named <= bound for b, named in walks)
+    assert minimal_normal_subgroups(PermGroup(G.degree, G.generators), order)

@@ -85,7 +85,7 @@ def raised(call, *args):
 
 def listed(G, bound):
     els = G.elements(bound)
-    return els, G._right
+    return els, [list(t) for t in G._right_tables(G.generators, bound)]
 
 
 @settings(deadline=None, max_examples=80)

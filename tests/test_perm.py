@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from flagmaps import (BoundExceeded, LabeledGenerators, Perm, PermGroup,
                       congruent_labeled_groups, minimal_normal_subgroups,
                       normal_closure, parallel_product, perm)
-from flagmaps.perm import (_orbit, _orbits, conjugacy_classes,
-                           format_group_file, is_normal_in, parse_group_file)
+from flagmaps.perm import (DEFAULT_ELEMENT_BOUND, _orbit, _orbits,
+                           conjugacy_classes, format_group_file, is_normal_in,
+                           parse_group_file)
 
-from . import oracles
+from . import oracles, reference_search
 from .oracles import minimal_normals_brute, mulclose
 
 
@@ -229,7 +230,7 @@ def test_known_order_raises_before_listing(monkeypatch):
             G.elements(bound)
         with pytest.raises(BoundExceeded):
             minimal_normal_subgroups(G, bound)
-        assert G._elements is None
+        assert G._elements is None and G._listing is None
     assert walks == []
     assert len(s5.elements(120)) == 120 and len(regular.elements(40)) == 40
 
@@ -245,10 +246,18 @@ def test_left_tables_are_left_multiplication():
     groups.append(PermGroup(5, [Perm((1, 2, 3, 4, 0)), Perm((1, 0, 2, 3, 4))]))
     assert {G.is_regular() for G in groups} == {True, False}
     for G in groups:
-        els = G.elements()
+        listing = G._listed(DEFAULT_ELEMENT_BOUND)
+        images = listing.image_builder()
+        els = [Perm(images(i)) for i in range(listing.count)]
         where = {p: i for i, p in enumerate(els)}
-        assert G._left_tables() == [[where[g * x] for x in els]
-                                    for g in G.generators]
+        assert len(where) == G.order()
+        assert [list(t) for t in listing.left] == [
+            [where[g * x] for x in els] for g in G.generators]
+        assert [list(t) for t in listing.right] == [
+            [where[x * g] for x in els] for g in G.generators]
+        name_of = listing.times(listing.names[0])
+        assert [listing.where[name_of(x.images)]
+                for x in els] == list(range(len(els)))
 
 
 def test_degree_bound():
@@ -368,17 +377,18 @@ def element_sets(groups):
 
 def assert_matches_reference(G):
     """The same subgroups, in the same order, and the same classes as the
-    reference searches kept in ``oracles``, and the same generators as the
-    union-find one; each on a new group object, so that no element list is
-    shared."""
+    reference searches kept in ``reference_search``, and the same
+    generators as the union-find one; each on a new group object, so that
+    no element list is shared."""
     fresh = lambda: PermGroup(G.degree, G.generators)
     got = minimal_normal_subgroups(fresh())
     assert element_sets(got) == element_sets(
-        oracles.minimal_normal_subgroups(fresh()))
+        reference_search.minimal_normal_subgroups(fresh()))
     assert [N.generators for N in got] == [
-        N.generators
-        for N in oracles.minimal_normal_subgroups_union_find(fresh())]
-    assert conjugacy_classes(fresh()) == oracles.conjugacy_classes(fresh())
+        N.generators for N in
+        reference_search.minimal_normal_subgroups_union_find(fresh())]
+    assert (conjugacy_classes(fresh())
+            == reference_search.conjugacy_classes(fresh()))
     return got
 
 
@@ -394,7 +404,8 @@ def test_minimal_normals_match_reference(G, data):
     if order == 1:
         return
     bound = data.draw(st.integers(1, order - 1), label="bound")
-    for search in (minimal_normal_subgroups, oracles.minimal_normal_subgroups):
+    for search in (minimal_normal_subgroups,
+                   reference_search.minimal_normal_subgroups):
         with pytest.raises(BoundExceeded):
             search(PermGroup(G.degree, G.generators), bound)
     assert element_sets(minimal_normal_subgroups(
@@ -454,10 +465,10 @@ def assert_closure_invariants(G, monkeypatch):
     calls = []
     original = perm._class_closure
 
-    def spy(els, cls, names, where, dead, by_point):
+    def spy(listing, images, cls, dead):
         before = frozenset(dead)
-        found = original(els, cls, names, where, dead, by_point)
-        calls.append((els, list(cls), names, before, found))
+        found = original(listing, images, cls, dead)
+        calls.append((listing, images, list(cls), before, found))
         return found
 
     monkeypatch.setattr(perm, "_class_closure", spy)
@@ -465,18 +476,19 @@ def assert_closure_invariants(G, monkeypatch):
     monkeypatch.undo()
     if not calls:
         return minimals, calls
-    els = calls[0][0]
-    index = {p: i for i, p in enumerate(els)}
-    class_of = {p: cls for cls in oracles.conjugacy_classes(G) for p in cls}
+    listing, images = calls[0][:2]
+    names, name_of = listing.names, listing.times(listing.names[0])
+    class_of = {p: cls for cls in reference_search.conjugacy_classes(G)
+                for p in cls}
     expected = set()
     heads = []
-    for _, cls, names, dead, _ in calls:
+    for _, _, cls, dead, _ in calls:
         assert dead == expected
         assert names[cls[0]] not in expected
         heads.append((len(cls), cls[0]))
-        x = els[cls[0]]
+        x = Perm(images(cls[0]))
         for k in range(1, x.order()):
-            expected |= {names[index[y]] for y in class_of[x ** k]}
+            expected |= {name_of(y.images) for y in class_of[x ** k]}
     assert heads == sorted(heads)
     return minimals, calls
 
@@ -487,7 +499,7 @@ def test_minimal_normals_close_smallest_class_first(monkeypatch):
     # closure meets a class already visited and is dropped
     G = symmetric(7)
     minimals, calls = assert_closure_invariants(G, monkeypatch)
-    assert [len(cls) for _, cls, _, _, _ in calls][:2] == [21, 70]
+    assert [len(cls) for _, _, cls, _, _ in calls][:2] == [21, 70]
     assert [None if found is None else len(found)
             for *_, found in calls] == [5040, 2520] + [None] * 5
     assert [N.order() for N in minimals] == [2520]
