@@ -1,9 +1,10 @@
 """Elements of a permutation group named by the images of a base.
 
-``PermGroup._listed`` makes one ``Listing`` per group, and the readers in
+``PermGroup._listed`` makes a new ``Listing`` of a group for each reader in
 ``perm`` (``elements()``, ``_right_tables``, ``conjugacy_classes`` and
-``minimal_normal_subgroups``) work on it.  The walks and the map routine
-are ``perm``'s, looked up when called, since ``perm`` imports this module.
+``minimal_normal_subgroups``), which works on it and drops it.  The walks
+and the map routine are ``perm``'s, looked up when called, since ``perm``
+imports this module.
 """
 
 from __future__ import annotations
@@ -138,9 +139,11 @@ class Listing:
 
 def left_tables(right: Sequence[Sequence[int]],
                 n: int) -> list[list[int]] | None:
-    """The maps that take the identity to g_j and turn each right table
-    into itself: left multiplication by g_j when the group acts regularly
-    on the n names, else None."""
+    """For each table g_j, the map that takes 0 to g_j[0] and turns each
+    table into itself, grown breadth first from 0: when the group acts
+    regularly on the n points (or names), left multiplication by g_j, and
+    together the generators of the centralizer; else None, at the first
+    failure."""
     left = []
     for row in right:
         table = perm._equivariant_map(right, 0, right, row[0], n)

@@ -12,23 +12,22 @@ import itertools
 import json
 import sys
 from dataclasses import dataclass
+from operator import ne
 from pathlib import Path
 from typing import Any, Sequence
 
 from . import degen, ettype
-from .decomp import (NotEdgeTransitive, _decomposability_general,
-                     decomposability_general)
+from .decomp import NotEdgeTransitive, decomposability_general
 from .degen import (ContextVector, broken_forcing, context_vector,
                     vector_presentation)
 from .fpres import (EnumerationOverflow, PresentationError, evaluate_word,
                     parse_presentation, todd_coxeter)
-from .mapcore import (CONTEXT_WORDS, GENERATOR_NAMES, MapFormatError,
-                      MapInvariantError, RootedMap, automorphism_group,
-                      cells_and_surface, du, genus_symbol, is_reflexible,
+from .mapcore import (GENERATOR_NAMES, MapFormatError, MapInvariantError,
+                      RootedMap, automorphism_group, cells_and_surface,
+                      context_cycle_orders, du, genus_symbol, is_reflexible,
                       load_map, pe, regular_map_from_group, save_map)
-from .perm import (DEFAULT_ELEMENT_BOUND, BoundExceeded, LabeledGenerators,
-                   PermGroup, format_group_file, normal_closure,
-                   parse_group_file)
+from .perm import (BoundExceeded, LabeledGenerators, PermGroup,
+                   format_group_file, normal_closure, parse_group_file)
 from .product import (NotReflexible, parallel_product,
                       smallest_reflexible_cover, totally_symmetric_cover)
 from .quotient import (StabilizerNotContained, k_quotient, monodromy_quotient)
@@ -95,11 +94,12 @@ class AnalysisReport:
 
 
 def analyze_map(m: RootedMap) -> AnalysisReport:
-    """Every fact of the report, each computed once: the surface, the Aut
-    generators and the context vector are kept on m and shared with its
-    re-rootings, and the one Mon built here serves the decomposability
-    search and its own order.  Reflexibility is read three independent
-    ways, which must agree: ``is_reflexible``, |Aut| and |Mon|."""
+    """Every fact of the report, each computed once: the surface, Mon, the
+    Aut generators and the context vector are kept on m and shared with its
+    re-rootings, and Mon serves the decomposability search, its own order
+    and the reflexibility test.  Reflexibility is read two independent
+    ways, which must agree: Mon's regularity (``is_reflexible``, and |Mon|
+    = flags) and |Aut| = flags, with Aut from its own flag scan."""
     surface = cells_and_surface(m)
     vec = context_vector(m)
     gsym = genus_symbol(m)
@@ -112,12 +112,11 @@ def analyze_map(m: RootedMap) -> AnalysisReport:
             symbol = str(ettype.map_symbol(rooted, label))
         except ettype.SymbolConditionFailed:
             pass  # boundary-degenerate cells can miss the type's condition
-    mon = m.monodromy_group()
-    verdict = _decomposability_general(m, mon, DEFAULT_ELEMENT_BOUND)
+    verdict = decomposability_general(m)
     report = AnalysisReport(
         n_flags=m.n_flags,
         n_edges=len(surface.cells.edges),
-        monodromy_order=mon.order(),
+        monodromy_order=m.monodromy_group().order(),
         automorphism_order=automorphism_group(m).order(),
         reflexible=is_reflexible(m),
         degeneracy=degeneracy,
@@ -194,28 +193,6 @@ def candidate_vectors(context_bound: int):
             yield vec
 
 
-def _has_context_orders(lg, vec) -> bool:
-    """Whether the seven context words have the orders ``vec`` in ``lg``.
-
-    ``lg`` must act regularly, as a coset enumeration over the trivial
-    subgroup does: then a word's order is the length of its cycle through
-    point 0, followed here pass by pass up to the expected order.  Stops
-    at the first word whose order differs.
-    """
-    images = dict(zip(lg.labels, (g.images for g in lg.generators)))
-    for word, e in zip(CONTEXT_WORDS, vec):
-        letters = [images[name] for name, exp in word for _ in range(exp)]
-        point = 0
-        for passes in range(1, e + 1):
-            for letter in letters:
-                point = letter[point]
-            if point == 0:
-                break
-        if point != 0 or passes != e:
-            return False
-    return True
-
-
 def census_reflexible(max_group_order: int = DEFAULT_CENSUS_MAX_ORDER,
                       context_bound: int = DEFAULT_CENSUS_CONTEXT_BOUND,
                       analyze: bool = True) -> CensusResult:
@@ -235,7 +212,9 @@ def census_reflexible(max_group_order: int = DEFAULT_CENSUS_MAX_ORDER,
 
     Every other candidate is coset-enumerated; it is kept when the
     enumeration fits the order bound, the actual word orders reproduce
-    the vector (sufficiency) and no earlier entry is the same map.
+    the vector (sufficiency, read off the cycles through coset 0 by
+    ``context_cycle_orders`` up to the first that differs) and no earlier
+    entry is the same map.
     Overflowing candidates are recorded, keeping the census's
     incompleteness auditable, and every candidate's outcome is counted.
 
@@ -263,7 +242,7 @@ def census_reflexible(max_group_order: int = DEFAULT_CENSUS_MAX_ORDER,
         if order > max_group_order:
             counts["order_too_large"] += 1
             continue
-        if not _has_context_orders(lg, vec):
+        if any(map(ne, context_cycle_orders(lg), vec)):
             counts["insufficient_context"] += 1
             continue
         m = regular_map_from_group(lg)

@@ -104,9 +104,14 @@ def decomposability_general(m: RootedMap,
     block root.H, and by transitivity S.H1 & S.H2 == S exactly when the
     blocks root.H1 and root.H2 meet only in the root.  A Mon that is not
     regular first meets the block test (module docstring), which can
-    settle the verdict without listing Mon.
+    settle the verdict without listing Mon.  The search runs on the map's
+    one Mon, so its regularity, its chain or the count of its listing is
+    left there for |Mon|.
     """
-    return _decomposability_general(m, m.monodromy_group(), bound)
+    mon = m.monodromy_group()
+    if not mon.is_regular() and not _root_blocks_meet_only_in_root(m, mon):
+        return DecompositionVerdict(decomposable=False, reason=BLOCK_TEST_REASON)
+    return _minimal_normal_search(m, mon, bound)
 
 
 BLOCK_TEST_REASON = "no two proper blocks of Mon at the root meet only in the root"
@@ -129,18 +134,6 @@ def _root_blocks_meet_only_in_root(m: RootedMap, mon: PermGroup) -> bool:
             return True
         blocks.append(block_set)
     return False
-
-
-def _decomposability_general(m: RootedMap, mon: PermGroup,
-                             bound: int) -> DecompositionVerdict:
-    """decomposability_general on a given Mon(m).  It is kept apart so that
-    analyze_map shares one Mon, and with it the regularity test, the chain
-    or the element listing, with |Mon| in its report.  Keeping Mon on the
-    map instead would keep an element list alive as long as the map, which
-    raised the peak RSS of the benchmark's analyze corpus by 18 % (README)."""
-    if not mon.is_regular() and not _root_blocks_meet_only_in_root(m, mon):
-        return DecompositionVerdict(decomposable=False, reason=BLOCK_TEST_REASON)
-    return _minimal_normal_search(m, mon, bound)
 
 
 def _minimal_normal_search(m: RootedMap, mon: PermGroup,

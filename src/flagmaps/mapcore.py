@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Literal
+from typing import Iterable, Iterator, Literal
 
 from .fpres import Word, parse_word, word_order
 from .perm import (LabeledGenerators, Perm, PermGroup, _equivariant_map,
@@ -26,6 +26,25 @@ GENERATOR_NAMES = ("t", "l", "r")
 # The seven mandatory context words T, L, R, TL, RT, RL, TLR (see degen).
 CONTEXT_WORDS: tuple[Word, ...] = tuple(map(parse_word, (
     "t", "l", "r", "t*l", "r*t", "r*l", "t*l*r")))
+
+
+def context_cycle_orders(lg: LabeledGenerators) -> Iterator[int]:
+    """The orders of the seven context words in a group labeled t, l, r
+    that acts regularly, one word at a time: each is the length of the
+    word's cycle through point 0, since only the identity fixes a point.
+    A caller comparing them with expected orders can stop at the first
+    that differs."""
+    images = dict(zip(lg.labels, (g.images for g in lg.generators)))
+    for word in CONTEXT_WORDS:
+        letters = [images[name] for name, exp in word for _ in range(exp)]
+        point, order = 0, 0
+        while True:
+            for letter in letters:
+                point = letter[point]
+            order += 1
+            if point == 0:
+                break
+        yield order
 
 
 class MapFormatError(ValueError):
@@ -75,6 +94,13 @@ class RootedMap:
         return flag
 
     def monodromy_group(self) -> PermGroup:
+        return self._monodromy_group
+
+    @cached_property
+    def _monodromy_group(self) -> PermGroup:
+        """Mon, built once per map.  It keeps what its readers find out,
+        its regularity and centralizer, its order and any stabilizer
+        chain, but no element listing (``PermGroup._listed``)."""
         return PermGroup(self.n_flags, self.generators())
 
     @cached_property
@@ -101,8 +127,11 @@ class RootedMap:
     @cached_property
     def _context_orders(self) -> tuple[int, ...]:
         """Orders of the seven context words, found once per map (see
-        degen.context_vector)."""
+        degen.context_vector): read off the cycles through flag 0 when Mon
+        is regular, else from the words' permutations."""
         lg = LabeledGenerators(GENERATOR_NAMES, self.generators())
+        if self.monodromy_group().is_regular():
+            return tuple(context_cycle_orders(lg))
         return tuple(word_order(lg, w) for w in CONTEXT_WORDS)
 
     @cached_property
@@ -322,14 +351,11 @@ def automorphism_to(m: RootedMap, d: int) -> Perm | None:
 
 
 def is_reflexible(m: RootedMap) -> bool:
-    """Aut regular on flags: for each g of T, L and R some automorphism b
-    takes the root to root.g, and the first failure answers no.  Then the
-    root's Aut-orbit O is closed under T, L and R, since a(root).g =
-    a(root.g) = a(b(root)) for each automorphism a, so O is every flag.
-    Builds neither Mon nor Aut."""
-    tables = _tables(m)
-    return all(_equivariant_map(tables, m.root, tables, g[m.root], m.n_flags)
-               is not None for g in tables)
+    """Aut regular on flags, which holds exactly when Mon is regular: Aut
+    is the centralizer of the transitive Mon, and the centralizer of a
+    transitive group is regular exactly when the group is (Dixon and
+    Mortimer, Permutation Groups, 4.2).  Asks the map's one Mon."""
+    return m.monodromy_group().is_regular()
 
 
 def automorphism_group(m: RootedMap) -> PermGroup:
@@ -349,13 +375,13 @@ def automorphism_group(m: RootedMap) -> PermGroup:
 # --- re-rooting -------------------------------------------------------------
 
 # The facts kept on a map that do not depend on its root.
-_ROOT_FREE_FACTS = ("_surface", "_automorphism_generators",
+_ROOT_FREE_FACTS = ("_surface", "_monodromy_group", "_automorphism_generators",
                     "_automorphism_order", "_context_orders")
 
 
 def reroot(m: RootedMap, flag: int) -> RootedMap:
     """m rooted at flag, sharing the root-free facts m has already found:
-    its surface, the generators and order of Aut and the context orders."""
+    its surface, Mon, Aut's generators and order and the context orders."""
     out = RootedMap(m.t, m.l, m.r, flag)
     out.__dict__.update((name, value) for name, value in vars(m).items()
                         if name in _ROOT_FREE_FACTS)

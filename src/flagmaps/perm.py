@@ -7,13 +7,14 @@ is the degree and membership is commuting with its centralizer.  Other
 groups get orders and membership from an incremental Schreier-Sims
 stabilizer chain with explicit inverse transversals.  Orbits whose
 objects are numbered come from ``_numbered_orbit``, a bounded breadth-first
-walk that records its Schreier tables.  A group's elements are listed
-once (``_listing.Listing``), each named by the images of a base on whose
-orbit the group acts regularly: the points of a regular group with no
-walk at all, the orbit of point 0 for a semiregular one, the orbit of a
-grown base otherwise.  Conjugacy classes, minimal normal subgroups, the right
-regular tables and ``elements()`` read that listing, and image tuples are
-built on demand along its breadth-first tree.  Plain orbits and orbit
+walk that records its Schreier tables.  Each reader of a group's
+elements lists them anew (``_listing.Listing``), each named by the images
+of a base on whose orbit the group acts regularly: the points of a
+regular group with no walk at all, the orbit of point 0 for a semiregular
+one, the orbit of a grown base otherwise.  Conjugacy classes, minimal
+normal subgroups, the right regular tables and ``elements()`` read it,
+building image tuples on demand along its breadth-first tree, and the
+group keeps only the count, as its order.  Plain orbits and orbit
 partitions of points come from ``_orbit`` and ``_orbits``, and the least
 block holding two points from ``_least_block``.  One routine grows the
 unique map that turns one list of tables into another: it finds the
@@ -316,8 +317,7 @@ class PermGroup:
         self.generators = tuple(g for g in generators if not g.is_identity())
         self._chain: StabilizerChain | None = None
         self._elements: tuple[Perm, ...] | None = None
-        self._listing: _listing.Listing | None = None
-        # the order, when whoever built the group already knew it
+        # the order, given by whoever built the group or counted by a listing
         self._order: int | None = None
         # set by is_regular: None until tested; for a regular group,
         # generators of its centralizer in Sym(degree)
@@ -337,25 +337,20 @@ class PermGroup:
         """Whether G acts regularly: transitively, with trivial stabilizers.
 
         For each generator g, the map that takes 0 to 0 . g and commutes
-        with every generator is grown breadth first from 0.  All of them
-        exist exactly when G is regular: they then generate the centralizer
-        C(G), which is transitive, and G = C(C(G)) (Dixon and Mortimer,
-        Permutation Groups, 4.2).  The first conflict answers no.
-        O(degree * ngens^2) integer work with no Perm product, cached.
+        with every generator is grown breadth first from 0
+        (``_listing.left_tables``).  All of them exist exactly when G is
+        regular: they then generate the centralizer C(G), which is
+        transitive, and G = C(C(G)) (Dixon and Mortimer, Permutation
+        Groups, 4.2).  The first conflict answers no.  O(degree * ngens^2)
+        integer work with no Perm product, cached.
         """
         if self._regular is None:
             tables = [g.images for g in self.generators]
-            regular = bool(tables) or self.degree == 1
-            centralizer = []
-            for images in tables:
-                c = _equivariant_map(tables, 0, tables, images[0], self.degree)
-                if c is None:
-                    regular = False
-                    break
-                centralizer.append(_perm(tuple(c)))
-            self._regular = regular
-            if regular:
-                self._centralizer = tuple(centralizer)
+            centralizer = _listing.left_tables(tables, self.degree)
+            self._regular = centralizer is not None and (
+                bool(tables) or self.degree == 1)
+            if self._regular:
+                self._centralizer = tuple(_perm(tuple(c)) for c in centralizer)
         return self._regular
 
     def _answers_from_points(self) -> bool:
@@ -399,7 +394,7 @@ class PermGroup:
     def elements(self, bound: int = DEFAULT_ELEMENT_BOUND) -> tuple[Perm, ...]:
         """All elements, breadth first from the identity (deterministic order).
 
-        They are read off the listing (``_listed``), each built from its
+        They are read off a listing (``_listed``), each built from its
         parent in the breadth-first tree by one composition.  A group of
         more than bound elements raises, listed already or not; when its
         order is known (listed, from a chain, the degree of a regular
@@ -416,8 +411,6 @@ class PermGroup:
 
     def _known_order(self) -> int:
         """The order when it is known without new work, else 0."""
-        if self._listing is not None:
-            return self._listing.count
         if self._elements is not None:
             return len(self._elements)
         if self._order is not None:
@@ -427,25 +420,28 @@ class PermGroup:
         return self.degree if self._regular else 0
 
     def _listed(self, bound: int) -> _listing.Listing:
-        """The elements named by the images of a base
-        (``_listing.Listing``), listed once: for a regular group no walk at
-        all, else the orbit of the base.  A group of more than bound
-        elements raises before its element bound is named, and before
-        anything is walked when its order is known."""
+        """A new listing of the elements, named by the images of a base
+        (``_listing.Listing``): for a regular group no walk at all, else
+        the orbit of the base.  The group keeps only the count, as its
+        order, so a listing lives as long as its caller holds it.  A group
+        of more than bound elements raises before its element bound is
+        named, and before anything is walked when its order is known."""
         message = f"group exceeds element bound {bound}"
         order = self._known_order()
-        if self._listing is None and order <= bound:
-            gens = [g.images for g in self.generators]
-            if order not in (0, self.degree) or not self.is_regular():
-                self._listing = _listing.base_listing(
-                    gens, self.degree, order, bound, message)
-            elif self.degree <= bound:
-                self._listing = _listing.Listing(
-                    gens, range(self.degree), gens,
-                    [c.images for c in self._centralizer], self.degree)
-        if self._known_order() > bound:
+        if order > bound:
             raise BoundExceeded(message)
-        return self._listing
+        gens = [g.images for g in self.generators]
+        if order in (0, self.degree) and self.is_regular():
+            if self.degree > bound:
+                raise BoundExceeded(message)
+            listing = _listing.Listing(
+                gens, range(self.degree), gens,
+                [c.images for c in self._centralizer], self.degree)
+        else:
+            listing = _listing.base_listing(gens, self.degree, order, bound,
+                                            message)
+        self._order = listing.count
+        return listing
 
     def _right_tables(self, perms: Sequence[Perm],
                       bound: int) -> list[list[int]]:
@@ -717,7 +713,7 @@ def minimal_normal_subgroups(G: PermGroup,
                              bound: int = DEFAULT_ELEMENT_BOUND) -> list[PermGroup]:
     """All inclusion-minimal nontrivial normal subgroups of G.
 
-    G is listed once (``PermGroup._listed``): its elements are named by
+    G is listed (``PermGroup._listed``): its elements are named by
     the images of a base, points for a regular or semiregular G, and no
     image tuple is built but for the class representatives, the closure
     generators and coset representatives, and, when the names do not sort

@@ -7,11 +7,11 @@ import pytest
 from flagmaps import (analyze_map, build_degenerate, build_slightly_degenerate,
                       census_reflexible, congruent_labeled_groups,
                       isomorphism, load_map, save_map)
-from flagmaps.cli import (CENSUS_OUTCOMES, _has_context_orders,
-                          candidate_vectors, main, write_census)
+from flagmaps.cli import (CENSUS_OUTCOMES, candidate_vectors, main,
+                          write_census)
 from flagmaps.degen import broken_forcing, vector_presentation
 from flagmaps.fpres import EnumerationOverflow, todd_coxeter
-from flagmaps.mapcore import MapFormatError
+from flagmaps.mapcore import MapFormatError, context_cycle_orders
 from flagmaps.perm import LabeledGenerators
 
 
@@ -319,6 +319,18 @@ def test_census_entries_reflexible_and_sufficient(default_census):
         assert context_vector(entry.map).orders == entry.vector
 
 
+def test_context_cycle_orders_are_the_word_orders(default_census):
+    # on each entry's regular Mon, the cycle through flag 0 gives each
+    # context word's order
+    from flagmaps import word_order
+    from flagmaps.mapcore import CONTEXT_WORDS, GENERATOR_NAMES
+    assert len(default_census.entries) == 86
+    for entry in default_census.entries:
+        lg = LabeledGenerators(GENERATOR_NAMES, entry.map.generators())
+        orders = tuple(word_order(lg, w) for w in CONTEXT_WORDS)
+        assert tuple(context_cycle_orders(lg)) == orders == entry.vector
+
+
 def test_census_triality_closure(default_census):
     vectors = {entry.vector for entry in default_census.entries}
     for e in vectors:
@@ -346,13 +358,6 @@ def test_analysis_builds_one_monodromy_group(monkeypatch, tetrahedron,
     from flagmaps.mapcore import genus_symbol, is_reflexible
 
     from .conftest import count_fact_runs
-    built = []
-    original = RootedMap.monodromy_group
-
-    def counted(m):
-        built.append(m)
-        return original(m)
-
     decomposable = 0
     for m in [tetrahedron, fig3_quotient, c4_sphere, build_degenerate(6, 6)
               ] + random_maps[:15]:
@@ -363,10 +368,9 @@ def test_analysis_builds_one_monodromy_group(monkeypatch, tetrahedron,
         decomposable += bool(expected[0]["decomposable"])
         m = RootedMap(*m.generators(), root=m.root)
         with monkeypatch.context() as mp:
-            mp.setattr(RootedMap, "monodromy_group", counted)
+            built = count_fact_runs(mp, "_monodromy_group")
             surfaces = count_fact_runs(mp, "_surface")
             searches = count_fact_runs(mp, "_automorphism_generators")
-            built.clear()
             report = analyze_map(m)
         assert built == surfaces == searches == [m]
         assert (report.decomposability, report.reflexible,
@@ -455,7 +459,8 @@ def test_forced_insufficient_candidates_fail_on_the_full_path(
                                      max_cosets=max_cosets)
         except EnumerationOverflow:
             continue
-        assert order > max_order or not _has_context_orders(lg, vec), vec
+        assert (order > max_order
+                or tuple(context_cycle_orders(lg)) != vec), vec
     assert ruled_out > 0
 
 
@@ -485,3 +490,38 @@ def pairwise_census_vectors(max_order, context_bound):
 def test_census_canonical_dedupe_matches_pairwise_congruence():
     result = census_reflexible(24, 6, analyze=False)
     assert [e.vector for e in result.entries] == pairwise_census_vectors(24, 6)
+
+
+def private_flagmaps_names(source):
+    """The underscore-prefixed names that Python source takes from another
+    flagmaps module: imported by name, or read as an attribute of a
+    flagmaps module it imported."""
+    import ast
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("flagmaps")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(alias.name)
+                elif node.module in (None, "flagmaps"):
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_cli_imports_no_private_name():
+    # the benchmark's tracer wraps public names only, so a private helper
+    # called from the command-line surface would run unseen
+    from pathlib import Path
+    cli = Path(__file__).resolve().parent.parent / "src" / "flagmaps" / "cli.py"
+    assert private_flagmaps_names(cli.read_text()) == []
+    assert private_flagmaps_names(
+        "from . import decomp\nfrom .perm import Perm, _orbit\n"
+        "decomp._decomposability_general\n") == [
+            "_orbit", "decomp._decomposability_general"]

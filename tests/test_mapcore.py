@@ -276,16 +276,18 @@ def reroot_facts(m):
 
 def check_reroot_shares_root_free_facts(m, flags):
     cells_and_surface(m), context_vector(m), automorphism_group(m)
+    mon = m.monodromy_group()
     for f in flags:
         with pytest.MonkeyPatch.context() as mp:
             runs = [count_fact_runs(mp, name) for name in (
-                "_surface", "_automorphism_generators", "_automorphism_order",
-                "_context_orders")]
+                "_surface", "_monodromy_group", "_automorphism_generators",
+                "_automorphism_order", "_context_orders")]
             shared = reroot(m, f)
             shared_facts = reroot_facts(shared)
             shared_aut = automorphism_group(shared)
             assert shared_aut.order() == m._automorphism_order
-            assert runs == [[], [], [], []]  # found once, on m
+            assert shared.monodromy_group() is mon
+            assert runs == [[], [], [], [], []]  # found once, on m
         cold = RootedMap(m.t, m.l, m.r, f)
         assert shared_facts == reroot_facts(cold)
         assert shared_aut == automorphism_group(cold)

@@ -199,6 +199,22 @@ def test_analyze_reads_mon_order_from_the_listing(monkeypatch):
     assert chains == [] and listed == []
 
 
+def test_kept_mon_keeps_the_order_but_no_listing(monkeypatch):
+    # the map keeps its Mon; the search lists it once and leaves only the
+    # count, so |Mon| needs no chain and no listing outlives the search
+    from flagmaps import decomposability_general
+    from flagmaps._listing import Listing
+    m, _ = construct_from_group("4", TYPE4_D6)
+    mon = m.monodromy_group()
+    verdict = decomposability_general(m)
+    assert verdict.decomposable and not mon.is_regular()
+    assert m.monodromy_group() is mon
+    chains = count_calls(monkeypatch, perm.StabilizerChain, "__init__")
+    assert mon.order() == 1728 and chains == []
+    assert mon._elements is None and mon._chain is None
+    assert not any(isinstance(value, Listing) for value in vars(mon).values())
+
+
 @pytest.mark.parametrize("G", [
     build_slightly_degenerate("epsilon", 6).monodromy_group(),
     automorphism_group(construct_from_group("4", TYPE4_D6)[0]),
