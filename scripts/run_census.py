@@ -42,7 +42,8 @@ def main() -> int:
 
     print(f"bounds: |Mon| <= {max_order}, context words <= {context_bound}")
     print(f"kept {len(result.entries)} maps, "
-          f"skipped {len(result.skipped)} overflowing candidates")
+          f"skipped {len(result.skipped)} overflowing candidates, "
+          f"certified {len(result.certified)} too large unenumerated")
     print("outcome counts: " + ", ".join(
         f"{outcome} {count}" for outcome, count in result.outcome_counts.items()))
     print("\ndegeneracy classes:")

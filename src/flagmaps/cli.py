@@ -11,15 +11,15 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass
-from operator import ne
+from dataclasses import asdict, dataclass
+from operator import mod, ne
 from pathlib import Path
 from typing import Any, Sequence
 
 from . import degen, ettype
 from .decomp import NotEdgeTransitive, decomposability_general
 from .degen import (ContextVector, broken_forcing, context_vector,
-                    vector_presentation)
+                    triality_images, vector_presentation)
 from .fpres import (EnumerationOverflow, PresentationError, evaluate_word,
                     parse_presentation, todd_coxeter)
 from .mapcore import (GENERATOR_NAMES, MapFormatError, MapInvariantError,
@@ -153,10 +153,28 @@ class CensusEntry:
 
 # Why a candidate vector was kept or dropped.  The census tests a vector
 # first against the forced equalities (a break counts as
-# insufficient_context), then enumerates it and tests the outcomes in this
-# order.
+# insufficient_context) and then against the groups it found too large (a
+# certificate counts as order_too_large), enumerates it, and tests the
+# outcomes in this order.
 CENSUS_OUTCOMES = ("overflow", "order_too_large", "insufficient_context",
                    "duplicate", "kept")
+
+
+@dataclass(frozen=True)
+class TooLargeCertificate:
+    """Why ``vector`` counts as order_too_large unenumerated: the group of
+    the earlier candidate ``enumerated``, of order ``enumerated_order``
+    above the bound, has the context word orders ``image_orders`` under
+    the triality composite ``image``, and each divides its entry of
+    ``vector``.  So that group is a quotient of the one ``vector``
+    presents, and re-running ``todd_coxeter`` on ``enumerated`` checks
+    the certificate."""
+
+    vector: tuple[int, ...]
+    enumerated: tuple[int, ...]
+    enumerated_order: int
+    image: str
+    image_orders: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -169,6 +187,8 @@ class CensusResult:
     # candidate count per CENSUS_OUTCOMES key; the counts sum to the
     # number of candidate vectors
     outcome_counts: dict[str, int]
+    # one per candidate counted order_too_large without enumeration
+    certified: tuple[TooLargeCertificate, ...]
 
     def manifest(self) -> dict[str, Any]:
         return {
@@ -178,9 +198,15 @@ class CensusResult:
             "entries": len(self.entries),
             "outcome_counts": dict(self.outcome_counts),
             "skipped_candidates": [list(v) for v in self.skipped],
+            "too_large_certificates": [asdict(c) for c in self.certified],
             "note": ("candidate vectors whose enumeration overflowed were "
-                     "skipped; maps needing contexts beyond the seven "
-                     "mandatory words are not captured at these bounds"),
+                     "skipped; a candidate in too_large_certificates is "
+                     "order_too_large because the group enumerated for an "
+                     "earlier candidate, generated by a triality image of "
+                     "its triple, has word orders dividing the vector and "
+                     "more elements than max_group_order; maps needing "
+                     "contexts beyond the seven mandatory words are not "
+                     "captured at these bounds"),
         }
 
 
@@ -207,8 +233,19 @@ def census_reflexible(max_group_order: int = DEFAULT_CENSUS_MAX_ORDER,
     candidates that enumeration would find too large count as
     insufficient instead (at (8, 6): 43 too large and 2,510 insufficient,
     where enumerating everything gives 55 and 2,498).  At the defaults no
-    ruled-out candidate overflows or is too large, and 1,376 of the
-    20,736 candidates are enumerated.
+    ruled-out candidate overflows or is too large.
+
+    A candidate is then order_too_large without enumeration when a group
+    enumerated earlier and found larger than ``max_group_order`` certifies
+    it: that group's seven word orders, for its own triple or one of the
+    five triality images of it (``degen.triality_images``), divide the
+    vector entry by entry.  That group then satisfies every relator of the
+    candidate's presentation, so it is a quotient of the candidate's
+    group, which is infinite or at least as large; enumeration would have
+    overflowed or found it too large, and it is never kept.  The
+    certificates are kept in the result (``certified``).  At the defaults
+    311 candidates are certified (269 of which would overflow), and 1,065
+    of the 20,736 candidates are enumerated.
 
     Every other candidate is coset-enumerated; it is kept when the
     enumeration fits the order bound, the actual word orders reproduce
@@ -228,9 +265,25 @@ def census_reflexible(max_group_order: int = DEFAULT_CENSUS_MAX_ORDER,
     skipped = []
     seen_keys: set[str] = set()
     counts = dict.fromkeys(CENSUS_OUTCOMES, 0)
+    # for each group found too large, its word orders under each triality
+    # composite, keyed by the order of RT and then by the orders, with the
+    # first candidate that presented such a group, its order and the
+    # composite
+    too_large: dict[int, dict[tuple[int, ...],
+                              tuple[tuple[int, ...], int, str]]] = {}
+    certified = []
     for vec in candidate_vectors(context_bound):
         if broken_forcing(vec) is not None:
             counts["insufficient_context"] += 1
+            continue
+        certificate = next(
+            (TooLargeCertificate(vec, *source, orders)
+             for rt, known in too_large.items() if vec[4] % rt == 0
+             for orders, source in known.items()
+             if not any(map(mod, vec, orders))), None)
+        if certificate is not None:
+            certified.append(certificate)
+            counts["order_too_large"] += 1
             continue
         try:
             lg, order = todd_coxeter(vector_presentation(vec),
@@ -241,6 +294,10 @@ def census_reflexible(max_group_order: int = DEFAULT_CENSUS_MAX_ORDER,
             continue
         if order > max_group_order:
             counts["order_too_large"] += 1
+            images = triality_images(tuple(context_cycle_orders(lg)))
+            for name, orders in images.items():
+                too_large.setdefault(orders[4], {}).setdefault(
+                    orders, (vec, order, name))
             continue
         if any(map(ne, context_cycle_orders(lg), vec)):
             counts["insufficient_context"] += 1
@@ -255,7 +312,8 @@ def census_reflexible(max_group_order: int = DEFAULT_CENSUS_MAX_ORDER,
         report = analyze_map(m) if analyze else None
         entries.append(CensusEntry(vec, order, m, report, key))
     return CensusResult(max_group_order, context_bound, max_cosets,
-                        tuple(entries), tuple(skipped), counts)
+                        tuple(entries), tuple(skipped), counts,
+                        tuple(certified))
 
 
 def write_census(result: CensusResult, out_dir: Path) -> None:
@@ -272,9 +330,13 @@ def write_census(result: CensusResult, out_dir: Path) -> None:
         if entry.report is not None:
             record["report"] = entry.report.to_json_dict()
         summary.append(record)
-    (out_dir / "census.json").write_text(json.dumps(summary, indent=2) + "\n")
-    (out_dir / "manifest.json").write_text(
-        json.dumps(result.manifest(), indent=2) + "\n")
+    # streamed: indented JSON text is built in small pieces, which
+    # json.dumps would hold all at once
+    for name, payload in (("census.json", summary),
+                          ("manifest.json", result.manifest())):
+        with (out_dir / name).open("w") as out:
+            json.dump(payload, out, indent=2)
+            out.write("\n")
 
 
 # --- command implementations ----------------------------------------------
@@ -418,7 +480,8 @@ def cmd_enum_reflexible(args) -> int:
     result = census_reflexible(args.max_order, args.context_bound)
     write_census(result, Path(args.out))
     print(f"{len(result.entries)} maps written to {args.out} "
-          f"({len(result.skipped)} candidates skipped)")
+          f"({len(result.skipped)} candidates skipped, "
+          f"{len(result.certified)} certified too large)")
     # skipped candidates are logged in the manifest; signal the resource
     # bound through the exit code so coverage gaps are not silent
     return EXIT_BOUND if result.skipped else EXIT_OK

@@ -39,6 +39,35 @@ FORCED_EQUALITIES: tuple[tuple[tuple[int, int], ...], ...] = (
 )
 
 
+# TRIALITY_POSITIONS[name][i] is the position in m's context vector of the
+# order of word i in name(m).  du swaps t and l, so L, T, R, LT ~ TL, RL, RT
+# and LTR take the places of T..TLR, where LTR = TLR as TL is an
+# involution.  pe keeps t and r and replaces l by lt, so L becomes LT ~ TL,
+# TL becomes TLT ~ L, RL becomes RLT, the inverse of TLR, and TLR becomes
+# TLTR = LR, the inverse of RL.  Either way the new triple is again three
+# involutions with (T'L')^2 = 1 that generate the same group.
+TRIALITY_POSITIONS: dict[str, tuple[int, ...]] = {
+    "Du": (1, 0, 2, 3, 5, 4, 6),
+    "Pe": (0, 3, 2, 1, 4, 6, 5),
+}
+
+
+def triality_images(orders) -> dict[str, tuple[int, ...]]:
+    """The context vectors of the six composites of du and pe, named as
+    in ``mapcore.triality_composites``, read off one map's vector: the
+    same group, generated by the composite's triple.  Name(m) applies the
+    rightmost operation first, so PeDu(m) = pe(du(m))."""
+    def du(v):
+        return tuple(v[i] for i in TRIALITY_POSITIONS["Du"])
+
+    def pe(v):
+        return tuple(v[i] for i in TRIALITY_POSITIONS["Pe"])
+
+    m = tuple(orders)
+    return {"M": m, "Du": du(m), "Pe": pe(m), "PeDu": pe(du(m)),
+            "DuPe": du(pe(m)), "DuPeDu": du(pe(du(m)))}
+
+
 def broken_forcing(orders) -> tuple[int, int, int] | None:
     """The first (i, a, b) with word i of order 1 but words a and b of
     different orders, or None.  In no group do the seven context words

@@ -316,7 +316,6 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(g for g in generators if not g.is_identity())
         self._chain: StabilizerChain | None = None
-        self._elements: tuple[Perm, ...] | None = None
         # the order, given by whoever built the group or counted by a listing
         self._order: int | None = None
         # set by is_regular: None until tested; for a regular group,
@@ -394,25 +393,19 @@ class PermGroup:
     def elements(self, bound: int = DEFAULT_ELEMENT_BOUND) -> tuple[Perm, ...]:
         """All elements, breadth first from the identity (deterministic order).
 
-        They are read off a listing (``_listed``), each built from its
-        parent in the breadth-first tree by one composition.  A group of
-        more than bound elements raises, listed already or not; when its
-        order is known (listed, from a chain, the degree of a regular
-        group, or given by whoever built it), it raises before listing
-        anything.
+        They are read off a new listing (``_listed``), each built from its
+        parent in the breadth-first tree by one composition, and the group
+        keeps only their count: the caller owns the tuple.  A group of more
+        than bound elements raises; when its order is known (listed before,
+        from a chain, the degree of a regular group, or given by whoever
+        built it), it raises before listing anything.
         """
-        if self._known_order() > bound:
-            raise BoundExceeded(f"group exceeds element bound {bound}")
-        if self._elements is None:
-            listing = self._listed(bound)
-            self._elements = tuple(map(_perm, map(
-                listing.image_builder(), listing.breadth_first_order())))
-        return self._elements
+        listing = self._listed(bound)
+        return tuple(map(_perm, map(listing.image_builder(),
+                                    listing.breadth_first_order())))
 
     def _known_order(self) -> int:
         """The order when it is known without new work, else 0."""
-        if self._elements is not None:
-            return len(self._elements)
         if self._order is not None:
             return self._order
         if self._chain is not None:

@@ -7,9 +7,10 @@ import pytest
 from flagmaps import (analyze_map, build_degenerate, build_slightly_degenerate,
                       census_reflexible, congruent_labeled_groups,
                       isomorphism, load_map, save_map)
-from flagmaps.cli import (CENSUS_OUTCOMES, candidate_vectors, main,
-                          write_census)
-from flagmaps.degen import broken_forcing, vector_presentation
+from flagmaps.cli import (CENSUS_OUTCOMES, TooLargeCertificate,
+                          candidate_vectors, main, write_census)
+from flagmaps.degen import (broken_forcing, triality_images,
+                            vector_presentation)
 from flagmaps.fpres import EnumerationOverflow, todd_coxeter
 from flagmaps.mapcore import MapFormatError, context_cycle_orders
 from flagmaps.perm import LabeledGenerators
@@ -418,10 +419,13 @@ def test_census_outcome_counts(tmp_path):
     assert set(counts) == set(CENSUS_OUTCOMES)
     assert sum(counts.values()) == len(list(candidate_vectors(6))) == 2592
     # the forced-equality rule runs before enumeration, so twelve
-    # candidates whose groups exceed order 8 count as insufficient
-    assert counts == {"overflow": 17, "order_too_large": 43,
+    # candidates whose groups exceed order 8 count as insufficient; the
+    # groups found too large certify 44 candidates unenumerated, seven of
+    # which would overflow
+    assert counts == {"overflow": 10, "order_too_large": 50,
                       "insufficient_context": 2510, "duplicate": 0,
                       "kept": 22}
+    assert len(result.certified) == 44
     assert counts["kept"] == len(result.entries)
     assert counts["overflow"] == len(result.skipped)
     # a kept map's context vector is its candidate vector, and candidate
@@ -433,13 +437,58 @@ def test_census_outcome_counts(tmp_path):
     assert manifest["skipped_candidates"] == [list(v) for v in result.skipped]
 
 
+def test_too_large_certificates_round_trip(tmp_path):
+    # the manifest holds each certificate whole, and re-running the
+    # enumeration it names checks it
+    result = census_reflexible(8, 6, analyze=False)
+    write_census(result, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    read = tuple(TooLargeCertificate(
+        tuple(c["vector"]), tuple(c["enumerated"]), c["enumerated_order"],
+        c["image"], tuple(c["image_orders"]))
+        for c in manifest["too_large_certificates"])
+    assert read == result.certified and len(read) == 44
+    for c in read:
+        lg, order = todd_coxeter(vector_presentation(c.enumerated),
+                                 max_cosets=manifest["max_cosets_per_candidate"])
+        assert order == c.enumerated_order > manifest["max_group_order"]
+        images = triality_images(tuple(context_cycle_orders(lg)))
+        assert images[c.image] == c.image_orders
+        assert all(v % w == 0 for v, w in zip(c.vector, c.image_orders))
+        assert c.enumerated < c.vector
+
+
 def test_default_census_outcomes(default_census):
     assert default_census.outcome_counts == {
-        "overflow": 796, "order_too_large": 54,
+        "overflow": 527, "order_too_large": 323,
         "insufficient_context": 19800, "duplicate": 0, "kept": 86}
+    assert len(default_census.certified) == 311
+    assert default_census.outcome_counts["overflow"] == len(
+        default_census.skipped)
     # a group of order 24 on which HLT passes the 1,024-coset bound: a
     # change in the order of definitions or coincidences shows here first
     assert (2, 2, 2, 2, 3, 8, 9) in default_census.skipped
+
+
+@pytest.mark.parametrize("max_order, context_bound", [(24, 6), (96, 12)])
+def test_certified_candidates_fail_on_the_full_path(
+        default_census, max_order, context_bound):
+    # a candidate certified too large without enumeration would have been
+    # dropped by enumeration too: it overflows or its group is too large
+    if (max_order, context_bound) == (96, 12):
+        result = default_census
+    else:
+        result = census_reflexible(max_order, context_bound, analyze=False)
+    assert result.certified
+    for c in result.certified:
+        try:
+            _, order = todd_coxeter(vector_presentation(c.vector),
+                                    max_cosets=result.max_cosets)
+        except EnumerationOverflow:
+            continue
+        assert order > max_order, c.vector
+    assert {c.vector for c in result.certified}.isdisjoint(
+        [e.vector for e in result.entries] + list(result.skipped))
 
 
 @pytest.mark.parametrize("max_order, context_bound", [(24, 6), (8, 8)])

@@ -1,17 +1,21 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagmaps import (ContextVector, build_degenerate,
+from flagmaps import (BoundExceeded, ContextVector, build_degenerate,
                       build_slightly_degenerate, cells_and_surface,
                       classify_degeneracy, context_vector, du,
-                      isomorphism, lcm_vector_predict, parallel_product, pe)
-from flagmaps.degen import (DM_FIXED, DM_PARAMETRIC, broken_forcing,
-                            classify_vector, dm_group_order, dm_vector,
-                            slightly_degenerate_presentation)
+                      isomorphism, lcm_vector_predict, parallel_product, pe,
+                      smallest_reflexible_cover)
+from flagmaps.degen import (DM_FIXED, DM_PARAMETRIC, TRIALITY_POSITIONS,
+                            broken_forcing, classify_vector, dm_group_order,
+                            dm_vector, slightly_degenerate_presentation,
+                            triality_images)
 from flagmaps.fpres import evaluate_word
+from flagmaps.mapcore import triality_composites
 from flagmaps.perm import LabeledGenerators
 
 from .conftest import random_rooted_map
@@ -58,6 +62,46 @@ def test_real_context_vectors_satisfy_forced_equalities(
     assert {i for m in maps for i, e in enumerate(m._context_orders)
             if e == 1} == set(range(7))
 
+
+
+def triality_table_misses(table, maps):
+    """The maps m whose vector, read through table, is not the context
+    vector of du(m) or of pe(m)."""
+    return [m for m in maps for name, op in (("Du", du), ("Pe", pe))
+            if tuple(m._context_orders[i] for i in table[name])
+            != context_vector(op(m)).orders]
+
+
+@pytest.fixture(scope="module")
+def reflexible_maps(default_census):
+    rng = random.Random(20261019)
+    maps = [entry.map for entry in default_census.entries]
+    while len(maps) < 86 + 40:
+        try:
+            maps.append(smallest_reflexible_cover(
+                random_rooted_map(rng, rng.randint(1, 3)), 2000))
+        except BoundExceeded:
+            continue
+    return maps
+
+
+def test_triality_positions_are_the_duals_vectors(reflexible_maps):
+    assert triality_table_misses(TRIALITY_POSITIONS, reflexible_maps) == []
+    for m in reflexible_maps:
+        images = triality_images(m._context_orders)
+        assert [images[name] for name in
+                ("M", "Du", "Pe", "PeDu", "DuPe", "DuPeDu")] == [
+            context_vector(c).orders for c in triality_composites(m)]
+
+
+@pytest.mark.parametrize("name", sorted(TRIALITY_POSITIONS))
+def test_triality_positions_catch_a_swap(reflexible_maps, name):
+    # a table with any two of its positions swapped misreads some map
+    for i, j in itertools.combinations(range(7), 2):
+        positions = list(TRIALITY_POSITIONS[name])
+        positions[i], positions[j] = positions[j], positions[i]
+        mutant = {**TRIALITY_POSITIONS, name: tuple(positions)}
+        assert triality_table_misses(mutant, reflexible_maps), (i, j)
 
 def test_classify_degenerate():
     assert classify_degeneracy(build_degenerate(9)) == "degenerate"

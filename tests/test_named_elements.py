@@ -203,7 +203,6 @@ def test_kept_mon_keeps_the_order_but_no_listing(monkeypatch):
     # the map keeps its Mon; the search lists it once and leaves only the
     # count, so |Mon| needs no chain and no listing outlives the search
     from flagmaps import decomposability_general
-    from flagmaps._listing import Listing
     m, _ = construct_from_group("4", TYPE4_D6)
     mon = m.monodromy_group()
     verdict = decomposability_general(m)
@@ -211,8 +210,40 @@ def test_kept_mon_keeps_the_order_but_no_listing(monkeypatch):
     assert m.monodromy_group() is mon
     chains = count_calls(monkeypatch, perm.StabilizerChain, "__init__")
     assert mon.order() == 1728 and chains == []
-    assert mon._elements is None and mon._chain is None
-    assert not any(isinstance(value, Listing) for value in vars(mon).values())
+    assert mon._chain is None and kept_listings(mon) == []
+    # a listing asked for by name is the caller's, not the group's
+    assert len(mon.elements()) == 1728 and kept_listings(mon) == []
+
+
+def kept_listings(G):
+    """The names of G's attributes that hold a listing, or a tuple with
+    one entry per element of G."""
+    from flagmaps._listing import Listing
+    order = G.order()
+    return [name for name, value in vars(G).items()
+            if isinstance(value, Listing)
+            or (isinstance(value, tuple) and len(value) == order)]
+
+
+def test_dropped_elements_leave_nothing_allocated():
+    # DM6 with k = 500: |Mon| = 1,000 permutations of degree 1,000, some
+    # 8 MB once listed; dropping the tuple must free them all
+    import gc
+    import tracemalloc
+    mon = build_degenerate(6, 500).monodromy_group()
+    assert mon.order() == 1000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        elements = mon.elements()
+        assert len(elements) == 1000
+        del elements
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 100_000
+    assert kept_listings(mon) == []
 
 
 @pytest.mark.parametrize("G", [

@@ -230,7 +230,7 @@ def test_known_order_raises_before_listing(monkeypatch):
             G.elements(bound)
         with pytest.raises(BoundExceeded):
             minimal_normal_subgroups(G, bound)
-        assert G._elements is None and walks == []
+        assert walks == []
     assert len(s5.elements(120)) == 120 and len(regular.elements(40)) == 40
 
 
