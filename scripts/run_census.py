@@ -43,7 +43,8 @@ def main() -> int:
     print(f"bounds: |Mon| <= {max_order}, context words <= {context_bound}")
     print(f"kept {len(result.entries)} maps, "
           f"skipped {len(result.skipped)} overflowing candidates, "
-          f"certified {len(result.certified)} too large unenumerated")
+          f"certified {len(result.certified)} too large unenumerated, "
+          f"settled {len(result.transferred)} by triality")
     print("outcome counts: " + ", ".join(
         f"{outcome} {count}" for outcome, count in result.outcome_counts.items()))
     print("\ndegeneracy classes:")

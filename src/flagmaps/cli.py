@@ -25,7 +25,8 @@ from .fpres import (EnumerationOverflow, PresentationError, evaluate_word,
 from .mapcore import (GENERATOR_NAMES, MapFormatError, MapInvariantError,
                       RootedMap, automorphism_group, cells_and_surface,
                       context_cycle_orders, du, genus_symbol, is_reflexible,
-                      load_map, pe, regular_map_from_group, save_map)
+                      load_map, pe, regular_map_from_group, save_map,
+                      triality_composites)
 from .perm import (BoundExceeded, LabeledGenerators, PermGroup,
                    format_group_file, normal_closure, parse_group_file)
 from .product import (NotReflexible, parallel_product,
@@ -154,8 +155,9 @@ class CensusEntry:
 # Why a candidate vector was kept or dropped.  The census tests a vector
 # first against the forced equalities (a break counts as
 # insufficient_context) and then against the groups it found too large (a
-# certificate counts as order_too_large), enumerates it, and tests the
-# outcomes in this order.
+# certificate counts as order_too_large), takes the outcome of an earlier
+# candidate presenting the same group under triality, or else enumerates
+# it, and tests the outcomes in this order.
 CENSUS_OUTCOMES = ("overflow", "order_too_large", "insufficient_context",
                    "duplicate", "kept")
 
@@ -178,6 +180,20 @@ class TooLargeCertificate:
 
 
 @dataclass(frozen=True)
+class TrialityTransfer:
+    """Why ``vector`` was settled unenumerated: it is the context vector
+    ``enumerated`` reads under the triality composite ``image``, so it
+    presents the same group as the earlier candidate ``enumerated``, whose
+    enumeration fit the order bound.  ``vector`` then has that candidate's
+    outcome, insufficient_context or the map ``image`` of its map;
+    re-running ``todd_coxeter`` on either vector checks it."""
+
+    vector: tuple[int, ...]
+    enumerated: tuple[int, ...]
+    image: str
+
+
+@dataclass(frozen=True)
 class CensusResult:
     max_group_order: int
     context_bound: int
@@ -189,6 +205,8 @@ class CensusResult:
     outcome_counts: dict[str, int]
     # one per candidate counted order_too_large without enumeration
     certified: tuple[TooLargeCertificate, ...]
+    # one per candidate settled by an earlier enumeration under triality
+    transferred: tuple[TrialityTransfer, ...]
 
     def manifest(self) -> dict[str, Any]:
         return {
@@ -199,6 +217,7 @@ class CensusResult:
             "outcome_counts": dict(self.outcome_counts),
             "skipped_candidates": [list(v) for v in self.skipped],
             "too_large_certificates": [asdict(c) for c in self.certified],
+            "triality_transfers": [asdict(t) for t in self.transferred],
             "note": ("candidate vectors whose enumeration overflowed were "
                      "skipped; a candidate in too_large_certificates is "
                      "order_too_large because the group enumerated for an "
@@ -244,8 +263,17 @@ def census_reflexible(max_group_order: int = DEFAULT_CENSUS_MAX_ORDER,
     group, which is infinite or at least as large; enumeration would have
     overflowed or found it too large, and it is never kept.  The
     certificates are kept in the result (``certified``).  At the defaults
-    311 candidates are certified (269 of which would overflow), and 1,065
-    of the 20,736 candidates are enumerated.
+    311 candidates are certified (269 of which would overflow).
+
+    A candidate is also settled without enumeration when it is a triality
+    image of an earlier candidate whose group fit the order bound: the
+    composite's triple presents the same group, so the vector is
+    insufficient exactly when the earlier one was, and otherwise its map
+    is the composite of the earlier map (``mapcore.triality_composites``),
+    which then goes through the duplicate test below.  Each such candidate
+    gets a ``TrialityTransfer`` (``transferred``).  At the defaults 411
+    candidates are settled this way, four of which would overflow, and
+    654 of the 20,736 candidates are enumerated.
 
     Every other candidate is coset-enumerated; it is kept when the
     enumeration fits the order bound, the actual word orders reproduce
@@ -272,6 +300,12 @@ def census_reflexible(max_group_order: int = DEFAULT_CENSUS_MAX_ORDER,
     too_large: dict[int, dict[tuple[int, ...],
                               tuple[tuple[int, ...], int, str]]] = {}
     certified = []
+    # for each later triality image of a candidate whose group fit the
+    # bound: that candidate, the composite's index and name in
+    # triality_images order, and the candidate's map, None when insufficient
+    answered: dict[tuple[int, ...],
+                   tuple[tuple[int, ...], int, str, RootedMap | None]] = {}
+    transferred = []
     for vec in candidate_vectors(context_bound):
         if broken_forcing(vec) is not None:
             counts["insufficient_context"] += 1
@@ -285,24 +319,38 @@ def census_reflexible(max_group_order: int = DEFAULT_CENSUS_MAX_ORDER,
             certified.append(certificate)
             counts["order_too_large"] += 1
             continue
-        try:
-            lg, order = todd_coxeter(vector_presentation(vec),
-                                     max_cosets=max_cosets)
-        except EnumerationOverflow:
-            skipped.append(vec)
-            counts["overflow"] += 1
-            continue
-        if order > max_group_order:
-            counts["order_too_large"] += 1
-            images = triality_images(tuple(context_cycle_orders(lg)))
-            for name, orders in images.items():
-                too_large.setdefault(orders[4], {}).setdefault(
-                    orders, (vec, order, name))
-            continue
-        if any(map(ne, context_cycle_orders(lg), vec)):
-            counts["insufficient_context"] += 1
-            continue
-        m = regular_map_from_group(lg)
+        known = answered.pop(vec, None)
+        if known is not None:
+            source, index, name, m = known
+            transferred.append(TrialityTransfer(vec, source, name))
+            if m is None:
+                counts["insufficient_context"] += 1
+                continue
+            m = triality_composites(m)[index]
+        else:
+            try:
+                lg, order = todd_coxeter(vector_presentation(vec),
+                                         max_cosets=max_cosets)
+            except EnumerationOverflow:
+                skipped.append(vec)
+                counts["overflow"] += 1
+                continue
+            if order > max_group_order:
+                counts["order_too_large"] += 1
+                images = triality_images(tuple(context_cycle_orders(lg)))
+                for name, orders in images.items():
+                    too_large.setdefault(orders[4], {}).setdefault(
+                        orders, (vec, order, name))
+                continue
+            sufficient = not any(map(ne, context_cycle_orders(lg), vec))
+            m = regular_map_from_group(lg) if sufficient else None
+            for index, (name, image) in enumerate(
+                    triality_images(vec).items()):
+                if image > vec:
+                    answered.setdefault(image, (vec, index, name, m))
+            if m is None:
+                counts["insufficient_context"] += 1
+                continue
         key = save_map(m)
         if key in seen_keys:
             counts["duplicate"] += 1
@@ -310,10 +358,10 @@ def census_reflexible(max_group_order: int = DEFAULT_CENSUS_MAX_ORDER,
         seen_keys.add(key)
         counts["kept"] += 1
         report = analyze_map(m) if analyze else None
-        entries.append(CensusEntry(vec, order, m, report, key))
+        entries.append(CensusEntry(vec, m.n_flags, m, report, key))
     return CensusResult(max_group_order, context_bound, max_cosets,
                         tuple(entries), tuple(skipped), counts,
-                        tuple(certified))
+                        tuple(certified), tuple(transferred))
 
 
 def write_census(result: CensusResult, out_dir: Path) -> None:
@@ -330,13 +378,32 @@ def write_census(result: CensusResult, out_dir: Path) -> None:
         if entry.report is not None:
             record["report"] = entry.report.to_json_dict()
         summary.append(record)
-    # streamed: indented JSON text is built in small pieces, which
-    # json.dumps would hold all at once
-    for name, payload in (("census.json", summary),
-                          ("manifest.json", result.manifest())):
-        with (out_dir / name).open("w") as out:
-            json.dump(payload, out, indent=2)
-            out.write("\n")
+    # both streamed: json.dumps would hold each whole text at once
+    with (out_dir / "census.json").open("w") as out:
+        json.dump(summary, out, indent=2)
+        out.write("\n")
+    with (out_dir / "manifest.json").open("w") as out:
+        _dump_by_lines(result.manifest(), out)
+
+
+def _dump_by_lines(payload: dict[str, Any], out) -> None:
+    """Write a JSON object with one key on each line, and a list value
+    with one item on each line."""
+    out.write("{")
+    sep = "\n"
+    for key, value in payload.items():
+        out.write(f"{sep}  {json.dumps(key)}: ")
+        sep = ",\n"
+        if isinstance(value, list) and value:
+            out.write("[")
+            item_sep = "\n"
+            for item in value:
+                out.write(f"{item_sep}    {json.dumps(item)}")
+                item_sep = ",\n"
+            out.write("\n  ]")
+        else:
+            out.write(json.dumps(value))
+    out.write("\n}\n")
 
 
 # --- command implementations ----------------------------------------------
@@ -481,7 +548,8 @@ def cmd_enum_reflexible(args) -> int:
     write_census(result, Path(args.out))
     print(f"{len(result.entries)} maps written to {args.out} "
           f"({len(result.skipped)} candidates skipped, "
-          f"{len(result.certified)} certified too large)")
+          f"{len(result.certified)} certified too large, "
+          f"{len(result.transferred)} settled by triality)")
     # skipped candidates are logged in the manifest; signal the resource
     # bound through the exit code so coverage gaps are not silent
     return EXIT_BOUND if result.skipped else EXIT_OK

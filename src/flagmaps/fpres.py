@@ -346,9 +346,11 @@ def todd_coxeter(p: Presentation,
     parent = list(range(size))
     inverses = [cols[x ^ 1] for x in range(nsym)]
     columns = list(zip(cols, inverses))
-    # each relator as the columns its letters read forward and backward
+    # each relator as the columns its letters read forward and backward,
+    # and whether no letter of it stands next to its inverse
     scans = [(list(map(cols.__getitem__, w)),
-              list(map(inverses.__getitem__, w)), len(w) - 1)
+              list(map(inverses.__getitem__, w)), len(w) - 1,
+              all(x ^ y != 1 for x, y in zip(w, w[1:])))
              for w in relators]
     top = 1  # cosets allocated
     dead = 0
@@ -376,7 +378,7 @@ def todd_coxeter(p: Presentation,
         if parent[alpha] != alpha:
             alpha += 1
             continue
-        for fwd, bwd, last in scans:
+        for fwd, bwd, last, plain in scans:
             # scan the relator at alpha from the front ...
             f = alpha
             letters = iter(fwd)
@@ -409,6 +411,26 @@ def todd_coxeter(p: Presentation,
                         bwd[i][b] = f
                         break
                     dead += _coincidence(parent, columns, f, b)
+                    break
+                if plain and (f != b or fwd[i] is not bwd[j]):
+                    # A new coset's row holds only the entry back to the
+                    # coset before it, so the forward re-read below fails
+                    # unless letter i is the inverse of letter i - 1.  The
+                    # backward one fails unless the first definition wrote
+                    # its entry: b = f and letter i is the inverse of letter
+                    # j.  Neither can happen here, so the steps below come
+                    # to defining cosets for letters i..j-1 and deducing
+                    # letter j; take them in one loop.
+                    while i < j:
+                        if top >= room:
+                            room = make_room(top, dead)
+                        fwd[i][f] = top
+                        bwd[i][top] = f
+                        f = top
+                        top += 1
+                        i += 1
+                    fwd[j][f] = b
+                    bwd[j][b] = f
                     break
                 if top >= room:
                     room = make_room(top, dead)

@@ -8,11 +8,13 @@ from flagmaps import (analyze_map, build_degenerate, build_slightly_degenerate,
                       census_reflexible, congruent_labeled_groups,
                       isomorphism, load_map, save_map)
 from flagmaps.cli import (CENSUS_OUTCOMES, TooLargeCertificate,
-                          candidate_vectors, main, write_census)
+                          TrialityTransfer, candidate_vectors, main,
+                          write_census)
 from flagmaps.degen import (broken_forcing, triality_images,
                             vector_presentation)
 from flagmaps.fpres import EnumerationOverflow, todd_coxeter
-from flagmaps.mapcore import MapFormatError, context_cycle_orders
+from flagmaps.mapcore import (MapFormatError, context_cycle_orders,
+                              regular_map_from_group)
 from flagmaps.perm import LabeledGenerators
 
 
@@ -426,15 +428,22 @@ def test_census_outcome_counts(tmp_path):
                       "insufficient_context": 2510, "duplicate": 0,
                       "kept": 22}
     assert len(result.certified) == 44
+    assert len(result.transferred) == 65
     assert counts["kept"] == len(result.entries)
     assert counts["overflow"] == len(result.skipped)
     # a kept map's context vector is its candidate vector, and candidate
     # vectors are distinct, so no kept candidate repeats an earlier map
     assert counts["duplicate"] == 0
     write_census(result, tmp_path)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    text = (tmp_path / "manifest.json").read_text()
+    manifest = json.loads(text)
+    assert manifest == json.loads(json.dumps(result.manifest()))
     assert manifest["outcome_counts"] == counts
     assert manifest["skipped_candidates"] == [list(v) for v in result.skipped]
+    # braces, one line per key, and one per list item and list end
+    lists = [v for v in manifest.values() if isinstance(v, list) and v]
+    assert len(lists) == 3 and len(text.splitlines()) == (
+        2 + len(manifest) + sum(len(v) + 1 for v in lists))
 
 
 def test_too_large_certificates_round_trip(tmp_path):
@@ -458,16 +467,84 @@ def test_too_large_certificates_round_trip(tmp_path):
         assert c.enumerated < c.vector
 
 
+def test_triality_transfers_round_trip(tmp_path):
+    # the manifest holds each transfer whole, and re-running the
+    # enumeration it names checks that it presents the vector's group
+    result = census_reflexible(8, 6, analyze=False)
+    write_census(result, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    read = tuple(TrialityTransfer(tuple(t["vector"]), tuple(t["enumerated"]),
+                                  t["image"])
+                 for t in manifest["triality_transfers"])
+    assert read == result.transferred and len(read) == 65
+    for t in read:
+        _, order = todd_coxeter(vector_presentation(t.enumerated),
+                                max_cosets=manifest["max_cosets_per_candidate"])
+        assert order <= manifest["max_group_order"]
+        assert triality_images(t.enumerated)[t.image] == t.vector
+        assert t.enumerated < t.vector
+
+
 def test_default_census_outcomes(default_census):
     assert default_census.outcome_counts == {
-        "overflow": 527, "order_too_large": 323,
-        "insufficient_context": 19800, "duplicate": 0, "kept": 86}
+        "overflow": 523, "order_too_large": 323,
+        "insufficient_context": 19804, "duplicate": 0, "kept": 86}
     assert len(default_census.certified) == 311
+    assert len(default_census.transferred) == 411
     assert default_census.outcome_counts["overflow"] == len(
         default_census.skipped)
     # a group of order 24 on which HLT passes the 1,024-coset bound: a
     # change in the order of definitions or coincidences shows here first
     assert (2, 2, 2, 2, 3, 8, 9) in default_census.skipped
+
+
+# Transferred candidates whose own enumeration overflows the census's
+# coset bound: each is a triality image of a vector presenting a group of
+# order 2.
+TRANSFERRED_OVERFLOWS = {
+    (24, 6): set(),
+    (96, 12): {(2, 2, 2, 2, 6, 3, 11), (2, 2, 2, 2, 5, 3, 12),
+               (2, 2, 2, 2, 7, 4, 5), (2, 2, 2, 2, 5, 4, 7)},
+}
+
+
+@pytest.mark.parametrize("max_order, context_bound", [(24, 6), (96, 12)])
+def test_transferred_candidates_match_enumeration(
+        default_census, max_order, context_bound):
+    # a candidate settled by triality gets what its own enumeration gives:
+    # the same group order, insufficient exactly when its word orders miss
+    # the vector, and otherwise the same canonical map
+    if (max_order, context_bound) == (96, 12):
+        result = default_census
+    else:
+        result = census_reflexible(max_order, context_bound, analyze=False)
+    kept = {e.vector: e for e in result.entries}
+    assert result.outcome_counts["duplicate"] == 0
+    overflowed = set()
+    for t in result.transferred:
+        assert triality_images(t.enumerated)[t.image] == t.vector
+        source, order = todd_coxeter(vector_presentation(t.enumerated),
+                                     max_cosets=result.max_cosets)
+        assert order <= max_order
+        try:
+            lg, own_order = todd_coxeter(vector_presentation(t.vector),
+                                         max_cosets=result.max_cosets)
+        except EnumerationOverflow:
+            overflowed.add(t.vector)
+            assert order == 2
+            continue
+        assert own_order == order, t
+        sufficient = tuple(context_cycle_orders(lg)) == t.vector
+        assert sufficient == (
+            tuple(context_cycle_orders(source)) == t.enumerated), t
+        assert sufficient == (t.vector in kept), t
+        if sufficient:
+            entry = kept[t.vector]
+            assert entry.group_order == order
+            assert entry.text == save_map(regular_map_from_group(lg)), t
+    assert overflowed == TRANSFERRED_OVERFLOWS[max_order, context_bound]
+    assert {t.vector for t in result.transferred}.isdisjoint(
+        [c.vector for c in result.certified] + list(result.skipped))
 
 
 @pytest.mark.parametrize("max_order, context_bound", [(24, 6), (96, 12)])

@@ -204,6 +204,14 @@ def presentations(draw):
 # decides the coset numbers
 @example(Presentation(("a", "b"), ((("a", -2), ("b", -2), ("a", -2)),
                                    (("a", -3),))), 300)
+# a letter next to its inverse: the forward re-read after a definition
+# goes back along the new entry
+@example(Presentation(("a", "b"), ((("a", 1), ("a", -1), ("b", 2)),
+                                   (("a", 1), ("b", 1)))), 5)
+# a gap whose two ends are one coset, with its last letter the inverse of
+# its first: the backward re-read reads the entry just defined
+@example(Presentation(("a", "b"), ((("a", 1), ("b", 1), ("a", -1)),
+                                   (("a", 2),), (("b", 3),))), 20)
 def test_todd_coxeter_matches_reference_hlt(p, max_cosets):
     # same images and order, or an overflow at the same bound
     assert (enumeration_outcome(todd_coxeter, p, max_cosets)
