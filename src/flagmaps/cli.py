@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict, dataclass
 from operator import mod, ne
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from . import degen, ettype
 from .decomp import NotEdgeTransitive, decomposability_general
@@ -209,15 +209,18 @@ class CensusResult:
     transferred: tuple[TrialityTransfer, ...]
 
     def manifest(self) -> dict[str, Any]:
+        """The manifest's keys and values.  The three record lists are
+        iterators over the result, so that ``write_census`` writes them one
+        record at a time."""
         return {
             "max_group_order": self.max_group_order,
             "context_bound": self.context_bound,
             "max_cosets_per_candidate": self.max_cosets,
             "entries": len(self.entries),
             "outcome_counts": dict(self.outcome_counts),
-            "skipped_candidates": [list(v) for v in self.skipped],
-            "too_large_certificates": [asdict(c) for c in self.certified],
-            "triality_transfers": [asdict(t) for t in self.transferred],
+            "skipped_candidates": map(list, self.skipped),
+            "too_large_certificates": map(asdict, self.certified),
+            "triality_transfers": map(asdict, self.transferred),
             "note": ("candidate vectors whose enumeration overflowed were "
                      "skipped; a candidate in too_large_certificates is "
                      "order_too_large because the group enumerated for an "
@@ -250,8 +253,8 @@ def census_reflexible(max_group_order: int = DEFAULT_CENSUS_MAX_ORDER,
     without enumeration: no group has such word orders.  This precedes
     the overflow and order tests, so at a small ``max_group_order`` some
     candidates that enumeration would find too large count as
-    insufficient instead (at (8, 6): 43 too large and 2,510 insufficient,
-    where enumerating everything gives 55 and 2,498).  At the defaults no
+    insufficient instead (at (8, 6) twelve of them: 2,510 insufficient,
+    where enumerating every candidate gives 2,498).  At the defaults no
     ruled-out candidate overflows or is too large.
 
     A candidate is then order_too_large without enumeration when a group
@@ -263,7 +266,7 @@ def census_reflexible(max_group_order: int = DEFAULT_CENSUS_MAX_ORDER,
     group, which is infinite or at least as large; enumeration would have
     overflowed or found it too large, and it is never kept.  The
     certificates are kept in the result (``certified``).  At the defaults
-    311 candidates are certified (269 of which would overflow).
+    318 candidates are certified (276 of which would overflow).
 
     A candidate is also settled without enumeration when it is a triality
     image of an earlier candidate whose group fit the order bound: the
@@ -271,9 +274,9 @@ def census_reflexible(max_group_order: int = DEFAULT_CENSUS_MAX_ORDER,
     insufficient exactly when the earlier one was, and otherwise its map
     is the composite of the earlier map (``mapcore.triality_composites``),
     which then goes through the duplicate test below.  Each such candidate
-    gets a ``TrialityTransfer`` (``transferred``).  At the defaults 411
-    candidates are settled this way, four of which would overflow, and
-    654 of the 20,736 candidates are enumerated.
+    gets a ``TrialityTransfer`` (``transferred``).  At the defaults 414
+    candidates are settled this way, three of which would overflow, and
+    644 of the 20,736 candidates are enumerated.
 
     Every other candidate is coset-enumerated; it is kept when the
     enumeration fits the order bound, the actual word orders reproduce
@@ -387,20 +390,19 @@ def write_census(result: CensusResult, out_dir: Path) -> None:
 
 
 def _dump_by_lines(payload: dict[str, Any], out) -> None:
-    """Write a JSON object with one key on each line, and a list value
-    with one item on each line."""
+    """Write a JSON object with one key on each line, and an iterator value
+    as a list with one item on each line."""
     out.write("{")
     sep = "\n"
     for key, value in payload.items():
         out.write(f"{sep}  {json.dumps(key)}: ")
         sep = ",\n"
-        if isinstance(value, list) and value:
-            out.write("[")
-            item_sep = "\n"
+        if isinstance(value, Iterator):
+            item_sep = "[\n"
             for item in value:
                 out.write(f"{item_sep}    {json.dumps(item)}")
                 item_sep = ",\n"
-            out.write("\n  ]")
+            out.write("[]" if item_sep == "[\n" else "\n  ]")
         else:
             out.write(json.dumps(value))
     out.write("\n}\n")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import itemgetter, length_hint
+from operator import is_not, itemgetter, length_hint
 
 from .perm import LabeledGenerators, Perm
 
@@ -256,7 +256,7 @@ def _coincidence(parent: list[int], columns: list[tuple[list[int], list[int]]],
     """Identify cosets a and b and every coincidence that follows; returns
     the number of cosets killed.
 
-    ``columns`` pairs each symbol's column with its inverse's.  The queue
+    ``columns`` pairs each distinct column with its inverse's.  The queue
     is processed last in, first out, each dead coset's row in symbol order,
     and the larger root of each pair is the one that dies.
     """
@@ -319,13 +319,21 @@ def todd_coxeter(p: Presentation,
     Returns the regular permutation representation (generators labeled as
     in the presentation) and the group order.
 
+    A generator is an involution when some relator flattens to exactly
+    x x, with x the generator or its inverse (a*a^-1 does not count).  An
+    involution has one column, its own inverse: its inverse letters read
+    that column, its x x relators are not scanned, and the row fill and
+    coincidences visit it once.  Every other generator has a column for
+    itself and one for its inverse.
+
     The order of definitions, scans and coincidences is part of the
     contract, not only the result: ``EnumerationOverflow`` is raised when a
     definition would take the live cosets past ``max_cosets`` (or the
     allocated ones past 4 * max_cosets + 512), and HLT can pass that bound
     on a finite group whose order is far below it.  Which census candidates
     overflow, and so the census's ``manifest.json``, depends on these exact
-    steps; another strategy (Felsch, lookahead) would change it.
+    steps; another strategy (Felsch, lookahead) or another column rule
+    would change it.
     """
     if not 1 <= max_cosets <= MAX_COSETS:
         raise ValueError(f"max_cosets must be from 1 to {MAX_COSETS:,}")
@@ -335,23 +343,33 @@ def todd_coxeter(p: Presentation,
     nsym = 2 * ngens
     symbols = {name: 2 * g for g, name in enumerate(p.generators)}
     relators = [_flatten(symbols, w) for w in p.relators if w]
+    # the involutions, whose x x relators are not scanned
+    involutions = {w[0] >> 1 for w in relators if len(w) == 2 and w[0] == w[1]}
+    relators = [w for w in relators if len(w) != 2 or w[0] != w[1]]
     # The coset table is stored by columns: cols[x][a] is the image of coset
-    # a under symbol x, or -1.  Symbol x pairs with its inverse x ^ 1.  A
-    # coset is live exactly when it is its own root in ``parent``.
+    # a under symbol x, or -1.  Symbol x pairs with its inverse x ^ 1; an
+    # involution's two symbols share one column, its own inverse.  A coset
+    # is live exactly when it is its own root in ``parent``.
     # Columns grow by doubling up to the hard allocation cap, which keeps the
     # table bounded even before coincidences.
     alloc_cap = 4 * max_cosets + 512
     size = min(32, alloc_cap)
     cols = [[-1] * size for _ in range(nsym)]
+    for g in involutions:
+        cols[2 * g + 1] = cols[2 * g]
     parent = list(range(size))
     inverses = [cols[x ^ 1] for x in range(nsym)]
-    columns = list(zip(cols, inverses))
+    # one (column, inverse column) pair per distinct column, in symbol order
+    columns = [(cols[x], inverses[x]) for x in range(nsym)
+               if not (x & 1 and x >> 1 in involutions)]
     # each relator as the columns its letters read forward and backward,
-    # and whether no letter of it stands next to its inverse
-    scans = [(list(map(cols.__getitem__, w)),
-              list(map(inverses.__getitem__, w)), len(w) - 1,
-              all(x ^ y != 1 for x, y in zip(w, w[1:])))
-             for w in relators]
+    # and whether no letter of it stands next to its inverse (an involution
+    # letter next to itself included)
+    scans = []
+    for w in relators:
+        fwd = list(map(cols.__getitem__, w))
+        bwd = list(map(inverses.__getitem__, w))
+        scans.append((fwd, bwd, len(w) - 1, all(map(is_not, fwd[1:], bwd))))
     top = 1  # cosets allocated
     dead = 0
 
@@ -366,7 +384,7 @@ def todd_coxeter(p: Presentation,
                 f"live cosets exceed max_cosets={max_cosets}")
         if new == size:
             extra = min(size, alloc_cap - size)
-            for col in cols:
+            for col, _ in columns:
                 col += [-1] * extra
             parent.extend(range(size, size + extra))
             size += extra

@@ -197,8 +197,12 @@ def is_prime_power(k):
 # --- reference HLT coset enumeration ------------------------------------
 #
 # The enumerator as it stood before its table moved to columns and its
-# helpers were inlined, kept unchanged as the reference: the production
+# helpers were inlined, kept as the reference: the production
 # ``todd_coxeter`` must give the same images, order and overflow points.
+# Its one change since is the involution rule the production kernel also
+# follows: a generator with a relator x x (x its symbol or its inverse's)
+# is its own inverse, its inverse letters read as the generator's, and its
+# x x relators are not scanned.
 
 def _flatten(p: Presentation, word: Word) -> list[int]:
     """Flatten a word to symbol indices: 2*g for generator g, 2*g+1 for its
@@ -231,7 +235,17 @@ def todd_coxeter(p: Presentation,
         raise PresentationError("presentation declares no generators")
     nsym = 2 * ngens
     relators = [_flatten(p, w) for w in p.relators if w]
-    # involution-style inverse bookkeeping is uniform: symbol s pairs with s^1
+    involutions = {w[0] // 2 for w in relators if len(w) == 2 and w[0] == w[1]}
+    # symbol s pairs with s ^ 1, except that an involution's symbol 2g is its
+    # own inverse and its symbol 2g + 1 is never used
+    inv = [s ^ 1 for s in range(nsym)]
+    for g in involutions:
+        inv[2 * g] = 2 * g
+    # each symbol as a relator letter, and the symbols in use
+    letter = [s - s % 2 if s // 2 in involutions else s for s in range(nsym)]
+    syms = sorted(set(letter))
+    relators = [[letter[s] for s in w] for w in relators
+                if not (len(w) == 2 and w[0] == w[1])]
     table: list[list[int]] = [[-1] * nsym]
     parent = [0]
     dead = 0
@@ -262,22 +276,22 @@ def todd_coxeter(p: Presentation,
             e = queue.pop()
             dead += 1
             row = table[e]
-            for x in range(nsym):
+            for x in syms:
                 f = row[x]
                 if f == -1:
                     continue
-                table[f][x ^ 1] = -1
+                table[f][inv[x]] = -1
                 e1, f1 = rep(e), rep(f)
                 u = table[e1][x]
                 if u != -1:
                     merge(f1, rep(u), queue)
                 else:
-                    v = table[f1][x ^ 1]
+                    v = table[f1][inv[x]]
                     if v != -1:
                         merge(e1, rep(v), queue)
                     else:
                         table[e1][x] = f1
-                        table[f1][x ^ 1] = e1
+                        table[f1][inv[x]] = e1
 
     def define(a: int, x: int) -> int:
         b = len(table)
@@ -287,7 +301,7 @@ def todd_coxeter(p: Presentation,
         table.append([-1] * nsym)
         parent.append(b)
         table[a][x] = b
-        table[b][x ^ 1] = a
+        table[b][inv[x]] = a
         return b
 
     def scan_and_fill(a: int, w: list[int]) -> None:
@@ -305,7 +319,7 @@ def todd_coxeter(p: Presentation,
                     coincidence(f, b)
                 return
             while j >= i:
-                nxt = table[b][w[j] ^ 1]
+                nxt = table[b][inv[w[j]]]
                 if nxt == -1:
                     break
                 b = nxt
@@ -315,7 +329,7 @@ def todd_coxeter(p: Presentation,
                 return
             if j == i:
                 table[f][w[i]] = b
-                table[b][w[i] ^ 1] = f
+                table[b][inv[w[i]]] = f
                 return
             f = define(f, w[i])
             i += 1
@@ -330,7 +344,7 @@ def todd_coxeter(p: Presentation,
             if rep(alpha) != alpha:
                 break
         else:
-            for x in range(nsym):
+            for x in syms:
                 if rep(alpha) != alpha:
                     break
                 if table[alpha][x] == -1:

@@ -212,6 +212,18 @@ def presentations(draw):
 # its first: the backward re-read reads the entry just defined
 @example(Presentation(("a", "b"), ((("a", 1), ("b", 1), ("a", -1)),
                                    (("a", 2),), (("b", 3),))), 20)
+# a relator a*a^-1 does not make a an involution: a has order 3
+@example(Presentation(("a",), ((("a", 1), ("a", -1)), (("a", 3),))), 20)
+# a^-2 makes a an involution, and its inverse letters read as a
+@example(Presentation(("a", "b"), ((("a", -2),), (("b", 2),),
+                                   (("a", -1), ("b", 1)) * 3)), 20)
+# the rewrite puts an involution letter next to itself, so the relator is
+# not plain
+@example(Presentation(("a", "b"), ((("a", 2),), (("b", 3), ("a", -3)))), 64)
+# a dead coset that an involution fixes passes that entry to its root
+@example(Presentation(("a", "b"), ((("a", -2),), (("b", 2),),
+                                   (("a", 2), ("b", -1), ("a", 3),
+                                    ("b", 3)))), 20)
 def test_todd_coxeter_matches_reference_hlt(p, max_cosets):
     # same images and order, or an overflow at the same bound
     assert (enumeration_outcome(todd_coxeter, p, max_cosets)
@@ -231,6 +243,25 @@ def test_todd_coxeter_matches_reference_hlt_on_census_candidates():
                                           max_cosets), vec
         outcomes.add(got == "overflow")
     assert outcomes == {True, False}
+
+
+def test_todd_coxeter_census_candidates_satisfy_their_relators():
+    # whatever the strategy, a finished enumeration gives images that
+    # satisfy every relator and generate a regular group of the order
+    from flagmaps.cli import candidate_vectors
+    from flagmaps.degen import vector_presentation
+    finished = 0
+    for vec in candidate_vectors(6):
+        p = vector_presentation(vec)
+        try:
+            lg, order = todd_coxeter(p, 8 * 24 + 256)
+        except EnumerationOverflow:
+            continue
+        finished += 1
+        for relator in p.relators:
+            assert evaluate_word(lg, relator).is_identity(), vec
+        assert lg.degree == order and lg.group().is_regular(), vec
+    assert finished > 2500
 
 
 @pytest.mark.parametrize("relators, message", [
