@@ -32,9 +32,9 @@ from typing import Any
 from .ettype import classify_type
 from .mapcore import RootedMap, automorphism_group, is_reflexible, isomorphism
 from .perm import (DEFAULT_ELEMENT_BOUND, BoundExceeded, PermGroup,
-                   _least_block, _orbit, minimal_normal_subgroups)
+                   _least_block, _orbit, _orbits, minimal_normal_subgroups)
 from .product import NotReflexible, parallel_product
-from .quotient import _blocks_to_map
+from .quotient import _block_quotient
 
 
 class NotEdgeTransitive(ValueError):
@@ -83,9 +83,9 @@ def _verified_factor_pair(m: RootedMap, H1: PermGroup, H2: PermGroup,
     rooted isomorphism from their product onto m.  H1 and H2 are minimal
     normal subgroups of Mon(m) by construction, so their membership and
     normality are not checked again; the certificate and the proper
-    quotients prove the verdict."""
-    f1, _ = _blocks_to_map(m, H1.orbits())
-    f2, _ = _blocks_to_map(m, H2.orbits())
+    quotients prove the verdict.  No morphism or projection is built."""
+    f1, f2 = (_block_quotient(m, _orbits([g.images for g in H.generators],
+                                         m.n_flags))[0] for H in (H1, H2))
     cert = isomorphism(parallel_product(f1, f2).product, m, mode="rooted")
     if cert is None:
         raise VerificationFailed(
@@ -143,8 +143,11 @@ def _minimal_normal_search(m: RootedMap, mon: PermGroup,
         minimals = minimal_normal_subgroups(mon, bound)
     except BoundExceeded as exc:
         return DecompositionVerdict(decomposable=None, reason=str(exc))
-    blocks = [None if H.is_transitive() else frozenset(H.orbit(m.root))
-              for H in minimals]
+    # H is transitive exactly when the root's orbit holds every flag
+    blocks = []
+    for H in minimals:
+        block = _orbit([g.images for g in H.generators], m.root)
+        blocks.append(None if len(block) == m.n_flags else frozenset(block))
     root_only = frozenset((m.root,))
     for i, block_i in enumerate(blocks):
         if block_i is None:

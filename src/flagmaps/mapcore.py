@@ -165,6 +165,14 @@ class RootedMap:
         return f"RootedMap(n_flags={self.n_flags}, root={self.root})"
 
 
+def _rooted_map(t: Perm, l: Perm, r: Perm, root: int) -> RootedMap:
+    """A RootedMap from generators and a root already known to satisfy its
+    axioms: a derived map of a checked one (see reroot, du and pe)."""
+    m = RootedMap.__new__(RootedMap)
+    m.__dict__.update(t=t, l=l, r=r, root=root)
+    return m
+
+
 # --- .map file format ---------------------------------------------------
 
 def _ints(parts: list[str], lineno: int) -> list[int]:
@@ -289,13 +297,16 @@ def cells_and_surface(m: RootedMap) -> SurfaceInfo:
 # --- triality ---------------------------------------------------------------
 
 def du(m: RootedMap) -> RootedMap:
-    """Dual: exchange the roles of T and L."""
-    return RootedMap(m.l, m.t, m.r, m.root)
+    """Dual: exchange the roles of T and L.  The generators are m's, so no
+    axiom is checked again."""
+    return _rooted_map(m.l, m.t, m.r, m.root)
 
 
 def pe(m: RootedMap) -> RootedMap:
-    """Petrie dual: replace L by LT (apply L, then T)."""
-    return RootedMap(m.t, m.l * m.t, m.r, m.root)
+    """Petrie dual: replace L by LT (apply L, then T).  LT is an involution
+    and T·LT·T·LT = 1 whenever (TL)^2 = 1, and <T, LT, R> = <T, L, R>, so
+    no axiom is checked again."""
+    return _rooted_map(m.t, m.l * m.t, m.r, m.root)
 
 
 def triality_composites(m: RootedMap) -> list[RootedMap]:
@@ -381,8 +392,11 @@ _ROOT_FREE_FACTS = ("_surface", "_monodromy_group", "_automorphism_generators",
 
 def reroot(m: RootedMap, flag: int) -> RootedMap:
     """m rooted at flag, sharing the root-free facts m has already found:
-    its surface, Mon, Aut's generators and order and the context orders."""
-    out = RootedMap(m.t, m.l, m.r, flag)
+    its surface, Mon, Aut's generators and order and the context orders.
+    Only the new root is checked: the generators are m's."""
+    if not 0 <= flag < m.n_flags:
+        raise MapInvariantError("root flag out of range")
+    out = _rooted_map(m.t, m.l, m.r, flag)
     out.__dict__.update((name, value) for name, value in vars(m).items()
                         if name in _ROOT_FREE_FACTS)
     return out

@@ -2,7 +2,10 @@
 
 The product of two rooted maps lives on the orbit of the paired roots
 under the paired generator actions, numbered by ``perm._numbered_orbit``;
-it is the unique minimal common cover.  The smallest reflexible cover of
+it is the unique minimal common cover.  Its coordinate projections are
+built, and checked, only when a caller reads them; the decomposition
+certificate and ``fold_parallel_product`` read only the product.  The
+smallest reflexible cover of
 a map is the regular representation of its monodromy group; the total
 parallel product of all re-rootings is kept as an independent route to
 the same map.
@@ -11,6 +14,7 @@ the same map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .mapcore import (RootedMap, _tables, is_reflexible, isomorphism, reroot,
                       triality_class)
@@ -24,21 +28,31 @@ class NotReflexible(ValueError):
 
 @dataclass(frozen=True)
 class ProductWitness:
-    """A parallel product with its coordinate projections and, for each
-    product flag, the (left flag, right flag) pair it stands for."""
+    """A parallel product of two maps and, for each product flag, the
+    (left flag, right flag) pair it stands for.  The coordinate
+    projections are built, and checked, when first read."""
 
     product: RootedMap
-    left_projection: MapMorphism
-    right_projection: MapMorphism
+    left: RootedMap
+    right: RootedMap
     pair_labels: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if len(set(self.pair_labels)) != len(self.pair_labels):
             raise ValueError("pair labels must be injective")
         root_pair = self.pair_labels[self.product.root]
-        if root_pair != (self.left_projection.target.root,
-                         self.right_projection.target.root):
+        if root_pair != (self.left.root, self.right.root):
             raise ValueError("root must be labeled by the pair of roots")
+
+    @cached_property
+    def left_projection(self) -> MapMorphism:
+        return MapMorphism(self.product, self.left,
+                           tuple(x for x, _ in self.pair_labels))
+
+    @cached_property
+    def right_projection(self) -> MapMorphism:
+        return MapMorphism(self.product, self.right,
+                           tuple(y for _, y in self.pair_labels))
 
 
 def parallel_product(m: RootedMap, n: RootedMap) -> ProductWitness:
@@ -57,9 +71,7 @@ def parallel_product(m: RootedMap, n: RootedMap) -> ProductWitness:
         (m.root, n.root), images, DEFAULT_ELEMENT_BOUND,
         f"parallel product exceeds {DEFAULT_ELEMENT_BOUND} flags")
     product = RootedMap(*map(Perm, tables), root=0)
-    left = MapMorphism(product, m, tuple(x for x, _ in order))
-    right = MapMorphism(product, n, tuple(y for _, y in order))
-    return ProductWitness(product, left, right, tuple(order))
+    return ProductWitness(product, m, n, tuple(order))
 
 
 def fold_parallel_product(maps: list[RootedMap]) -> RootedMap:

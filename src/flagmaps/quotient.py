@@ -7,6 +7,10 @@ block root.K under the monodromy generators, walked and numbered by
 ``perm._numbered_orbit`` up to the number of cosets, so the monodromy
 group itself is never enumerated.  The K of a morphism is recovered from
 a breadth-first transversal of permutations, with no words.
+
+The three public quotients return a checked morphism with the quotient
+map.  The decomposition search, which needs only the maps, builds each
+factor with ``_block_quotient`` and no morphism.
 """
 
 from __future__ import annotations
@@ -55,21 +59,30 @@ class MapMorphism:
         return self.flag_map[flag]
 
 
-def _blocks_to_map(m: RootedMap, blocks: Sequence[Sequence[int]],
-                   ) -> tuple[RootedMap, MapMorphism]:
-    """Quotient map induced on a block system, plus the projection."""
+def _block_quotient(m: RootedMap, blocks: Sequence[Sequence[int]],
+                    ) -> tuple[RootedMap, list[int]]:
+    """Quotient map induced on a block system, and each flag's block.
+
+    The blocks are numbered in the given order and each acts through its
+    first flag.  A partition is a block system exactly when every flag's
+    block goes where its block's first flag goes, one whole-table
+    comparison per generator."""
     block_of = _block_index(blocks, m.n_flags)
     reps = [b[0] for b in blocks]
     induced = []
     for g in m.generators():
         images = [block_of[g.images[rep]] for rep in reps]
-        # block systems are closed under the action; verify on whole blocks
-        for bi, b in enumerate(blocks):
-            target = images[bi]
-            if any(block_of[g.images[x]] != target for x in b):
-                raise ValueError("given partition is not a block system")
+        if (list(map(block_of.__getitem__, g.images))
+                != list(map(images.__getitem__, block_of))):
+            raise ValueError("given partition is not a block system")
         induced.append(Perm(images))
-    quotient = RootedMap(*induced, root=block_of[m.root])
+    return RootedMap(*induced, root=block_of[m.root]), block_of
+
+
+def _blocks_to_map(m: RootedMap, blocks: Sequence[Sequence[int]],
+                   ) -> tuple[RootedMap, MapMorphism]:
+    """Quotient map induced on a block system, plus the projection."""
+    quotient, block_of = _block_quotient(m, blocks)
     return quotient, MapMorphism(m, quotient, tuple(block_of))
 
 

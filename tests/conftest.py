@@ -39,6 +39,21 @@ def count_fact_runs(mp, name):
     return runs
 
 
+def count_calls(mp, owner, name):
+    """The positional arguments of each call of ``owner.name`` (a function
+    of a module or of a class) from now on, recorded through the
+    MonkeyPatch ``mp``."""
+    calls = []
+    call = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return call(*args)
+
+    mp.setattr(owner, name, counted)
+    return calls
+
+
 def map_from_vector(vec):
     """Reflexible map whose seven-word context is (exactly or not) vec."""
     from flagmaps.degen import vector_presentation

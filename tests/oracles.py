@@ -6,6 +6,7 @@ indices, so closures and joins are plain integer BFS.
 
 from collections import deque
 from operator import itemgetter
+from typing import NamedTuple
 
 from flagmaps import Perm
 from flagmaps.ettype import (NAMED_AUTOMORPHISM_WORDS, TYPE_TABLE,
@@ -18,7 +19,6 @@ from flagmaps.mapcore import (GenusSymbol, RootedMap, _tables,
                               simple_reroots, triality_composites)
 from flagmaps.perm import (DEFAULT_ELEMENT_BOUND, BoundExceeded,
                            LabeledGenerators, PermGroup, _orbit)
-from flagmaps.product import ProductWitness
 from flagmaps.quotient import MapMorphism, StabilizerNotContained
 
 
@@ -553,7 +553,16 @@ def elements_and_right(G: PermGroup, bound: int = DEFAULT_ELEMENT_BOUND):
     return tuple(map(Perm, found)), right
 
 
-def parallel_product(m: RootedMap, n: RootedMap) -> ProductWitness:
+class ReferenceProduct(NamedTuple):
+    """A parallel product with both projections built and checked at once."""
+
+    product: RootedMap
+    left_projection: MapMorphism
+    right_projection: MapMorphism
+    pair_labels: tuple
+
+
+def parallel_product(m: RootedMap, n: RootedMap) -> ReferenceProduct:
     """Breadth-first orbit of (root, root) under (T,T), (L,L), (R,R)."""
     pairs: dict[tuple[int, int], int] = {(m.root, n.root): 0}
     order: list[tuple[int, int]] = [(m.root, n.root)]
@@ -572,7 +581,7 @@ def parallel_product(m: RootedMap, n: RootedMap) -> ProductWitness:
     product = RootedMap(*perms, root=0)
     left = MapMorphism(product, m, tuple(x for x, _ in order))
     right = MapMorphism(product, n, tuple(y for _, y in order))
-    return ProductWitness(product, left, right, tuple(order))
+    return ReferenceProduct(product, left, right, tuple(order))
 
 
 def k_quotient_blocks(m: RootedMap, K: PermGroup) -> list[tuple[int, ...]]:

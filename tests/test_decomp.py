@@ -7,10 +7,13 @@ from flagmaps import (PermGroup, build_degenerate, build_slightly_degenerate,
                       decomposability_general, decomposability_reflexible,
                       decompose_with_certificate, du, isomorphism, k_quotient,
                       load_map, monodromy_quotient, parallel_product, pe)
+from flagmaps import decomp
 from flagmaps.decomp import NotEdgeTransitive
-from flagmaps.perm import LabeledGenerators
+from flagmaps.perm import LabeledGenerators, minimal_normal_subgroups
 from flagmaps.product import NotReflexible
+from flagmaps.quotient import MapMorphism
 
+from .conftest import count_calls
 from .oracles import decomposable_brute, is_prime_power
 
 
@@ -140,7 +143,7 @@ def test_factors_are_the_checked_monodromy_quotients(constructions):
     # the search quotients by the witnesses' orbits without checking them
     # again; the public, checked route must give the same factors
     maps = [build_degenerate(index, k) for index in (6, 7, 8)
-            for k in range(1, 13)]
+            for k in range(1, 21)]
     maps += [build_slightly_degenerate(family, k)
              for family in ("epsilon", "delta") for k in range(2, 13)]
     maps += [m for _, m in constructions]
@@ -162,6 +165,24 @@ def test_factors_are_the_checked_monodromy_quotients(constructions):
             assert all(cert[gp.images[x]] == gm.images[cert[x]]
                        for x in range(m.n_flags))
     assert decomposable >= 10
+
+
+def test_search_builds_only_what_the_verdict_returns(monkeypatch, c4_sphere):
+    # one root orbit walked per minimal normal subgroup, the full orbit
+    # partition of the two witnesses only, and no morphism or projection
+    for m in (c4_sphere, build_degenerate(6, 12),
+              build_slightly_degenerate("epsilon", 12)):
+        with monkeypatch.context() as mp:
+            morphisms = count_calls(mp, MapMorphism, "__post_init__")
+            root_orbits = count_calls(mp, decomp, "_orbit")
+            partitions = count_calls(mp, decomp, "_orbits")
+            verdict = decomposability_general(m)
+        assert verdict.decomposable and morphisms == []
+        minimals = minimal_normal_subgroups(m.monodromy_group())
+        assert root_orbits == [([g.images for g in H.generators], m.root)
+                               for H in minimals]
+        assert partitions == [([g.images for g in H.generators], m.n_flags)
+                              for H in verdict.witnesses]
 
 
 def test_edge_transitive_route_reflexible(tetrahedron, c4_sphere):

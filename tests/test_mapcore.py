@@ -242,6 +242,33 @@ def test_reroot_identity(tetrahedron):
     assert reroot(tetrahedron, tetrahedron.root) == tetrahedron
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_derived_maps_equal_checked_maps(constructions, data):
+    # reroot, du and pe skip RootedMap's axiom checks on generators that
+    # are already checked; each must equal the checked map it stands for
+    if data.draw(st.booleans()):
+        _, m = data.draw(st.sampled_from(constructions))
+    else:
+        import random as _random
+        rng = _random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        m = random_rooted_map(rng, data.draw(st.integers(1, 5)))
+    f = data.draw(st.integers(0, m.n_flags - 1))
+    derived = [reroot(m, f), du(m), pe(m)] + triality_composites(m)
+    checked = [RootedMap(m.t, m.l, m.r, f), RootedMap(m.l, m.t, m.r, m.root),
+               RootedMap(m.t, m.l * m.t, m.r, m.root)]
+    word = lambda w: functools.reduce(
+        lambda p, q: p * q, (m.generator(c) for c in w))
+    # the composites M, Du, Pe, PeDu, DuPe, DuPeDu: their T and L as words
+    for a, b in (("t", "l"), ("l", "t"), ("t", "lt"), ("l", "tl"),
+                 ("lt", "t"), ("tl", "l")):
+        checked.append(RootedMap(word(a), word(b), m.r, m.root))
+    assert derived == checked
+    for flag in (m.n_flags, -1):
+        with pytest.raises(MapInvariantError):
+            reroot(m, flag)
+
+
 def test_reroots_of_reflexible_isomorphic(tetrahedron):
     for f in range(0, tetrahedron.n_flags, 5):
         assert isomorphism(reroot(tetrahedron, f), tetrahedron,

@@ -1,14 +1,15 @@
 import pytest
 
 from flagmaps import (LabeledGenerators, Perm, PermGroup, automorphism_group,
-                      automorphism_quotient, is_reflexible,
+                      automorphism_quotient, build_degenerate, is_reflexible,
                       isomorphism, k_quotient, minimal_normal_subgroups,
                       monodromy_quotient, morphism_to_k_quotient,
                       project_automorphism)
 from flagmaps.fpres import evaluate_word
 from flagmaps.mapcore import automorphism_to
+from flagmaps.perm import is_normal_in
 from flagmaps.quotient import (MapMorphism, NotAnAutomorphism, NotNormal,
-                               StabilizerNotContained)
+                               StabilizerNotContained, _blocks_to_map)
 
 
 def stabilizer_subgroup(m):
@@ -207,3 +208,20 @@ def test_morphism_factors_through_monodromy_quotient(c4_sphere, subgroup_words):
     assert congruent_labeled_groups(
         LabeledGenerators(("t", "l", "r"), mq.generators()),
         LabeledGenerators(("t", "l", "r"), target.generators()))
+
+
+def test_block_check_rejects_partitions_that_are_not_block_systems():
+    # the check compares each generator's whole table at once; a partition
+    # that some generator does not map onto itself must still be refused
+    m = build_degenerate(6, 12)
+    mon = m.monodromy_group()
+    blocks = [list(b) for b in minimal_normal_subgroups(mon)[0].orbits()]
+    _blocks_to_map(m, blocks)  # a block system
+    x, y = blocks[0][1], blocks[1][0]
+    blocks[0][1], blocks[1][0] = y, x
+    with pytest.raises(ValueError, match="not a block system"):
+        _blocks_to_map(m, blocks)
+    H = PermGroup(m.n_flags, [m.r])
+    assert not is_normal_in(H, mon)
+    with pytest.raises(ValueError, match="not a block system"):
+        _blocks_to_map(m, H.orbits())
