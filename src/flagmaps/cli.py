@@ -95,8 +95,8 @@ class AnalysisReport:
 
 
 def analyze_map(m: RootedMap) -> AnalysisReport:
-    """Every fact of the report, each computed once: the surface, Mon, the
-    Aut generators and the context vector are kept on m and shared with its
+    """Every fact of the report, each computed once: the surface, Mon,
+    Aut and the context vector are kept on m and shared with its
     re-rootings, and Mon serves the decomposability search, its own order
     and the reflexibility test.  Reflexibility is read two independent
     ways, which must agree: Mon's regularity (``is_reflexible``, and |Mon|
@@ -305,7 +305,7 @@ def census_reflexible(max_group_order: int = DEFAULT_CENSUS_MAX_ORDER,
     certified = []
     # for each later triality image of a candidate whose group fit the
     # bound: that candidate, the composite's index and name in
-    # triality_images order, and the candidate's map, None when insufficient
+    # mapcore.TRIALITY order, and the candidate's map, None when insufficient
     answered: dict[tuple[int, ...],
                    tuple[tuple[int, ...], int, str, RootedMap | None]] = {}
     transferred = []

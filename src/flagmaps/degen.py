@@ -18,7 +18,8 @@ from math import lcm
 
 from .fpres import (Presentation, Word, format_word, parse_word, todd_coxeter,
                     word_power)
-from .mapcore import CONTEXT_WORDS, RootedMap, regular_map_from_group
+from .mapcore import (CONTEXT_WORDS, TRIALITY, RootedMap,
+                      regular_map_from_group)
 
 
 # FORCED_EQUALITIES[i] lists the pairs of context words (indices into
@@ -39,33 +40,23 @@ FORCED_EQUALITIES: tuple[tuple[tuple[int, int], ...], ...] = (
 )
 
 
-# TRIALITY_POSITIONS[name][i] is the position in m's context vector of the
-# order of word i in name(m).  du swaps t and l, so L, T, R, LT ~ TL, RL, RT
-# and LTR take the places of T..TLR, where LTR = TLR as TL is an
-# involution.  pe keeps t and r and replaces l by lt, so L becomes LT ~ TL,
-# TL becomes TLT ~ L, RL becomes RLT, the inverse of TLR, and TLR becomes
-# TLTR = LR, the inverse of RL.  Either way the new triple is again three
-# involutions with (T'L')^2 = 1 that generate the same group.
-TRIALITY_POSITIONS: dict[str, tuple[int, ...]] = {
-    "Du": (1, 0, 2, 3, 5, 4, 6),
-    "Pe": (0, 3, 2, 1, 4, 6, 5),
-}
+# T, L and TL are the context words at positions 0, 1 and 3, and RT, RL
+# and TLR, whose orders are those of R times T, L and TL, at 4, 5 and 6.
+# A composite whose T and L are the a-th and b-th of (T, L, TL) has the
+# third, c = 3 - a - b, as its TL (see mapcore.TRIALITY): its vector
+# reads each triple at a, b and c, and R's order at 2.
+_BASES, _TURNS = (0, 1, 3), (4, 5, 6)
 
 
 def triality_images(orders) -> dict[str, tuple[int, ...]]:
-    """The context vectors of the six composites of du and pe, named as
-    in ``mapcore.triality_composites``, read off one map's vector: the
-    same group, generated by the composite's triple.  Name(m) applies the
-    rightmost operation first, so PeDu(m) = pe(du(m))."""
-    def du(v):
-        return tuple(v[i] for i in TRIALITY_POSITIONS["Du"])
-
-    def pe(v):
-        return tuple(v[i] for i in TRIALITY_POSITIONS["Pe"])
-
+    """The context vectors of the six composites of ``mapcore.TRIALITY``,
+    by name and in its order, read off one map's vector: the same group,
+    generated by the composite's triple."""
     m = tuple(orders)
-    return {"M": m, "Du": du(m), "Pe": pe(m), "PeDu": pe(du(m)),
-            "DuPe": du(pe(m)), "DuPeDu": du(pe(du(m)))}
+    return {name: tuple(m[i] for i in (
+        _BASES[a], _BASES[b], 2, _BASES[3 - a - b],
+        _TURNS[a], _TURNS[b], _TURNS[3 - a - b]))
+        for name, a, b in TRIALITY}
 
 
 def broken_forcing(orders) -> tuple[int, int, int] | None:

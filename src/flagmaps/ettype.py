@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .degen import classify_degeneracy
 from .fpres import evaluate_word
-from .mapcore import RootedMap, automorphism_group, cells, simple_reroots
+from .mapcore import (TRIALITY, RootedMap, automorphism_group, cells,
+                      simple_reroots)
 from .perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators, Perm,
                    _block_index, _orbits)
 
@@ -197,37 +198,26 @@ def map_symbol(m: RootedMap, type_label: str | None = None) -> MapSymbol:
 
 # --- type conversion under Du and Pe ----------------------------------------
 
-def _split_label(label: str) -> tuple[str, str]:
-    """'4P' -> ('4', 'P'); '2*ex' -> ('2ex', '*'); '1' -> ('1', '')."""
-    if label in ("1", "3"):
-        return label, ""
-    if label.endswith("ex"):
-        core = label[:-2]
-        family = core[0] + "ex"
-        suffix = core[1:]
-    else:
-        family = label[0]
-        suffix = label[1:]
-    return family, suffix
-
-
-def _join_label(family: str, suffix: str) -> str:
-    if family in ("1", "3"):
-        return family
-    if family.endswith("ex"):
-        return family[0] + suffix + "ex"
-    return family + suffix
+# The suffixes of a family's labels ("4", "4*", "4P"; "2ex", "2*ex",
+# "2Pex") name the generator, T, L or TL, that plays the part of T in the
+# family's base row.
+_SUFFIXES = ("", "*", "P")
 
 
 def type_transforms(label: str) -> tuple[str, str]:
     """The types of the dual and the Petrie dual of a type-``label`` map
-    (with the conventions 1 = 1* = 1^P and 3 = 3* = 3^P)."""
+    (with the conventions 1 = 1* = 1^P and 3 = 3* = 3^P).  In the Du and
+    Pe rows of ``mapcore.TRIALITY`` the generator the suffix names becomes
+    the composite's T, L or TL by its place among the row's a, b and c."""
     if label not in TYPE_TABLE:
         raise ValueError(f"unknown type label {label!r}")
-    family, suffix = _split_label(label)
-    du_suffix = {"": "*", "*": "", "P": "P"}[suffix]
-    pe_suffix = {"": "", "*": "P", "P": "*"}[suffix]
-    return _join_label(family, du_suffix), _join_label(family, pe_suffix)
+    ex = "ex" if label.endswith("ex") else ""
+    base = _SUFFIXES.index(label[1:len(label) - len(ex)])
+    rows = {name: (a, b, 3 - a - b) for name, a, b in TRIALITY}
+    images = [label[0] + _SUFFIXES[rows[name].index(base)] + ex
+              for name in ("Du", "Pe")]
+    du_label, pe_label = (i if i in TYPE_TABLE else label for i in images)
+    return du_label, pe_label
 
 
 def partial_order(label: str, other: str) -> bool:

@@ -104,8 +104,9 @@ class RootedMap:
         return PermGroup(self.n_flags, self.generators())
 
     @cached_property
-    def _automorphism_generators(self) -> tuple[Perm, ...]:
-        """Generators of Aut, found once per map (see automorphism_group)."""
+    def _automorphism_group(self) -> PermGroup:
+        """Aut, found once per map (see automorphism_group).  It is
+        semiregular, so its order is the size of the root's orbit."""
         auts: list[Perm] = []
         orbit = {self.root}
         for d in range(self.n_flags):
@@ -115,14 +116,9 @@ class RootedMap:
             if a is not None:
                 auts.append(a)
                 orbit = set(_orbit([g.images for g in auts], self.root))
-        return tuple(auts)
-
-    @cached_property
-    def _automorphism_order(self) -> int:
-        """|Aut|, found once per map: Aut is semiregular, so it is the size
-        of the root's orbit under the Aut generators."""
-        return len(_orbit([g.images for g in self._automorphism_generators],
-                          self.root))
+        aut = PermGroup(self.n_flags, auts)
+        aut._order = len(orbit)
+        return aut
 
     @cached_property
     def _context_orders(self) -> tuple[int, ...]:
@@ -309,9 +305,25 @@ def pe(m: RootedMap) -> RootedMap:
     return _rooted_map(m.t, m.l * m.t, m.r, m.root)
 
 
+# The six triality composites, in the order used everywhere: a name and
+# the composite's T and L as indices a and b into (T, L, TL).  The names
+# spell chains of du (swap T and L) and pe (L becomes LT = TL), rightmost
+# first: PeDu(m) = pe(du(m)).  The composite's TL is the third index,
+# c = 3 - a - b.  Its vertices <a,R>, faces <b,R> and Petrie circuits
+# <c,R> are M's vertices, faces or Petrie circuits, and its edges <a,b>
+# are M's edges.  Its orientation subgroup <Ra,Rb> depends on c alone, so
+# the six lie on three surfaces.
+TRIALITY: tuple[tuple[str, int, int], ...] = (
+    ("M", 0, 1), ("Du", 1, 0), ("Pe", 0, 2), ("PeDu", 1, 2), ("DuPe", 2, 0),
+    ("DuPeDu", 2, 1))
+
+
 def triality_composites(m: RootedMap) -> list[RootedMap]:
-    """The six composites in the fixed order M, Du, Pe, PeDu, DuPe, DuPeDu."""
-    return [m, du(m), pe(m), pe(du(m)), du(pe(m)), du(pe(du(m)))]
+    """The six composites in TRIALITY order, m itself first.  Their
+    generators are m's T, L, R and TL, so no axiom is checked again."""
+    bases = (m.t, m.l, m.t * m.l)
+    return [m] + [_rooted_map(bases[a], bases[b], m.r, m.root)
+                  for _, a, b in TRIALITY[1:]]
 
 
 # --- isomorphism and automorphisms -----------------------------------------
@@ -370,29 +382,27 @@ def is_reflexible(m: RootedMap) -> bool:
 
 
 def automorphism_group(m: RootedMap) -> PermGroup:
-    """Aut(m) as a permutation group on the flags (semiregular).
+    """Aut(m) as a permutation group on the flags (semiregular), found
+    once per map and kept on it.
 
     An automorphism is fixed by the root's image, so flags already in the
     root's orbit under the automorphisms found so far are skipped.  Each
     kept generator at least doubles that orbit, so there are at most
-    log2 |Aut| generators.  The generators and the order are found once
-    per map; each call returns a new group on them, which knows its order.
+    log2 |Aut| generators.  The group knows its order.
     """
-    aut = PermGroup(m.n_flags, m._automorphism_generators)
-    aut._order = m._automorphism_order
-    return aut
+    return m._automorphism_group
 
 
 # --- re-rooting -------------------------------------------------------------
 
 # The facts kept on a map that do not depend on its root.
-_ROOT_FREE_FACTS = ("_surface", "_monodromy_group", "_automorphism_generators",
-                    "_automorphism_order", "_context_orders")
+_ROOT_FREE_FACTS = ("_surface", "_monodromy_group", "_automorphism_group",
+                    "_context_orders")
 
 
 def reroot(m: RootedMap, flag: int) -> RootedMap:
     """m rooted at flag, sharing the root-free facts m has already found:
-    its surface, Mon, Aut's generators and order and the context orders.
+    its surface, Mon, Aut and the context orders.
     Only the new root is checked: the generators are m's."""
     if not 0 <= flag < m.n_flags:
         raise MapInvariantError("root flag out of range")
@@ -435,16 +445,6 @@ class GenusSymbol:
             raise ValueError("hexagonal number must count distinct entries")
 
 
-# The six triality composites in the order M, Du, Pe, PeDu, DuPe, DuPeDu,
-# each with generators (a, b, R): a and b are indices into (T, L, TL) and c
-# is the third index.  Du swaps T and L and Pe replaces L by LT (= TL), so
-# a composite's vertices <a,R>, faces <b,R> and Petrie circuits <c,R> are
-# M's vertices <T,R>, faces <L,R> or Petrie circuits <TL,R>, and its edges
-# <a,b> are M's edges <T,L>.  Its orientation subgroup <Ra,Rb> depends on
-# c alone, so the six lie on three surfaces.
-_TRIALITY_PAIRS = ((0, 1), (1, 0), (0, 2), (1, 2), (2, 0), (2, 1))
-
-
 def _composite_invariants(m: RootedMap, surface: SurfaceInfo,
                           ) -> list[tuple[int, int, int, int, int]]:
     """(vertices, edges, faces, Petrie circuits, orientation orbits) of each
@@ -462,7 +462,7 @@ def _composite_invariants(m: RootedMap, surface: SurfaceInfo,
                 len(_orbits((turns[0].images, turns[2].images), n)),
                 surface.orientation_orbits)
     return [(counts[a], n_edges, counts[b], counts[3 - a - b],
-             surfaces[3 - a - b]) for a, b in _TRIALITY_PAIRS]
+             surfaces[3 - a - b]) for _, a, b in TRIALITY]
 
 
 def _iso_pattern(m: RootedMap, reflexible: bool,
@@ -472,7 +472,7 @@ def _iso_pattern(m: RootedMap, reflexible: bool,
     invariants are not isomorphic and are not tested.  All six share Mon as
     a permutation group, so m's reflexibility decides for each of them."""
     bases = (m.t.images, m.l.images, (m.t * m.l).images)
-    tables = [(bases[a], bases[b], m.r.images) for a, b in _TRIALITY_PAIRS]
+    tables = [(bases[a], bases[b], m.r.images) for _, a, b in TRIALITY]
     iso: list[int] = []
     for i, key in enumerate(invariants):
         first = i

@@ -15,8 +15,8 @@ from flagmaps.fpres import (DEFAULT_MAX_COSETS, MAX_WORD_LENGTH,
                             EnumerationOverflow, Presentation,
                             PresentationError, Word, word_length)
 from flagmaps.mapcore import (GenusSymbol, RootedMap, _tables,
-                              automorphism_to, cells_and_surface, isomorphism,
-                              simple_reroots, triality_composites)
+                              automorphism_to, cells_and_surface, du,
+                              isomorphism, pe, simple_reroots)
 from flagmaps.perm import (DEFAULT_ELEMENT_BOUND, BoundExceeded,
                            LabeledGenerators, PermGroup, _orbit)
 from flagmaps.quotient import MapMorphism, StabilizerNotContained
@@ -365,6 +365,10 @@ def todd_coxeter(p: Presentation,
 # their 24 cell partitions and a generalized isomorphism test per pair, and
 # the type as it stood when each named automorphism was its own flag
 # bijection grown at each candidate rooting; kept unchanged as references.
+
+def triality_composites(m: RootedMap) -> list[RootedMap]:
+    return [m, du(m), pe(m), pe(du(m)), du(pe(m)), du(pe(du(m)))]
+
 
 def genus_symbol(m: RootedMap) -> GenusSymbol:
     composites = triality_composites(m)

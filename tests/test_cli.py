@@ -374,7 +374,7 @@ def test_analysis_builds_one_monodromy_group(monkeypatch, tetrahedron,
         with monkeypatch.context() as mp:
             built = count_fact_runs(mp, "_monodromy_group")
             surfaces = count_fact_runs(mp, "_surface")
-            searches = count_fact_runs(mp, "_automorphism_generators")
+            searches = count_fact_runs(mp, "_automorphism_group")
             report = analyze_map(m)
         assert built == surfaces == searches == [m]
         assert (report.decomposability, report.reflexible,

@@ -10,14 +10,13 @@ from flagmaps import (BoundExceeded, ContextVector, build_degenerate,
                       classify_degeneracy, context_vector, du,
                       isomorphism, lcm_vector_predict, parallel_product, pe,
                       smallest_reflexible_cover)
-from flagmaps.degen import (DM_FIXED, DM_PARAMETRIC, TRIALITY_POSITIONS,
-                            broken_forcing, classify_vector, dm_group_order,
-                            dm_vector, slightly_degenerate_presentation,
-                            triality_images)
+from flagmaps.degen import (DM_FIXED, DM_PARAMETRIC, broken_forcing,
+                            classify_vector, dm_group_order, dm_vector,
+                            slightly_degenerate_presentation, triality_images)
 from flagmaps.fpres import evaluate_word
-from flagmaps.mapcore import triality_composites
 from flagmaps.perm import LabeledGenerators
 
+from . import oracles
 from .conftest import random_rooted_map
 
 
@@ -85,16 +84,19 @@ def reflexible_maps(default_census):
     return maps
 
 
+# the position in m's context vector of the order of word i in each
+# composite, as triality_images reads it: its image of (0, 1, ..., 6)
+TRIALITY_POSITIONS = triality_images(range(7))
+
+
 def test_triality_positions_are_the_duals_vectors(reflexible_maps):
     assert triality_table_misses(TRIALITY_POSITIONS, reflexible_maps) == []
     for m in reflexible_maps:
-        images = triality_images(m._context_orders)
-        assert [images[name] for name in
-                ("M", "Du", "Pe", "PeDu", "DuPe", "DuPeDu")] == [
-            context_vector(c).orders for c in triality_composites(m)]
+        assert list(triality_images(m._context_orders).values()) == [
+            context_vector(c).orders for c in oracles.triality_composites(m)]
 
 
-@pytest.mark.parametrize("name", sorted(TRIALITY_POSITIONS))
+@pytest.mark.parametrize("name", ["Du", "Pe"])
 def test_triality_positions_catch_a_swap(reflexible_maps, name):
     # a table with any two of its positions swapped misreads some map
     for i, j in itertools.combinations(range(7), 2):
@@ -102,6 +104,7 @@ def test_triality_positions_catch_a_swap(reflexible_maps, name):
         positions[i], positions[j] = positions[j], positions[i]
         mutant = {**TRIALITY_POSITIONS, name: tuple(positions)}
         assert triality_table_misses(mutant, reflexible_maps), (i, j)
+
 
 def test_classify_degenerate():
     assert classify_degeneracy(build_degenerate(9)) == "degenerate"

@@ -71,14 +71,12 @@ def test_map_symbol_rejects_degenerate():
 
 
 def test_type_transforms_table():
-    assert type_transforms("2") == ("2*", "2")
-    assert type_transforms("2*") == ("2", "2P")
-    assert type_transforms("2P") == ("2P", "2*")
-    assert type_transforms("1") == ("1", "1")
-    assert type_transforms("3") == ("3", "3")
-    assert type_transforms("2*ex") == ("2ex", "2Pex")
-    assert type_transforms("4P") == ("4P", "4*")
-    assert type_transforms("5") == ("5*", "5")
+    assert {label: type_transforms(label) for label in TYPE_LABELS} == {
+        "1": ("1", "1"), "2": ("2*", "2"), "2*": ("2", "2P"),
+        "2P": ("2P", "2*"), "2ex": ("2*ex", "2ex"), "2*ex": ("2ex", "2Pex"),
+        "2Pex": ("2Pex", "2*ex"), "3": ("3", "3"), "4": ("4*", "4"),
+        "4*": ("4", "4P"), "4P": ("4P", "4*"), "5": ("5*", "5"),
+        "5*": ("5", "5P"), "5P": ("5P", "5*")}
 
 
 def test_type_transforms_are_involutions():

@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from flagmaps import (Perm, RootedMap, automorphism_group,
                       map_symbol, named_automorphisms_present, pe,
                       regular_map_from_group, reroot, save_map, simple_reroots,
                       triality_class)
-from flagmaps.mapcore import (MapFormatError, MapInvariantError,
+from flagmaps.mapcore import (TRIALITY, MapFormatError, MapInvariantError,
                               _composite_invariants, triality_composites)
 from flagmaps.perm import LabeledGenerators, congruent_labeled_groups
 
@@ -216,13 +217,13 @@ def test_is_reflexible_matches_all_flags_search(
 
 def test_automorphism_generators_found_once_per_map(tetrahedron):
     m = RootedMap(*tetrahedron.generators(), root=tetrahedron.root)
-    assert "_automorphism_generators" not in vars(m)
+    assert "_automorphism_group" not in vars(m)
     first = automorphism_group(m)
-    cached = vars(m)["_automorphism_generators"]
+    cached = vars(m)["_automorphism_group"]
     second = automorphism_group(m)
-    assert vars(m)["_automorphism_generators"] is cached
-    assert first is not second and first._chain is None
-    assert first.generators == second.generators == cached
+    assert vars(m)["_automorphism_group"] is cached
+    assert first is second is cached and first._chain is None
+    assert first._order == m.n_flags
     # a new map object searches again and finds the same generators
     again = RootedMap(*tetrahedron.generators(), root=tetrahedron.root)
     assert automorphism_group(again).generators == first.generators
@@ -269,6 +270,40 @@ def test_derived_maps_equal_checked_maps(constructions, data):
             reroot(m, flag)
 
 
+def triality_misses(maps):
+    """The pairs (m, i) where the i-th of triality_composites(m) differs
+    in generator images or root from the i-th of m, du(m), pe(m),
+    pe(du(m)), du(pe(m)) and du(pe(du(m)))."""
+    plain = lambda c: ([g.images for g in c.generators()], c.root)
+    return [(m, i) for m in maps for i, (c, d) in enumerate(zip(
+        triality_composites(m), oracles.triality_composites(m)))
+        if plain(c) != plain(d)]
+
+
+def test_triality_table_spells_du_and_pe(default_census, random_maps):
+    maps = [entry.map for entry in default_census.entries] + random_maps
+    assert triality_misses(maps) == []
+
+
+def triality_mutants():
+    """TRIALITY with two rows swapped, or with a and b swapped in a row
+    other than M's, which triality_composites does not read."""
+    for i, j in itertools.combinations(range(len(TRIALITY)), 2):
+        rows = list(TRIALITY)
+        rows[i], rows[j] = rows[j], rows[i]
+        yield tuple(rows)
+    for i, (name, a, b) in enumerate(TRIALITY[1:], start=1):
+        yield TRIALITY[:i] + ((name, b, a),) + TRIALITY[i + 1:]
+
+
+@pytest.mark.parametrize("mutant", triality_mutants())
+def test_triality_table_mutants_miss(default_census, random_maps, mutant,
+                                     monkeypatch):
+    monkeypatch.setattr("flagmaps.mapcore.TRIALITY", mutant)
+    maps = [entry.map for entry in default_census.entries] + random_maps
+    assert triality_misses(maps)
+
+
 def test_reroots_of_reflexible_isomorphic(tetrahedron):
     for f in range(0, tetrahedron.n_flags, 5):
         assert isomorphism(reroot(tetrahedron, f), tetrahedron,
@@ -302,22 +337,23 @@ def reroot_facts(m):
 
 
 def check_reroot_shares_root_free_facts(m, flags):
-    cells_and_surface(m), context_vector(m), automorphism_group(m)
-    mon = m.monodromy_group()
+    cells_and_surface(m), context_vector(m)
+    aut, mon = automorphism_group(m), m.monodromy_group()
     for f in flags:
         with pytest.MonkeyPatch.context() as mp:
             runs = [count_fact_runs(mp, name) for name in (
-                "_surface", "_monodromy_group", "_automorphism_generators",
-                "_automorphism_order", "_context_orders")]
+                "_surface", "_monodromy_group", "_automorphism_group",
+                "_context_orders")]
             shared = reroot(m, f)
             shared_facts = reroot_facts(shared)
             shared_aut = automorphism_group(shared)
-            assert shared_aut.order() == m._automorphism_order
+            assert shared_aut is aut
             assert shared.monodromy_group() is mon
-            assert runs == [[], [], [], [], []]  # found once, on m
+            assert runs == [[], [], [], []]  # found once, on m
         cold = RootedMap(m.t, m.l, m.r, f)
         assert shared_facts == reroot_facts(cold)
         assert shared_aut == automorphism_group(cold)
+        assert shared_aut.order() == automorphism_group(cold).order()
 
 
 @settings(deadline=None, max_examples=40)
