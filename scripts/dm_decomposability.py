@@ -6,12 +6,16 @@ Usage: python scripts/dm_decomposability.py [MAX_K]
 For each k, DM6(k) (and its duals DM7, DM8) should decompose exactly when
 k = 2 or k is not a prime power; the witnesses are the minimal normal
 subgroups of the dihedral monodromy group, one per prime divisor of k.
+Each certificate is checked by an independent route: the parallel product
+of the two factors is built and its rooted isomorphism onto DM6(k) must
+equal the certificate.  A wrong verdict or certificate is a MISMATCH, and
+the exit code is then 1.
 """
 
 import sys
 
 from flagmaps import (build_degenerate, decomposability_reflexible,
-                      minimal_normal_subgroups)
+                      isomorphism, minimal_normal_subgroups, parallel_product)
 
 
 def is_prime_power(k: int) -> bool:
@@ -39,13 +43,19 @@ def main() -> int:
         minimals = minimal_normal_subgroups(m.monodromy_group())
         verdict = decomposability_reflexible(m)
         expected = (k == 2) or not is_prime_power(k)
-        flag = "" if verdict.decomposable == expected else "  <-- MISMATCH"
+        consistent = verdict.decomposable == expected
         factors = ""
         if verdict.factors:
             factors = " x ".join(f"{f.n_flags}-flag" for f in verdict.factors)
+            iso = isomorphism(parallel_product(*verdict.factors).product, m,
+                              mode="rooted")
+            if iso is None or tuple(iso) != verdict.certificate:
+                consistent = False
+                factors += " (certificate disagrees with the product)"
+        flag = "" if consistent else "  <-- MISMATCH"
         print(f"{k:3d}  {2 * k:4d}  {len(minimals):15d}  "
               f"{str(verdict.decomposable):12s}  {factors}{flag}")
-        mismatches += verdict.decomposable != expected
+        mismatches += not consistent
     print("\nall consistent with the prime-power criterion"
           if not mismatches else f"\n{mismatches} MISMATCHES")
     return 1 if mismatches else 0

@@ -22,6 +22,14 @@ then runs.  When there is no such pair (a primitive Mon has no proper
 block at all), the map is indecomposable.  The test costs at most n - 1
 closures of O(3n) lookups each on an n-flag map, and listing Mon costs at
 least n^2, since |Mon| >= n.
+
+A positive verdict is proved from the two witnesses' block systems, with
+no product map built and no isomorphism searched for.  The factors are
+the quotients by the witnesses' orbits, and the pairing map x ->
+(block1(x), block2(x)) commutes with T, L and R and sends the root to the
+pair of roots.  When the pairs are pairwise distinct it is an isomorphism
+of the map onto the parallel product of its factors, and the certificate
+is the map's breadth-first order from the root (``_verified_factor_pair``).
 """
 
 from __future__ import annotations
@@ -30,10 +38,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .ettype import classify_type
-from .mapcore import RootedMap, automorphism_group, is_reflexible, isomorphism
+from .mapcore import RootedMap, _tables, automorphism_group, is_reflexible
 from .perm import (DEFAULT_ELEMENT_BOUND, BoundExceeded, PermGroup,
                    _least_block, _orbit, _orbits, minimal_normal_subgroups)
-from .product import NotReflexible, parallel_product
+from .product import NotReflexible
 from .quotient import _block_quotient
 
 
@@ -79,20 +87,32 @@ class DecompositionVerdict:
 
 def _verified_factor_pair(m: RootedMap, H1: PermGroup, H2: PermGroup,
                           ) -> tuple[tuple[RootedMap, RootedMap], tuple[int, ...]]:
-    """The quotients of m by the orbits of H1 and H2, and the verified
-    rooted isomorphism from their product onto m.  H1 and H2 are minimal
-    normal subgroups of Mon(m) by construction, so their membership and
-    normality are not checked again; the certificate and the proper
-    quotients prove the verdict.  No morphism or projection is built."""
-    f1, f2 = (_block_quotient(m, _orbits([g.images for g in H.generators],
-                                         m.n_flags))[0] for H in (H1, H2))
-    cert = isomorphism(parallel_product(f1, f2).product, m, mode="rooted")
-    if cert is None:
+    """The quotients f1, f2 of m by the orbits of H1 and H2, and the
+    verified rooted isomorphism from their parallel product onto m.
+
+    The proof is the pairing map x -> (block1(x), block2(x)) into the
+    flags of f1 x f2.  The block-system check of ``_block_quotient`` makes
+    it commute with T, L and R, and it sends the root to (root1, root2),
+    so its image is the product's flag set, the orbit of that pair.  When
+    the pairs are pairwise distinct it is therefore an isomorphism of m
+    onto f1 || f2, and it carries m's breadth-first order from the root
+    onto the product's breadth-first numbering.  So the certificate, which
+    sends product flag i to a flag of m, is m's breadth-first order from
+    the root.  H1 and H2 are
+    minimal normal subgroups of Mon(m) by construction, so their
+    membership and normality are not checked again; the pairing check and
+    the proper quotients prove the verdict.  No product, morphism or
+    projection is built."""
+    (f1, block_of_1), (f2, block_of_2) = (
+        _block_quotient(m, _orbits([g.images for g in H.generators],
+                                   m.n_flags))
+        for H in (H1, H2))
+    if len(set(zip(block_of_1, block_of_2))) != m.n_flags:
         raise VerificationFailed(
-            "product of the witness quotients is not isomorphic to the input")
+            "the witness quotients' blocks do not separate the flags")
     if f1.n_flags >= m.n_flags or f2.n_flags >= m.n_flags:
         raise VerificationFailed("a factor fails to be a proper quotient")
-    return (f1, f2), tuple(cert)
+    return (f1, f2), tuple(_orbit(_tables(m), m.root))
 
 
 def decomposability_general(m: RootedMap,

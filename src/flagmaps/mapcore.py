@@ -163,7 +163,8 @@ class RootedMap:
 
 def _rooted_map(t: Perm, l: Perm, r: Perm, root: int) -> RootedMap:
     """A RootedMap from generators and a root already known to satisfy its
-    axioms: a derived map of a checked one (see reroot, du and pe)."""
+    axioms: a derived map of a checked one (see reroot, du and pe, and the
+    block quotients of ``quotient._block_quotient``)."""
     m = RootedMap.__new__(RootedMap)
     m.__dict__.update(t=t, l=l, r=r, root=root)
     return m

@@ -3,12 +3,14 @@
 The product of two rooted maps lives on the orbit of the paired roots
 under the paired generator actions, numbered by ``perm._numbered_orbit``;
 it is the unique minimal common cover.  Its coordinate projections are
-built, and checked, only when a caller reads them; the decomposition
-certificate and ``fold_parallel_product`` read only the product.  The
-smallest reflexible cover of
-a map is the regular representation of its monodromy group; the total
-parallel product of all re-rootings is kept as an independent route to
-the same map.
+built, and checked, only when a caller reads them; ``fold_parallel_product``
+and ``flagmaps product`` read only the product.  The decomposition search
+builds no product: it proves its certificate by pairing the factors'
+block systems (``decomp._verified_factor_pair``), and the product stays
+the independent route the tests check that certificate against.  The
+smallest reflexible cover of a map is the regular representation of its
+monodromy group; the total parallel product of all re-rootings is kept as
+an independent route to the same map.
 """
 
 from __future__ import annotations

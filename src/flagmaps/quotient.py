@@ -9,18 +9,19 @@ group itself is never enumerated.  The K of a morphism is recovered from
 a breadth-first transversal of permutations, with no words.
 
 The three public quotients return a checked morphism with the quotient
-map.  The decomposition search, which needs only the maps, builds each
-factor with ``_block_quotient`` and no morphism.
+map.  The decomposition search, which needs only the maps and each flag's
+block, builds each factor with ``_block_quotient`` and no morphism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
-from .mapcore import RootedMap, isomorphism
+from .mapcore import RootedMap, _rooted_map, isomorphism
 from .perm import (BoundExceeded, Perm, PermGroup, _block_index,
-                   _numbered_orbit, is_normal_in)
+                   _numbered_orbit, _perm, is_normal_in)
 
 
 class StabilizerNotContained(ValueError):
@@ -59,24 +60,39 @@ class MapMorphism:
         return self.flag_map[flag]
 
 
+def _read(table: Sequence[int], keys: Sequence[int]) -> tuple[int, ...]:
+    """table[k] for each k of keys, in one ``itemgetter`` call."""
+    if len(keys) > 1:
+        return itemgetter(*keys)(table)
+    # itemgetter needs a key, and with one key returns a scalar
+    return tuple(table[k] for k in keys)
+
+
 def _block_quotient(m: RootedMap, blocks: Sequence[Sequence[int]],
                     ) -> tuple[RootedMap, list[int]]:
     """Quotient map induced on a block system, and each flag's block.
 
-    The blocks are numbered in the given order and each acts through its
-    first flag.  A partition is a block system exactly when every flag's
-    block goes where its block's first flag goes, one whole-table
-    comparison per generator."""
+    ``blocks`` must be a partition of m's flags into nonempty blocks; every
+    caller passes one (orbits, or the walk of ``k_quotient``).  The blocks
+    are numbered in the given order and each acts through its first flag.
+    A partition is a block system exactly when every flag's block goes
+    where its block's first flag goes, one whole-table comparison per
+    generator.  The induced T, L and R of a block system of a checked map
+    satisfy every axiom: each is an involution, as it sends the image of
+    each block back to the block; (TL)^2 = 1 holds, as the induced action
+    is a homomorphic image; the action stays transitive, and the root's
+    block is in range.  So the quotient is built with no axiom checked
+    again."""
     block_of = _block_index(blocks, m.n_flags)
     reps = [b[0] for b in blocks]
     induced = []
     for g in m.generators():
-        images = [block_of[g.images[rep]] for rep in reps]
-        if (list(map(block_of.__getitem__, g.images))
-                != list(map(images.__getitem__, block_of))):
+        moved = _read(block_of, g.images)
+        images = _read(moved, reps)
+        if moved != _read(images, block_of):
             raise ValueError("given partition is not a block system")
-        induced.append(Perm(images))
-    return RootedMap(*induced, root=block_of[m.root]), block_of
+        induced.append(_perm(images))
+    return _rooted_map(*induced, block_of[m.root]), block_of
 
 
 def _blocks_to_map(m: RootedMap, blocks: Sequence[Sequence[int]],

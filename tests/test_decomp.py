@@ -7,8 +7,10 @@ from flagmaps import (PermGroup, build_degenerate, build_slightly_degenerate,
                       decomposability_general, decomposability_reflexible,
                       decompose_with_certificate, du, isomorphism, k_quotient,
                       load_map, monodromy_quotient, parallel_product, pe)
-from flagmaps import decomp
-from flagmaps.decomp import NotEdgeTransitive
+from flagmaps import decomp, mapcore
+from flagmaps import product as product_module
+from flagmaps.decomp import NotEdgeTransitive, VerificationFailed
+from flagmaps.mapcore import RootedMap, canonicalize
 from flagmaps.perm import LabeledGenerators, minimal_normal_subgroups
 from flagmaps.product import NotReflexible
 from flagmaps.quotient import MapMorphism
@@ -168,21 +170,71 @@ def test_factors_are_the_checked_monodromy_quotients(constructions):
 
 
 def test_search_builds_only_what_the_verdict_returns(monkeypatch, c4_sphere):
-    # one root orbit walked per minimal normal subgroup, the full orbit
-    # partition of the two witnesses only, and no morphism or projection
+    # one root orbit walked per minimal normal subgroup and m's own from
+    # the root (the certificate), the full orbit partition of the two
+    # witnesses only, and no morphism, projection, product, isomorphism
+    # search or checked map
+    assert not {"parallel_product", "isomorphism"} & set(vars(decomp))
     for m in (c4_sphere, build_degenerate(6, 12),
               build_slightly_degenerate("epsilon", 12)):
         with monkeypatch.context() as mp:
             morphisms = count_calls(mp, MapMorphism, "__post_init__")
+            checked_maps = count_calls(mp, RootedMap, "__post_init__")
+            products = count_calls(mp, product_module, "parallel_product")
+            isomorphisms = count_calls(mp, mapcore, "isomorphism")
             root_orbits = count_calls(mp, decomp, "_orbit")
             partitions = count_calls(mp, decomp, "_orbits")
             verdict = decomposability_general(m)
-        assert verdict.decomposable and morphisms == []
+        assert verdict.decomposable
+        assert morphisms == checked_maps == products == isomorphisms == []
         minimals = minimal_normal_subgroups(m.monodromy_group())
+        tables = tuple(g.images for g in m.generators())
         assert root_orbits == [([g.images for g in H.generators], m.root)
-                               for H in minimals]
+                               for H in minimals] + [(tables, m.root)]
         assert partitions == [([g.images for g in H.generators], m.n_flags)
                               for H in verdict.witnesses]
+
+
+def test_certificate_is_the_rooted_isomorphism_from_the_product(
+        default_census, constructions):
+    # the independent route: build the product of the factors and search
+    # for the rooted isomorphism onto m; the pairing proof must return it,
+    # and the product must be m numbered breadth first from its root
+    maps = [build_degenerate(index, k) for index in (6, 7, 8)
+            for k in range(1, 33)]
+    maps += [build_slightly_degenerate(family, k)
+             for family in ("epsilon", "delta") for k in range(2, 21)]
+    maps += [entry.map for entry in default_census.entries]
+    maps += [m for _, m in constructions]
+    decomposable = 0
+    for m in maps:
+        verdict = decomposability_general(m)
+        if not verdict.decomposable:
+            continue
+        decomposable += 1
+        product = parallel_product(*verdict.factors).product
+        assert verdict.certificate == tuple(
+            isomorphism(product, m, mode="rooted"))
+        c = canonicalize(m)
+        assert (product.generators(), product.root) == (c.generators(),
+                                                        c.root)
+    assert decomposable >= 50
+
+
+def test_pairing_check_refuses_blocks_that_do_not_separate_flags(c4_sphere):
+    # a witness paired with itself, or two witnesses whose root blocks meet
+    # in two flags, pair two flags with the same pair of blocks
+    for m in (c4_sphere, build_degenerate(6, 12),
+              build_slightly_degenerate("epsilon", 12)):
+        H = decomposability_general(m).witnesses[0]
+        with pytest.raises(VerificationFailed, match="do not separate"):
+            decomp._verified_factor_pair(m, H, H)
+    m = load_map("flags 6\nT 0 2 1 4 3 5\nL 0 3 4 1 2 5\n"
+                 "R 1 0 4 5 2 3\nroot 0\n")
+    H1, H2 = [H for H in minimal_normal_subgroups(m.monodromy_group())
+              if len(H.orbit(m.root)) < m.n_flags][:2]
+    with pytest.raises(VerificationFailed, match="do not separate"):
+        decomp._verified_factor_pair(m, H1, H2)
 
 
 def test_edge_transitive_route_reflexible(tetrahedron, c4_sphere):

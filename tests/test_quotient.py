@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagmaps import (LabeledGenerators, Perm, PermGroup, automorphism_group,
                       automorphism_quotient, build_degenerate, is_reflexible,
@@ -6,10 +10,13 @@ from flagmaps import (LabeledGenerators, Perm, PermGroup, automorphism_group,
                       monodromy_quotient, morphism_to_k_quotient,
                       project_automorphism)
 from flagmaps.fpres import evaluate_word
-from flagmaps.mapcore import automorphism_to
-from flagmaps.perm import is_normal_in
+from flagmaps.mapcore import RootedMap, automorphism_to
+from flagmaps.perm import BoundExceeded, is_normal_in
 from flagmaps.quotient import (MapMorphism, NotAnAutomorphism, NotNormal,
-                               StabilizerNotContained, _blocks_to_map)
+                               StabilizerNotContained, _block_quotient,
+                               _blocks_to_map)
+
+from .conftest import random_rooted_map
 
 
 def stabilizer_subgroup(m):
@@ -225,3 +232,28 @@ def test_block_check_rejects_partitions_that_are_not_block_systems():
     assert not is_normal_in(H, mon)
     with pytest.raises(ValueError, match="not a block system"):
         _blocks_to_map(m, H.orbits())
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+def test_block_quotient_equals_the_checked_map(seed, n_edges):
+    # the quotient is built with no axiom checked again; the checked
+    # constructor must accept the same generators and root, and each
+    # generator must send every flag's block where it sends the block
+    m = random_rooted_map(random.Random(seed), n_edges)
+    n = m.n_flags
+    partitions = [[[x] for x in range(n)], [list(range(n))]]
+    try:
+        partitions += [H.orbits() for H in minimal_normal_subgroups(
+            m.monodromy_group(), 5000)]
+    except BoundExceeded:
+        pass
+    for blocks in partitions:
+        quotient, block_of = _block_quotient(m, blocks)
+        checked = RootedMap(*(Perm(g.images) for g in quotient.generators()),
+                            root=quotient.root)
+        assert quotient == checked
+        assert quotient.root == block_of[m.root]
+        for g, q in zip(m.generators(), quotient.generators()):
+            assert all(block_of[g.images[x]] == q.images[block_of[x]]
+                       for x in range(n))

@@ -1,5 +1,6 @@
 """The scripts run end to end and report failure through their exit codes."""
 
+import dataclasses
 import importlib.util
 import os
 import subprocess
@@ -43,13 +44,39 @@ def test_script_bad_arguments(name, args):
     assert done.stderr.startswith("usage:")
 
 
-def test_dm_scan_mismatch_exit_code(monkeypatch, capsys):
+def load_dm_scan():
     spec = importlib.util.spec_from_file_location(
         "dm_decomposability", SCRIPTS / "dm_decomposability.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_dm_scan_mismatch_exit_code(monkeypatch, capsys):
+    script = load_dm_scan()
     # a wrong criterion disagrees with the verdicts for every prime power
     monkeypatch.setattr(script, "is_prime_power", lambda k: False)
     monkeypatch.setattr(sys, "argv", ["dm_decomposability.py", "4"])
     assert script.main() == 1
     assert "MISMATCHES" in capsys.readouterr().out
+
+
+def test_dm_scan_corrupt_certificate_exit_code(monkeypatch, capsys):
+    # verdicts right, certificates reversed: the product's rooted
+    # isomorphism onto the map disagrees with every certificate
+    script = load_dm_scan()
+    decide = script.decomposability_reflexible
+
+    def corrupt(m):
+        verdict = decide(m)
+        if verdict.certificate is None:
+            return verdict
+        return dataclasses.replace(verdict,
+                                   certificate=verdict.certificate[::-1])
+
+    monkeypatch.setattr(script, "decomposability_reflexible", corrupt)
+    monkeypatch.setattr(sys, "argv", ["dm_decomposability.py", "6"])
+    assert script.main() == 1
+    out = capsys.readouterr().out
+    assert "certificate disagrees with the product" in out
+    assert "MISMATCHES" in out
