@@ -217,12 +217,11 @@ def base_listing(gens: list[tuple[int, ...]], degree: int, order: int,
             base += (stabilizer_moves(listing),)
             continue
         if orbit_of is None:
-            orbits = perm._orbits(gens, degree)
-            orbit_of = perm._block_index(orbits, degree)
+            orbit_of, least = perm._orbit_labels(gens, degree)
         met = {orbit_of[x] for x in base}
-        unfixed = next((orbit[0] for k, orbit in enumerate(orbits)
+        unfixed = next((y for k, y in enumerate(least)
                         if k not in met and perm._equivariant_map(
-                            right, 0, gens, orbit[0], count,
+                            right, 0, gens, y, count,
                             injective=False) is None), None)
         if unfixed is None:
             return listing

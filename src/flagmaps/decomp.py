@@ -30,6 +30,11 @@ the quotients by the witnesses' orbits, and the pairing map x ->
 pair of roots.  When the pairs are pairwise distinct it is an isomorphism
 of the map onto the parallel product of its factors, and the certificate
 is the map's breadth-first order from the root (``_verified_factor_pair``).
+
+An edge-transitive map is decided from Aut alone
+(``decomposability_edge_transitive``).  Edge-transitivity and type 1 are
+both read off Aut's orbits and order, so no cell partition is built and
+no type row is matched.
 """
 
 from __future__ import annotations
@@ -37,10 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .ettype import classify_type
+from .ettype import is_edge_transitive
 from .mapcore import RootedMap, _tables, automorphism_group, is_reflexible
 from .perm import (DEFAULT_ELEMENT_BOUND, BoundExceeded, PermGroup,
-                   _least_block, _orbit, _orbits, minimal_normal_subgroups)
+                   _least_block, _orbit, _orbit_labels,
+                   minimal_normal_subgroups)
 from .product import NotReflexible
 from .quotient import _block_quotient
 
@@ -88,7 +94,9 @@ class DecompositionVerdict:
 def _verified_factor_pair(m: RootedMap, H1: PermGroup, H2: PermGroup,
                           ) -> tuple[tuple[RootedMap, RootedMap], tuple[int, ...]]:
     """The quotients f1, f2 of m by the orbits of H1 and H2, and the
-    verified rooted isomorphism from their parallel product onto m.
+    verified rooted isomorphism from their parallel product onto m.  Each
+    witness's orbits are labelled in one walk (``perm._orbit_labels``) and
+    numbered by least flag, so each factor is the ``monodromy_quotient``.
 
     The proof is the pairing map x -> (block1(x), block2(x)) into the
     flags of f1 x f2.  The block-system check of ``_block_quotient`` makes
@@ -98,15 +106,15 @@ def _verified_factor_pair(m: RootedMap, H1: PermGroup, H2: PermGroup,
     onto f1 || f2, and it carries m's breadth-first order from the root
     onto the product's breadth-first numbering.  So the certificate, which
     sends product flag i to a flag of m, is m's breadth-first order from
-    the root.  H1 and H2 are
-    minimal normal subgroups of Mon(m) by construction, so their
-    membership and normality are not checked again; the pairing check and
-    the proper quotients prove the verdict.  No product, morphism or
-    projection is built."""
-    (f1, block_of_1), (f2, block_of_2) = (
-        _block_quotient(m, _orbits([g.images for g in H.generators],
-                                   m.n_flags))
+    the root.  H1 and H2 are minimal normal subgroups of Mon(m) by
+    construction, so their membership and normality are not checked
+    again; the pairing check and the proper quotients prove the verdict.
+    No product, morphism or projection is built."""
+    (block_of_1, least_1), (block_of_2, least_2) = (
+        _orbit_labels([g.images for g in H.generators], m.n_flags)
         for H in (H1, H2))
+    f1 = _block_quotient(m, block_of_1, least_1)
+    f2 = _block_quotient(m, block_of_2, least_2)
     if len(set(zip(block_of_1, block_of_2))) != m.n_flags:
         raise VerificationFailed(
             "the witness quotients' blocks do not separate the flags")
@@ -201,19 +209,27 @@ def decomposability_reflexible(m: RootedMap,
 
 def decomposability_edge_transitive(m: RootedMap,
                                     bound: int = DEFAULT_ELEMENT_BOUND) -> DecompositionVerdict:
-    """Decide decomposability of an edge-transitive map from Aut(m).
+    """Decide decomposability of an edge-transitive map from Aut(m) alone.
 
     The map decomposes iff Aut(m) has at least two minimal normal
     subgroups.  Factor maps are materialized only for type-1 (reflexible)
-    inputs, where the reflexible route applies; otherwise the witness
-    subgroups of Aut are returned as abstract factor data.
+    inputs, where the reflexible route (``decomposability_general`` on the
+    regular Mon) applies; otherwise the witness subgroups of Aut are
+    returned as abstract factor data.
+
+    Type 1 is read as |Aut| = |flags|, with no type row matched: the
+    type-1 row holds tau, lambda and theta1, and an Aut-orbit holding
+    x.T, x.L and x.R with x is a block of Mon closed under T, L and R, so
+    it is every flag.  So no cell partition is built and ``classify_type``
+    is not called, and an edge-transitive map matching no type row (ruled
+    out by the fourteen-type theorem) raises only in ``classify_type``
+    and so in ``cli.analyze_map``.
     """
-    classified = classify_type(m)
-    if classified is None:
+    if not is_edge_transitive(m):
         raise NotEdgeTransitive("map is not edge-transitive")
-    if classified[0] == "1":
-        return decomposability_reflexible(m, bound)
     aut = automorphism_group(m)
+    if aut.order() == m.n_flags:
+        return decomposability_general(m, bound)
     try:
         minimals = minimal_normal_subgroups(aut, bound)
     except BoundExceeded as exc:

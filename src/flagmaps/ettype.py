@@ -16,7 +16,7 @@ from .fpres import evaluate_word
 from .mapcore import (TRIALITY, RootedMap, automorphism_group, cells,
                       simple_reroots)
 from .perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators, Perm,
-                   _block_index, _orbits)
+                   _block_index, _orbit, _orbits)
 
 # Defining words over t, l, r for the thirteen named automorphisms.
 NAMED_AUTOMORPHISM_WORDS: dict[str, str] = {
@@ -112,8 +112,18 @@ def named_automorphisms_present(m: RootedMap) -> frozenset[str]:
 
 
 def is_edge_transitive(m: RootedMap) -> bool:
-    """Whether Aut(m) is transitive on the edge set."""
-    return len(_cell_orbits(m, cells(m).edges)) == 1
+    """Whether Aut(m) is transitive on the edge set, read off Aut alone:
+    an automorphism takes the root's edge to the edge of a flag x exactly
+    when x is the image of one of the root edge's flags root, root.T,
+    root.L and root.TL, so the map is edge-transitive exactly when their
+    Aut-orbits cover every flag.  No cell is built."""
+    tables = [g.images for g in automorphism_group(m).generators]
+    t, l = m.t.images, m.l.images
+    covered: set[int] = set()
+    for x in (m.root, t[m.root], l[m.root], l[t[m.root]]):
+        if x not in covered:
+            covered.update(_orbit(tables, x))
+    return len(covered) == m.n_flags
 
 
 def _cell_orbits(m: RootedMap, blocks) -> list[list[int]]:
@@ -136,7 +146,10 @@ def classify_type(m: RootedMap) -> tuple[str, RootedMap] | None:
     The four simple re-rootings are tried in the order root, root.T,
     root.L, root.TL; the first whose named-automorphism set equals a type
     row wins.  Aut is the same group at every rooting, so it is found on m
-    before re-rooting, and each re-rooting shares it.
+    before re-rooting, and each re-rooting shares it.  An edge-transitive
+    map that matches no row, which the fourteen-type theorem rules out,
+    raises RuntimeError; the decomposability route reads no row
+    (``decomp.decomposability_edge_transitive``).
     """
     if not is_edge_transitive(m):
         return None

@@ -106,16 +106,28 @@ class RootedMap:
     @cached_property
     def _automorphism_group(self) -> PermGroup:
         """Aut, found once per map (see automorphism_group).  It is
-        semiregular, so its order is the size of the root's orbit."""
+        semiregular, so its order is the size of the root's orbit.
+
+        A target d that no automorphism reaches rules out its whole orbit
+        under the automorphisms found so far: if a(d) were reached by phi,
+        a^-1 phi would reach d.  So the flags tried, and the generators
+        found, are those of a scan of every flag outside the root's
+        orbit."""
         auts: list[Perm] = []
-        orbit = {self.root}
+        tables: list[tuple[int, ...]] = []
+        orbit = [self.root]
+        skip = {self.root}
         for d in range(self.n_flags):
-            if d in orbit:
+            if d in skip:
                 continue
             a = automorphism_to(self, d)
-            if a is not None:
+            if a is None:
+                skip.update(_orbit(tables, d))
+            else:
                 auts.append(a)
-                orbit = set(_orbit([g.images for g in auts], self.root))
+                tables.append(a.images)
+                orbit = _orbit(tables, self.root)
+                skip.update(orbit)
         aut = PermGroup(self.n_flags, auts)
         aut._order = len(orbit)
         return aut
@@ -387,8 +399,9 @@ def automorphism_group(m: RootedMap) -> PermGroup:
     once per map and kept on it.
 
     An automorphism is fixed by the root's image, so flags already in the
-    root's orbit under the automorphisms found so far are skipped.  Each
-    kept generator at least doubles that orbit, so there are at most
+    root's orbit under the automorphisms found so far are skipped, and so
+    is the orbit of each flag no automorphism reaches.  Each kept
+    generator at least doubles the root's orbit, so there are at most
     log2 |Aut| generators.  The group knows its order.
     """
     return m._automorphism_group

@@ -555,6 +555,28 @@ def _orbits(tables: Sequence[Sequence[int]], n: int) -> list[list[int]]:
     return out
 
 
+def _orbit_labels(tables: Sequence[Sequence[int]], n: int,
+                  ) -> tuple[list[int], list[int]]:
+    """Each point's orbit under point tables, numbered as ``_orbits``
+    orders the orbits (by least point), and the least point of each
+    orbit, in one walk that lists no orbit."""
+    label = [-1] * n
+    least: list[int] = []
+    for x in range(n):
+        if label[x] < 0:
+            i = len(least)
+            least.append(x)
+            label[x] = i
+            queue = [x]
+            for a in queue:  # grows while it is read: a breadth-first queue
+                for images in tables:
+                    b = images[a]
+                    if label[b] < 0:
+                        label[b] = i
+                        queue.append(b)
+    return label, least
+
+
 def normal_closure(G: PermGroup, seed: Sequence[Perm],
                    bound: int = DEFAULT_ELEMENT_BOUND) -> PermGroup:
     """Smallest normal subgroup of G containing the seed elements.

@@ -68,23 +68,23 @@ def _read(table: Sequence[int], keys: Sequence[int]) -> tuple[int, ...]:
     return tuple(table[k] for k in keys)
 
 
-def _block_quotient(m: RootedMap, blocks: Sequence[Sequence[int]],
-                    ) -> tuple[RootedMap, list[int]]:
-    """Quotient map induced on a block system, and each flag's block.
+def _block_quotient(m: RootedMap, block_of: Sequence[int],
+                    reps: Sequence[int]) -> RootedMap:
+    """Quotient map induced on a block system, given as each flag's block
+    ``block_of`` and a flag ``reps[i]`` of each block i.
 
-    ``blocks`` must be a partition of m's flags into nonempty blocks; every
-    caller passes one (orbits, or the walk of ``k_quotient``).  The blocks
-    are numbered in the given order and each acts through its first flag.
-    A partition is a block system exactly when every flag's block goes
-    where its block's first flag goes, one whole-table comparison per
-    generator.  The induced T, L and R of a block system of a checked map
-    satisfy every axiom: each is an involution, as it sends the image of
-    each block back to the block; (TL)^2 = 1 holds, as the induced action
-    is a homomorphic image; the action stays transitive, and the root's
-    block is in range.  So the quotient is built with no axiom checked
-    again."""
-    block_of = _block_index(blocks, m.n_flags)
-    reps = [b[0] for b in blocks]
+    The blocks must be numbered 0..len(reps)-1, each nonempty, with
+    ``block_of[reps[i]] == i``; every caller passes such a labeling (the
+    orbit labels of ``perm._orbit_labels``, or ``_block_index`` of a
+    partition with each block's first flag).  Each block acts through its
+    representative.  A partition is a block system exactly when every
+    flag's block goes where its block's representative goes, one
+    whole-table comparison per generator.  The induced T, L and R of a
+    block system of a checked map satisfy every axiom: each is an
+    involution, as it sends the image of each block back to the block;
+    (TL)^2 = 1 holds, as the induced action is a homomorphic image; the
+    action stays transitive, and the root's block is in range.  So the
+    quotient is built with no axiom checked again."""
     induced = []
     for g in m.generators():
         moved = _read(block_of, g.images)
@@ -92,13 +92,16 @@ def _block_quotient(m: RootedMap, blocks: Sequence[Sequence[int]],
         if moved != _read(images, block_of):
             raise ValueError("given partition is not a block system")
         induced.append(_perm(images))
-    return _rooted_map(*induced, block_of[m.root]), block_of
+    return _rooted_map(*induced, block_of[m.root])
 
 
 def _blocks_to_map(m: RootedMap, blocks: Sequence[Sequence[int]],
                    ) -> tuple[RootedMap, MapMorphism]:
-    """Quotient map induced on a block system, plus the projection."""
-    quotient, block_of = _block_quotient(m, blocks)
+    """Quotient map induced on a block system, plus the projection; the
+    blocks are numbered in the given order and act through their first
+    flags."""
+    block_of = _block_index(blocks, m.n_flags)
+    quotient = _block_quotient(m, block_of, [b[0] for b in blocks])
     return quotient, MapMorphism(m, quotient, tuple(block_of))
 
 

@@ -3,15 +3,17 @@ import json
 import pytest
 
 from flagmaps import (PermGroup, build_degenerate, build_slightly_degenerate,
-                      congruent_labeled_groups, decomposability_edge_transitive,
+                      cells, congruent_labeled_groups,
+                      decomposability_edge_transitive,
                       decomposability_general, decomposability_reflexible,
                       decompose_with_certificate, du, isomorphism, k_quotient,
                       load_map, monodromy_quotient, parallel_product, pe)
-from flagmaps import decomp, mapcore
+from flagmaps import decomp, ettype, mapcore
 from flagmaps import product as product_module
 from flagmaps.decomp import NotEdgeTransitive, VerificationFailed
-from flagmaps.mapcore import RootedMap, canonicalize
-from flagmaps.perm import LabeledGenerators, minimal_normal_subgroups
+from flagmaps.mapcore import RootedMap, automorphism_group, canonicalize
+from flagmaps.perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators,
+                           minimal_normal_subgroups)
 from flagmaps.product import NotReflexible
 from flagmaps.quotient import MapMorphism
 
@@ -171,10 +173,10 @@ def test_factors_are_the_checked_monodromy_quotients(constructions):
 
 def test_search_builds_only_what_the_verdict_returns(monkeypatch, c4_sphere):
     # one root orbit walked per minimal normal subgroup and m's own from
-    # the root (the certificate), the full orbit partition of the two
-    # witnesses only, and no morphism, projection, product, isomorphism
-    # search or checked map
-    assert not {"parallel_product", "isomorphism"} & set(vars(decomp))
+    # the root (the certificate), the orbit labels of the two witnesses
+    # only, and no morphism, projection, product, isomorphism search or
+    # checked map
+    assert not {"parallel_product", "isomorphism", "_orbits"} & set(vars(decomp))
     for m in (c4_sphere, build_degenerate(6, 12),
               build_slightly_degenerate("epsilon", 12)):
         with monkeypatch.context() as mp:
@@ -183,7 +185,7 @@ def test_search_builds_only_what_the_verdict_returns(monkeypatch, c4_sphere):
             products = count_calls(mp, product_module, "parallel_product")
             isomorphisms = count_calls(mp, mapcore, "isomorphism")
             root_orbits = count_calls(mp, decomp, "_orbit")
-            partitions = count_calls(mp, decomp, "_orbits")
+            partitions = count_calls(mp, decomp, "_orbit_labels")
             verdict = decomposability_general(m)
         assert verdict.decomposable
         assert morphisms == checked_maps == products == isomorphisms == []
@@ -235,6 +237,76 @@ def test_pairing_check_refuses_blocks_that_do_not_separate_flags(c4_sphere):
               if len(H.orbit(m.root)) < m.n_flags][:2]
     with pytest.raises(VerificationFailed, match="do not separate"):
         decomp._verified_factor_pair(m, H1, H2)
+
+
+def classify_type_route(m):
+    """The edge-transitive route as it read the cells and the type row:
+    edge-transitivity from the Aut-orbits of the edge cells, the type from
+    ``classify_type``, the reflexible route on type 1, and the minimal
+    normal subgroups of Aut otherwise."""
+    if len(ettype._cell_orbits(m, cells(m).edges)) != 1:
+        raise NotEdgeTransitive("map is not edge-transitive")
+    label, _ = ettype.classify_type(m)
+    if label == "1":
+        return decomposability_reflexible(m)
+    minimals = minimal_normal_subgroups(automorphism_group(m))
+    return decomp.DecompositionVerdict(
+        decomposable=len(minimals) >= 2,
+        witnesses=tuple(minimals[:2]) if len(minimals) >= 2 else None,
+        witness_group="automorphism")
+
+
+def test_edge_transitive_route_reads_only_aut(
+        monkeypatch, constructions, tetrahedron, c4_sphere, fig3_quotient,
+        non_edge_transitive):
+    # the route raises exactly when classify_type finds no type, takes the
+    # reflexible route exactly on type 1, and gives the type-row route's
+    # verdict, witnesses and witness group; it builds no cell partition
+    # and matches no type row
+    assert "classify_type" not in vars(decomp)
+    samples = [m for _, m in constructions] + [
+        tetrahedron, c4_sphere, fig3_quotient, non_edge_transitive]
+    types = set()
+    for sample in samples:
+        classified = ettype.classify_type(fresh_copy(sample))
+        types.add(classified and classified[0])
+        try:
+            expected = classify_type_route(fresh_copy(sample))
+        except NotEdgeTransitive:
+            expected = None
+        m = fresh_copy(sample)
+        with monkeypatch.context() as mp:
+            classify_calls = count_calls(mp, ettype, "classify_type")
+            general_calls = count_calls(mp, decomp, "decomposability_general")
+            if expected is None:
+                with pytest.raises(NotEdgeTransitive):
+                    decomposability_edge_transitive(m)
+                assert classified is None
+                continue
+            verdict = decomposability_edge_transitive(m)
+        assert classified is not None and classify_calls == []
+        assert (general_calls == [(m, DEFAULT_ELEMENT_BOUND)]) == (
+            classified[0] == "1")
+        # the verdict, the witness orders and the witness group
+        assert verdict.to_json_dict() == expected.to_json_dict()
+        if verdict.witnesses:
+            assert [H.generators for H in verdict.witnesses] == [
+                H.generators for H in expected.witnesses]
+        assert (verdict.certificate, plain_factors(verdict)) == (
+            expected.certificate, plain_factors(expected))
+        if classified[0] != "1":
+            assert "_surface" not in vars(m)
+    assert {None, "1"} < types
+
+
+def fresh_copy(m):
+    """m as a new map object, with no fact kept on it."""
+    return RootedMap(*m.generators(), root=m.root)
+
+
+def plain_factors(verdict):
+    return verdict.factors and [(f.generators(), f.root)
+                                for f in verdict.factors]
 
 
 def test_edge_transitive_route_reflexible(tetrahedron, c4_sphere):

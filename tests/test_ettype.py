@@ -1,16 +1,18 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagmaps import (LabeledGenerators, Perm, PermGroup,
-                      build_slightly_degenerate, cells, classify_type,
-                      construct_from_group, du, is_edge_transitive,
-                      isomorphism, k_quotient, map_symbol,
+from flagmaps import (LabeledGenerators, Perm, PermGroup, RootedMap,
+                      build_degenerate, build_slightly_degenerate, cells,
+                      classify_type, construct_from_group, du,
+                      is_edge_transitive, isomorphism, k_quotient, map_symbol,
                       named_automorphisms_present, partial_order, pe,
                       type_transforms)
-from flagmaps.ettype import (NAMED_AUTOMORPHISM_WORDS, TYPE_LABELS, TYPE_TABLE,
-                             DegenerateSymbolAdvisory, LabelMismatch,
-                             RelationViolation, _cell_orbits)
+from flagmaps.ettype import (NAMED_AUTOMORPHISM_WORDS, TYPE_GENERATORS,
+                             TYPE_LABELS, TYPE_TABLE, DegenerateSymbolAdvisory,
+                             LabelMismatch, RelationViolation, _cell_orbits)
 from flagmaps.perm import _block_index
 
 from .conftest import map_from_vector
@@ -264,10 +266,39 @@ def brute_cell_orbits(m, blocks, auts):
     return orbits
 
 
+@pytest.fixture(scope="module")
+def boundary_degenerate(random_maps):
+    """Maps whose T, L or R fix flags, as (name, map) pairs: the random
+    maps, the type-3 and type-4 constructions over Z2 (R fixes flags), and
+    DM6 and DM7 (L or T fixes flags; edge-transitive with several edges)."""
+    identity, swap = Perm.identity(2), Perm([1, 0])
+    out = [(f"random-{i}", m) for i, m in enumerate(random_maps)]
+    for type_label in ("3", "4"):
+        labels = TYPE_GENERATORS[type_label]
+        for images in itertools.product((identity, swap), repeat=len(labels)):
+            if swap in images:
+                m, _ = construct_from_group(
+                    type_label, LabeledGenerators(labels, images))
+                out.append((f"type{type_label}-Z2-{images}", m))
+    out += [(f"DM{index}-{k}", build_degenerate(index, k))
+            for index in (6, 7) for k in range(1, 7)]
+    return out
+
+
+def check_edge_transitivity(m, auts):
+    """is_edge_transitive, which reads only Aut, against the Aut-orbits of
+    the edges by brute force and by ``_cell_orbits``."""
+    edges = cells(m).edges
+    brute = len(brute_cell_orbits(m, edges, auts)) == 1
+    assert is_edge_transitive(m) == brute == (len(_cell_orbits(m, edges)) == 1)
+    return brute
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.data())
-def test_cell_orbits_match_brute_force_automorphisms(constructions, data):
-    m = data.draw(maps(constructions))
+def test_cell_orbits_match_brute_force_automorphisms(
+        constructions, boundary_degenerate, data):
+    m = data.draw(maps(constructions + boundary_degenerate))
     auts = automorphisms_brute(m)
     cs = cells(m)
     for blocks in (cs.vertices, cs.edges, cs.faces, cs.petrie_circuits):
@@ -275,4 +306,19 @@ def test_cell_orbits_match_brute_force_automorphisms(constructions, data):
         assert sorted(x for orbit in got for x in orbit) == list(
             range(len(blocks)))
         assert list(map(frozenset, got)) == brute_cell_orbits(m, blocks, auts)
-    assert is_edge_transitive(m) == (len(_cell_orbits(m, cs.edges)) == 1)
+    check_edge_transitivity(m, auts)
+
+
+def test_edge_transitivity_of_boundary_degenerate_maps(boundary_degenerate):
+    # where T or L fix flags the root edge has fewer than four flags; every
+    # rooting of every map is checked
+    verdicts = set()
+    for _, base in boundary_degenerate:
+        auts = automorphisms_brute(base)
+        for root in range(base.n_flags):
+            m = RootedMap(*base.generators(), root=root)
+            folded = bool(m.t.fixed_points() or m.l.fixed_points())
+            verdicts.add((check_edge_transitivity(m, auts), folded,
+                          len(cells(m).edges) > 1))
+    assert {(True, True, True), (False, True, True),
+            (True, False, True)} <= verdicts

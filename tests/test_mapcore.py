@@ -12,12 +12,14 @@ from flagmaps import (Perm, RootedMap, automorphism_group,
                       map_symbol, named_automorphisms_present, pe,
                       regular_map_from_group, reroot, save_map, simple_reroots,
                       triality_class)
+from flagmaps import construct_from_group, mapcore
 from flagmaps.mapcore import (TRIALITY, MapFormatError, MapInvariantError,
                               _composite_invariants, triality_composites)
 from flagmaps.perm import LabeledGenerators, congruent_labeled_groups
 
 from . import oracles
-from .conftest import count_fact_runs, map_from_vector, random_rooted_map
+from .conftest import (count_calls, count_fact_runs, map_from_vector,
+                       random_rooted_map)
 from .oracles import automorphisms_brute
 
 DM9_LOOKING_TEXT = """flags 4
@@ -227,6 +229,64 @@ def test_automorphism_generators_found_once_per_map(tetrahedron):
     # a new map object searches again and finds the same generators
     again = RootedMap(*tetrahedron.generators(), root=tetrahedron.root)
     assert automorphism_group(again).generators == first.generators
+
+
+def all_flags_scan(m):
+    """Aut's generators by the plain scan: automorphism_to is tried at
+    every flag outside the root's orbit under the automorphisms found so
+    far, and each success is kept."""
+    auts = []
+    orbit = {m.root}
+    for d in range(m.n_flags):
+        if d in orbit:
+            continue
+        a = mapcore.automorphism_to(m, d)
+        if a is not None:
+            auts.append(a)
+            orbit = {m.root}
+            while True:
+                more = orbit | {g.images[x] for g in auts for x in orbit}
+                if more == orbit:
+                    break
+                orbit = more
+    return auts
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_automorphism_generators_equal_the_all_flags_scan(
+        constructions, random_maps, data):
+    # skipping the orbit of a flag no automorphism reaches changes no
+    # success: the generators are the scan's, image tuple by image tuple
+    # and in order
+    m = data.draw(st.sampled_from([m for _, m in constructions]
+                                  + random_maps))
+    m = RootedMap(*m.generators(), root=data.draw(
+        st.integers(0, m.n_flags - 1)))
+    assert [g.images for g in automorphism_group(m).generators] == [
+        a.images for a in all_flags_scan(m)]
+
+
+def test_aut_search_skips_the_orbit_of_a_failed_target(monkeypatch):
+    # a 96-flag type-4 construction with |Aut| = 24: the plain scan fails
+    # at each of the 72 flags outside the root's orbit, while the search
+    # tries one flag of each orbit it has not ruled out
+    g = LabeledGenerators(
+        ("sigma_x1", "theta2", "theta4"),
+        (Perm.from_cycles(4, [(0, 1, 2, 3)]), Perm.from_cycles(4, [(0, 1)]),
+         Perm.from_cycles(4, [(1, 3)])))
+    built, _ = construct_from_group("4", g)
+    m = RootedMap(*built.generators(), root=built.root)
+    with monkeypatch.context() as mp:
+        tried = count_calls(mp, mapcore, "automorphism_to")
+        aut = automorphism_group(m)
+    assert (m.n_flags, aut.order(), len(aut.generators)) == (96, 24, 2)
+    assert len(tried) - len(aut.generators) == 9
+    scan = RootedMap(*built.generators(), root=built.root)
+    with monkeypatch.context() as mp:
+        scanned = count_calls(mp, mapcore, "automorphism_to")
+        all_flags_scan(scan)
+    assert len(scanned) - len(aut.generators) == 72
 
 
 def test_monautreg_chain(tetrahedron, fig3_quotient, random_maps):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from flagmaps import (BoundExceeded, LabeledGenerators, Perm, PermGroup,
                       congruent_labeled_groups, minimal_normal_subgroups,
                       normal_closure, parallel_product, perm)
-from flagmaps.perm import (DEFAULT_ELEMENT_BOUND, _orbit, _orbits,
+from flagmaps.perm import (DEFAULT_ELEMENT_BOUND, _block_index, _orbit,
+                           _orbit_labels, _orbits,
                            conjugacy_classes, format_group_file, is_normal_in,
                            parse_group_file)
 
@@ -119,6 +120,17 @@ def test_orbits_partition_the_points(case):
         assert block == _orbit(tables, block[0])
         assert set(block) == closure(tables, block[0])
         assert all(t[x] in block for t in tables for x in block)
+
+
+@settings(deadline=None, max_examples=200)
+@given(point_tables())
+def test_orbit_labels_number_the_orbits_by_least_point(case):
+    # the one-walk labels are the index of each point's orbit in _orbits,
+    # and the least points are the orbits' first points
+    tables, n = case
+    blocks = _orbits(tables, n)
+    assert _orbit_labels(tables, n) == (_block_index(blocks, n),
+                                        [b[0] for b in blocks])
 
 
 def test_order_symmetric_group():

@@ -11,7 +11,7 @@ from flagmaps import (LabeledGenerators, Perm, PermGroup, automorphism_group,
                       project_automorphism)
 from flagmaps.fpres import evaluate_word
 from flagmaps.mapcore import RootedMap, automorphism_to
-from flagmaps.perm import BoundExceeded, is_normal_in
+from flagmaps.perm import BoundExceeded, _orbit_labels, is_normal_in
 from flagmaps.quotient import (MapMorphism, NotAnAutomorphism, NotNormal,
                                StabilizerNotContained, _block_quotient,
                                _blocks_to_map)
@@ -242,14 +242,15 @@ def test_block_quotient_equals_the_checked_map(seed, n_edges):
     # generator must send every flag's block where it sends the block
     m = random_rooted_map(random.Random(seed), n_edges)
     n = m.n_flags
-    partitions = [[[x] for x in range(n)], [list(range(n))]]
+    labelings = [(list(range(n)), list(range(n))), ([0] * n, [0])]
     try:
-        partitions += [H.orbits() for H in minimal_normal_subgroups(
-            m.monodromy_group(), 5000)]
+        labelings += [_orbit_labels([g.images for g in H.generators], n)
+                      for H in minimal_normal_subgroups(
+                          m.monodromy_group(), 5000)]
     except BoundExceeded:
         pass
-    for blocks in partitions:
-        quotient, block_of = _block_quotient(m, blocks)
+    for block_of, reps in labelings:
+        quotient = _block_quotient(m, block_of, reps)
         checked = RootedMap(*(Perm(g.images) for g in quotient.generators()),
                             root=quotient.root)
         assert quotient == checked
