@@ -217,11 +217,11 @@ def base_listing(gens: list[tuple[int, ...]], degree: int, order: int,
             base += (stabilizer_moves(listing),)
             continue
         if orbit_of is None:
-            orbit_of, least = perm._orbit_labels(gens, degree)
+            orbit_of, orbits = perm._orbit_partition(gens, degree)
         met = {orbit_of[x] for x in base}
-        unfixed = next((y for k, y in enumerate(least)
+        unfixed = next((o[0] for k, o in enumerate(orbits)
                         if k not in met and perm._equivariant_map(
-                            right, 0, gens, y, count,
+                            right, 0, gens, o[0], count,
                             injective=False) is None), None)
         if unfixed is None:
             return listing

@@ -45,7 +45,7 @@ from typing import Any
 from .ettype import is_edge_transitive
 from .mapcore import RootedMap, _tables, automorphism_group, is_reflexible
 from .perm import (DEFAULT_ELEMENT_BOUND, BoundExceeded, PermGroup,
-                   _least_block, _orbit, _orbit_labels,
+                   _least_block, _orbit, _orbit_partition,
                    minimal_normal_subgroups)
 from .product import NotReflexible
 from .quotient import _block_quotient
@@ -95,8 +95,9 @@ def _verified_factor_pair(m: RootedMap, H1: PermGroup, H2: PermGroup,
                           ) -> tuple[tuple[RootedMap, RootedMap], tuple[int, ...]]:
     """The quotients f1, f2 of m by the orbits of H1 and H2, and the
     verified rooted isomorphism from their parallel product onto m.  Each
-    witness's orbits are labelled in one walk (``perm._orbit_labels``) and
-    numbered by least flag, so each factor is the ``monodromy_quotient``.
+    witness's orbits are found in one walk (``perm._orbit_partition``),
+    numbered by least flag and each headed by it, so each factor is the
+    ``monodromy_quotient``.
 
     The proof is the pairing map x -> (block1(x), block2(x)) into the
     flags of f1 x f2.  The block-system check of ``_block_quotient`` makes
@@ -110,11 +111,11 @@ def _verified_factor_pair(m: RootedMap, H1: PermGroup, H2: PermGroup,
     construction, so their membership and normality are not checked
     again; the pairing check and the proper quotients prove the verdict.
     No product, morphism or projection is built."""
-    (block_of_1, least_1), (block_of_2, least_2) = (
-        _orbit_labels([g.images for g in H.generators], m.n_flags)
+    (block_of_1, orbits_1), (block_of_2, orbits_2) = (
+        _orbit_partition([g.images for g in H.generators], m.n_flags)
         for H in (H1, H2))
-    f1 = _block_quotient(m, block_of_1, least_1)
-    f2 = _block_quotient(m, block_of_2, least_2)
+    f1 = _block_quotient(m, block_of_1, [o[0] for o in orbits_1])
+    f2 = _block_quotient(m, block_of_2, [o[0] for o in orbits_2])
     if len(set(zip(block_of_1, block_of_2))) != m.n_flags:
         raise VerificationFailed(
             "the witness quotients' blocks do not separate the flags")

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 from .degen import classify_degeneracy
 from .fpres import evaluate_word
-from .mapcore import (TRIALITY, RootedMap, automorphism_group, cells,
-                      simple_reroots)
-from .perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators, Perm,
-                   _block_index, _orbit, _orbits)
+from .mapcore import TRIALITY, RootedMap, automorphism_group, simple_reroots
+from .perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators, Perm, _orbit,
+                   _orbit_partition)
 
 # Defining words over t, l, r for the thirteen named automorphisms.
 NAMED_AUTOMORPHISM_WORDS: dict[str, str] = {
@@ -112,31 +111,27 @@ def named_automorphisms_present(m: RootedMap) -> frozenset[str]:
 
 
 def is_edge_transitive(m: RootedMap) -> bool:
-    """Whether Aut(m) is transitive on the edge set, read off Aut alone:
-    an automorphism takes the root's edge to the edge of a flag x exactly
-    when x is the image of one of the root edge's flags root, root.T,
-    root.L and root.TL, so the map is edge-transitive exactly when their
-    Aut-orbits cover every flag.  No cell is built."""
+    """Whether Aut(m) is transitive on the edge set, read off Aut alone.
+    Aut commutes with T and L, so the flags of one Aut-orbit of edges form
+    one orbit of <Aut, T, L>, and the map is edge-transitive exactly when
+    the root's orbit under that group is every flag.  No cell is built."""
     tables = [g.images for g in automorphism_group(m).generators]
-    t, l = m.t.images, m.l.images
-    covered: set[int] = set()
-    for x in (m.root, t[m.root], l[m.root], l[t[m.root]]):
-        if x not in covered:
-            covered.update(_orbit(tables, x))
-    return len(covered) == m.n_flags
+    return len(_orbit(tables + [m.t.images, m.l.images], m.root)) == m.n_flags
 
 
-def _cell_orbits(m: RootedMap, blocks) -> list[list[int]]:
-    """The Aut-orbits of a cell partition, as lists of cell indices, the
-    orbit of the root flag's cell first and the others by least cell.
-    Automorphisms map cells to cells, so each Aut generator acts on the
-    cells through the first flag of each cell."""
-    cell_of = _block_index(blocks, m.n_flags)
-    tables = [[cell_of[g.images[block[0]]] for block in blocks]
-              for g in automorphism_group(m).generators]
-    orbits = _orbits(tables, len(blocks))
-    root = next(i for i, o in enumerate(orbits) if cell_of[m.root] in o)
-    return [orbits.pop(root)] + orbits
+def _cell_sizes_by_orbit(m: RootedMap, x: Perm, y: Perm) -> list[int]:
+    """The size of an <x,y>-cell in each Aut-orbit of such cells, the
+    orbit of the root's cell first and the others by least flag.  Aut
+    commutes with x and y, so the flags of one Aut-orbit of cells form one
+    orbit of <Aut, x, y>; automorphisms keep cell sizes, so the cell at
+    the first flag of that orbit stands for all of it.  No cell partition
+    is built."""
+    cell = [x.images, y.images]
+    orbit_of, orbits = _orbit_partition(
+        [g.images for g in automorphism_group(m).generators] + cell,
+        m.n_flags)
+    orbits.insert(0, orbits.pop(orbit_of[m.root]))
+    return [len(_orbit(cell, o[0])) for o in orbits]
 
 
 def classify_type(m: RootedMap) -> tuple[str, RootedMap] | None:
@@ -181,8 +176,10 @@ class MapSymbol:
 def map_symbol(m: RootedMap, type_label: str | None = None) -> MapSymbol:
     """The map symbol of an edge-transitive, non-degenerate map.
 
-    Entries are cell sizes halved, per Aut-orbit.  The divisibility side
-    conditions of the detected type are checked; a failing one raises
+    Entries are cell sizes halved, per Aut-orbit of the vertices (<T,R>),
+    faces (<L,R>) and Petrie circuits (<TL,R>), read off the orbits of Aut
+    with those generators (``_cell_sizes_by_orbit``).  The divisibility
+    side conditions of the detected type are checked; a failing one raises
     ``SymbolConditionFailed``.
     """
     if classify_degeneracy(m) == "degenerate":
@@ -193,13 +190,9 @@ def map_symbol(m: RootedMap, type_label: str | None = None) -> MapSymbol:
         if classified is None:
             raise ValueError("map is not edge-transitive")
         type_label, m = classified
-    cs = cells(m)
-    # automorphisms keep cell sizes, so the first cell of an orbit stands
-    # for all of it
-    half_sizes = lambda blocks: tuple((len(blocks[o[0]]) + 1) // 2
-                                      for o in _cell_orbits(m, blocks))
-    symbol = MapSymbol(a=half_sizes(cs.vertices), b=half_sizes(cs.faces),
-                       c=half_sizes(cs.petrie_circuits))
+    symbol = MapSymbol(*(tuple((size + 1) // 2
+                               for size in _cell_sizes_by_orbit(m, x, m.r))
+                         for x in (m.t, m.l, m.t * m.l)))
     for f in ("a", "b", "c"):
         if len(getattr(symbol, f)) > 2:
             raise RuntimeError(f"more than two automorphism orbits on {f!r}")

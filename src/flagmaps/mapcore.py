@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Literal
 
 from .fpres import Word, parse_word, word_order
 from .perm import (LabeledGenerators, Perm, PermGroup, _equivariant_map,
-                   _numbered_orbit, _orbit, _orbits)
+                   _numbered_orbit, _orbit, _orbit_partition)
 
 GENERATOR_NAMES = ("t", "l", "r")
 # The seven mandatory context words T, L, R, TL, RT, RL, TLR (see degen).
@@ -148,8 +148,8 @@ class RootedMap:
         n = self.n_flags
         t, l, r = self.generators()
         tl = t * l
-        blocks = lambda *gens: tuple(tuple(sorted(b)) for b in _orbits(
-            [g.images for g in gens], n))
+        orbits = lambda *gens: _orbit_partition([g.images for g in gens], n)[1]
+        blocks = lambda *gens: tuple(tuple(sorted(b)) for b in orbits(*gens))
         cs = CellStructure(
             vertices=blocks(t, r),
             edges=blocks(t, l),
@@ -158,7 +158,7 @@ class RootedMap:
         )
         chi = len(cs.vertices) - len(cs.edges) + len(cs.faces)
         degenerate = any(p.fixed_points() for p in (t, l, r, tl))
-        n_or = len(_orbits([(r * t).images, (r * l).images], n))
+        n_or = len(orbits(r * t, r * l))
         kind, genus = _surface_kind_and_genus(chi, n_or)
         return SurfaceInfo(
             cells=cs,
@@ -472,8 +472,8 @@ def _composite_invariants(m: RootedMap, surface: SurfaceInfo,
     n_edges = len(cs.edges)
     turns = [m.r * x for x in bases]
     # orbits of <Ra,Rb> by the third index c; c = 2 is M's own surface
-    surfaces = (len(_orbits((turns[1].images, turns[2].images), n)),
-                len(_orbits((turns[0].images, turns[2].images), n)),
+    n_orbits = lambda a, b: len(_orbit_partition((a.images, b.images), n)[1])
+    surfaces = (n_orbits(turns[1], turns[2]), n_orbits(turns[0], turns[2]),
                 surface.orientation_orbits)
     return [(counts[a], n_edges, counts[b], counts[3 - a - b],
              surfaces[3 - a - b]) for _, a, b in TRIALITY]

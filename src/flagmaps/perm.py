@@ -14,14 +14,15 @@ regular group with no walk at all, the orbit of point 0 for a semiregular
 one, the orbit of a grown base otherwise.  Conjugacy classes, minimal
 normal subgroups, the right regular tables and ``elements()`` read it,
 building image tuples on demand along its breadth-first tree, and the
-group keeps only the count, as its order.  Plain orbits and orbit
-partitions of points come from ``_orbit`` and ``_orbits``, and the least
-block holding two points from ``_least_block``.  One routine grows the
-unique map that turns one list of tables into another: it finds the
-centralizer of a regular group (which also gives its left regular
-tables), left multiplication on the names of other groups, whether the
-stabilizer of a base fixes a point, labeled congruence of groups, and the
-isomorphisms and automorphisms of maps.
+group keeps only the count, as its order.  Plain orbits of points come
+from ``_orbit``, orbit partitions (each point's orbit number and each
+orbit's list) from ``_orbit_partition``, and the least block holding two
+points from ``_least_block``.  One routine grows the unique map that
+turns one list of tables into another: it finds the centralizer of a
+regular group (which also gives its left regular tables), left
+multiplication on the names of other groups, whether the stabilizer of a
+base fixes a point, labeled congruence of groups, and the isomorphisms
+and automorphisms of maps.
 """
 
 from __future__ import annotations
@@ -384,8 +385,8 @@ class PermGroup:
 
     def orbits(self) -> list[list[int]]:
         """Orbit partition of {0..degree-1}, blocks sorted by least point."""
-        return [sorted(block) for block in
-                _orbits([g.images for g in self.generators], self.degree)]
+        return [sorted(block) for block in _orbit_partition(
+            [g.images for g in self.generators], self.degree)[1]]
 
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree
@@ -464,15 +465,6 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
 
 
-def _block_index(blocks: Iterable[Iterable[int]], n: int) -> list[int]:
-    """For each of the n points, the index of its block in a partition."""
-    block_of = [0] * n
-    for i, block in enumerate(blocks):
-        for x in block:
-            block_of[x] = i
-    return block_of
-
-
 def _numbered_orbit(start: Hashable, images: Callable[[Any], Iterable],
                     bound: float = inf, message: str = "",
                     ) -> tuple[list, list[list[int]]]:
@@ -541,40 +533,26 @@ def _least_block(tables: Sequence[Sequence[int]], n: int,
     return sorted(members[label[a]])
 
 
-def _orbits(tables: Sequence[Sequence[int]], n: int) -> list[list[int]]:
-    """The orbits of {0..n-1} under point tables, ordered by least point,
-    each breadth first from its least point."""
-    seen = [False] * n
-    out = []
+def _orbit_partition(tables: Sequence[Sequence[int]], n: int,
+                     ) -> tuple[list[int], list[list[int]]]:
+    """The orbits of {0..n-1} under point tables, numbered by least point
+    and each listed breadth first from it, with each point's orbit
+    number, in one walk."""
+    orbit_of = [-1] * n
+    orbits: list[list[int]] = []
     for x in range(n):
-        if not seen[x]:
-            block = _orbit(tables, x)
-            for y in block:
-                seen[y] = True
-            out.append(block)
-    return out
-
-
-def _orbit_labels(tables: Sequence[Sequence[int]], n: int,
-                  ) -> tuple[list[int], list[int]]:
-    """Each point's orbit under point tables, numbered as ``_orbits``
-    orders the orbits (by least point), and the least point of each
-    orbit, in one walk that lists no orbit."""
-    label = [-1] * n
-    least: list[int] = []
-    for x in range(n):
-        if label[x] < 0:
-            i = len(least)
-            least.append(x)
-            label[x] = i
-            queue = [x]
-            for a in queue:  # grows while it is read: a breadth-first queue
+        if orbit_of[x] < 0:
+            i = len(orbits)
+            orbit_of[x] = i
+            orbit = [x]
+            for a in orbit:  # grows while it is read: a breadth-first queue
                 for images in tables:
                     b = images[a]
-                    if label[b] < 0:
-                        label[b] = i
-                        queue.append(b)
-    return label, least
+                    if orbit_of[b] < 0:
+                        orbit_of[b] = i
+                        orbit.append(b)
+            orbits.append(orbit)
+    return orbit_of, orbits
 
 
 def normal_closure(G: PermGroup, seed: Sequence[Perm],
@@ -640,11 +618,12 @@ def _equivariant_map(src: Sequence[Sequence[int]], start: int,
     return image
 
 
-def _index_classes(listing: _listing.Listing) -> list[list[int]]:
-    """Conjugacy classes as lists of listing indices, each headed by its
-    least index: the orbits of the conjugation tables, ``conj[j][x]`` the
-    index of g_j^-1 * x * g_j, found from the right and left tables with
-    no Perm product."""
+def _index_classes(listing: _listing.Listing,
+                   ) -> tuple[list[int], list[list[int]]]:
+    """Each listing index's conjugacy class, and the classes as lists of
+    listing indices, each headed by its least index: the orbits of the
+    conjugation tables, ``conj[j][x]`` the index of g_j^-1 * x * g_j,
+    found from the right and left tables with no Perm product."""
     n = listing.count
     conj = []
     for rrow, lrow in zip(listing.right, listing.left):
@@ -652,7 +631,7 @@ def _index_classes(listing: _listing.Listing) -> list[list[int]]:
         for x, y in enumerate(lrow):  # y = g_j * x: g_j^-1 * y * g_j = x * g_j
             table[y] = rrow[x]
         conj.append(table)
-    return _orbits(conj, n)
+    return _orbit_partition(conj, n)
 
 
 def conjugacy_classes(G: PermGroup,
@@ -663,7 +642,7 @@ def conjugacy_classes(G: PermGroup,
     images = listing.image_builder()
     key = listing.sort_key(images)
     classes = [[_perm(images(i)) for i in sorted(cls, key=key)]
-               for cls in _index_classes(listing)]
+               for cls in _index_classes(listing)[1]]
     classes.sort(key=lambda cls: cls[0].images)
     return classes
 
@@ -757,8 +736,7 @@ def minimal_normal_subgroups(G: PermGroup,
         return []
     listing = G._listed(bound)
     names, where = listing.names, listing.where
-    classes = _index_classes(listing)
-    class_of = _block_index(classes, listing.count)
+    class_of, classes = _index_classes(listing)
     images = listing.image_builder()
     identity = names[0]
     dead: set = set()  # the names in the classes visited

@@ -5,8 +5,12 @@ determined on generators and never materialized.  The K-quotient realizes
 cosets of K concretely as a block system on the flags: the orbit of the
 block root.K under the monodromy generators, walked and numbered by
 ``perm._numbered_orbit`` up to the number of cosets, so the monodromy
-group itself is never enumerated.  The K of a morphism is recovered from
-a breadth-first transversal of permutations, with no words.
+group itself is never enumerated; the walk's Schreier tables are the
+quotient's T, L and R.  The monodromy and automorphism quotients number
+the orbits of their group in one walk (``perm._orbit_partition``), and
+``_block_quotient`` induces the generators on them.  The K of a morphism
+is recovered from a breadth-first transversal of permutations, with no
+words.
 
 The three public quotients return a checked morphism with the quotient
 map.  The decomposition search, which needs only the maps and each flag's
@@ -19,9 +23,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
-from .mapcore import RootedMap, _rooted_map, isomorphism
-from .perm import (BoundExceeded, Perm, PermGroup, _block_index,
-                   _numbered_orbit, _perm, is_normal_in)
+from .mapcore import RootedMap, _rooted_map, _tables, isomorphism
+from .perm import (BoundExceeded, Perm, PermGroup, _equivariant_map,
+                   _numbered_orbit, _orbit_partition, _perm, is_normal_in)
 
 
 class StabilizerNotContained(ValueError):
@@ -75,9 +79,8 @@ def _block_quotient(m: RootedMap, block_of: Sequence[int],
 
     The blocks must be numbered 0..len(reps)-1, each nonempty, with
     ``block_of[reps[i]] == i``; every caller passes such a labeling (the
-    orbit labels of ``perm._orbit_labels``, or ``_block_index`` of a
-    partition with each block's first flag).  Each block acts through its
-    representative.  A partition is a block system exactly when every
+    orbit numbers of ``perm._orbit_partition`` with each orbit's first,
+    least flag).  Each block acts through its representative.  A partition is a block system exactly when every
     flag's block goes where its block's representative goes, one
     whole-table comparison per generator.  The induced T, L and R of a
     block system of a checked map satisfy every axiom: each is an
@@ -95,21 +98,14 @@ def _block_quotient(m: RootedMap, block_of: Sequence[int],
     return _rooted_map(*induced, block_of[m.root])
 
 
-def _blocks_to_map(m: RootedMap, blocks: Sequence[Sequence[int]],
-                   ) -> tuple[RootedMap, MapMorphism]:
-    """Quotient map induced on a block system, plus the projection; the
-    blocks are numbered in the given order and act through their first
-    flags."""
-    block_of = _block_index(blocks, m.n_flags)
-    quotient = _block_quotient(m, block_of, [b[0] for b in blocks])
-    return quotient, MapMorphism(m, quotient, tuple(block_of))
-
-
 def k_quotient(m: RootedMap, K: PermGroup) -> tuple[RootedMap, MapMorphism]:
     """Quotient by a subgroup K with G_root <= K <= Mon(m).
 
     The quotient flags are the right cosets of K, realized as the block
-    system generated by the K-orbit of the root.
+    system generated by the K-orbit of the root, numbered in discovery
+    order.  The walk's Schreier tables are the induced T, L and R, block 0
+    holds the root, and the projection is the map that commutes with them
+    from the root to block 0.
     """
     mon = m.monodromy_group()
     if K.degree != m.n_flags:
@@ -130,12 +126,15 @@ def k_quotient(m: RootedMap, K: PermGroup) -> tuple[RootedMap, MapMorphism]:
     # they are pairwise disjoint exactly when at most n_flags / |base|
     # of them are found.
     try:
-        blocks, _ = _numbered_orbit(
+        _, tables = _numbered_orbit(
             base, lambda b: [frozenset(map(g.__getitem__, b)) for g in gens],
             m.n_flags // len(base), message)
     except BoundExceeded:
         raise StabilizerNotContained(message) from None
-    return _blocks_to_map(m, [tuple(sorted(b)) for b in blocks])
+    quotient = _rooted_map(*(_perm(tuple(row)) for row in tables), 0)
+    flag_map = _equivariant_map(_tables(m), m.root, tables, 0, m.n_flags,
+                                injective=False)
+    return quotient, MapMorphism(m, quotient, tuple(flag_map))
 
 
 def monodromy_quotient(m: RootedMap, H: PermGroup) -> tuple[RootedMap, MapMorphism]:
@@ -151,7 +150,10 @@ def monodromy_quotient(m: RootedMap, H: PermGroup) -> tuple[RootedMap, MapMorphi
             raise NotNormal("H is not a subgroup of the monodromy group")
     if not is_normal_in(H, mon):
         raise NotNormal("H is not normal in the monodromy group")
-    return _blocks_to_map(m, H.orbits())
+    block_of, orbits = _orbit_partition([g.images for g in H.generators],
+                                        m.n_flags)
+    quotient = _block_quotient(m, block_of, [o[0] for o in orbits])
+    return quotient, MapMorphism(m, quotient, tuple(block_of))
 
 
 def automorphism_quotient(m: RootedMap, A: PermGroup) -> tuple[RootedMap, MapMorphism]:
@@ -164,7 +166,10 @@ def automorphism_quotient(m: RootedMap, A: PermGroup) -> tuple[RootedMap, MapMor
             if a * g != g * a:
                 raise NotAnAutomorphism(
                     "generator of A does not commute with the monodromy action")
-    return _blocks_to_map(m, A.orbits())
+    block_of, orbits = _orbit_partition([a.images for a in A.generators],
+                                        m.n_flags)
+    quotient = _block_quotient(m, block_of, [o[0] for o in orbits])
+    return quotient, MapMorphism(m, quotient, tuple(block_of))
 
 
 def project_automorphism(proj: MapMorphism, a: Perm) -> Perm:

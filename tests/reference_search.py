@@ -11,8 +11,35 @@ from operator import itemgetter
 from typing import Sequence
 
 from flagmaps.perm import (DEFAULT_ELEMENT_BOUND, BoundExceeded, Perm,
-                           PermGroup, _block_index, _equivariant_map,
-                           _numbered_orbit, _orbits, _perm, normal_closure)
+                           PermGroup, _equivariant_map, _numbered_orbit,
+                           _perm, normal_closure)
+
+
+def _orbits(tables, n: int) -> list[list[int]]:
+    """The orbits of {0..n-1} under point tables, ordered by least point,
+    each breadth first from its least point."""
+    seen = [False] * n
+    out = []
+    for x in range(n):
+        if not seen[x]:
+            seen[x] = True
+            block = [x]
+            for a in block:  # grows while it is read: a breadth-first queue
+                for images in tables:
+                    if not seen[images[a]]:
+                        seen[images[a]] = True
+                        block.append(images[a])
+            out.append(block)
+    return out
+
+
+def _block_index(blocks, n: int) -> list[int]:
+    """For each of the n points, the index of its block in a partition."""
+    block_of = [0] * n
+    for i, block in enumerate(blocks):
+        for x in block:
+            block_of[x] = i
+    return block_of
 
 # --- reference minimal normal subgroups ---------------------------------
 #

@@ -173,7 +173,7 @@ def test_factors_are_the_checked_monodromy_quotients(constructions):
 
 def test_search_builds_only_what_the_verdict_returns(monkeypatch, c4_sphere):
     # one root orbit walked per minimal normal subgroup and m's own from
-    # the root (the certificate), the orbit labels of the two witnesses
+    # the root (the certificate), the orbit partitions of the two witnesses
     # only, and no morphism, projection, product, isomorphism search or
     # checked map
     assert not {"parallel_product", "isomorphism", "_orbits"} & set(vars(decomp))
@@ -185,7 +185,7 @@ def test_search_builds_only_what_the_verdict_returns(monkeypatch, c4_sphere):
             products = count_calls(mp, product_module, "parallel_product")
             isomorphisms = count_calls(mp, mapcore, "isomorphism")
             root_orbits = count_calls(mp, decomp, "_orbit")
-            partitions = count_calls(mp, decomp, "_orbit_labels")
+            partitions = count_calls(mp, decomp, "_orbit_partition")
             verdict = decomposability_general(m)
         assert verdict.decomposable
         assert morphisms == checked_maps == products == isomorphisms == []
@@ -241,10 +241,13 @@ def test_pairing_check_refuses_blocks_that_do_not_separate_flags(c4_sphere):
 
 def classify_type_route(m):
     """The edge-transitive route as it read the cells and the type row:
-    edge-transitivity from the Aut-orbits of the edge cells, the type from
-    ``classify_type``, the reflexible route on type 1, and the minimal
-    normal subgroups of Aut otherwise."""
-    if len(ettype._cell_orbits(m, cells(m).edges)) != 1:
+    edge-transitivity from the edge cells that the automorphisms reach
+    from the root's, the type from ``classify_type``, the reflexible route
+    on type 1, and the minimal normal subgroups of Aut otherwise."""
+    edges = cells(m).edges
+    edge_of = {x: i for i, edge in enumerate(edges) for x in edge}
+    if len({edge_of[a.images[m.root]] for a in
+            automorphism_group(m).elements()}) != len(edges):
         raise NotEdgeTransitive("map is not edge-transitive")
     label, _ = ettype.classify_type(m)
     if label == "1":

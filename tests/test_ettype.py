@@ -12,8 +12,8 @@ from flagmaps import (LabeledGenerators, Perm, PermGroup, RootedMap,
                       type_transforms)
 from flagmaps.ettype import (NAMED_AUTOMORPHISM_WORDS, TYPE_GENERATORS,
                              TYPE_LABELS, TYPE_TABLE, DegenerateSymbolAdvisory,
-                             LabelMismatch, RelationViolation, _cell_orbits)
-from flagmaps.perm import _block_index
+                             LabelMismatch, RelationViolation,
+                             _cell_sizes_by_orbit)
 
 from .conftest import map_from_vector
 from .oracles import automorphisms_brute
@@ -256,10 +256,19 @@ def test_boundary_degenerate_symbol_names_failed_condition():
     assert info.value.condition == "2|a"
 
 
+def block_index(blocks, n):
+    """For each of the n points, the index of its block in a partition."""
+    block_of = [0] * n
+    for i, block in enumerate(blocks):
+        for x in block:
+            block_of[x] = i
+    return block_of
+
+
 def brute_cell_orbits(m, blocks, auts):
     """The cell partition that the automorphisms induce, as sets of cell
     indices: the root's cell's orbit first, the others by least cell."""
-    cell_of = _block_index(blocks, m.n_flags)
+    cell_of = block_index(blocks, m.n_flags)
     orbits = sorted({frozenset(cell_of[a.images[block[0]]] for a in auts)
                      for block in blocks}, key=min)
     orbits.sort(key=lambda orbit: cell_of[m.root] not in orbit)
@@ -287,10 +296,9 @@ def boundary_degenerate(random_maps):
 
 def check_edge_transitivity(m, auts):
     """is_edge_transitive, which reads only Aut, against the Aut-orbits of
-    the edges by brute force and by ``_cell_orbits``."""
-    edges = cells(m).edges
-    brute = len(brute_cell_orbits(m, edges, auts)) == 1
-    assert is_edge_transitive(m) == brute == (len(_cell_orbits(m, edges)) == 1)
+    the edges by brute force."""
+    brute = len(brute_cell_orbits(m, cells(m).edges, auts)) == 1
+    assert is_edge_transitive(m) == brute
     return brute
 
 
@@ -300,12 +308,16 @@ def test_cell_orbits_match_brute_force_automorphisms(
         constructions, boundary_degenerate, data):
     m = data.draw(maps(constructions + boundary_degenerate))
     auts = automorphisms_brute(m)
+    # one cell size per Aut-orbit of each cell kind, in the brute orbits'
+    # order; automorphisms keep cell sizes
     cs = cells(m)
-    for blocks in (cs.vertices, cs.edges, cs.faces, cs.petrie_circuits):
-        got = _cell_orbits(m, blocks)
-        assert sorted(x for orbit in got for x in orbit) == list(
-            range(len(blocks)))
-        assert list(map(frozenset, got)) == brute_cell_orbits(m, blocks, auts)
+    for blocks, x, y in ((cs.vertices, m.t, m.r), (cs.edges, m.t, m.l),
+                         (cs.faces, m.l, m.r),
+                         (cs.petrie_circuits, m.t * m.l, m.r)):
+        sizes = [{len(blocks[i]) for i in orbit}
+                 for orbit in brute_cell_orbits(m, blocks, auts)]
+        assert all(len(size) == 1 for size in sizes)
+        assert _cell_sizes_by_orbit(m, x, y) == [size.pop() for size in sizes]
     check_edge_transitivity(m, auts)
 
 

@@ -15,7 +15,7 @@ from flagmaps import (BoundExceeded, Perm, PermGroup, RootedMap,
                       parallel_product, reroot)
 from flagmaps.perm import _numbered_orbit
 from flagmaps.quotient import (MapMorphism, StabilizerNotContained,
-                               _blocks_to_map, morphism_to_k_quotient)
+                               morphism_to_k_quotient)
 
 from . import oracles
 from .conftest import random_rooted_map
@@ -124,8 +124,21 @@ def test_k_quotient_matches_reference(constructions, family_maps, data):
     for letter in word:
         g = g * letter
     K = PermGroup(m.n_flags, stabilizer.generators + (g,))
-    expected = _blocks_to_map(m, oracles.k_quotient_blocks(m, K))
+    expected = quotient_on_blocks(m, oracles.k_quotient_blocks(m, K))
     assert k_quotient(m, K) == expected
+
+
+def quotient_on_blocks(m, blocks):
+    """The quotient map on a block system and its projection: the blocks
+    numbered in the given order, each acting through its least flag."""
+    block_of = [0] * m.n_flags
+    for i, block in enumerate(blocks):
+        for x in block:
+            block_of[x] = i
+    induced = [Perm([block_of[g.images[min(block)]] for block in blocks])
+               for g in m.generators()]
+    quotient = RootedMap(*induced, root=block_of[m.root])
+    return quotient, MapMorphism(m, quotient, tuple(block_of))
 
 
 @settings(deadline=None, max_examples=100)

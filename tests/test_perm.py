@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from flagmaps import (BoundExceeded, LabeledGenerators, Perm, PermGroup,
                       congruent_labeled_groups, minimal_normal_subgroups,
                       normal_closure, parallel_product, perm)
-from flagmaps.perm import (DEFAULT_ELEMENT_BOUND, _block_index, _orbit,
-                           _orbit_labels, _orbits,
+from flagmaps.perm import (DEFAULT_ELEMENT_BOUND, _orbit, _orbit_partition,
                            conjugacy_classes, format_group_file, is_normal_in,
                            parse_group_file)
 
@@ -110,27 +109,30 @@ def closure(tables, start):
 @settings(deadline=None, max_examples=200)
 @given(point_tables())
 def test_orbits_partition_the_points(case):
+    # one walk lists the orbits, numbered by least point and each breadth
+    # first from it, and numbers each point by its orbit
     tables, n = case
-    blocks = _orbits(tables, n)
-    assert sorted(x for b in blocks for x in b) == list(range(n))
-    least = [min(b) for b in blocks]
-    assert least == sorted(least)
-    for block in blocks:
-        assert block[0] == min(block)
-        assert block == _orbit(tables, block[0])
-        assert set(block) == closure(tables, block[0])
-        assert all(t[x] in block for t in tables for x in block)
+    orbit_of, orbits = _orbit_partition(tables, n)
+    assert sorted(x for o in orbits for x in o) == list(range(n))
+    for orbit in orbits:
+        assert orbit == _orbit(tables, orbit[0])
+        assert set(orbit) == closure(tables, orbit[0])
+        assert all(t[x] in orbit for t in tables for x in orbit)
 
 
 @settings(deadline=None, max_examples=200)
 @given(point_tables())
 def test_orbit_labels_number_the_orbits_by_least_point(case):
-    # the one-walk labels are the index of each point's orbit in _orbits,
-    # and the least points are the orbits' first points
+    # each point's label is the index of its orbit, and the orbits are
+    # numbered in the order of their least points, which they list first
     tables, n = case
-    blocks = _orbits(tables, n)
-    assert _orbit_labels(tables, n) == (_block_index(blocks, n),
-                                        [b[0] for b in blocks])
+    orbit_of, orbits = _orbit_partition(tables, n)
+    least = [min(o) for o in orbits]
+    assert least == sorted(least)
+    assert [o[0] for o in orbits] == least
+    assert len(orbit_of) == n
+    assert orbit_of == [next(i for i, o in enumerate(orbits) if x in o)
+                        for x in range(n)]
 
 
 def test_order_symmetric_group():

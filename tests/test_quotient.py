@@ -11,10 +11,9 @@ from flagmaps import (LabeledGenerators, Perm, PermGroup, automorphism_group,
                       project_automorphism)
 from flagmaps.fpres import evaluate_word
 from flagmaps.mapcore import RootedMap, automorphism_to
-from flagmaps.perm import BoundExceeded, _orbit_labels, is_normal_in
+from flagmaps.perm import BoundExceeded, _orbit_partition, is_normal_in
 from flagmaps.quotient import (MapMorphism, NotAnAutomorphism, NotNormal,
-                               StabilizerNotContained, _block_quotient,
-                               _blocks_to_map)
+                               StabilizerNotContained, _block_quotient)
 
 from .conftest import random_rooted_map
 
@@ -222,16 +221,22 @@ def test_block_check_rejects_partitions_that_are_not_block_systems():
     # that some generator does not map onto itself must still be refused
     m = build_degenerate(6, 12)
     mon = m.monodromy_group()
-    blocks = [list(b) for b in minimal_normal_subgroups(mon)[0].orbits()]
-    _blocks_to_map(m, blocks)  # a block system
-    x, y = blocks[0][1], blocks[1][0]
-    blocks[0][1], blocks[1][0] = y, x
+    H = minimal_normal_subgroups(mon)[0]
+    block_of, orbits = _orbit_partition([g.images for g in H.generators],
+                                        m.n_flags)
+    reps = [o[0] for o in orbits]
+    _block_quotient(m, block_of, reps)  # a block system
+    # swap a flag of block 0 with the representative of block 1
+    x, y = orbits[0][1], orbits[1][0]
+    block_of[x], block_of[y] = 1, 0
+    reps[1] = x
     with pytest.raises(ValueError, match="not a block system"):
-        _blocks_to_map(m, blocks)
+        _block_quotient(m, block_of, reps)
     H = PermGroup(m.n_flags, [m.r])
     assert not is_normal_in(H, mon)
+    block_of, orbits = _orbit_partition([m.r.images], m.n_flags)
     with pytest.raises(ValueError, match="not a block system"):
-        _blocks_to_map(m, H.orbits())
+        _block_quotient(m, block_of, [o[0] for o in orbits])
 
 
 @settings(deadline=None, max_examples=60)
@@ -244,9 +249,10 @@ def test_block_quotient_equals_the_checked_map(seed, n_edges):
     n = m.n_flags
     labelings = [(list(range(n)), list(range(n))), ([0] * n, [0])]
     try:
-        labelings += [_orbit_labels([g.images for g in H.generators], n)
-                      for H in minimal_normal_subgroups(
-                          m.monodromy_group(), 5000)]
+        for H in minimal_normal_subgroups(m.monodromy_group(), 5000):
+            block_of, orbits = _orbit_partition(
+                [g.images for g in H.generators], n)
+            labelings.append((block_of, [o[0] for o in orbits]))
     except BoundExceeded:
         pass
     for block_of, reps in labelings:
