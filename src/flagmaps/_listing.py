@@ -2,7 +2,11 @@
 
 ``PermGroup._listed`` makes a new ``Listing`` of a group for each reader in
 ``perm`` (``elements()``, ``_right_tables``, ``conjugacy_classes`` and
-``minimal_normal_subgroups``), which works on it and drops it.  The walks
+``minimal_normal_subgroups``), which works on it and drops it.  A regular
+group's listing is its points.  A base known to name the elements, such
+as one point of each orbit of a nontrivial centralizer of a transitive
+group, is walked once (``walk``); any other base is grown one point at a
+time, with a walk and a test at each step (``base_listing``).  The walks
 and the map routine are ``perm``'s, looked up when called, since ``perm``
 imports this module.
 """
@@ -30,8 +34,9 @@ class Listing:
     tables the centralizer generators that ``is_regular`` grew (g_j * x
     is named c_j[0.x]).  Other listings number the names in the order
     that the walk of the base's orbit finds them, which is the
-    breadth-first order of ``elements()``.  Image tuples are built only on
-    demand (``image_builder``).
+    breadth-first order of ``elements()``, and read their left tables off
+    the breadth-first tree unless the base's growth found them.  Image
+    tuples are built only on demand (``image_builder``).
     """
 
     __slots__ = ("gens", "names", "right", "degree", "points", "_where",
@@ -61,8 +66,21 @@ class Listing:
 
     @property
     def left(self) -> Sequence[Sequence[int]]:
-        if self._left is None:  # a base of every point is always regular
-            self._left = left_tables(self.right, self.count)
+        """The left tables, read off the breadth-first tree when not given:
+        c = a * g_i there, so g_j * c is (g_j * a) * g_i, one lookup per
+        element and generator with no check, since the group acts
+        regularly on the names."""
+        if self._left is None:
+            order, parent = self.breadth_first()
+            steps = [(c, parent[c][0], self.right[parent[c][1]])
+                     for c in order[1:]]
+            self._left = []
+            for row in self.right:
+                table = [0] * self.count
+                table[0] = row[0]
+                for c, a, then in steps:
+                    table[c] = then[table[a]]
+                self._left.append(table)
         return self._left
 
     def times(self, name: Hashable) -> Callable[[Sequence[int]], Any]:
@@ -174,14 +192,30 @@ def stabilizer_moves(listing: Listing) -> int:
     raise AssertionError("the stabilizer of the base is trivial")
 
 
+def walk(gens: list[tuple[int, ...]], base: tuple[int, ...], degree: int,
+         bound: float, message: str) -> Listing:
+    """The orbit of the base b, walked once by ``perm._numbered_orbit``
+    within the element bound, as a listing: the names are points for a
+    base of one point, else tuples of points.  It lists the group when
+    the group acts regularly and faithfully on that orbit."""
+    if len(base) == 1:
+        names, right = perm._numbered_orbit(
+            base[0], lambda a: [g[a] for g in gens], bound, message)
+    else:
+        names, right = perm._numbered_orbit(
+            base, lambda a: map(itemgetter(*a), gens), bound, message)
+    return Listing(gens, names, right, None, degree)
+
+
 def base_listing(gens: list[tuple[int, ...]], degree: int, order: int,
                  bound: int, message: str) -> Listing:
     """The listing of a group that is not regular, of the given order, or
-    0 when that is not known.
+    0 when that is not known, on a base grown one point at a time: for an
+    intransitive group (Aut of a map) or a transitive one whose
+    centralizer is trivial (``PermGroup._listed``).
 
     The base b starts as the point 0 and grows until the group acts
-    regularly and faithfully on the orbit of b, walked by
-    ``perm._numbered_orbit`` within the element bound: until the
+    regularly and faithfully on the orbit of b (``walk``): until the
     stabilizer of b is trivial.  With the order known, that is when the
     orbit has as many names as the group has elements.  Otherwise the
     action is regular when ``left_tables`` finds the left tables.  Its
@@ -201,18 +235,11 @@ def base_listing(gens: list[tuple[int, ...]], degree: int, order: int,
         everything = 2 * len(base) > degree
         if everything:
             base = tuple(range(degree))
-        if len(base) == 1:
-            names, right = perm._numbered_orbit(
-                0, lambda a: [g[a] for g in gens], bound, message)
-        else:
-            names, right = perm._numbered_orbit(
-                base, lambda a: map(itemgetter(*a), gens), bound, message)
-        count = len(names)
-        if everything or count == order:
-            return Listing(gens, names, right, None, degree)
-        listing = Listing(gens, names, right,
-                          None if order else left_tables(right, count),
-                          degree)
+        listing = walk(gens, base, degree, bound, message)
+        if everything or listing.count == order:
+            return listing
+        if not order:
+            listing._left = left_tables(listing.right, listing.count)
         if listing._left is None:
             base += (stabilizer_moves(listing),)
             continue
@@ -221,7 +248,7 @@ def base_listing(gens: list[tuple[int, ...]], degree: int, order: int,
         met = {orbit_of[x] for x in base}
         unfixed = next((o[0] for k, o in enumerate(orbits)
                         if k not in met and perm._equivariant_map(
-                            right, 0, gens, o[0], count,
+                            listing.right, 0, gens, o[0], listing.count,
                             injective=False) is None), None)
         if unfixed is None:
             return listing

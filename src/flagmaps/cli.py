@@ -20,8 +20,8 @@ from . import degen, ettype
 from .decomp import NotEdgeTransitive, decomposability_general
 from .degen import (ContextVector, broken_forcing, context_vector,
                     triality_images, vector_presentation)
-from .fpres import (EnumerationOverflow, PresentationError, evaluate_word,
-                    parse_presentation, todd_coxeter)
+from .fpres import (MAX_COSETS, EnumerationOverflow, PresentationError,
+                    evaluate_word, parse_presentation, todd_coxeter)
 from .mapcore import (GENERATOR_NAMES, MapFormatError, MapInvariantError,
                       RootedMap, automorphism_group, cells_and_surface,
                       context_cycle_orders, du, genus_symbol, is_reflexible,
@@ -40,6 +40,9 @@ EXIT_UNKNOWN = 3
 
 DEFAULT_CENSUS_MAX_ORDER = 96
 DEFAULT_CENSUS_CONTEXT_BOUND = 12
+# The census enumerates each candidate within 8 * max_group_order + 256
+# cosets, which must stay within the enumeration's own limit.
+MAX_CENSUS_ORDER = (MAX_COSETS - 256) // 8
 
 
 @dataclass(frozen=True)
@@ -290,7 +293,19 @@ def census_reflexible(max_group_order: int = DEFAULT_CENSUS_MAX_ORDER,
     regularly, so two of them are congruent as groups labeled t, l, r
     exactly when their regular maps are rooted-isomorphic, that is when
     their breadth-first canonical texts (``save_map``) are equal.
+
+    Raises ValueError when ``max_group_order`` is not from 1 to
+    ``MAX_CENSUS_ORDER`` or ``context_bound`` is below 1.
     """
+    if not 1 <= max_group_order <= MAX_CENSUS_ORDER:
+        raise ValueError(
+            f"max_group_order must be from 1 to {MAX_CENSUS_ORDER:,}, not "
+            f"{max_group_order}: each candidate is enumerated within "
+            f"8 * max_group_order + 256 cosets, and max_cosets is at most "
+            f"{MAX_COSETS:,}")
+    if context_bound < 1:
+        raise ValueError(f"context_bound must be at least 1, not "
+                         f"{context_bound}")
     max_cosets = 8 * max_group_order + 256
     entries = []
     skipped = []
@@ -503,11 +518,9 @@ def cmd_cover(args) -> int:
 
 def cmd_build(args) -> int:
     preset = args.preset.lower()
-    if preset.startswith("dm"):
-        index = int(preset[2:])
-        k = args.k
-        m = (degen.build_degenerate(index, k) if index in degen.DM_PARAMETRIC
-             else degen.build_degenerate(index))
+    index = preset[2:]
+    if preset[:2] == "dm" and index.isascii() and index.isdecimal():
+        m = degen.build_degenerate(int(index), args.k)
     elif preset in ("epsilon", "delta"):
         if args.k is None:
             raise ValueError(f"{preset} needs --k")

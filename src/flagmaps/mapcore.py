@@ -10,6 +10,11 @@ of <L,R> and Petrie circuits of <TL,R>.
 Words over t, l, r are ``fpres`` words, evaluated by ``fpres.evaluate_word``
 on the generators labeled by GENERATOR_NAMES; ``act`` follows a string of
 letters from one flag.
+
+A map keeps its Mon, and Aut is the centralizer of Mon
+(``PermGroup.centralizer``): one scan of the flags from flag 0, kept on
+Mon and shared by every re-rooting.  Reflexibility is Mon's regularity
+(``is_reflexible``).
 """
 
 from __future__ import annotations
@@ -99,38 +104,15 @@ class RootedMap:
     @cached_property
     def _monodromy_group(self) -> PermGroup:
         """Mon, built once per map.  It keeps what its readers find out,
-        its regularity and centralizer, its order and any stabilizer
-        chain, but no element listing (``PermGroup._listed``)."""
+        its regularity, its centralizer (Aut), its order and any
+        stabilizer chain, but no element listing (``PermGroup._listed``)."""
         return PermGroup(self.n_flags, self.generators())
 
     @cached_property
     def _automorphism_group(self) -> PermGroup:
-        """Aut, found once per map (see automorphism_group).  It is
-        semiregular, so its order is the size of the root's orbit.
-
-        A target d that no automorphism reaches rules out its whole orbit
-        under the automorphisms found so far: if a(d) were reached by phi,
-        a^-1 phi would reach d.  So the flags tried, and the generators
-        found, are those of a scan of every flag outside the root's
-        orbit."""
-        auts: list[Perm] = []
-        tables: list[tuple[int, ...]] = []
-        orbit = [self.root]
-        skip = {self.root}
-        for d in range(self.n_flags):
-            if d in skip:
-                continue
-            a = automorphism_to(self, d)
-            if a is None:
-                skip.update(_orbit(tables, d))
-            else:
-                auts.append(a)
-                tables.append(a.images)
-                orbit = _orbit(tables, self.root)
-                skip.update(orbit)
-        aut = PermGroup(self.n_flags, auts)
-        aut._order = len(orbit)
-        return aut
+        """Aut, found once per map (see automorphism_group): the
+        centralizer of Mon, from Mon's scan of the flags."""
+        return self.monodromy_group().centralizer()
 
     @cached_property
     def _context_orders(self) -> tuple[int, ...]:
@@ -396,12 +378,14 @@ def is_reflexible(m: RootedMap) -> bool:
 
 def automorphism_group(m: RootedMap) -> PermGroup:
     """Aut(m) as a permutation group on the flags (semiregular), found
-    once per map and kept on it.
+    once per map and kept on it: the centralizer of Mon in Sym(flags),
+    since an automorphism is a flag bijection that commutes with T, L
+    and R.
 
-    An automorphism is fixed by the root's image, so flags already in the
-    root's orbit under the automorphisms found so far are skipped, and so
-    is the orbit of each flag no automorphism reaches.  Each kept
-    generator at least doubles the root's orbit, so there are at most
+    Mon's scan (``PermGroup.centralizer``) tries the automorphisms taking
+    flag 0 to each flag outside the orbit of 0 under the ones found so
+    far, and skips the orbit of each flag no automorphism reaches.  Each
+    kept generator at least doubles that orbit, so there are at most
     log2 |Aut| generators.  The group knows its order.
     """
     return m._automorphism_group

@@ -5,24 +5,29 @@ Groups are given by generating permutations.  A regular group (Mon of a
 reflexible map, Aut of one) is recognised from its point tables: its order
 is the degree and membership is commuting with its centralizer.  Other
 groups get orders and membership from an incremental Schreier-Sims
-stabilizer chain with explicit inverse transversals.  Orbits whose
-objects are numbered come from ``_numbered_orbit``, a bounded breadth-first
-walk that records its Schreier tables.  Each reader of a group's
-elements lists them anew (``_listing.Listing``), each named by the images
-of a base on whose orbit the group acts regularly: the points of a
-regular group with no walk at all, the orbit of point 0 for a semiregular
-one, the orbit of a grown base otherwise.  Conjugacy classes, minimal
+stabilizer chain with explicit inverse transversals, unless the order is
+already known.  The centralizer of a transitive group comes from a scan
+of the points from point 0 (``_centralizer_scan``), kept on the group:
+Aut of a map is the centralizer of its Mon.  Orbits whose objects are
+numbered come from ``_numbered_orbit``, a bounded breadth-first walk that
+records its Schreier tables.  Each reader of a group's elements lists
+them anew (``_listing.Listing``), each named by the images of a base on
+whose orbit the group acts regularly and faithfully: the points of a
+regular group with no walk at all; for a transitive group with a
+nontrivial centralizer, the least point of each orbit of the
+centralizer, walked once; the orbit of a grown base otherwise, which is
+the orbit of point 0 for a semiregular group.  Conjugacy classes, minimal
 normal subgroups, the right regular tables and ``elements()`` read it,
-building image tuples on demand along its breadth-first tree, and the
-group keeps only the count, as its order.  Plain orbits of points come
-from ``_orbit``, orbit partitions (each point's orbit number and each
-orbit's list) from ``_orbit_partition``, and the least block holding two
-points from ``_least_block``.  One routine grows the unique map that
-turns one list of tables into another: it finds the centralizer of a
-regular group (which also gives its left regular tables), left
-multiplication on the names of other groups, whether the stabilizer of a
-base fixes a point, labeled congruence of groups, and the isomorphisms
-and automorphisms of maps.
+building image tuples and left tables on demand along its breadth-first
+tree, and the group keeps only the count, as its order.  Plain orbits of
+points come from ``_orbit``, orbit partitions (each point's orbit number
+and each orbit's list) from ``_orbit_partition``, and the least block
+holding two points from ``_least_block``.  One routine grows the unique
+map that turns one list of tables into another: it finds the centralizer
+of a regular group (which also gives its left regular tables) and each
+element of the centralizer scan, tests a grown base for regularity and
+faithfulness, and finds labeled congruence of groups and the
+isomorphisms and automorphisms of maps.
 """
 
 from __future__ import annotations
@@ -208,6 +213,14 @@ class _Level:
             k += 1
 
 
+def _check_degree(degree: int) -> None:
+    """The degree bound of stabilizer chains, which also applies to the
+    answers read without one."""
+    if degree > DEFAULT_DEGREE_BOUND:
+        raise BoundExceeded(
+            f"degree {degree} exceeds bound {DEFAULT_DEGREE_BOUND}")
+
+
 class StabilizerChain:
     """Incremental deterministic Schreier-Sims chain for order/membership.
 
@@ -225,9 +238,7 @@ class StabilizerChain:
     """
 
     def __init__(self, gens: Sequence[Perm], degree: int):
-        if degree > DEFAULT_DEGREE_BOUND:
-            raise BoundExceeded(
-                f"degree {degree} exceeds bound {DEFAULT_DEGREE_BOUND}")
+        _check_degree(degree)
         self.degree = degree
         self.levels: list[_Level] = []
         for g in gens:
@@ -323,6 +334,9 @@ class PermGroup:
         # generators of its centralizer in Sym(degree)
         self._regular: bool | None = None
         self._centralizer: tuple[Perm, ...] = ()
+        # set by centralizer(): the centralizer of a transitive group, from
+        # its scan of the points
+        self._centralizer_group: PermGroup | None = None
 
     @staticmethod
     def trivial(degree: int) -> "PermGroup":
@@ -353,21 +367,38 @@ class PermGroup:
                 self._centralizer = tuple(_perm(tuple(c)) for c in centralizer)
         return self._regular
 
+    def centralizer(self) -> "PermGroup":
+        """The centralizer of a transitive G in Sym(degree), found once by
+        ``_centralizer_scan`` and kept.  It is semiregular and knows its
+        order.  Aut of a map is the centralizer of its Mon.  Raises
+        ValueError when G is not transitive."""
+        if self._centralizer_group is None:
+            if not self.is_transitive():
+                raise ValueError("the centralizer scan needs a transitive "
+                                 "group")
+            self._centralizer_group = _centralizer_scan(
+                [g.images for g in self.generators], self.degree)
+        return self._centralizer_group
+
     def _answers_from_points(self) -> bool:
         """Whether order and membership are read off the point tables:
         the group is regular and no chain exists yet.  The chain's degree
         bound applies here as well."""
         if self._chain is not None:
             return False
-        if self.degree > DEFAULT_DEGREE_BOUND:
-            raise BoundExceeded(
-                f"degree {self.degree} exceeds bound {DEFAULT_DEGREE_BOUND}")
+        _check_degree(self.degree)
         return self.is_regular()
 
     def order(self) -> int:
+        """The order.  One already known (counted by a listing, or given
+        by whoever built the group, as Aut's is) needs no regularity test;
+        the degree bound applies first all the same."""
+        if self._order is not None and self._chain is None:
+            _check_degree(self.degree)
+            return self._order
         if self._answers_from_points():
             return self.degree
-        return self._known_order() or self.chain().order()
+        return self.chain().order()
 
     def contains(self, p: Perm) -> bool:
         if not self.generators:
@@ -416,10 +447,17 @@ class PermGroup:
     def _listed(self, bound: int) -> _listing.Listing:
         """A new listing of the elements, named by the images of a base
         (``_listing.Listing``): for a regular group no walk at all, else
-        the orbit of the base.  The group keeps only the count, as its
-        order, so a listing lives as long as its caller holds it.  A group
-        of more than bound elements raises before its element bound is
-        named, and before anything is walked when its order is known."""
+        the orbit of the base.  A transitive group with a nontrivial
+        centralizer C takes the least point of each orbit of C for its
+        base: every element commutes with C, so one that fixes the base
+        fixes every point, and the group acts regularly and faithfully on
+        the base's orbit, which is walked once.  Other groups grow a base
+        (``_listing.base_listing``); a known order below the degree
+        (Aut) rules out transitivity with no walk.  The group keeps only
+        the count, as its order, so a listing lives as long as its caller
+        holds it.  A group of more than bound elements raises before its
+        element bound is named, and before anything is walked when its
+        order is known."""
         message = f"group exceeds element bound {bound}"
         order = self._known_order()
         if order > bound:
@@ -431,6 +469,12 @@ class PermGroup:
             listing = _listing.Listing(
                 gens, range(self.degree), gens,
                 [c.images for c in self._centralizer], self.degree)
+        elif ((not order or order > self.degree) and self.is_transitive()
+              and self.centralizer().generators):
+            commuting = [c.images for c in self.centralizer().generators]
+            base = tuple(o[0] for o in
+                         _orbit_partition(commuting, self.degree)[1])
+            listing = _listing.walk(gens, base, self.degree, bound, message)
         else:
             listing = _listing.base_listing(gens, self.degree, order, bound,
                                             message)
@@ -499,6 +543,39 @@ def _orbit(tables: Sequence[Sequence[int]], start: int) -> list[int]:
                 seen.add(b)
                 out.append(b)
     return out
+
+
+def _centralizer_scan(tables: Sequence[Sequence[int]], n: int) -> PermGroup:
+    """The centralizer of the transitive group with these point tables,
+    from a scan of the points.
+
+    The centralizer is semiregular (Dixon and Mortimer, Permutation
+    Groups, 4.2), so an element is fixed by the image d of point 0, and
+    one exists exactly when the map that takes 0 to d and commutes with
+    every table does (``_equivariant_map``).  Points already in the orbit
+    of 0 under the elements found so far are skipped, so each element
+    kept at least doubles that orbit and there are at most log2 |C|
+    generators.  A target d that no element reaches rules out its whole
+    orbit under them: if a(d) were reached by phi, a^-1 phi would reach d.
+    So the points tried, and the generators found, are those of a scan of
+    every point outside the orbit of 0.  The group is handed its order,
+    the size of that orbit."""
+    found: list[tuple[int, ...]] = []
+    orbit = [0]
+    skip = {0}
+    for d in range(n):
+        if d in skip:
+            continue
+        image = _equivariant_map(tables, 0, tables, d, n)
+        if image is None:
+            skip.update(_orbit(found, d))
+        else:
+            found.append(tuple(image))
+            orbit = _orbit(found, 0)
+            skip.update(orbit)
+    centralizer = PermGroup(n, [_perm(c) for c in found])
+    centralizer._order = len(orbit)
+    return centralizer
 
 
 def _least_block(tables: Sequence[Sequence[int]], n: int,

@@ -202,6 +202,57 @@ def test_build_unknown_preset(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("dm1", "--k", "3"), "DM1 takes no parameter"),
+    (("dm6",), "DM6 needs a parameter k >= 1"),
+    (("dm8", "--k", "0"), "DM8 needs a parameter k >= 1"),
+    (("dm13",), "no degenerate family DM13"),
+    (("dmx",), "unknown preset 'dmx'"),
+    (("dm",), "unknown preset 'dm'"),
+    (("dm-1",), "unknown preset 'dm-1'"),
+])
+def test_build_rejects_a_bad_preset_or_parameter(capsys, tmp_path, argv,
+                                                  message):
+    # --k goes to the builder as given, so a DM row that takes no
+    # parameter refuses one, and a malformed row index is an unknown name
+    out = tmp_path / "x.map"
+    code, _, err = run_cli(capsys, "build", *argv, "-o", str(out))
+    assert code == 1
+    assert message in err and "int()" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--max-order", "-5"), "max_group_order must be from 1 to 124,968"),
+    (("--max-order", "0"), "max_group_order must be from 1 to 124,968"),
+    (("--max-order", "124969"), "not 124969"),
+    (("--context-bound", "0"), "context_bound must be at least 1"),
+    (("--context-bound", "-3"), "context_bound must be at least 1"),
+])
+def test_enum_reflexible_rejects_bad_bounds(capsys, tmp_path, argv, message):
+    out = tmp_path / "census"
+    code, _, err = run_cli(capsys, "enum-reflexible", *argv, "--out",
+                           str(out))
+    assert code == 1
+    assert message in err
+    assert not out.exists()
+
+
+def test_census_order_bound_is_the_coset_cap():
+    from flagmaps.cli import MAX_CENSUS_ORDER
+    from flagmaps.fpres import MAX_COSETS
+    assert MAX_CENSUS_ORDER == 124_968
+    assert (8 * MAX_CENSUS_ORDER + 256 <= MAX_COSETS
+            < 8 * (MAX_CENSUS_ORDER + 1) + 256)
+    for order, bound in ((0, 6), (-5, 6), (MAX_CENSUS_ORDER + 1, 6),
+                         (8, 0)):
+        with pytest.raises(ValueError):
+            census_reflexible(order, bound, analyze=False)
+    # the smallest bounds are accepted: only the trivial group fits
+    assert [e.group_order for e in
+            census_reflexible(1, 1, analyze=False).entries] == [1]
+
+
 @pytest.mark.parametrize("group_type", ["2", "3", "4", "5"])
 @pytest.mark.parametrize("text, message", [
     ("degree -1\ngen\n", "line 1: degree '-1'"),

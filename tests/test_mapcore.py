@@ -12,7 +12,7 @@ from flagmaps import (Perm, RootedMap, automorphism_group,
                       map_symbol, named_automorphisms_present, pe,
                       regular_map_from_group, reroot, save_map, simple_reroots,
                       triality_class)
-from flagmaps import construct_from_group, mapcore
+from flagmaps import construct_from_group, mapcore, perm
 from flagmaps.mapcore import (TRIALITY, MapFormatError, MapInvariantError,
                               _composite_invariants, triality_composites)
 from flagmaps.perm import LabeledGenerators, congruent_labeled_groups
@@ -232,9 +232,10 @@ def test_automorphism_generators_found_once_per_map(tetrahedron):
 
 
 def all_flags_scan(m):
-    """Aut's generators by the plain scan: automorphism_to is tried at
-    every flag outside the root's orbit under the automorphisms found so
-    far, and each success is kept."""
+    """Aut's generators by the plain scan from m's root: automorphism_to
+    is tried at every flag outside the root's orbit under the
+    automorphisms found so far, and each success is kept.  Mon's scan
+    runs from flag 0, so it matches this one on m rooted at 0."""
     auts = []
     orbit = {m.root}
     for d in range(m.n_flags):
@@ -257,20 +258,21 @@ def all_flags_scan(m):
 def test_automorphism_generators_equal_the_all_flags_scan(
         constructions, random_maps, data):
     # skipping the orbit of a flag no automorphism reaches changes no
-    # success: the generators are the scan's, image tuple by image tuple
-    # and in order
+    # success: the generators are those of the scan from flag 0, image
+    # tuple by image tuple and in order, whatever the root
     m = data.draw(st.sampled_from([m for _, m in constructions]
                                   + random_maps))
     m = RootedMap(*m.generators(), root=data.draw(
         st.integers(0, m.n_flags - 1)))
     assert [g.images for g in automorphism_group(m).generators] == [
-        a.images for a in all_flags_scan(m)]
+        a.images for a in all_flags_scan(RootedMap(*m.generators()))]
 
 
 def test_aut_search_skips_the_orbit_of_a_failed_target(monkeypatch):
     # a 96-flag type-4 construction with |Aut| = 24: the plain scan fails
-    # at each of the 72 flags outside the root's orbit, while the search
-    # tries one flag of each orbit it has not ruled out
+    # at each of the 72 flags outside the orbit of flag 0, while Mon's
+    # scan tries one flag of each orbit it has not ruled out, each try one
+    # equivariant-map search
     g = LabeledGenerators(
         ("sigma_x1", "theta2", "theta4"),
         (Perm.from_cycles(4, [(0, 1, 2, 3)]), Perm.from_cycles(4, [(0, 1)]),
@@ -278,11 +280,12 @@ def test_aut_search_skips_the_orbit_of_a_failed_target(monkeypatch):
     built, _ = construct_from_group("4", g)
     m = RootedMap(*built.generators(), root=built.root)
     with monkeypatch.context() as mp:
-        tried = count_calls(mp, mapcore, "automorphism_to")
+        tried = count_calls(mp, perm, "_equivariant_map")
         aut = automorphism_group(m)
     assert (m.n_flags, aut.order(), len(aut.generators)) == (96, 24, 2)
     assert len(tried) - len(aut.generators) == 9
-    scan = RootedMap(*built.generators(), root=built.root)
+    assert all(args[1] == 0 for args in tried)  # from flag 0
+    scan = RootedMap(*built.generators(), root=0)
     with monkeypatch.context() as mp:
         scanned = count_calls(mp, mapcore, "automorphism_to")
         all_flags_scan(scan)

@@ -11,9 +11,10 @@ from math import factorial
 import pytest
 
 from flagmaps import (BoundExceeded, LabeledGenerators, Perm, PermGroup,
-                      analyze_map, automorphism_group, build_degenerate,
-                      build_slightly_degenerate, construct_from_group,
-                      minimal_normal_subgroups, perm)
+                      RootedMap, _listing, analyze_map, automorphism_group,
+                      build_degenerate, build_slightly_degenerate,
+                      construct_from_group, minimal_normal_subgroups, perm)
+from flagmaps.mapcore import triality_composites
 from flagmaps.perm import DEFAULT_ELEMENT_BOUND, conjugacy_classes
 
 from . import oracles, reference_search
@@ -110,8 +111,9 @@ def test_every_group_on_three_points_matches():
 
 def test_listings_take_the_cheap_names(constructions):
     # regular groups are listed on their points with no walk, Aut of every
-    # map on the orbit of point 0, and other groups on a base: three
-    # points for the type-4 map over D6, which has 48 flags
+    # map on the orbit of point 0, and other groups on a base: for the
+    # type-4 map over D6, which has 48 flags and |Aut| = 12, the least
+    # flag of each of the four Aut-orbits
     reflexible = [build_degenerate(7, 5),
                   build_slightly_degenerate("delta", 4)]
     for m in reflexible:
@@ -128,7 +130,7 @@ def test_listings_take_the_cheap_names(constructions):
             assert not listing.points
             assert listing.count == mon.chain().order()
     mon = construct_from_group("4", TYPE4_D6)[0].monodromy_group()
-    assert mon._listed(DEFAULT_ELEMENT_BOUND).names[0] == (0, 1, 2)
+    assert mon._listed(DEFAULT_ELEMENT_BOUND).names[0] == (0, 1, 2, 3)
 
 
 def reader_groups(constructions):
@@ -154,15 +156,17 @@ def test_readers_of_the_listing_match_the_oracles(constructions):
 
 def test_readers_build_only_what_they_return(constructions, monkeypatch):
     # the right tables build no Perm; conjugacy classes build each
-    # element once
+    # element once.  The centralizer generators that the regularity test
+    # and the scan of a transitive group find are Perms, built first
     made = []
     real = perm._perm
     monkeypatch.setattr(perm, "_perm", lambda images: made.append(images)
                         or real(images))
     for G in reader_groups(constructions):
         tabled, classed = (PermGroup(G.degree, G.generators) for _ in "tc")
-        tabled.is_regular()  # its centralizer generators are Perms
-        classed.is_regular()
+        for H in (tabled, classed):
+            if not H.is_regular() and H.is_transitive():
+                H.centralizer()
         made.clear()
         tabled._right_tables(G.generators, 10_000)
         assert made == []
@@ -189,14 +193,26 @@ def count_calls(monkeypatch, owner, name):
 
 
 def test_analyze_reads_mon_order_from_the_listing(monkeypatch):
-    m, _ = construct_from_group("4", TYPE4_D6)
+    # one scan finds Aut, the centralizer of Mon (|Aut| = 12, four orbits),
+    # and Mon is listed in one walk from the least flag of each Aut-orbit;
+    # the only left_tables call is the regularity test on the 48 flags,
+    # since the listing reads its left tables off its breadth-first tree
+    built, _ = construct_from_group("4", TYPE4_D6)
+    m = RootedMap(*built.generators(), root=built.root)  # nothing found yet
     assert m.n_flags == 48
     chains = count_calls(monkeypatch, perm.StabilizerChain, "__init__")
     listed = count_calls(monkeypatch, PermGroup, "elements")
+    scans = count_calls(monkeypatch, perm, "_centralizer_scan")
+    walks = count_calls(monkeypatch, perm, "_numbered_orbit")
+    lefts = count_calls(monkeypatch, _listing, "left_tables")
     report = analyze_map(m)
     assert report.monodromy_order == 1728
+    assert report.automorphism_order == 12
     assert report.decomposability["witness_orders"] == [2, 3]
     assert chains == [] and listed == []
+    assert len(scans) == 1
+    assert [start for start, *_ in walks] == [(0, 1, 2, 3)]
+    assert [n for _, n in lefts] == [48]
 
 
 def test_kept_mon_keeps_the_order_but_no_listing(monkeypatch):
@@ -223,6 +239,100 @@ def kept_listings(G):
     return [name for name, value in vars(G).items()
             if isinstance(value, Listing)
             or (isinstance(value, tuple) and len(value) == order)]
+
+
+def centralizer_base(G):
+    """The least point of each orbit of the centralizer of G."""
+    tables = [c.images for c in G.centralizer().generators]
+    return tuple(o[0] for o in perm._orbit_partition(tables, G.degree)[1])
+
+
+def assert_left_multiplication(listing):
+    """The left tables are bijections of the indices that take the
+    identity to each generator and commute with every right table: they
+    are left multiplication by the generators, which is also what the
+    checked equivariant-map growth finds."""
+    n = listing.count
+    left = listing.left
+    for row, table in zip(listing.right, left):
+        assert sorted(table) == list(range(n))
+        assert table[0] == row[0]
+        for other in listing.right:
+            assert [table[c] for c in other] == [other[a] for a in table]
+    assert list(map(list, left)) == _listing.left_tables(listing.right, n)
+
+
+def test_mon_is_listed_on_one_flag_per_aut_orbit(constructions):
+    # Mon of each construction, of its triality composites and of a
+    # re-rooting: a non-regular Mon is named by the images of the least
+    # flag of each Aut-orbit, walked once, and every reader of that
+    # listing agrees with the oracles and the full-tuple search
+    walked = 0
+    for _, built in constructions:
+        maps = triality_composites(built) + [
+            RootedMap(*built.generators(), root=built.n_flags - 1)]
+        for m in maps:
+            G = m.monodromy_group()
+            fresh = lambda: PermGroup(G.degree, G.generators)
+            listing = G._listed(DEFAULT_ELEMENT_BOUND)
+            assert listing.count == fresh().chain().order()
+            if not G.is_regular():
+                base = centralizer_base(G)
+                assert 2 <= len(base) <= 4  # edge-transitive: <= 4 orbits
+                assert listing.names[0] == base
+                assert listing._left is None  # read off the tree when asked
+                walked += 1
+            assert_left_multiplication(listing)
+            els, right = oracles.elements_and_right(fresh())
+            assert G.elements() == els
+            assert G._right_tables(G.generators,
+                                   DEFAULT_ELEMENT_BOUND) == right
+            assert (conjugacy_classes(G)
+                    == reference_search.conjugacy_classes(fresh()))
+            assert_same_search(G)
+    assert walked > 100
+
+
+def affine(p, a):
+    """AGL(1, p): x -> x + 1 and x -> a x, for a primitive root a."""
+    return PermGroup(p, [Perm([(x + 1) % p for x in range(p)]),
+                         Perm([a * x % p for x in range(p)])])
+
+
+@pytest.mark.parametrize("G, base", [
+    (affine(7, 3), (0, 1)),
+    (symmetric(5), (0, 1, 2, 3, 4)),
+    (KERNEL_ON_ORBIT_OF_0, (0, 2)),
+    (PermGroup(6, [Perm.from_cycles(6, [(0, 1, 2)]),
+                   Perm.from_cycles(6, [(1, 2)]),
+                   Perm.from_cycles(6, [(3, 4)])]), (0, 1, 3)),
+], ids=["agl-1-7", "s5", "kernel", "s3-x-z2"])
+def test_groups_whose_centralizer_says_nothing_keep_the_grown_base(G, base):
+    # a transitive group with a trivial centralizer and an intransitive
+    # group are listed on the base grown one point at a time
+    fresh = PermGroup(G.degree, G.generators)
+    if fresh.is_transitive():
+        assert fresh.centralizer().is_trivial()
+    else:
+        with pytest.raises(ValueError):
+            fresh.centralizer()
+    listing = fresh._listed(DEFAULT_ELEMENT_BOUND)
+    assert listing.names[0] == base
+    assert listing.count == PermGroup(G.degree, G.generators).chain().order()
+    assert_left_multiplication(listing)
+
+
+def test_aut_listing_skips_the_transitivity_walk(constructions, monkeypatch):
+    # Aut knows an order below the degree, so it is intransitive and is
+    # listed on the orbit of flag 0 with no transitivity test
+    auts = [automorphism_group(m) for _, m in constructions
+            if not m.monodromy_group().is_regular()]
+    assert all(aut._known_order() < aut.degree for aut in auts)
+    tested = count_calls(monkeypatch, PermGroup, "is_transitive")
+    for aut in auts:
+        listing = aut._listed(DEFAULT_ELEMENT_BOUND)
+        assert listing.points and listing.count == aut.order()
+    assert tested == []
 
 
 def test_dropped_elements_leave_nothing_allocated():
