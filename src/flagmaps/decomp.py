@@ -9,19 +9,28 @@ stabilizer-product condition only tightens, and distinct minimal normal
 subgroups intersect trivially).
 
 When Mon is not regular, a block test runs first and can settle the
-verdict without listing Mon.  The root orbits of two witnesses H1, H2 are
-blocks of Mon.  They are proper, since H1 and H2 are not transitive, and
-they hold more than the root, since a nontrivial normal subgroup of a
-transitive group fixes no point.  They meet only in the root.  So a
-decomposable map has two proper blocks at the root that meet only in the
-root, and then so do the least blocks B_x and B_y holding the root and
-some x in the first and some y in the second.  The test finds B_x for each
-flag x, breadth first from the root (``perm._least_block``), and stops at
-the first two proper ones that meet only in the root; the full search
-then runs.  When there is no such pair (a primitive Mon has no proper
-block at all), the map is indecomposable.  The test costs at most n - 1
-closures of O(3n) lookups each on an n-flag map, and listing Mon costs at
-least n^2, since |Mon| >= n.
+verdict without listing Mon.  It reads G = <Mon, Aut>: Aut centralizes
+Mon, so the orbits of a normal subgroup N of Mon are permuted by Mon (N is
+normal) and by Aut (it commutes with N), and they are a block system of G
+(Dixon and Mortimer, Permutation Groups, 1.5 and 4.2).  The root orbits of
+two witnesses H1, H2 are therefore blocks of G.  They are proper, since H1
+and H2 are not transitive, and they hold more than the root, since a
+nontrivial normal subgroup of a transitive group fixes no point.  They
+meet only in the root.  So a decomposable map has two proper blocks of G
+at the root that meet only in the root, and then so do the least blocks
+B_x and B_y of G holding the root and some x in the first and some y in
+the second.  The test finds B_x breadth first from the root
+(``perm._least_block`` on the tables of Mon and Aut), and stops at the
+first two proper ones that meet only in the root; the full search then
+runs.  When there is no such pair (a primitive G has no proper block at
+all), the map is indecomposable.  B_x is found once per orbit of a group
+H of root fixers in G, not once per flag: for h fixing the root, B_x . h
+is a block of B_x's system that holds the root, so B_{x.h} = B_x.  H is
+generated by a * u^-1 for each generator a of Aut, where u in Mon takes
+the root to root . a.  When Aut is trivial, H is too, and the test makes
+one closure per flag.  It makes at most n - 1 closures of O(n) lookups per
+table on an n-flag map, and listing Mon costs at least n^2, since
+|Mon| >= n.
 
 A positive verdict is proved from the two witnesses' block systems, with
 no product map built and no isomorphism searched for.  The factors are
@@ -40,7 +49,7 @@ no type row is matched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 from .ettype import is_edge_transitive
 from .mapcore import RootedMap, _tables, automorphism_group, is_reflexible
@@ -132,10 +141,10 @@ def decomposability_general(m: RootedMap,
     For a normal H, S.H (S the root stabilizer) is the stabilizer of the
     block root.H, and by transitivity S.H1 & S.H2 == S exactly when the
     blocks root.H1 and root.H2 meet only in the root.  A Mon that is not
-    regular first meets the block test (module docstring), which can
-    settle the verdict without listing Mon.  The search runs on the map's
-    one Mon, so its regularity, its chain or the count of its listing is
-    left there for |Mon|.
+    regular first meets the block test (module docstring), which reads
+    Aut (found once per map) and can settle the verdict without listing
+    Mon.  The search runs on the map's one Mon, so its regularity, its
+    chain or the count of its listing is left there for |Mon|.
     """
     mon = m.monodromy_group()
     if not mon.is_regular() and not _root_blocks_meet_only_in_root(m, mon):
@@ -143,19 +152,36 @@ def decomposability_general(m: RootedMap,
     return _minimal_normal_search(m, mon, bound)
 
 
-BLOCK_TEST_REASON = "no two proper blocks of Mon at the root meet only in the root"
+BLOCK_TEST_REASON = ("no two proper blocks of <Mon, Aut> at the root meet "
+                     "only in the root")
 
 
 def _root_blocks_meet_only_in_root(m: RootedMap, mon: PermGroup) -> bool:
-    """Whether two proper blocks of Mon(m) that hold the root meet only in
-    the root.  For each flag x, breadth first from the root, B_x is the
-    least block holding the root and x; the first pair of proper ones that
-    meet only in the root answers yes."""
-    tables = [g.images for g in mon.generators]
-    n = m.n_flags
+    """Whether two proper blocks of G = <Mon(m), Aut(m)> that hold the root
+    meet only in the root.  For each flag x, breadth first from the root,
+    B_x is the least block of G holding the root and x; the first pair of
+    proper ones that meet only in the root answers yes.
+
+    B_x is found once per orbit of the group H that ``_root_fixers``
+    generates: for h fixing the root, B_x . h is a block of B_x's system
+    holding the root, so B_{x.h} = B_x.  When Aut is trivial, so is H, and
+    every flag gets its own closure."""
+    n, root = m.n_flags, m.root
+    mon_tables = [g.images for g in mon.generators]
+    aut_tables = [a.images for a in automorphism_group(m).generators]
+    order, step = _breadth_first_tree(mon_tables, root, n)
+    orbit_of: Sequence[int] = range(n)  # each flag alone when Aut is trivial
+    if aut_tables:
+        fixers = _root_fixers(mon_tables, aut_tables, root, step)
+        orbit_of = _orbit_partition(fixers, n)[0]
+    tables = mon_tables + aut_tables
+    done: set[int] = set()  # the orbits closed so far
     blocks: list[set[int]] = []
-    for x in _orbit(tables, m.root)[1:]:
-        block = _least_block(tables, n, m.root, x)
+    for x in order[1:]:
+        if orbit_of[x] in done:
+            continue
+        done.add(orbit_of[x])
+        block = _least_block(tables, n, root, x)
         if len(block) == n:
             continue
         block_set = set(block)
@@ -163,6 +189,43 @@ def _root_blocks_meet_only_in_root(m: RootedMap, mon: PermGroup) -> bool:
             return True
         blocks.append(block_set)
     return False
+
+
+def _breadth_first_tree(tables: Sequence[Sequence[int]], root: int, n: int,
+                        ) -> tuple[list[int], list[int]]:
+    """The orbit of the root under the tables, breadth first from it, and
+    for each flag of it but the root the index of the table by which the
+    walk first reached it (-1 elsewhere)."""
+    step = [-1] * n
+    order = [root]
+    for x in order:  # grows while it is read: a breadth-first queue
+        for j, images in enumerate(tables):
+            y = images[x]
+            if step[y] < 0 and y != root:
+                step[y] = j
+                order.append(y)
+    return order, step
+
+
+def _root_fixers(mon_tables: Sequence[Sequence[int]],
+                 aut_tables: Sequence[Sequence[int]], root: int,
+                 step: Sequence[int]) -> list[list[int]]:
+    """For each Aut table a, the table of h = a * u^-1, where u in Mon is
+    the word of Mon's breadth-first tree (``step``, from
+    ``_breadth_first_tree``) from the root to root . a; so root . h = root.
+    Mon's generators are involutions, so u^-1 reads u's letters backwards,
+    from root . a up the tree.  Each letter rewrites all n entries of h,
+    so H costs O(n * depth of root . a in the tree) per Aut generator."""
+    fixers = []
+    for a in aut_tables:
+        h = list(a)
+        y = a[root]
+        while y != root:
+            back = mon_tables[step[y]]
+            h = [back[v] for v in h]
+            y = back[y]
+        fixers.append(h)
+    return fixers
 
 
 def _minimal_normal_search(m: RootedMap, mon: PermGroup,

@@ -1,14 +1,17 @@
 """The block test that settles decomposability without listing Mon.
 
-M = M1 v M2 with proper factors needs two proper blocks of Mon(M) at the
-root that meet only in the root (the root orbits of the two witnesses).
+M = M1 v M2 with proper factors needs two proper blocks of G = <Mon(M),
+Aut(M)> at the root that meet only in the root (the root orbits of the two
+witnesses, which Aut permutes since it centralizes Mon).
 ``decomp._root_blocks_meet_only_in_root`` looks for such a pair among the
-least blocks B_x holding the root and x, found by ``perm._least_block``;
-when there is none, the verdict is "indecomposable" with no element of Mon
-listed.  The least block is checked against a brute-force least invariant
-partition, every settled verdict against the all-pairs oracle, every other
-verdict against the full minimal-normal search, and two unsound block
-tests must be caught by the same checks.
+least blocks B_x of G holding the root and x, found by
+``perm._least_block`` once per orbit of a group of root fixers; when there
+is none, the verdict is "indecomposable" with no element of Mon listed.
+The least block is checked against a brute-force least invariant
+partition, the root fixers against the root and G, every settled verdict
+against the all-pairs oracle, every other verdict against the full
+minimal-normal search, and three unsound block tests must be caught by the
+same checks.
 """
 
 import itertools
@@ -26,10 +29,11 @@ from flagmaps import (LabeledGenerators, Perm, PermGroup, RootedMap,
 from flagmaps import decomp, perm
 from flagmaps.cli import main
 from flagmaps.ettype import TYPE_GENERATORS
-from flagmaps.perm import _least_block, _orbit
+from flagmaps.mapcore import automorphism_group
+from flagmaps.perm import _least_block, _orbit, _orbit_partition
 
 from .conftest import random_rooted_map
-from .oracles import decomposable_brute
+from .oracles import automorphisms_brute, decomposable_brute
 from .test_decomp import verdict_facts
 
 # A 7-flag map whose monodromy group is S7 (T, L, R images and the root).
@@ -135,9 +139,12 @@ def least_block_orbital(tables, n, a, b):
     return sorted(component)
 
 
-def two_root_blocks_meet_only_in_root(m):
-    """The block test's premise, from orbital graphs."""
+def two_root_blocks_meet_only_in_root(m, with_aut=True):
+    """The block test's premise, from the orbital graphs of Mon and every
+    automorphism (``oracles.automorphisms_brute``), or of Mon alone."""
     tables = [g.images for g in m.generators()]
+    if with_aut:
+        tables += [a.images for a in automorphisms_brute(m)]
     blocks = [set(least_block_orbital(tables, m.n_flags, m.root, x))
               for x in range(m.n_flags) if x != m.root]
     proper = [block for block in blocks if len(block) < m.n_flags]
@@ -229,6 +236,28 @@ def compares_the_first_two_proper_blocks(m, mon):
     return False
 
 
+def closes_once_per_aut_orbit(m, mon):
+    """Unsound: one closure per orbit of Aut, whose elements move the root,
+    so B_{x.a} = B_x is taken for granted where it fails."""
+    mon_tables = [g.images for g in mon.generators]
+    aut_tables = [a.images for a in automorphism_group(m).generators]
+    orbit_of = _orbit_partition(aut_tables, m.n_flags)[0]
+    done = set()
+    blocks = []
+    for x in _orbit(mon_tables, m.root)[1:]:
+        if orbit_of[x] in done:
+            continue
+        done.add(orbit_of[x])
+        block = set(_least_block(mon_tables + aut_tables, m.n_flags,
+                                 m.root, x))
+        if len(block) == m.n_flags:
+            continue
+        if any(len(block & other) == 1 for other in blocks):
+            return True
+        blocks.append(block)
+    return False
+
+
 DECOMPOSABLE_BOUNDARY = {
     "boundary-type3-0011", "boundary-type3-0101", "boundary-type3-0110",
     "boundary-type3-1001", "boundary-type3-1010", "boundary-type3-1100",
@@ -240,11 +269,43 @@ DECOMPOSABLE_BOUNDARY = {
      DECOMPOSABLE_BOUNDARY | {"type5-S3-1", "type3-S3-0", "type3-S3-1"}),
     (compares_the_first_two_proper_blocks,
      {"boundary-type3-0110", "boundary-type3-1001"}),
+    (closes_once_per_aut_orbit,
+     {"boundary-type3-1001", "type3-S3-0", "type3-S3-1", "type5-S3-1",
+      "type5-D5-0", "type5-D5-1"}),
 ])
 def test_unsound_block_tests_are_caught(monkeypatch, block_corpus, mutant,
                                         caught):
     monkeypatch.setattr(decomp, "_root_blocks_meet_only_in_root", mutant)
     assert caught <= set(block_test_problems(block_corpus))
+
+
+def test_root_fixers_fix_the_root_inside_mon_and_aut(block_corpus):
+    # each h = a * u^-1 fixes the root and lies in <Mon, Aut>, and the
+    # least block B_x is the same along each orbit of the group they make
+    tried = 0
+    for name, m, _, _ in block_corpus:
+        mon = m.monodromy_group()
+        aut = automorphism_group(m)
+        if mon.is_regular() or aut.is_trivial():
+            continue
+        mon_tables = [g.images for g in mon.generators]
+        aut_tables = [a.images for a in aut.generators]
+        order, step = decomp._breadth_first_tree(mon_tables, m.root,
+                                                 m.n_flags)
+        assert order == _orbit(mon_tables, m.root), name
+        fixers = decomp._root_fixers(mon_tables, aut_tables, m.root, step)
+        assert len(fixers) == len(aut_tables)
+        both = PermGroup(m.n_flags, mon.generators + aut.generators)
+        for h in fixers:
+            assert h[m.root] == m.root, name
+            assert both.contains(Perm(h)), name
+        orbit_of = _orbit_partition(fixers, m.n_flags)[0]
+        least = {}
+        for x in range(m.n_flags):
+            block = _least_block(mon_tables + aut_tables, m.n_flags, m.root, x)
+            assert least.setdefault(orbit_of[x], block) == block, name
+        tried += 1
+    assert tried >= 20
 
 
 # --- nothing listed -------------------------------------------------------------
@@ -277,6 +338,26 @@ def test_s7_analysis_lists_no_element(monkeypatch):
         "reason": decomp.BLOCK_TEST_REASON}
 
 
+def test_d5_construction_settled_by_aut_lists_nothing(monkeypatch,
+                                                       constructions):
+    # |Mon| = 1000; two proper blocks of Mon alone meet only in the root,
+    # so only the blocks of <Mon, Aut> settle the verdict.  The fixture's
+    # map keeps what the corpus found on it, so a new one is built
+    built = dict(constructions)["type3-D5-0"]
+    m = RootedMap(*built.generators(), root=built.root)
+    assert two_root_blocks_meet_only_in_root(m, with_aut=False)
+    assert not two_root_blocks_meet_only_in_root(m)
+    listed = count_calls(monkeypatch, PermGroup, "_listed")
+    searched = count_calls(monkeypatch, decomp, "minimal_normal_subgroups")
+    report = analyze_map(m)
+    assert listed == searched == []
+    mon = m.monodromy_group()
+    assert mon._chain is not None and mon._order is None
+    assert report.monodromy_order == mon.chain().order() == 1000
+    assert report.decomposability["decomposable"] is False
+    assert report.decomposability["reason"] == decomp.BLOCK_TEST_REASON
+
+
 def giant_map(n_flags):
     """The maps of the giant-group problem: every edge free, R a random
     fixed-point-free involution from random.Random(1), drawn again until
@@ -303,8 +384,9 @@ def test_giant_analysis_is_indecomposable():
     assert report.decomposability["reason"] == decomp.BLOCK_TEST_REASON
 
 
-# Seconds for the 200-flag verdict; it took 0.04 s on a 2-core Xeon with
-# Python 3.11, and listing Mon took minutes before it ended in a bound.
+# Seconds for the 200-flag verdict; it took 0.025 s on a 2-core Xeon with
+# Python 3.11, the scan for Aut (trivial here, 0.001 s) included, and
+# listing Mon took minutes before it ended in a bound.
 GIANT_BUDGET_S = 5.0
 
 

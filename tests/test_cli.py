@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import json
 import time
@@ -228,6 +230,8 @@ def test_build_rejects_a_bad_preset_or_parameter(capsys, tmp_path, argv,
     (("--max-order", "124969"), "not 124969"),
     (("--context-bound", "0"), "context_bound must be at least 1"),
     (("--context-bound", "-3"), "context_bound must be at least 1"),
+    (("--context-bound", "25"), "context_bound must be at most 24, not 25"),
+    (("--context-bound", "100000"), "context_bound must be at most 24"),
 ])
 def test_enum_reflexible_rejects_bad_bounds(capsys, tmp_path, argv, message):
     out = tmp_path / "census"
@@ -251,6 +255,20 @@ def test_census_order_bound_is_the_coset_cap():
     # the smallest bounds are accepted: only the trivial group fits
     assert [e.group_order for e in
             census_reflexible(1, 1, analyze=False).entries] == [1]
+
+
+def test_census_context_bound_has_a_ceiling():
+    # 12 * b**3 candidates: a bound above the ceiling is refused before
+    # any work
+    from flagmaps.cli import MAX_CENSUS_CONTEXT_BOUND
+    assert MAX_CENSUS_CONTEXT_BOUND == 24
+    for bound in (MAX_CENSUS_CONTEXT_BOUND + 1, 100_000):
+        with pytest.raises(ValueError, match="at most 24"):
+            census_reflexible(1, bound, analyze=False)
+    # the ceiling itself is accepted, at the smallest order bound
+    assert len(list(candidate_vectors(MAX_CENSUS_CONTEXT_BOUND))) == 165_888
+    result = census_reflexible(1, MAX_CENSUS_CONTEXT_BOUND, analyze=False)
+    assert sum(result.outcome_counts.values()) == 165_888
 
 
 @pytest.mark.parametrize("group_type", ["2", "3", "4", "5"])
@@ -551,6 +569,24 @@ def test_default_census_outcomes(default_census):
     # a group of order 24 on which HLT passes the 1,024-coset bound: a
     # change in the order of definitions or coincidences shows here first
     assert (2, 2, 2, 2, 3, 8, 9) in default_census.skipped
+
+
+# The SHA-256 of manifest.json at the defaults, 103,744 bytes.
+DEFAULT_MANIFEST_SHA256 = (
+    "a2c7b4867f76ce833e5646bdde97b84c2900f707c665bbfb4628d0b0ae2aac15")
+
+
+def test_default_manifest_is_byte_identical(default_census, tmp_path):
+    # records are written from their fields in place, each as a deep copy
+    # (dataclasses.asdict) would write it
+    write_census(default_census, tmp_path)
+    data = (tmp_path / "manifest.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == DEFAULT_MANIFEST_SHA256
+    manifest = json.loads(data)
+    for key, records in (("too_large_certificates", default_census.certified),
+                         ("triality_transfers", default_census.transferred)):
+        assert manifest[key] == [
+            json.loads(json.dumps(dataclasses.asdict(r))) for r in records]
 
 
 # Transferred candidates whose own enumeration overflows the census's
