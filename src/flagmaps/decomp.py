@@ -51,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from ._listing import _breadth_first_tree
 from .ettype import is_edge_transitive
 from .mapcore import RootedMap, _tables, automorphism_group, is_reflexible
 from .perm import (DEFAULT_ELEMENT_BOUND, BoundExceeded, PermGroup,
@@ -169,10 +170,10 @@ def _root_blocks_meet_only_in_root(m: RootedMap, mon: PermGroup) -> bool:
     n, root = m.n_flags, m.root
     mon_tables = [g.images for g in mon.generators]
     aut_tables = [a.images for a in automorphism_group(m).generators]
-    order, step = _breadth_first_tree(mon_tables, root, n)
+    order, parent = _breadth_first_tree(mon_tables, root, n)
     orbit_of: Sequence[int] = range(n)  # each flag alone when Aut is trivial
     if aut_tables:
-        fixers = _root_fixers(mon_tables, aut_tables, root, step)
+        fixers = _root_fixers(mon_tables, aut_tables, root, parent)
         orbit_of = _orbit_partition(fixers, n)[0]
     tables = mon_tables + aut_tables
     done: set[int] = set()  # the orbits closed so far
@@ -191,39 +192,25 @@ def _root_blocks_meet_only_in_root(m: RootedMap, mon: PermGroup) -> bool:
     return False
 
 
-def _breadth_first_tree(tables: Sequence[Sequence[int]], root: int, n: int,
-                        ) -> tuple[list[int], list[int]]:
-    """The orbit of the root under the tables, breadth first from it, and
-    for each flag of it but the root the index of the table by which the
-    walk first reached it (-1 elsewhere)."""
-    step = [-1] * n
-    order = [root]
-    for x in order:  # grows while it is read: a breadth-first queue
-        for j, images in enumerate(tables):
-            y = images[x]
-            if step[y] < 0 and y != root:
-                step[y] = j
-                order.append(y)
-    return order, step
-
-
 def _root_fixers(mon_tables: Sequence[Sequence[int]],
                  aut_tables: Sequence[Sequence[int]], root: int,
-                 step: Sequence[int]) -> list[list[int]]:
+                 parent: Sequence[tuple[int, int]]) -> list[list[int]]:
     """For each Aut table a, the table of h = a * u^-1, where u in Mon is
-    the word of Mon's breadth-first tree (``step``, from
-    ``_breadth_first_tree``) from the root to root . a; so root . h = root.
-    Mon's generators are involutions, so u^-1 reads u's letters backwards,
-    from root . a up the tree.  Each letter rewrites all n entries of h,
-    so H costs O(n * depth of root . a in the tree) per Aut generator."""
+    the word of Mon's breadth-first tree (``parent``, from
+    ``_listing._breadth_first_tree``) from the root to root . a; so
+    root . h = root.  Mon's generators are involutions, so u^-1 reads u's
+    letters backwards, climbing the tree from root . a: the letter g_j
+    that reached y from its parent takes y back to it.  Each letter
+    rewrites all n entries of h, so H costs O(n * depth of root . a in the
+    tree) per Aut generator."""
     fixers = []
     for a in aut_tables:
         h = list(a)
         y = a[root]
         while y != root:
-            back = mon_tables[step[y]]
+            y, j = parent[y]
+            back = mon_tables[j]
             h = [back[v] for v in h]
-            y = back[y]
         fixers.append(h)
     return fixers
 

@@ -12,22 +12,23 @@ Aut of a map is the centralizer of its Mon.  Orbits whose objects are
 numbered come from ``_numbered_orbit``, a bounded breadth-first walk that
 records its Schreier tables.  Each reader of a group's elements lists
 them anew (``_listing.Listing``), each named by the images of a base on
-whose orbit the group acts regularly and faithfully: the points of a
-regular group with no walk at all; for a transitive group with a
-nontrivial centralizer, the least point of each orbit of the
-centralizer, walked once; the orbit of a grown base otherwise, which is
-the orbit of point 0 for a semiregular group.  Conjugacy classes, minimal
-normal subgroups, the right regular tables and ``elements()`` read it,
-building image tuples and left tables on demand along its breadth-first
-tree, and the group keeps only the count, as its order.  Plain orbits of
-points come from ``_orbit``, orbit partitions (each point's orbit number
-and each orbit's list) from ``_orbit_partition``, and the least block
-holding two points from ``_least_block``.  One routine grows the unique
-map that turns one list of tables into another: it finds the centralizer
-of a regular group (which also gives its left regular tables) and each
-element of the centralizer scan, tests a grown base for regularity and
-faithfulness, and finds labeled congruence of groups and the
-isomorphisms and automorphisms of maps.
+whose orbit the group acts regularly and faithfully, walked once
+(``_walk``): the points of a regular group with no walk at all; for a
+transitive group with a nontrivial centralizer, the least point of each
+orbit of the centralizer; the point 0 for a group that knows its order
+and is semiregular on the orbit of 0 (Aut of a map); the base of its
+stabilizer chain otherwise, whose pointwise stabilizer is trivial.
+Conjugacy classes, minimal normal subgroups, the right regular tables and
+``elements()`` read it, building image tuples and left tables on demand
+along its breadth-first tree, and the group keeps the count, as its
+order, but not the listing.  Plain orbits of points come from ``_orbit``, orbit partitions
+(each point's orbit number and each orbit's list) from
+``_orbit_partition``, and the least block holding two points from
+``_least_block``.  One routine grows the unique map that turns one list
+of tables into another: it finds the centralizer of a regular group
+(which also gives its left regular tables, ``_left_tables``) and each
+element of the centralizer scan, and finds labeled congruence of groups
+and the isomorphisms and automorphisms of maps.
 """
 
 from __future__ import annotations
@@ -352,7 +353,7 @@ class PermGroup:
 
         For each generator g, the map that takes 0 to 0 . g and commutes
         with every generator is grown breadth first from 0
-        (``_listing.left_tables``).  All of them exist exactly when G is
+        (``_left_tables``).  All of them exist exactly when G is
         regular: they then generate the centralizer C(G), which is
         transitive, and G = C(C(G)) (Dixon and Mortimer, Permutation
         Groups, 4.2).  The first conflict answers no.  O(degree * ngens^2)
@@ -360,7 +361,7 @@ class PermGroup:
         """
         if self._regular is None:
             tables = [g.images for g in self.generators]
-            centralizer = _listing.left_tables(tables, self.degree)
+            centralizer = _left_tables(tables, self.degree)
             self._regular = centralizer is not None and (
                 bool(tables) or self.degree == 1)
             if self._regular:
@@ -430,7 +431,8 @@ class PermGroup:
         keeps only their count: the caller owns the tuple.  A group of more
         than bound elements raises; when its order is known (listed before,
         from a chain, the degree of a regular group, or given by whoever
-        built it), it raises before listing anything.
+        built it) or read off the chain it is listed through, it raises
+        before listing anything.
         """
         listing = self._listed(bound)
         return tuple(map(_perm, map(listing.image_builder(),
@@ -447,17 +449,23 @@ class PermGroup:
     def _listed(self, bound: int) -> _listing.Listing:
         """A new listing of the elements, named by the images of a base
         (``_listing.Listing``): for a regular group no walk at all, else
-        the orbit of the base.  A transitive group with a nontrivial
-        centralizer C takes the least point of each orbit of C for its
-        base: every element commutes with C, so one that fixes the base
-        fixes every point, and the group acts regularly and faithfully on
-        the base's orbit, which is walked once.  Other groups grow a base
-        (``_listing.base_listing``); a known order below the degree
-        (Aut) rules out transitivity with no walk.  The group keeps only
-        the count, as its order, so a listing lives as long as its caller
+        the orbit of the base, walked once (``_walk``).  A transitive group
+        with a nontrivial centralizer C takes the least point of each orbit
+        of C for its base: every element commutes with C, so one that
+        fixes the base fixes every point, and the group acts regularly and
+        faithfully on the base's orbit.  A group that knows its order but
+        has no chain (Aut, or a subgroup that the search returns) keeps the
+        orbit of point 0 when it has as many names as the group has
+        elements: the group is then semiregular on it.  Any other group
+        takes the base of its stabilizer chain, with the point 0 added, so
+        that a base of one point is 0; no element but the identity fixes
+        it (Holt, Handbook of CGT, 4.4).  Once that base holds more than
+        half the points it is every point, and the names are the image
+        tuples.  The group keeps the count, as its order, and the chain
+        it built, but no listing: a listing lives as long as its caller
         holds it.  A group of more than bound elements raises before its
         element bound is named, and before anything is walked when its
-        order is known."""
+        order is known or read off the chain."""
         message = f"group exceeds element bound {bound}"
         order = self._known_order()
         if order > bound:
@@ -474,10 +482,20 @@ class PermGroup:
             commuting = [c.images for c in self.centralizer().generators]
             base = tuple(o[0] for o in
                          _orbit_partition(commuting, self.degree)[1])
-            listing = _listing.walk(gens, base, self.degree, bound, message)
+            listing = _walk(gens, base, self.degree, bound, message)
         else:
-            listing = _listing.base_listing(gens, self.degree, order, bound,
-                                            message)
+            listing = None
+            if order and self._chain is None:
+                listing = _walk(gens, (0,), self.degree, bound, message)
+            if listing is None or listing.count != order:
+                chain = self.chain()
+                if chain.order() > bound:
+                    raise BoundExceeded(message)
+                base = sorted({0}.union(level.point for level in chain.levels))
+                if 2 * len(base) > self.degree:
+                    base = range(self.degree)
+                listing = _walk(gens, tuple(base), self.degree, bound,
+                                message)
         self._order = listing.count
         return listing
 
@@ -529,6 +547,21 @@ def _numbered_orbit(start: Hashable, images: Callable[[Any], Iterable],
                 found.append(b)
             row.append(k)
     return found, tables
+
+
+def _walk(gens: list[tuple[int, ...]], base: tuple[int, ...], degree: int,
+          bound: float, message: str) -> _listing.Listing:
+    """The orbit of the base b, walked once by ``_numbered_orbit`` within
+    the element bound, as a listing: the names are points for a base of
+    one point, else tuples of points.  It lists the group when the group
+    acts regularly and faithfully on that orbit."""
+    if len(base) == 1:
+        names, right = _numbered_orbit(
+            base[0], lambda a: [g[a] for g in gens], bound, message)
+    else:
+        names, right = _numbered_orbit(
+            base, lambda a: map(itemgetter(*a), gens), bound, message)
+    return _listing.Listing(gens, names, right, None, degree)
 
 
 def _orbit(tables: Sequence[Sequence[int]], start: int) -> list[int]:
@@ -693,6 +726,21 @@ def _equivariant_map(src: Sequence[Sequence[int]], start: int,
     if len(queue) != n or (injective and len(set(image)) != n):
         return None
     return image
+
+
+def _left_tables(right: Sequence[Sequence[int]],
+                 n: int) -> list[list[int]] | None:
+    """For each table g_j, the map that takes 0 to g_j[0] and turns each
+    table into itself, grown breadth first from 0: when the group acts
+    regularly on the n points, left multiplication by g_j, and together
+    the generators of the centralizer; else None, at the first failure."""
+    left = []
+    for row in right:
+        table = _equivariant_map(right, 0, right, row[0], n)
+        if table is None:
+            return None
+        left.append(table)
+    return left
 
 
 def _index_classes(listing: _listing.Listing,

@@ -27,6 +27,7 @@ from flagmaps import (LabeledGenerators, Perm, PermGroup, RootedMap,
                       analyze_map, construct_from_group,
                       decomposability_general, save_map)
 from flagmaps import decomp, perm
+from flagmaps._listing import _breadth_first_tree
 from flagmaps.cli import main
 from flagmaps.ettype import TYPE_GENERATORS
 from flagmaps.mapcore import automorphism_group
@@ -290,10 +291,9 @@ def test_root_fixers_fix_the_root_inside_mon_and_aut(block_corpus):
             continue
         mon_tables = [g.images for g in mon.generators]
         aut_tables = [a.images for a in aut.generators]
-        order, step = decomp._breadth_first_tree(mon_tables, m.root,
-                                                 m.n_flags)
+        order, parent = _breadth_first_tree(mon_tables, m.root, m.n_flags)
         assert order == _orbit(mon_tables, m.root), name
-        fixers = decomp._root_fixers(mon_tables, aut_tables, m.root, step)
+        fixers = decomp._root_fixers(mon_tables, aut_tables, m.root, parent)
         assert len(fixers) == len(aut_tables)
         both = PermGroup(m.n_flags, mon.generators + aut.generators)
         for h in fixers:

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+the element listing imports nothing from the package."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,16 @@ def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(imported_names(tree)) - used) == []
+
+
+def test_listing_imports_nothing_from_the_package():
+    # perm imports _listing, so _listing stands below every other module
+    tree = ast.parse((PACKAGE / "_listing.py").read_text())
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+    assert modules and not [m for m in modules
+                            if m.startswith((".", "flagmaps"))]

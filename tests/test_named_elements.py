@@ -9,9 +9,11 @@ from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagmaps import (BoundExceeded, LabeledGenerators, Perm, PermGroup,
-                      RootedMap, _listing, analyze_map, automorphism_group,
+                      RootedMap, analyze_map, automorphism_group,
                       build_degenerate, build_slightly_degenerate,
                       construct_from_group, minimal_normal_subgroups, perm)
 from flagmaps.mapcore import triality_composites
@@ -195,7 +197,7 @@ def count_calls(monkeypatch, owner, name):
 def test_analyze_reads_mon_order_from_the_listing(monkeypatch):
     # one scan finds Aut, the centralizer of Mon (|Aut| = 12, four orbits),
     # and Mon is listed in one walk from the least flag of each Aut-orbit;
-    # the only left_tables call is the regularity test on the 48 flags,
+    # the only _left_tables call is the regularity test on the 48 flags,
     # since the listing reads its left tables off its breadth-first tree
     built, _ = construct_from_group("4", TYPE4_D6)
     m = RootedMap(*built.generators(), root=built.root)  # nothing found yet
@@ -204,7 +206,7 @@ def test_analyze_reads_mon_order_from_the_listing(monkeypatch):
     listed = count_calls(monkeypatch, PermGroup, "elements")
     scans = count_calls(monkeypatch, perm, "_centralizer_scan")
     walks = count_calls(monkeypatch, perm, "_numbered_orbit")
-    lefts = count_calls(monkeypatch, _listing, "left_tables")
+    lefts = count_calls(monkeypatch, perm, "_left_tables")
     report = analyze_map(m)
     assert report.monodromy_order == 1728
     assert report.automorphism_order == 12
@@ -259,7 +261,7 @@ def assert_left_multiplication(listing):
         assert table[0] == row[0]
         for other in listing.right:
             assert [table[c] for c in other] == [other[a] for a in table]
-    assert list(map(list, left)) == _listing.left_tables(listing.right, n)
+    assert list(map(list, left)) == perm._left_tables(listing.right, n)
 
 
 def test_mon_is_listed_on_one_flag_per_aut_orbit(constructions):
@@ -309,7 +311,9 @@ def affine(p, a):
 ], ids=["agl-1-7", "s5", "kernel", "s3-x-z2"])
 def test_groups_whose_centralizer_says_nothing_keep_the_grown_base(G, base):
     # a transitive group with a trivial centralizer and an intransitive
-    # group are listed on the base grown one point at a time
+    # group that knows no order are listed on the base of their stabilizer
+    # chain, with the point 0 added and sorted, or on every point once
+    # that base holds more than half of them (S5)
     fresh = PermGroup(G.degree, G.generators)
     if fresh.is_transitive():
         assert fresh.centralizer().is_trivial()
@@ -320,6 +324,67 @@ def test_groups_whose_centralizer_says_nothing_keep_the_grown_base(G, base):
     assert listing.names[0] == base
     assert listing.count == PermGroup(G.degree, G.generators).chain().order()
     assert_left_multiplication(listing)
+
+
+@st.composite
+def small_groups(draw):
+    """A group of degree at most 7 on one to three drawn generators: any
+    permutations, or ones that keep {0..k-1} and {k..n-1} apart, so that
+    the group is intransitive (and fixes 0 when k is 1)."""
+    n = draw(st.integers(1, 7))
+    split = draw(st.integers(0, n - 1))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        if split:
+            images = (draw(st.permutations(range(split)))
+                      + draw(st.permutations(range(split, n))))
+        else:
+            images = draw(st.permutations(range(n)))
+        gens.append(Perm(images))
+    return PermGroup(n, gens)
+
+
+@settings(deadline=None, max_examples=100)
+@given(small_groups())
+def test_every_way_of_listing_matches_the_oracles(G):
+    # each reader lists a new group three ways: knowing no order, after
+    # its chain is built, and with the order handed in as the search sets
+    # it on the subgroups it returns
+    order = PermGroup(G.degree, G.generators).chain().order()
+
+    def cold():
+        return PermGroup(G.degree, G.generators)
+
+    def chained():
+        H = cold()
+        H.chain()
+        return H
+
+    def ordered():
+        H = cold()
+        H._order = order
+        return H
+
+    els, right = oracles.elements_and_right(cold())
+    classes = reference_search.conjugacy_classes(cold())
+    expected = reference_search.minimal_normal_subgroups_full_tuples(cold())
+    if order <= 120:
+        assert ({frozenset(N.elements()) for N in expected}
+                == set(oracles.minimal_normals_brute(cold())))
+    for way in (cold, chained, ordered):
+        listing = way()._listed(DEFAULT_ELEMENT_BOUND)
+        assert listing.count == order
+        if listing.points:
+            assert listing.names[0] == 0
+        assert way().elements() == els
+        H = way()
+        assert H._right_tables(H.generators, DEFAULT_ELEMENT_BOUND) == right
+        assert conjugacy_classes(way()) == classes
+        got = minimal_normal_subgroups(way())
+        assert [N.generators for N in got] == [N.generators
+                                               for N in expected]
+        assert [N.order() for N in got] == [len(N.elements())
+                                            for N in expected]
 
 
 def test_aut_listing_skips_the_transitivity_walk(constructions, monkeypatch):

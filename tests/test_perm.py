@@ -199,15 +199,18 @@ def test_regular_order_budget():
 
 
 def test_order_from_enumerated_elements():
-    # a non-regular group whose elements are listed answers order() from
-    # the list, with no chain; the degree bound still applies first
+    # S5 is neither regular nor named by its centralizer's orbits, so it
+    # is listed on its chain's base, one name per element of the chain;
+    # the chain's degree bound applies to such a listing as to order()
     G = symmetric(5)
     assert not G.is_regular()
     assert len(G.elements()) == 120
     assert G.order() == 120
-    assert G._chain is None
+    assert (symmetric(5)._listed(DEFAULT_ELEMENT_BOUND).count
+            == G.chain().order() == 120)
     H = PermGroup(20_001, [Perm.from_cycles(20_001, [(0, 1)])])
-    assert len(H.elements()) == 2
+    with pytest.raises(BoundExceeded):
+        H.elements()
     with pytest.raises(BoundExceeded):
         H.order()
 
