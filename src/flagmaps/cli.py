@@ -667,7 +667,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (MapFormatError, MapInvariantError, PresentationError,
             StabilizerNotContained, NotReflexible, NotEdgeTransitive,
-            ValueError, FileNotFoundError) as exc:
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (BoundExceeded, EnumerationOverflow) as exc:

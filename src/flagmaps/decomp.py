@@ -41,9 +41,11 @@ of the map onto the parallel product of its factors, and the certificate
 is the map's breadth-first order from the root (``_verified_factor_pair``).
 
 An edge-transitive map is decided from Aut alone
-(``decomposability_edge_transitive``).  Edge-transitivity and type 1 are
-both read off Aut's orbits and order, so no cell partition is built and
-no type row is matched.
+(``decomposability_edge_transitive``): it decomposes exactly when Aut has
+two minimal normal subgroups.  Edge-transitivity and type 1 are both read
+off Aut's orbits and order, so no cell partition is built and no type row
+is matched.  A type-1 map goes to the search on its regular Mon; on the
+other types the same search and proof run on Aut (``_verified_factor_pair``).
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .perm import (DEFAULT_ELEMENT_BOUND, BoundExceeded, PermGroup,
                    _least_block, _orbit, _orbit_partition,
                    minimal_normal_subgroups)
 from .product import NotReflexible
-from .quotient import _block_quotient
+from .quotient import _orbit_quotient
 
 
 class NotEdgeTransitive(ValueError):
@@ -76,9 +78,10 @@ class DecompositionVerdict:
     ``decomposable`` is None for an unknown verdict, and ``reason`` then
     names the resource bound that was exceeded.  A verdict that the block
     test settled (module docstring) is False with ``BLOCK_TEST_REASON``;
-    other verdicts have no reason.  When decomposable via the monodromy
-    route, the witness subgroups, quotient factors and the verified rooted
-    isomorphism (product of factors -> input) are present.
+    other verdicts have no reason.  ``witness_group`` names the group
+    searched, Mon or Aut.  A positive verdict carries the two witness
+    subgroups of that group, the quotient factors and the verified rooted
+    isomorphism (product of factors -> input).
     """
 
     decomposable: bool | None
@@ -104,28 +107,32 @@ class DecompositionVerdict:
 def _verified_factor_pair(m: RootedMap, H1: PermGroup, H2: PermGroup,
                           ) -> tuple[tuple[RootedMap, RootedMap], tuple[int, ...]]:
     """The quotients f1, f2 of m by the orbits of H1 and H2, and the
-    verified rooted isomorphism from their parallel product onto m.  Each
-    witness's orbits are found in one walk (``perm._orbit_partition``),
-    numbered by least flag and each headed by it, so each factor is the
-    ``monodromy_quotient``.
+    verified rooted isomorphism from their parallel product onto m.  The
+    witnesses are minimal normal subgroups of Mon(m), or of Aut(m), and
+    each factor is ``quotient._orbit_quotient`` on a witness's generators.
 
     The proof is the pairing map x -> (block1(x), block2(x)) into the
-    flags of f1 x f2.  The block-system check of ``_block_quotient`` makes
+    flags of f1 x f2.  The block-system check of ``_orbit_quotient`` makes
     it commute with T, L and R, and it sends the root to (root1, root2),
     so its image is the product's flag set, the orbit of that pair.  When
     the pairs are pairwise distinct it is therefore an isomorphism of m
     onto f1 || f2, and it carries m's breadth-first order from the root
     onto the product's breadth-first numbering.  So the certificate, which
     sends product flag i to a flag of m, is m's breadth-first order from
-    the root.  H1 and H2 are minimal normal subgroups of Mon(m) by
-    construction, so their membership and normality are not checked
-    again; the pairing check and the proper quotients prove the verdict.
-    No product, morphism or projection is built."""
-    (block_of_1, orbits_1), (block_of_2, orbits_2) = (
-        _orbit_partition([g.images for g in H.generators], m.n_flags)
+    the root.  The witnesses' membership and normality hold by
+    construction and are not checked again; the pairing check and the
+    proper quotients prove the verdict.  No product, morphism or
+    projection is built.
+
+    Aut centralizes the transitive Mon, so it is semiregular (Dixon and
+    Mortimer, 4.2) and the orbits of its subgroups are blocks of Mon.  On
+    types 2-5 Aut is not regular, so no minimal normal A is transitive and
+    the search takes the first pair, A1 and A2.  They meet trivially, so
+    x.a1 = x.a2 forces a1 = a2 = 1: the pairing check cannot fail for Aut
+    witnesses, and stays so that both routes fail in one way."""
+    (f1, block_of_1), (f2, block_of_2) = (
+        _orbit_quotient(m, [g.images for g in H.generators])
         for H in (H1, H2))
-    f1 = _block_quotient(m, block_of_1, [o[0] for o in orbits_1])
-    f2 = _block_quotient(m, block_of_2, [o[0] for o in orbits_2])
     if len(set(zip(block_of_1, block_of_2))) != m.n_flags:
         raise VerificationFailed(
             "the witness quotients' blocks do not separate the flags")
@@ -150,7 +157,7 @@ def decomposability_general(m: RootedMap,
     mon = m.monodromy_group()
     if not mon.is_regular() and not _root_blocks_meet_only_in_root(m, mon):
         return DecompositionVerdict(decomposable=False, reason=BLOCK_TEST_REASON)
-    return _minimal_normal_search(m, mon, bound)
+    return _minimal_normal_search(m, mon, bound, "monodromy")
 
 
 BLOCK_TEST_REASON = ("no two proper blocks of <Mon, Aut> at the root meet "
@@ -215,13 +222,15 @@ def _root_fixers(mon_tables: Sequence[Sequence[int]],
     return fixers
 
 
-def _minimal_normal_search(m: RootedMap, mon: PermGroup,
-                           bound: int) -> DecompositionVerdict:
-    """The search over pairs of minimal normal subgroups of Mon(m)."""
+def _minimal_normal_search(m: RootedMap, group: PermGroup, bound: int,
+                           witness_group: str) -> DecompositionVerdict:
+    """The search over pairs of minimal normal subgroups of ``group``,
+    Mon(m) or Aut(m), named ``witness_group`` on every verdict."""
     try:
-        minimals = minimal_normal_subgroups(mon, bound)
+        minimals = minimal_normal_subgroups(group, bound)
     except BoundExceeded as exc:
-        return DecompositionVerdict(decomposable=None, reason=str(exc))
+        return DecompositionVerdict(decomposable=None, reason=str(exc),
+                                    witness_group=witness_group)
     # H is transitive exactly when the root's orbit holds every flag
     blocks = []
     for H in minimals:
@@ -240,8 +249,10 @@ def _minimal_normal_search(m: RootedMap, mon: PermGroup,
                 witnesses=(minimals[i], minimals[j]),
                 factors=factors,
                 certificate=cert,
+                witness_group=witness_group,
             )
-    return DecompositionVerdict(decomposable=False)
+    return DecompositionVerdict(decomposable=False,
+                                witness_group=witness_group)
 
 
 def decomposability_reflexible(m: RootedMap,
@@ -263,10 +274,9 @@ def decomposability_edge_transitive(m: RootedMap,
     """Decide decomposability of an edge-transitive map from Aut(m) alone.
 
     The map decomposes iff Aut(m) has at least two minimal normal
-    subgroups.  Factor maps are materialized only for type-1 (reflexible)
-    inputs, where the reflexible route (``decomposability_general`` on the
-    regular Mon) applies; otherwise the witness subgroups of Aut are
-    returned as abstract factor data.
+    subgroups.  A type-1 map goes to ``decomposability_general``; on the
+    other types the same search runs on Aut, and a positive verdict
+    carries Aut witnesses, their orbit quotients and a verified certificate.
 
     Type 1 is read as |Aut| = |flags|, with no type row matched: the
     type-1 row holds tau, lambda and theta1, and an Aut-orbit holding
@@ -281,17 +291,7 @@ def decomposability_edge_transitive(m: RootedMap,
     aut = automorphism_group(m)
     if aut.order() == m.n_flags:
         return decomposability_general(m, bound)
-    try:
-        minimals = minimal_normal_subgroups(aut, bound)
-    except BoundExceeded as exc:
-        return DecompositionVerdict(decomposable=None, reason=str(exc),
-                                    witness_group="automorphism")
-    if len(minimals) < 2:
-        return DecompositionVerdict(decomposable=False,
-                                    witness_group="automorphism")
-    return DecompositionVerdict(
-        decomposable=True, witnesses=(minimals[0], minimals[1]),
-        witness_group="automorphism")
+    return _minimal_normal_search(m, aut, bound, "automorphism")
 
 
 def decompose_with_certificate(m: RootedMap,

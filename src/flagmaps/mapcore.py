@@ -158,7 +158,7 @@ class RootedMap:
 def _rooted_map(t: Perm, l: Perm, r: Perm, root: int) -> RootedMap:
     """A RootedMap from generators and a root already known to satisfy its
     axioms: a derived map of a checked one (see reroot, du and pe, and the
-    block quotients of ``quotient._block_quotient``)."""
+    orbit quotients of ``quotient._orbit_quotient``)."""
     m = RootedMap.__new__(RootedMap)
     m.__dict__.update(t=t, l=l, r=r, root=root)
     return m

@@ -21,10 +21,10 @@ stabilizer chain otherwise, whose pointwise stabilizer is trivial.
 Conjugacy classes, minimal normal subgroups, the right regular tables and
 ``elements()`` read it, building image tuples and left tables on demand
 along its breadth-first tree, and the group keeps the count, as its
-order, but not the listing.  Plain orbits of points come from ``_orbit``, orbit partitions
-(each point's orbit number and each orbit's list) from
-``_orbit_partition``, and the least block holding two points from
-``_least_block``.  One routine grows the unique map that turns one list
+order, but not the listing.  Plain orbits of points come from
+``_orbit``, orbit partitions (each point's orbit number and each orbit's
+list) from ``_orbit_partition``, and the least block holding two points
+from ``_least_block``.  One routine grows the unique map that turns one list
 of tables into another: it finds the centralizer of a regular group
 (which also gives its left regular tables, ``_left_tables``) and each
 element of the centralizer scan, and finds labeled congruence of groups

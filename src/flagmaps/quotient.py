@@ -6,15 +6,15 @@ cosets of K concretely as a block system on the flags: the orbit of the
 block root.K under the monodromy generators, walked and numbered by
 ``perm._numbered_orbit`` up to the number of cosets, so the monodromy
 group itself is never enumerated; the walk's Schreier tables are the
-quotient's T, L and R.  The monodromy and automorphism quotients number
-the orbits of their group in one walk (``perm._orbit_partition``), and
-``_block_quotient`` induces the generators on them.  The K of a morphism
-is recovered from a breadth-first transversal of permutations, with no
-words.
+quotient's T, L and R.  The monodromy and automorphism quotients are
+``_orbit_quotient``, which numbers the orbits of their group in one walk
+(``perm._orbit_partition``) and induces the generators on them.  The K of
+a morphism is recovered from a breadth-first transversal of permutations,
+with no words.
 
 The three public quotients return a checked morphism with the quotient
 map.  The decomposition search, which needs only the maps and each flag's
-block, builds each factor with ``_block_quotient`` and no morphism.
+block, builds each factor with ``_orbit_quotient`` and no morphism.
 """
 
 from __future__ import annotations
@@ -72,30 +72,30 @@ def _read(table: Sequence[int], keys: Sequence[int]) -> tuple[int, ...]:
     return tuple(table[k] for k in keys)
 
 
-def _block_quotient(m: RootedMap, block_of: Sequence[int],
-                    reps: Sequence[int]) -> RootedMap:
-    """Quotient map induced on a block system, given as each flag's block
-    ``block_of`` and a flag ``reps[i]`` of each block i.
+def _orbit_quotient(m: RootedMap, tables: Sequence[Sequence[int]],
+                    ) -> tuple[RootedMap, list[int]]:
+    """The quotient map induced on the orbits of the flag permutations
+    ``tables``, and each flag's orbit number.
 
-    The blocks must be numbered 0..len(reps)-1, each nonempty, with
-    ``block_of[reps[i]] == i``; every caller passes such a labeling (the
-    orbit numbers of ``perm._orbit_partition`` with each orbit's first,
-    least flag).  Each block acts through its representative.  A partition is a block system exactly when every
-    flag's block goes where its block's representative goes, one
-    whole-table comparison per generator.  The induced T, L and R of a
-    block system of a checked map satisfy every axiom: each is an
-    involution, as it sends the image of each block back to the block;
-    (TL)^2 = 1 holds, as the induced action is a homomorphic image; the
-    action stays transitive, and the root's block is in range.  So the
-    quotient is built with no axiom checked again."""
+    The orbits are found in one walk (``perm._orbit_partition``), numbered
+    by least flag, and each acts through its least flag.  A partition is a
+    block system exactly when every flag's block goes where its block's
+    representative goes, one whole-table comparison per generator.  The
+    induced T, L and R of a block system of a checked map satisfy every
+    axiom: each is an involution, as it sends the image of each block back
+    to the block; (TL)^2 = 1 holds, as the induced action is a homomorphic
+    image; the action stays transitive, and the root's block is in range.
+    So the quotient is built with no axiom checked again."""
+    block_of, orbits = _orbit_partition(tables, m.n_flags)
+    reps = [o[0] for o in orbits]
     induced = []
     for g in m.generators():
         moved = _read(block_of, g.images)
         images = _read(moved, reps)
         if moved != _read(images, block_of):
-            raise ValueError("given partition is not a block system")
+            raise ValueError("the orbits are not a block system")
         induced.append(_perm(images))
-    return _rooted_map(*induced, block_of[m.root])
+    return _rooted_map(*induced, block_of[m.root]), block_of
 
 
 def k_quotient(m: RootedMap, K: PermGroup) -> tuple[RootedMap, MapMorphism]:
@@ -150,9 +150,7 @@ def monodromy_quotient(m: RootedMap, H: PermGroup) -> tuple[RootedMap, MapMorphi
             raise NotNormal("H is not a subgroup of the monodromy group")
     if not is_normal_in(H, mon):
         raise NotNormal("H is not normal in the monodromy group")
-    block_of, orbits = _orbit_partition([g.images for g in H.generators],
-                                        m.n_flags)
-    quotient = _block_quotient(m, block_of, [o[0] for o in orbits])
+    quotient, block_of = _orbit_quotient(m, [g.images for g in H.generators])
     return quotient, MapMorphism(m, quotient, tuple(block_of))
 
 
@@ -166,9 +164,7 @@ def automorphism_quotient(m: RootedMap, A: PermGroup) -> tuple[RootedMap, MapMor
             if a * g != g * a:
                 raise NotAnAutomorphism(
                     "generator of A does not commute with the monodromy action")
-    block_of, orbits = _orbit_partition([a.images for a in A.generators],
-                                        m.n_flags)
-    quotient = _block_quotient(m, block_of, [o[0] for o in orbits])
+    quotient, block_of = _orbit_quotient(m, [a.images for a in A.generators])
     return quotient, MapMorphism(m, quotient, tuple(block_of))
 
 

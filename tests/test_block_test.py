@@ -169,8 +169,8 @@ def block_corpus(constructions):
     for name, m in maps:
         mon = m.monodromy_group()
         order = mon.order()  # known, so a Mon too large raises at once
-        search = decomp._minimal_normal_search(m, mon,
-                                               perm.DEFAULT_ELEMENT_BOUND)
+        search = decomp._minimal_normal_search(
+            m, mon, perm.DEFAULT_ELEMENT_BOUND, "monodromy")
         brute = decomposable_brute(m) if order <= BRUTE_MON_LIMIT else None
         corpus.append((name, m, verdict_facts(search), brute))
     return corpus

@@ -156,6 +156,26 @@ def test_decompose_command(capsys, tmp_path, c4_sphere):
     assert f1.n_flags == 8
 
 
+@pytest.mark.parametrize("argv", [
+    ("du", "MAP", "-o", "DIR"),
+    ("analyze", "DIR"),
+    ("enum-reflexible", "--max-order", "4", "--context-bound", "2",
+     "--out", "FILE"),
+    ("decompose", "MAP", "--emit-factors", "FILE"),
+])
+def test_filesystem_errors_exit_1(capsys, tmp_path, c4_sphere, argv):
+    # a directory where a file is read or written, or a file where a
+    # directory is made: an error message and exit 1, not a traceback
+    paths = {"MAP": tmp_path / "c4.map", "DIR": tmp_path / "dir",
+             "FILE": tmp_path / "file"}
+    paths["MAP"].write_text(save_map(c4_sphere))
+    paths["DIR"].mkdir()
+    paths["FILE"].write_text("")
+    code, _, err = run_cli(capsys, *(str(paths.get(a, a)) for a in argv))
+    assert code == 1
+    assert err.startswith("error: ")
+
+
 def test_cover_command(capsys, tmp_path, fig3_quotient, c4_sphere):
     src = tmp_path / "fig3.map"
     src.write_text(save_map(fig3_quotient))

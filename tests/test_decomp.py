@@ -11,6 +11,7 @@ from flagmaps import (PermGroup, build_degenerate, build_slightly_degenerate,
 from flagmaps import decomp, ettype, mapcore
 from flagmaps import product as product_module
 from flagmaps.decomp import NotEdgeTransitive, VerificationFailed
+from flagmaps.ettype import is_edge_transitive
 from flagmaps.mapcore import RootedMap, automorphism_group, canonicalize
 from flagmaps.perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators,
                            minimal_normal_subgroups)
@@ -173,7 +174,7 @@ def test_factors_are_the_checked_monodromy_quotients(constructions):
 
 def test_search_builds_only_what_the_verdict_returns(monkeypatch, c4_sphere):
     # one root orbit walked per minimal normal subgroup and m's own from
-    # the root (the certificate), the orbit partitions of the two witnesses
+    # the root (the certificate), the orbit quotients of the two witnesses
     # only, and no morphism, projection, product, isomorphism search or
     # checked map
     assert not {"parallel_product", "isomorphism", "_orbits"} & set(vars(decomp))
@@ -185,7 +186,7 @@ def test_search_builds_only_what_the_verdict_returns(monkeypatch, c4_sphere):
             products = count_calls(mp, product_module, "parallel_product")
             isomorphisms = count_calls(mp, mapcore, "isomorphism")
             root_orbits = count_calls(mp, decomp, "_orbit")
-            partitions = count_calls(mp, decomp, "_orbit_partition")
+            quotients = count_calls(mp, decomp, "_orbit_quotient")
             verdict = decomposability_general(m)
         assert verdict.decomposable
         assert morphisms == checked_maps == products == isomorphisms == []
@@ -193,12 +194,12 @@ def test_search_builds_only_what_the_verdict_returns(monkeypatch, c4_sphere):
         tables = tuple(g.images for g in m.generators())
         assert root_orbits == [([g.images for g in H.generators], m.root)
                                for H in minimals] + [(tables, m.root)]
-        assert partitions == [([g.images for g in H.generators], m.n_flags)
-                              for H in verdict.witnesses]
+        assert quotients == [(m, [g.images for g in H.generators])
+                             for H in verdict.witnesses]
 
 
 def test_certificate_is_the_rooted_isomorphism_from_the_product(
-        default_census, constructions):
+        default_census, constructions, fig3_quotient):
     # the independent route: build the product of the factors and search
     # for the rooted isomorphism onto m; the pairing proof must return it,
     # and the product must be m numbered breadth first from its root
@@ -208,27 +209,44 @@ def test_certificate_is_the_rooted_isomorphism_from_the_product(
              for family in ("epsilon", "delta") for k in range(2, 21)]
     maps += [entry.map for entry in default_census.entries]
     maps += [m for _, m in constructions]
-    decomposable = 0
-    for m in maps:
-        verdict = decomposability_general(m)
+    # the edge-transitive route on the constructions and the Figure 3 map:
+    # Aut witnesses of detected types 2, 2*, 3 and 4 (no detected type 5
+    # decomposes there)
+    verdicts = [decomposability_general(m) for m in maps]
+    et_maps = [m for _, m in constructions] + [fig3_quotient]
+    maps += et_maps
+    verdicts += [decomposability_edge_transitive(m) for m in et_maps]
+    decomposable = aut_witnesses = 0
+    for m, verdict in zip(maps, verdicts):
         if not verdict.decomposable:
             continue
         decomposable += 1
+        if verdict.witness_group == "automorphism":
+            # A is normal in Aut, so Aut projects onto each factor
+            aut_witnesses += 1
+            assert all(map(is_edge_transitive, verdict.factors))
         product = parallel_product(*verdict.factors).product
         assert verdict.certificate == tuple(
             isomorphism(product, m, mode="rooted"))
         c = canonicalize(m)
         assert (product.generators(), product.root) == (c.generators(),
                                                         c.root)
-    assert decomposable >= 50
+    assert decomposable >= 50 and aut_witnesses >= 14
 
 
-def test_pairing_check_refuses_blocks_that_do_not_separate_flags(c4_sphere):
-    # a witness paired with itself, or two witnesses whose root blocks meet
-    # in two flags, pair two flags with the same pair of blocks
-    for m in (c4_sphere, build_degenerate(6, 12),
-              build_slightly_degenerate("epsilon", 12)):
-        H = decomposability_general(m).witnesses[0]
+def test_pairing_check_refuses_blocks_that_do_not_separate_flags(
+        c4_sphere, fig3_quotient):
+    # a witness paired with itself, of Mon or of Aut, or two witnesses
+    # whose root blocks meet in two flags, pair two flags with the same
+    # pair of blocks
+    verdicts = [(m, decomposability_general(m)) for m in (
+        c4_sphere, build_degenerate(6, 12),
+        build_slightly_degenerate("epsilon", 12))]
+    verdicts.append((fig3_quotient,
+                     decomposability_edge_transitive(fig3_quotient)))
+    assert verdicts[-1][1].witness_group == "automorphism"
+    for m, verdict in verdicts:
+        H = verdict.witnesses[0]
         with pytest.raises(VerificationFailed, match="do not separate"):
             decomp._verified_factor_pair(m, H, H)
     m = load_map("flags 6\nT 0 2 1 4 3 5\nL 0 3 4 1 2 5\n"
@@ -243,7 +261,8 @@ def classify_type_route(m):
     """The edge-transitive route as it read the cells and the type row:
     edge-transitivity from the edge cells that the automorphisms reach
     from the root's, the type from ``classify_type``, the reflexible route
-    on type 1, and the minimal normal subgroups of Aut otherwise."""
+    on type 1, and otherwise the first two minimal normal subgroups of
+    Aut, proved by their orbit quotients."""
     edges = cells(m).edges
     edge_of = {x: i for i, edge in enumerate(edges) for x in edge}
     if len({edge_of[a.images[m.root]] for a in
@@ -253,10 +272,13 @@ def classify_type_route(m):
     if label == "1":
         return decomposability_reflexible(m)
     minimals = minimal_normal_subgroups(automorphism_group(m))
+    if len(minimals) < 2:
+        return decomp.DecompositionVerdict(decomposable=False,
+                                           witness_group="automorphism")
+    factors, cert = decomp._verified_factor_pair(m, *minimals[:2])
     return decomp.DecompositionVerdict(
-        decomposable=len(minimals) >= 2,
-        witnesses=tuple(minimals[:2]) if len(minimals) >= 2 else None,
-        witness_group="automorphism")
+        decomposable=True, witnesses=tuple(minimals[:2]), factors=factors,
+        certificate=cert, witness_group="automorphism")
 
 
 def test_edge_transitive_route_reads_only_aut(
@@ -323,9 +345,11 @@ def test_edge_transitive_route_reflexible(tetrahedron, c4_sphere):
 def test_edge_transitive_route_fig3(fig3_quotient):
     verdict = decomposability_edge_transitive(fig3_quotient)
     assert verdict.witness_group == "automorphism"
-    # Aut is the Klein four group: three minimal normal subgroups
+    # Aut is the Klein four group: three minimal normal subgroups, and the
+    # first two give two verified 4-flag factors
     assert verdict.decomposable is True
-    assert verdict.factors is None
+    assert [f.n_flags for f in verdict.factors] == [4, 4]
+    assert verdict.to_json_dict()["certificate_checked"] is True
 
 
 def test_edge_transitive_route_rejects(non_edge_transitive):

@@ -1,0 +1,42 @@
+"""Every backticked dotted name that starts with a module of the package,
+such as ``perm._orbit_partition`` or `decomp.decomposability_general(m)`,
+names something that exists, in README.md and in the package's own
+docstrings and comments."""
+
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "flagmaps"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+REFERENCE = re.compile(r"`+(" + "|".join(map(re.escape, MODULES))
+                       + r")\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)")
+SOURCES = [ROOT / "README.md"] + sorted(PACKAGE.glob("*.py"))
+
+
+def references(path):
+    """(module, dotted attribute path) for each reference in the file."""
+    return [m.groups() for m in REFERENCE.finditer(path.read_text())]
+
+
+def resolves(module, dotted):
+    obj = importlib.import_module(f"flagmaps.{module}")
+    for part in dotted.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_doc_references_resolve(path):
+    assert [f"{module}.{dotted}" for module, dotted in references(path)
+            if not resolves(module, dotted)] == []
+
+
+def test_doc_references_are_found():
+    # the pattern must keep matching the references written today
+    assert sum(len(references(path)) for path in SOURCES) >= 40

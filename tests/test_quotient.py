@@ -13,7 +13,7 @@ from flagmaps.fpres import evaluate_word
 from flagmaps.mapcore import RootedMap, automorphism_to
 from flagmaps.perm import BoundExceeded, _orbit_partition, is_normal_in
 from flagmaps.quotient import (MapMorphism, NotAnAutomorphism, NotNormal,
-                               StabilizerNotContained, _block_quotient)
+                               StabilizerNotContained, _orbit_quotient)
 
 from .conftest import random_rooted_map
 
@@ -222,21 +222,25 @@ def test_block_check_rejects_partitions_that_are_not_block_systems():
     m = build_degenerate(6, 12)
     mon = m.monodromy_group()
     H = minimal_normal_subgroups(mon)[0]
-    block_of, orbits = _orbit_partition([g.images for g in H.generators],
-                                        m.n_flags)
-    reps = [o[0] for o in orbits]
-    _block_quotient(m, block_of, reps)  # a block system
-    # swap a flag of block 0 with the representative of block 1
+    tables = [g.images for g in H.generators]
+    _orbit_quotient(m, tables)  # a block system
+    # swap a flag of orbit 0 with the least flag of orbit 1, and cycle
+    # each part of the result: a table whose orbits are no block system
+    orbits = _orbit_partition(tables, m.n_flags)[1]
     x, y = orbits[0][1], orbits[1][0]
-    block_of[x], block_of[y] = 1, 0
-    reps[1] = x
+    orbits[0][1], orbits[1][0] = y, x
+    cycled = list(range(m.n_flags))
+    for orbit in orbits:
+        for a, b in zip(orbit, orbit[1:] + orbit[:1]):
+            cycled[a] = b
+    assert sorted(map(sorted, _orbit_partition([cycled], m.n_flags)[1])) == \
+        sorted(map(sorted, orbits))
     with pytest.raises(ValueError, match="not a block system"):
-        _block_quotient(m, block_of, reps)
+        _orbit_quotient(m, [cycled])
     H = PermGroup(m.n_flags, [m.r])
     assert not is_normal_in(H, mon)
-    block_of, orbits = _orbit_partition([m.r.images], m.n_flags)
     with pytest.raises(ValueError, match="not a block system"):
-        _block_quotient(m, block_of, [o[0] for o in orbits])
+        _orbit_quotient(m, [m.r.images])
 
 
 @settings(deadline=None, max_examples=60)
@@ -247,16 +251,16 @@ def test_block_quotient_equals_the_checked_map(seed, n_edges):
     # generator must send every flag's block where it sends the block
     m = random_rooted_map(random.Random(seed), n_edges)
     n = m.n_flags
-    labelings = [(list(range(n)), list(range(n))), ([0] * n, [0])]
+    # each flag alone, all flags in one block, and the orbits of each
+    # minimal normal subgroup
+    partitions = [[], [g.images for g in m.generators()]]
     try:
         for H in minimal_normal_subgroups(m.monodromy_group(), 5000):
-            block_of, orbits = _orbit_partition(
-                [g.images for g in H.generators], n)
-            labelings.append((block_of, [o[0] for o in orbits]))
+            partitions.append([g.images for g in H.generators])
     except BoundExceeded:
         pass
-    for block_of, reps in labelings:
-        quotient = _block_quotient(m, block_of, reps)
+    for tables in partitions:
+        quotient, block_of = _orbit_quotient(m, tables)
         checked = RootedMap(*(Perm(g.images) for g in quotient.generators()),
                             root=quotient.root)
         assert quotient == checked
