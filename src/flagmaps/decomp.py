@@ -53,12 +53,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from ._listing import _breadth_first_tree
 from .ettype import is_edge_transitive
 from .mapcore import RootedMap, _tables, automorphism_group, is_reflexible
 from .perm import (DEFAULT_ELEMENT_BOUND, BoundExceeded, PermGroup,
-                   _least_block, _orbit, _orbit_partition,
-                   minimal_normal_subgroups)
+                   _breadth_first_tree, _least_block, _orbit,
+                   _orbit_partition, minimal_normal_subgroups)
 from .product import NotReflexible
 from .quotient import _orbit_quotient
 
@@ -204,7 +203,7 @@ def _root_fixers(mon_tables: Sequence[Sequence[int]],
                  parent: Sequence[tuple[int, int]]) -> list[list[int]]:
     """For each Aut table a, the table of h = a * u^-1, where u in Mon is
     the word of Mon's breadth-first tree (``parent``, from
-    ``_listing._breadth_first_tree``) from the root to root . a; so
+    ``perm._breadth_first_tree``) from the root to root . a; so
     root . h = root.  Mon's generators are involutions, so u^-1 reads u's
     letters backwards, climbing the tree from root . a: the letter g_j
     that reached y from its parent takes y back to it.  Each letter
@@ -277,6 +276,11 @@ def decomposability_edge_transitive(m: RootedMap,
     subgroups.  A type-1 map goes to ``decomposability_general``; on the
     other types the same search runs on Aut, and a positive verdict
     carries Aut witnesses, their orbit quotients and a verified certificate.
+    Each factor is edge-transitive, but it can gain symmetry: a type-2 or
+    type-3 map can have a type-1 factor.  Aut can be small where Mon is
+    past the bound: this route decides the parallel product of the type-5
+    maps from AGL(1, 5) and AGL(1, 7), |Aut| = 420, on which
+    ``decomposability_general`` returns unknown.
 
     Type 1 is read as |Aut| = |flags|, with no type row matched: the
     type-1 row holds tau, lambda and theta1, and an Aut-orbit holding

@@ -11,20 +11,22 @@ of the points from point 0 (``_centralizer_scan``), kept on the group:
 Aut of a map is the centralizer of its Mon.  Orbits whose objects are
 numbered come from ``_numbered_orbit``, a bounded breadth-first walk that
 records its Schreier tables.  Each reader of a group's elements lists
-them anew (``_listing.Listing``), each named by the images of a base on
-whose orbit the group acts regularly and faithfully, walked once
-(``_walk``): the points of a regular group with no walk at all; for a
-transitive group with a nontrivial centralizer, the least point of each
-orbit of the centralizer; the point 0 for a group that knows its order
-and is semiregular on the orbit of 0 (Aut of a map); the base of its
-stabilizer chain otherwise, whose pointwise stabilizer is trivial.
-Conjugacy classes, minimal normal subgroups, the right regular tables and
+them anew (``Listing``), each named by the images of a base on whose
+orbit the group acts regularly and faithfully, walked once (``_walk``):
+the points of a regular group with no walk at all; for a transitive
+group with a nontrivial centralizer, the least point of each orbit of
+the centralizer; the point 0 for a group that knows its order and is
+semiregular on the orbit of 0 (Aut of a map); the base of its stabilizer
+chain otherwise, whose pointwise stabilizer is trivial.  Conjugacy
+classes, minimal normal subgroups, the right regular tables and
 ``elements()`` read it, building image tuples and left tables on demand
-along its breadth-first tree, and the group keeps the count, as its
-order, but not the listing.  Plain orbits of points come from
-``_orbit``, orbit partitions (each point's orbit number and each orbit's
-list) from ``_orbit_partition``, and the least block holding two points
-from ``_least_block``.  One routine grows the unique map that turns one list
+along its breadth-first tree (``_breadth_first_tree``, which also gives
+the block test of ``decomp`` its words and ``quotient`` its transversal
+of a morphism), and the group keeps the count, as its order, but not the
+listing.  Plain orbits of points come from ``_orbit``, orbit partitions
+(each point's orbit number and each orbit's list) from
+``_orbit_partition``, and the least block holding two points from
+``_least_block``.  One routine grows the unique map that turns one list
 of tables into another: it finds the centralizer of a regular group
 (which also gives its left regular tables, ``_left_tables``) and each
 element of the centralizer scan, and finds labeled congruence of groups
@@ -38,8 +40,6 @@ from dataclasses import dataclass
 from math import inf, isqrt, lcm
 from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Sequence
-
-from . import _listing
 
 DEFAULT_DEGREE_BOUND = 10_000
 DEFAULT_ELEMENT_BOUND = 100_000
@@ -446,10 +446,10 @@ class PermGroup:
             return self._chain.order()
         return self.degree if self._regular else 0
 
-    def _listed(self, bound: int) -> _listing.Listing:
+    def _listed(self, bound: int) -> Listing:
         """A new listing of the elements, named by the images of a base
-        (``_listing.Listing``): for a regular group no walk at all, else
-        the orbit of the base, walked once (``_walk``).  A transitive group
+        (``Listing``): for a regular group no walk at all, else the orbit
+        of the base, walked once (``_walk``).  A transitive group
         with a nontrivial centralizer C takes the least point of each orbit
         of C for its base: every element commutes with C, so one that
         fixes the base fixes every point, and the group acts regularly and
@@ -474,7 +474,7 @@ class PermGroup:
         if order in (0, self.degree) and self.is_regular():
             if self.degree > bound:
                 raise BoundExceeded(message)
-            listing = _listing.Listing(
+            listing = Listing(
                 gens, range(self.degree), gens,
                 [c.images for c in self._centralizer], self.degree)
         elif ((not order or order > self.degree) and self.is_transitive()
@@ -527,6 +527,151 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
 
 
+class Listing:
+    """The elements of a group, named by the images of a base.
+
+    An element x is named b.x for a tuple of points b on whose orbit the
+    group acts regularly and faithfully, so every element has one name and
+    x * t is named b.x.t, one ``itemgetter`` call on the images of t.
+    When b is the point 0 (a regular or a semiregular group) the names
+    are points, else tuples of points.  Elements are indices, the identity
+    0: ``names[i]`` is the name of element i and ``where[name]`` its
+    index, ``right[j][i]`` is the index of element i * g_j and
+    ``left[j][i]`` that of g_j * element i.  A regular group's indices
+    are its points, its right tables are its generators and its left
+    tables the centralizer generators that ``is_regular`` grew (g_j * x
+    is named c_j[0.x]).  Other listings number the names in the order
+    that the walk of the base's orbit finds them, which is the
+    breadth-first order of ``elements()``, and read their left tables off
+    the breadth-first tree.  Image tuples are built only on demand
+    (``image_builder``).
+    """
+
+    __slots__ = ("gens", "names", "right", "degree", "points", "_where",
+                 "_left", "_tree")
+
+    def __init__(self, gens: list[tuple[int, ...]], names: Sequence,
+                 right: Sequence[Sequence[int]],
+                 left: Sequence[Sequence[int]] | None, degree: int):
+        self.gens = gens
+        self.names = names
+        self.right = right
+        self.degree = degree
+        self.points = not isinstance(names[0], tuple)
+        self._left = left
+        self._where = names if isinstance(names, range) else None
+        self._tree: tuple[list[int], list] | None = None
+
+    @property
+    def count(self) -> int:
+        return len(self.names)
+
+    @property
+    def where(self) -> Any:
+        if self._where is None:
+            self._where = dict(zip(self.names, range(self.count)))
+        return self._where
+
+    @property
+    def left(self) -> Sequence[Sequence[int]]:
+        """The left tables, read off the breadth-first tree when not given:
+        c = a * g_i there, so g_j * c is (g_j * a) * g_i, one lookup per
+        element and generator with no check, since the group acts
+        regularly on the names."""
+        if self._left is None:
+            order, parent = self.breadth_first()
+            steps = [(c, parent[c][0], self.right[parent[c][1]])
+                     for c in order[1:]]
+            self._left = []
+            for row in self.right:
+                table = [0] * self.count
+                table[0] = row[0]
+                for c, a, then in steps:
+                    table[c] = then[table[a]]
+                self._left.append(table)
+        return self._left
+
+    def times(self, name: Hashable) -> Callable[[Sequence[int]], Any]:
+        """The map from the images of t to the name of x * t, for the x
+        named ``name``."""
+        return itemgetter(name) if self.points else itemgetter(*name)
+
+    def sort_key(self, images: Callable[[int], tuple[int, ...]],
+                 ) -> Callable[[int], Any]:
+        """A key on indices that sorts elements as their image tuples do:
+        the name, when the base is a prefix 0, 1, ..., k-1 of the points,
+        else the images."""
+        base = self.names[0]
+        if self.points or base == tuple(range(len(base))):
+            return self.names.__getitem__
+        return images
+
+    def breadth_first(self) -> tuple[list[int], list]:
+        """The breadth-first tree of the indices from the identity over the
+        right tables (``_breadth_first_tree``), kept."""
+        if self._tree is None:
+            self._tree = _breadth_first_tree(self.right, 0, self.count)
+        return self._tree
+
+    def breadth_first_order(self) -> Sequence[int]:
+        """The indices in the order of ``elements()``."""
+        if isinstance(self.names, range):  # a regular group's points
+            return self.breadth_first()[0]
+        return range(self.count)  # numbered breadth first by the walk
+
+    def image_builder(self) -> Callable[[int], tuple[int, ...]]:
+        """The function from an index to the image tuple of its element.
+        Each element asked for is built from its parent in the
+        breadth-first tree by one composition, and kept for the function's
+        later calls."""
+        if self.names[0] == tuple(range(self.degree)):
+            return self.names.__getitem__  # a base of every point
+        _, parent = self.breadth_first()
+        gens = self.gens
+        built: list = [None] * self.count
+        built[0] = tuple(range(self.degree))
+
+        def images(i: int) -> tuple[int, ...]:
+            path = []
+            while built[i] is None:
+                path.append(i)
+                i = parent[i][0]
+            result = built[i]
+            for c in reversed(path):
+                result = built[c] = itemgetter(*result)(gens[parent[c][1]])
+            return result
+
+        return images
+
+    def breadth_first_right(self) -> Sequence[Sequence[int]]:
+        """The right tables on the indices of ``elements()``."""
+        order = self.breadth_first_order()
+        if isinstance(order, range):
+            return self.right
+        position = [0] * self.count
+        for i, c in enumerate(order):
+            position[c] = i
+        return [[position[row[c]] for c in order] for row in self.right]
+
+
+def _breadth_first_tree(tables: Sequence[Sequence[int]], root: int, n: int,
+                        ) -> tuple[list[int], list]:
+    """The orbit of root in {0..n-1} under the tables, breadth first from
+    it, and ``parent[c] = (a, j)``: c was first found as a . g_j, the j-th
+    table's image of a.  ``parent[root]`` is (root, -1), and the parent of
+    a point outside the orbit is None."""
+    parent: list = [None] * n
+    parent[root] = (root, -1)
+    order = [root]
+    for a in order:  # grows while it is read: a breadth-first queue
+        for j, images in enumerate(tables):
+            c = images[a]
+            if parent[c] is None:
+                parent[c] = (a, j)
+                order.append(c)
+    return order, parent
+
+
 def _numbered_orbit(start: Hashable, images: Callable[[Any], Iterable],
                     bound: float = inf, message: str = "",
                     ) -> tuple[list, list[list[int]]]:
@@ -550,7 +695,7 @@ def _numbered_orbit(start: Hashable, images: Callable[[Any], Iterable],
 
 
 def _walk(gens: list[tuple[int, ...]], base: tuple[int, ...], degree: int,
-          bound: float, message: str) -> _listing.Listing:
+          bound: float, message: str) -> Listing:
     """The orbit of the base b, walked once by ``_numbered_orbit`` within
     the element bound, as a listing: the names are points for a base of
     one point, else tuples of points.  It lists the group when the group
@@ -561,7 +706,7 @@ def _walk(gens: list[tuple[int, ...]], base: tuple[int, ...], degree: int,
     else:
         names, right = _numbered_orbit(
             base, lambda a: map(itemgetter(*a), gens), bound, message)
-    return _listing.Listing(gens, names, right, None, degree)
+    return Listing(gens, names, right, None, degree)
 
 
 def _orbit(tables: Sequence[Sequence[int]], start: int) -> list[int]:
@@ -743,7 +888,7 @@ def _left_tables(right: Sequence[Sequence[int]],
     return left
 
 
-def _index_classes(listing: _listing.Listing,
+def _index_classes(listing: Listing,
                    ) -> tuple[list[int], list[list[int]]]:
     """Each listing index's conjugacy class, and the classes as lists of
     listing indices, each headed by its least index: the orbits of the
@@ -788,7 +933,7 @@ def _right_cosets(H: list, points: bool):
     return lambda t: (t[0],)  # H is trivial: the name of t alone
 
 
-def _class_closure(listing: _listing.Listing,
+def _class_closure(listing: Listing,
                    images: Callable[[int], tuple[int, ...]],
                    cls: list[int], dead: set) -> list | None:
     """The names of the subgroup generated by the class ``cls``, or None
@@ -860,7 +1005,7 @@ def minimal_normal_subgroups(G: PermGroup,
     if G.is_trivial():
         return []
     listing = G._listed(bound)
-    names, where = listing.names, listing.where
+    names, where, times = listing.names, listing.where, listing.times
     class_of, classes = _index_classes(listing)
     images = listing.image_builder()
     identity = names[0]
@@ -870,13 +1015,11 @@ def minimal_normal_subgroups(G: PermGroup,
         if names[cls[0]] in dead:
             continue
         x = images(cls[0])
-        times_x = (x.__getitem__ if listing.points
-                   else lambda name: itemgetter(*name)(x))
         powers = []  # the names of x, x^2, ..., x^(k-1), k the order of x
         power = names[cls[0]]
         while power != identity:
             powers.append(power)
-            power = times_x(power)
+            power = times(power)(x)
         if not _is_prime(len(powers) + 1):
             continue
         found = _class_closure(listing, images, cls, dead)

@@ -24,8 +24,9 @@ from operator import itemgetter
 from typing import Sequence
 
 from .mapcore import RootedMap, _rooted_map, _tables, isomorphism
-from .perm import (BoundExceeded, Perm, PermGroup, _equivariant_map,
-                   _numbered_orbit, _orbit_partition, _perm, is_normal_in)
+from .perm import (BoundExceeded, Perm, PermGroup, _breadth_first_tree,
+                   _equivariant_map, _numbered_orbit, _orbit_partition,
+                   _perm, is_normal_in)
 
 
 class StabilizerNotContained(ValueError):
@@ -207,20 +208,18 @@ def morphism_to_k_quotient(phi: MapMorphism) -> KQuotientCharacterization:
     K is the preimage of the target root stabilizer, for the action of the
     source monodromy on the target flags.  A breadth-first transversal
     keeps, for each target flag z, a source monodromy element u[z] taking
-    the target root to z: u[z] = u[y] * s when z = y . g is first reached,
+    the target root to z: u[z] = u[y] * s when z = y . g is first reached
+    in the target's breadth-first tree (``perm._breadth_first_tree``),
     where s and g are the same generator of source and target.  K is
     generated by the Schreier generators u[y] * s * u[y . g]^-1.
     """
     src, tgt = phi.source, phi.target
     pairs = list(zip(src.generators(), tgt.generators()))
+    order, parent = _breadth_first_tree(_tables(tgt), tgt.root, tgt.n_flags)
     transversal = {tgt.root: Perm.identity(src.n_flags)}
-    reached = [tgt.root]
-    for y in reached:  # grows while it is read: a breadth-first queue
-        for s, g in pairs:
-            z = g.images[y]
-            if z not in transversal:
-                transversal[z] = transversal[y] * s
-                reached.append(z)
+    for z in order[1:]:
+        y, j = parent[z]
+        transversal[z] = transversal[y] * pairs[j][0]
     inverses = {z: u.inverse() for z, u in transversal.items()}
 
     gens: list[Perm] = []

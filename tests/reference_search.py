@@ -1,5 +1,5 @@
 """Earlier minimal-normal-subgroup searches, kept unchanged as references
-for the search on named elements (``_listing.Listing``): the Perm-set
+for the search on named elements (``perm.Listing``): the Perm-set
 search with one stabilizer-chain normal closure per class, the union-find
 search on the right regular action, and the search that listed every
 element as its full image tuple.  They live apart from ``oracles.py``, which the

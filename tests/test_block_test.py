@@ -27,11 +27,11 @@ from flagmaps import (LabeledGenerators, Perm, PermGroup, RootedMap,
                       analyze_map, construct_from_group,
                       decomposability_general, save_map)
 from flagmaps import decomp, perm
-from flagmaps._listing import _breadth_first_tree
 from flagmaps.cli import main
 from flagmaps.ettype import TYPE_GENERATORS
 from flagmaps.mapcore import automorphism_group
-from flagmaps.perm import _least_block, _orbit, _orbit_partition
+from flagmaps.perm import (_breadth_first_tree, _least_block, _orbit,
+                           _orbit_partition)
 
 from .conftest import random_rooted_map
 from .oracles import automorphisms_brute, decomposable_brute

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from flagmaps import (PermGroup, build_degenerate, build_slightly_degenerate,
-                      cells, congruent_labeled_groups,
+from flagmaps import (Perm, PermGroup, build_degenerate,
+                      build_slightly_degenerate, cells, congruent_labeled_groups,
+                      construct_from_group,
                       decomposability_edge_transitive,
                       decomposability_general, decomposability_reflexible,
                       decompose_with_certificate, du, isomorphism, k_quotient,
@@ -24,6 +25,23 @@ from .oracles import decomposable_brute, is_prime_power
 
 def tlr(m):
     return LabeledGenerators(("t", "l", "r"), m.generators())
+
+
+def affine_type5(p, a):
+    """The type-5 map from AGL(1, p), with sigma_x1 = x + 1 and
+    sigma_x2 = a x, checked to be detected as exactly type 5."""
+    m, report = construct_from_group("5", LabeledGenerators(
+        ("sigma_x1", "sigma_x2"), (Perm([(x + 1) % p for x in range(p)]),
+                                   Perm([a * x % p for x in range(p)]))))
+    assert report.detected == "5" and report.exact
+    return m
+
+
+@pytest.fixture(scope="module")
+def affine_product():
+    """The parallel product of the type-5 maps from AGL(1, 5) and
+    AGL(1, 7): a decomposable map of detected type 5."""
+    return parallel_product(affine_type5(5, 2), affine_type5(7, 3)).product
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +217,7 @@ def test_search_builds_only_what_the_verdict_returns(monkeypatch, c4_sphere):
 
 
 def test_certificate_is_the_rooted_isomorphism_from_the_product(
-        default_census, constructions, fig3_quotient):
+        default_census, constructions, fig3_quotient, affine_product):
     # the independent route: build the product of the factors and search
     # for the rooted isomorphism onto m; the pairing proof must return it,
     # and the product must be m numbered breadth first from its root
@@ -209,11 +227,10 @@ def test_certificate_is_the_rooted_isomorphism_from_the_product(
              for family in ("epsilon", "delta") for k in range(2, 21)]
     maps += [entry.map for entry in default_census.entries]
     maps += [m for _, m in constructions]
-    # the edge-transitive route on the constructions and the Figure 3 map:
-    # Aut witnesses of detected types 2, 2*, 3 and 4 (no detected type 5
-    # decomposes there)
+    # the edge-transitive route on the constructions, the Figure 3 map and
+    # the AGL product: Aut witnesses of detected types 2, 2*, 3, 4 and 5
     verdicts = [decomposability_general(m) for m in maps]
-    et_maps = [m for _, m in constructions] + [fig3_quotient]
+    et_maps = [m for _, m in constructions] + [fig3_quotient, affine_product]
     maps += et_maps
     verdicts += [decomposability_edge_transitive(m) for m in et_maps]
     decomposable = aut_witnesses = 0
@@ -231,7 +248,28 @@ def test_certificate_is_the_rooted_isomorphism_from_the_product(
         c = canonicalize(m)
         assert (product.generators(), product.root) == (c.generators(),
                                                         c.root)
-    assert decomposable >= 50 and aut_witnesses >= 14
+    assert decomposable >= 50 and aut_witnesses >= 15
+
+
+def test_type5_product_decomposes_on_aut(affine_product):
+    # each factor is indecomposable of type 5, and so is their product's
+    # type; Mon of the product is past the element bound, Aut has order 420
+    for p, a, n_flags in ((5, 2, 80), (7, 3, 168)):
+        m = affine_type5(p, a)
+        assert m.n_flags == n_flags and ettype.classify_type(m)[0] == "5"
+        assert decomposability_edge_transitive(m).decomposable is False
+    m = affine_product
+    assert m.n_flags == 1680 and ettype.classify_type(m)[0] == "5"
+    assert automorphism_group(m).order() == 420
+    verdict = decomposability_edge_transitive(m)
+    assert verdict.decomposable and verdict.witness_group == "automorphism"
+    assert [H.order() for H in verdict.witnesses] == [5, 7]
+    assert [f.n_flags for f in verdict.factors] == [336, 240]
+    assert [ettype.classify_type(f)[0] for f in verdict.factors] == ["5", "5"]
+    assert verdict.to_json_dict()["certificate_checked"]
+    general = decomposability_general(m)
+    assert general.decomposable is None
+    assert general.reason == f"group exceeds element bound {DEFAULT_ELEMENT_BOUND}"
 
 
 def test_pairing_check_refuses_blocks_that_do_not_separate_flags(

@@ -1,7 +1,8 @@
 """Every backticked dotted name that starts with a module of the package,
 such as ``perm._orbit_partition`` or `decomp.decomposability_general(m)`,
 names something that exists, in README.md and in the package's own
-docstrings and comments."""
+docstrings and comments, and none of them cites a ROADMAP item by its
+number, which changes whenever the ROADMAP is reordered."""
 
 import importlib
 import re
@@ -15,6 +16,7 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 REFERENCE = re.compile(r"`+(" + "|".join(map(re.escape, MODULES))
                        + r")\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)")
 SOURCES = [ROOT / "README.md"] + sorted(PACKAGE.glob("*.py"))
+ITEM_NUMBER = re.compile(r"ROADMAP(?:'s)?\s+items?\s+\d", re.IGNORECASE)
 
 
 def references(path):
@@ -40,3 +42,8 @@ def test_doc_references_resolve(path):
 def test_doc_references_are_found():
     # the pattern must keep matching the references written today
     assert sum(len(references(path)) for path in SOURCES) >= 40
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_roadmap_items_are_cited_by_title(path):
+    assert ITEM_NUMBER.findall(path.read_text()) == []

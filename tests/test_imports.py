@@ -1,5 +1,5 @@
 """Every name a module of the package imports is used in that module, and
-the element listing imports nothing from the package."""
+each module imports only the modules below it in the package's layers."""
 
 import ast
 from pathlib import Path
@@ -31,14 +31,39 @@ def test_every_imported_name_is_used(path):
     assert sorted(set(imported_names(tree)) - used) == []
 
 
-def test_listing_imports_nothing_from_the_package():
-    # perm imports _listing, so _listing stands below every other module
-    tree = ast.parse((PACKAGE / "_listing.py").read_text())
-    modules = []
+# The package's modules, lowest first: the kernel perm imports nothing from
+# the package, and cli everything it needs.
+LAYERS = ["perm", "fpres", "mapcore", "quotient", "product", "degen",
+          "ettype", "decomp", "cli"]
+
+
+def package_imports(tree):
+    """The package modules that a module imports, at any depth."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            modules.append("." * node.level + (node.module or ""))
+            module = node.module or ""
+            if node.level == 0:
+                top, _, module = module.partition(".")
+                if top != "flagmaps":
+                    continue
+            if module:
+                yield module.partition(".")[0]
+            else:  # from . import a, b
+                yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
-            modules += [alias.name for alias in node.names]
-    assert modules and not [m for m in modules
-                            if m.startswith((".", "flagmaps"))]
+            for alias in node.names:
+                top, _, rest = alias.name.partition(".")
+                if top == "flagmaps":
+                    yield rest.partition(".")[0] or top
+
+
+def test_layers_name_every_module():
+    assert sorted(LAYERS) == sorted(
+        p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_each_module_imports_only_lower_layers(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    below = set(LAYERS[:LAYERS.index(module)])
+    assert sorted(set(package_imports(tree)) - below) == []

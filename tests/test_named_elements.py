@@ -1,4 +1,4 @@
-"""Elements named by the images of a base (``_listing.Listing``): the
+"""Elements named by the images of a base (``perm.Listing``): the
 minimal-normal search on them against the search that listed every
 element as its full image tuple (kept in ``tests/reference_search.py``),
 the other readers of the listing against the oracles, and what the
@@ -17,7 +17,7 @@ from flagmaps import (BoundExceeded, LabeledGenerators, Perm, PermGroup,
                       build_degenerate, build_slightly_degenerate,
                       construct_from_group, minimal_normal_subgroups, perm)
 from flagmaps.mapcore import triality_composites
-from flagmaps.perm import DEFAULT_ELEMENT_BOUND, conjugacy_classes
+from flagmaps.perm import DEFAULT_ELEMENT_BOUND, Listing, conjugacy_classes
 
 from . import oracles, reference_search
 from .conftest import random_rooted_map
@@ -236,7 +236,6 @@ def test_kept_mon_keeps_the_order_but_no_listing(monkeypatch):
 def kept_listings(G):
     """The names of G's attributes that hold a listing, or a tuple with
     one entry per element of G."""
-    from flagmaps._listing import Listing
     order = G.order()
     return [name for name, value in vars(G).items()
             if isinstance(value, Listing)
