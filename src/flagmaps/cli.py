@@ -11,13 +11,14 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import mod, ne
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 from . import degen, ettype
-from .decomp import NotEdgeTransitive, decomposability_general
+from .decomp import (NotEdgeTransitive, decomposability_edge_transitive,
+                     decomposability_general)
 from .degen import (ContextVector, broken_forcing, context_vector,
                     triality_images, vector_presentation)
 from .fpres import (MAX_COSETS, EnumerationOverflow, PresentationError,
@@ -499,8 +500,24 @@ def cmd_kquotient(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    """Decide on Mon.  When that is unknown and the map is
+    edge-transitive, the Aut route runs too, and a positive verdict from
+    it is printed: its checked pairing certificate proves the map the
+    parallel product of its two proper quotients.  Any other Aut outcome
+    keeps the unknown verdict, with the outcome added to its reason."""
     m = _read_map(args.map)
     verdict = decomposability_general(m)
+    if verdict.decomposable is None and ettype.is_edge_transitive(m):
+        on_aut = decomposability_edge_transitive(m)
+        if on_aut.decomposable:
+            verdict = on_aut
+        else:
+            outcome = (f"unknown ({on_aut.reason})"
+                       if on_aut.decomposable is None
+                       else "no two minimal normal subgroups of Aut, "
+                       "with no certificate")
+            verdict = replace(verdict, reason=f"{verdict.reason}; "
+                              f"automorphism route: {outcome}")
     payload = verdict.to_json_dict()
     if verdict.decomposable and args.emit_factors:
         out = Path(args.emit_factors)

@@ -2,7 +2,9 @@
 map symbols, type behavior under duality, and the group-to-map construction.
 
 A map contains the named automorphism for a word W when some automorphism
-takes the root to root.W.  An edge-transitive map can be simply re-rooted
+takes the root to root.W, that is when root.W lies in the root's
+Aut-orbit: the flags are labeled by Aut-orbit once, and each word is read
+on the T, L and R tables.  An edge-transitive map can be simply re-rooted
 so that the set of named automorphisms it contains is exactly one of the
 fourteen rows of the type table; that rooting is the canonical rooting.
 """
@@ -13,7 +15,8 @@ from dataclasses import dataclass
 
 from .degen import classify_degeneracy
 from .fpres import evaluate_word
-from .mapcore import TRIALITY, RootedMap, automorphism_group, simple_reroots
+from .mapcore import (GENERATOR_NAMES, TRIALITY, RootedMap,
+                      automorphism_group, simple_reroots)
 from .perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators, Perm, _orbit,
                    _orbit_partition)
 
@@ -104,10 +107,19 @@ class RelationViolation(ValueError):
 def named_automorphisms_present(m: RootedMap) -> frozenset[str]:
     """Which of the thirteen named automorphisms m contains at its root.
     Some automorphism takes the root to root.W exactly when root.W lies in
-    the root's Aut-orbit."""
-    orbit = set(automorphism_group(m).orbit(m.root))
-    return frozenset(name for name, word in NAMED_AUTOMORPHISM_WORDS.items()
-                     if m.act(m.root, word) in orbit)
+    the root's Aut-orbit: each word is read on the T, L and R tables and
+    compared by the flags' Aut-orbit labels, which the map keeps
+    (``RootedMap._aut_orbits``) and shares with its re-rootings."""
+    orbit_of = m._aut_orbits[0]
+    tables = dict(zip(GENERATOR_NAMES, (g.images for g in m.generators())))
+    present = []
+    for name, word in NAMED_AUTOMORPHISM_WORDS.items():
+        x = m.root
+        for letter in word:
+            x = tables[letter][x]
+        if orbit_of[x] == orbit_of[m.root]:
+            present.append(name)
+    return frozenset(present)
 
 
 def is_edge_transitive(m: RootedMap) -> bool:
@@ -140,15 +152,16 @@ def classify_type(m: RootedMap) -> tuple[str, RootedMap] | None:
 
     The four simple re-rootings are tried in the order root, root.T,
     root.L, root.TL; the first whose named-automorphism set equals a type
-    row wins.  Aut is the same group at every rooting, so it is found on m
-    before re-rooting, and each re-rooting shares it.  An edge-transitive
-    map that matches no row, which the fourteen-type theorem rules out,
-    raises RuntimeError; the decomposability route reads no row
+    row wins.  Aut is the same group at every rooting, so the flags are
+    labeled by Aut-orbit once, on m, and each re-rooting shares the labels
+    and asks for no Aut.  An edge-transitive map that matches no row,
+    which the fourteen-type theorem rules out, raises RuntimeError; the
+    decomposability route reads no row
     (``decomp.decomposability_edge_transitive``).
     """
     if not is_edge_transitive(m):
         return None
-    automorphism_group(m)
+    m._aut_orbits  # found on m, before re-rooting, for every re-rooting
     for candidate in simple_reroots(m):
         present = named_automorphisms_present(candidate)
         for label, required in TYPE_TABLE.items():

@@ -14,18 +14,21 @@ letters from one flag.
 A map keeps its Mon, and Aut is the centralizer of Mon
 (``PermGroup.centralizer``): one scan of the flags from flag 0, kept on
 Mon and shared by every re-rooting.  Reflexibility is Mon's regularity
-(``is_reflexible``).
+(``is_reflexible``).  The context orders are read on the tables by
+``context_cycle_orders``, from one flag per Aut-orbit, and the census
+reads its enumerated groups with the same routine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Literal
+from math import lcm
+from typing import Iterable, Iterator, Literal, Sequence
 
-from .fpres import Word, parse_word, word_order
-from .perm import (LabeledGenerators, Perm, PermGroup, _equivariant_map,
-                   _numbered_orbit, _orbit, _orbit_partition)
+from .fpres import Word, parse_word
+from .perm import (LabeledGenerators, Perm, PermGroup, _breadth_first_tree,
+                   _equivariant_map, _orbit, _orbit_partition, _perm)
 
 GENERATOR_NAMES = ("t", "l", "r")
 # The seven mandatory context words T, L, R, TL, RT, RL, TLR (see degen).
@@ -33,22 +36,33 @@ CONTEXT_WORDS: tuple[Word, ...] = tuple(map(parse_word, (
     "t", "l", "r", "t*l", "r*t", "r*l", "t*l*r")))
 
 
-def context_cycle_orders(lg: LabeledGenerators) -> Iterator[int]:
-    """The orders of the seven context words in a group labeled t, l, r
-    that acts regularly, one word at a time: each is the length of the
-    word's cycle through point 0, since only the identity fixes a point.
-    A caller comparing them with expected orders can stop at the first
-    that differs."""
+def context_cycle_orders(lg: LabeledGenerators,
+                         starts: Sequence[int] = (0,)) -> Iterator[int]:
+    """The orders of the seven context words in a group labeled t, l, r,
+    one word at a time, read on the image tables: each is the lcm of the
+    lengths of the word's cycles through the ``starts``, so the starts
+    must meet every cycle length.  A group that acts regularly needs the
+    point 0 alone, since only the identity fixes a point; a map needs one
+    flag per Aut-orbit (``RootedMap._context_orders``).  A start on a
+    cycle already walked for the word is skipped.  A caller comparing the
+    orders with expected ones can stop at the first that differs."""
     images = dict(zip(lg.labels, (g.images for g in lg.generators)))
     for word in CONTEXT_WORDS:
         letters = [images[name] for name, exp in word for _ in range(exp)]
-        point, order = 0, 0
-        while True:
-            for letter in letters:
-                point = letter[point]
-            order += 1
-            if point == 0:
-                break
+        order = 1
+        seen: set[int] = set()
+        for start in starts:
+            if start in seen:
+                continue
+            point, length = start, 0
+            while True:
+                for letter in letters:
+                    point = letter[point]
+                length += 1
+                if point == start:
+                    break
+                seen.add(point)
+            order = lcm(order, length)
         yield order
 
 
@@ -115,14 +129,25 @@ class RootedMap:
         return self.monodromy_group().centralizer()
 
     @cached_property
+    def _aut_orbits(self) -> tuple[list[int], list[list[int]]]:
+        """Each flag's Aut-orbit number and the Aut-orbits, found once per
+        map (``perm._orbit_partition`` of Aut's tables)."""
+        return _orbit_partition(
+            [a.images for a in self._automorphism_group.generators],
+            self.n_flags)
+
+    @cached_property
     def _context_orders(self) -> tuple[int, ...]:
         """Orders of the seven context words, found once per map (see
-        degen.context_vector): read off the cycles through flag 0 when Mon
-        is regular, else from the words' permutations."""
+        degen.context_vector) by ``context_cycle_orders``.  Aut commutes
+        with every word, so a word's cycles through the flags of one
+        Aut-orbit have one length, and one flag per Aut-orbit meets every
+        length: the root alone when Mon is regular, since Aut then is
+        transitive."""
         lg = LabeledGenerators(GENERATOR_NAMES, self.generators())
-        if self.monodromy_group().is_regular():
-            return tuple(context_cycle_orders(lg))
-        return tuple(word_order(lg, w) for w in CONTEXT_WORDS)
+        starts = ((self.root,) if self.monodromy_group().is_regular()
+                  else [orbit[0] for orbit in self._aut_orbits[1]])
+        return tuple(context_cycle_orders(lg, starts))
 
     @cached_property
     def _surface(self) -> SurfaceInfo:
@@ -221,10 +246,17 @@ def load_map(text: str) -> RootedMap:
 
 
 def canonicalize(m: RootedMap) -> RootedMap:
-    """Renumber flags by BFS from the root over T, L, R; root becomes 0."""
-    t, l, r = _tables(m)
-    _, relabeled = _numbered_orbit(m.root, lambda x: (t[x], l[x], r[x]))
-    return RootedMap(*map(Perm, relabeled), root=0)
+    """Renumber flags by BFS from the root over T, L, R; root becomes 0.
+    Flag i is the i-th flag of ``perm._breadth_first_tree``'s order, and
+    each table is read through the position of each flag in that order.
+    A relabeling keeps every axiom, so none is checked again."""
+    tables = _tables(m)
+    order, _ = _breadth_first_tree(tables, m.root, m.n_flags)
+    position = [0] * m.n_flags
+    for i, x in enumerate(order):
+        position[x] = i
+    return _rooted_map(*(_perm(tuple([position[images[x]] for x in order]))
+                         for images in tables), 0)
 
 
 def save_map(m: RootedMap) -> str:
@@ -395,12 +427,12 @@ def automorphism_group(m: RootedMap) -> PermGroup:
 
 # The facts kept on a map that do not depend on its root.
 _ROOT_FREE_FACTS = ("_surface", "_monodromy_group", "_automorphism_group",
-                    "_context_orders")
+                    "_aut_orbits", "_context_orders")
 
 
 def reroot(m: RootedMap, flag: int) -> RootedMap:
     """m rooted at flag, sharing the root-free facts m has already found:
-    its surface, Mon, Aut and the context orders.
+    its surface, Mon, Aut, the Aut-orbits and the context orders.
     Only the new root is checked: the generators are m's."""
     if not 0 <= flag < m.n_flags:
         raise MapInvariantError("root flag out of range")

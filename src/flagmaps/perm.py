@@ -5,29 +5,30 @@ Groups are given by generating permutations.  A regular group (Mon of a
 reflexible map, Aut of one) is recognised from its point tables: its order
 is the degree and membership is commuting with its centralizer.  Other
 groups get orders and membership from an incremental Schreier-Sims
-stabilizer chain with explicit inverse transversals, unless the order is
-already known.  The centralizer of a transitive group comes from a scan
-of the points from point 0 (``_centralizer_scan``), kept on the group:
-Aut of a map is the centralizer of its Mon.  Orbits whose objects are
-numbered come from ``_numbered_orbit``, a bounded breadth-first walk that
-records its Schreier tables.  Each reader of a group's elements lists
-them anew (``Listing``), each named by the images of a base on whose
-orbit the group acts regularly and faithfully, walked once (``_walk``):
-the points of a regular group with no walk at all; for a transitive
-group with a nontrivial centralizer, the least point of each orbit of
-the centralizer; the point 0 for a group that knows its order and is
-semiregular on the orbit of 0 (Aut of a map); the base of its stabilizer
-chain otherwise, whose pointwise stabilizer is trivial.  Conjugacy
-classes, minimal normal subgroups, the right regular tables and
-``elements()`` read it, building image tuples and left tables on demand
-along its breadth-first tree (``_breadth_first_tree``, which also gives
-the block test of ``decomp`` its words and ``quotient`` its transversal
-of a morphism), and the group keeps the count, as its order, but not the
-listing.  Plain orbits of points come from ``_orbit``, orbit partitions
-(each point's orbit number and each orbit's list) from
-``_orbit_partition``, and the least block holding two points from
-``_least_block``.  One routine grows the unique map that turns one list
-of tables into another: it finds the centralizer of a regular group
+stabilizer chain on image tuples, keeping each transversal element and its
+inverse, unless the order is already known.  The centralizer of a
+transitive group comes from a scan of the points from point 0
+(``_centralizer_scan``), kept on the group: Aut of a map is the
+centralizer of its Mon.  Orbits whose objects are numbered come from
+``_numbered_orbit``, a bounded breadth-first walk that records its
+Schreier tables.  Each reader of a group's elements lists them anew
+(``Listing``), each named by the images of a base on whose orbit the group
+acts regularly and faithfully, walked once (``_walk``): the points of a
+regular group with no walk at all; for a transitive group with a
+nontrivial centralizer, the least point of each orbit of the centralizer;
+the point 0 for a group that knows its order and is semiregular on the
+orbit of 0 (Aut of a map); the base of its stabilizer chain otherwise,
+whose pointwise stabilizer is trivial.  Conjugacy classes, minimal normal
+subgroups, the right regular tables and ``elements()`` read it, building
+image tuples and left tables on demand along its breadth-first tree
+(``_breadth_first_tree``, which also gives the block test of ``decomp``
+its words, ``quotient`` its transversal of a morphism and
+``mapcore.canonicalize`` its numbering), and the group keeps the count, as
+its order, but not the listing.  Plain orbits of points come from
+``_orbit``, orbit partitions (each point's orbit number and each orbit's
+list) from ``_orbit_partition``, and the least block holding two points
+from ``_least_block``.  One routine grows the unique map that turns one
+list of tables into another: it finds the centralizer of a regular group
 (which also gives its left regular tables, ``_left_tables``) and each
 element of the centralizer scan, and finds labeled congruence of groups
 and the isomorphisms and automorphisms of maps.
@@ -171,44 +172,51 @@ def _perm(images: tuple[int, ...]) -> Perm:
 class _Level:
     """One level of a stabilizer chain: a base point, strong generators
     (each fixes the earlier base points), and the orbit of the base point
-    under them with one inverse transversal element per orbit point."""
+    under them with one transversal element and its inverse per orbit
+    point, all as image tuples."""
 
-    __slots__ = ("point", "gens", "gen_invs", "points", "inv", "done",
-                 "cursor")
+    __slots__ = ("point", "gens", "gen_invs", "points", "u", "inv", "edge",
+                 "done", "cursor")
 
-    def __init__(self, point: int, degree: int):
+    def __init__(self, point: int, identity: tuple[int, ...]):
         self.point = point
-        self.gens: list[Perm] = []
-        self.gen_invs: list[Perm] = []
-        # orbit points in discovery order; inv[pt] is u^-1 for the
-        # transversal element u with point . u == pt
+        self.gens: list[tuple[int, ...]] = []
+        self.gen_invs: list[tuple[int, ...]] = []
+        # orbit points in discovery order; u[pt] is the transversal element
+        # with point . u == pt and inv[pt] its inverse; edge[pt] = (a, j)
+        # when pt was first reached as a . g_j, so that u[pt] = u[a] * g_j
         self.points = [point]
-        self.inv = {point: Perm.identity(degree)}
+        self.u = {point: identity}
+        self.inv = {point: identity}
+        self.edge: dict[int, tuple[int, int]] = {}
         # done[k]: the number of generators whose Schreier generators at
         # points[k] have been sifted; every point before cursor is done
         self.done = [0]
         self.cursor = 0
 
-    def add_generator(self, s: Perm, s_inv: Perm) -> None:
+    def add_generator(self, s: tuple[int, ...],
+                      s_inv: tuple[int, ...]) -> None:
         """Append a generator and grow the orbit breadth first: the points
         already known under s alone, the new points under every generator."""
         self.gens.append(s)
         self.gen_invs.append(s_inv)
         self.cursor = 0
-        points, inv = self.points, self.inv
+        points, u, inv, edge = self.points, self.u, self.inv, self.edge
         old = len(points)
-        step = [(s.images, s_inv)]
+        step = [(len(self.gens) - 1, s, s_inv)]
         k = 0
         while k < len(points):
             if k == old:
-                step = [(g.images, g_inv)
-                        for g, g_inv in zip(self.gens, self.gen_invs)]
+                step = list(zip(range(len(self.gens)), self.gens,
+                                self.gen_invs))
             a = points[k]
-            for images, g_inv in step:
-                b = images[a]
+            for j, g, g_inv in step:
+                b = g[a]
                 if b not in inv:
                     # u_b = u_a * g, so u_b^-1 = g^-1 * u_a^-1
-                    inv[b] = g_inv * inv[a]
+                    u[b] = itemgetter(*u[a])(g)
+                    inv[b] = itemgetter(*g_inv)(inv[a])
+                    edge[b] = (a, j)
                     points.append(b)
                     self.done.append(0)
             k += 1
@@ -223,76 +231,91 @@ def _check_degree(degree: int) -> None:
 
 
 class StabilizerChain:
-    """Incremental deterministic Schreier-Sims chain for order/membership.
+    """Incremental deterministic Schreier-Sims chain for order/membership,
+    on image tuples: no ``Perm`` is built.
 
     Level i carries the base point b_i, strong generators that fix
-    b_0..b_{i-1}, and for each point pt in the orbit of b_i under them the
-    inverse u^-1 of a transversal element u with b_i . u == pt.  Only the
-    inverse is stored, one permutation per orbit point, so the chain holds
-    sum(orbit size) * degree image entries.  Sifting multiplies by the
-    stored inverses.  Each Schreier generator u_a * s * u_{a.s}^-1 of
-    level i is sifted once, from level i+1 on; a nontrivial residue that
-    stops at level j becomes a strong generator of levels i+1..j, and work
-    resumes at level j (Holt, Handbook of Computational Group Theory,
-    SCHREIERSIMS).  A generator added from outside is sifted from level 0
-    the same way.
+    b_0..b_{i-1}, and for each point pt in the orbit of b_i under them a
+    transversal element u with b_i . u == pt and its inverse u^-1, so the
+    chain holds 2 * sum(orbit size) * degree image entries.  Sifting
+    multiplies by the stored inverses, one ``itemgetter`` call per level,
+    and a residue is compared with one stored identity tuple.  Each
+    Schreier generator u_a * s * u_{a.s}^-1 of level i is sifted once,
+    from level i+1 on, except on a tree edge (a.s first reached as a . s,
+    where it is the identity); a nontrivial residue that stops at level j
+    becomes a strong generator of levels i+1..j, and work resumes at level
+    j (Holt, Handbook of Computational Group Theory, SCHREIERSIMS).  A
+    generator added from outside is sifted from level 0 the same way.  A
+    level opens at the least point its first generator moves.
     """
 
     def __init__(self, gens: Sequence[Perm], degree: int):
         _check_degree(degree)
         self.degree = degree
+        self.identity = tuple(range(degree))
         self.levels: list[_Level] = []
         for g in gens:
-            self._add(g)
+            self._add(g.images)
 
-    def _sift(self, p: Perm, start: int = 0) -> tuple[Perm, int]:
+    def _sift(self, p: tuple[int, ...],
+              start: int = 0) -> tuple[tuple[int, ...], int]:
         """Reduce p by transversal elements from level ``start`` on; the
         residue is the identity iff p is a member.  Also returns the level
         where sifting stopped."""
         levels = self.levels
         for i in range(start, len(levels)):
             level = levels[i]
-            x = p.images[level.point]
+            x = p[level.point]
             if x != level.point:
                 u_inv = level.inv.get(x)
                 if u_inv is None:
                     return p, i
-                p = p * u_inv
+                p = itemgetter(*p)(u_inv)
         return p, len(levels)
 
-    def _insert(self, h: Perm, first: int, last: int) -> None:
+    def _insert(self, h: tuple[int, ...], first: int, last: int) -> None:
         """Make h a strong generator of levels first..last, opening a new
         level at the least point h moves when last is past the end."""
         if last == len(self.levels):
-            moved = next(k for k, v in enumerate(h.images) if k != v)
-            self.levels.append(_Level(moved, self.degree))
-        h_inv = h.inverse()
+            moved = next(k for k, v in enumerate(h) if k != v)
+            self.levels.append(_Level(moved, self.identity))
+        h_inv = [0] * self.degree
+        for i, j in enumerate(h):
+            h_inv[j] = i
+        h_inv = tuple(h_inv)
         for level in self.levels[first:last + 1]:
             level.add_generator(h, h_inv)
 
-    def _unsifted_residue(self, i: int) -> tuple[Perm, int] | None:
+    def _unsifted_residue(self, i: int) -> tuple[tuple[int, ...], int] | None:
         """Sift the Schreier generators of level i not yet sifted, through
         the levels below it, up to the first nontrivial residue."""
         level = self.levels[i]
-        gens, points, inv, done = level.gens, level.points, level.inv, level.done
+        gens, points, done = level.gens, level.points, level.done
+        u, inv, edge = level.u, level.inv, level.edge
+        identity = self.identity
         for k in range(level.cursor, len(points)):
             level.cursor = k
             if done[k] == len(gens):
                 continue
             a = points[k]
-            u_a = inv[a].inverse()
-            for s in gens[done[k]:]:
-                done[k] += 1
-                residue, j = self._sift(u_a * s * inv[s.images[a]], i + 1)
-                if not residue.is_identity():
-                    return residue, j
+            then_u_a = itemgetter(*u[a])
+            for j in range(done[k], len(gens)):
+                done[k] = j + 1
+                s = gens[j]
+                b = s[a]
+                if edge.get(b) == (a, j):
+                    continue  # u_b = u_a * s: the Schreier generator is 1
+                residue, stop = self._sift(
+                    itemgetter(*then_u_a(s))(inv[b]), i + 1)
+                if residue != identity:
+                    return residue, stop
         level.cursor = len(points)
         return None
 
-    def _add(self, g: Perm) -> None:
+    def _add(self, g: tuple[int, ...]) -> None:
         """Extend the chain to the group generated by its group and g."""
         residue, i = self._sift(g)
-        if residue.is_identity():
+        if residue == self.identity:
             return
         self._insert(residue, 0, i)
         while i >= 0:
@@ -313,8 +336,8 @@ class StabilizerChain:
     def contains(self, p: Perm) -> bool:
         if p.degree != self.degree:
             return False
-        residue, _ = self._sift(p)
-        return residue.is_identity()
+        residue, _ = self._sift(p.images)
+        return residue == self.identity
 
 
 class PermGroup:
@@ -831,7 +854,7 @@ def normal_closure(G: PermGroup, seed: Sequence[Perm],
         if chain.contains(s):
             continue
         gens.append(s)
-        chain._add(s)
+        chain._add(s.images)
         if chain.order() > bound:
             raise BoundExceeded(f"normal closure exceeds element bound {bound}")
         queue.extend(g_inv * s * g for g_inv, g in conjugators)

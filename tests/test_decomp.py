@@ -9,7 +9,7 @@ from flagmaps import (Perm, PermGroup, build_degenerate,
                       decomposability_general, decomposability_reflexible,
                       decompose_with_certificate, du, isomorphism, k_quotient,
                       load_map, monodromy_quotient, parallel_product, pe)
-from flagmaps import decomp, ettype, mapcore
+from flagmaps import cli, decomp, ettype, mapcore
 from flagmaps import product as product_module
 from flagmaps.decomp import NotEdgeTransitive, VerificationFailed
 from flagmaps.ettype import is_edge_transitive
@@ -270,6 +270,50 @@ def test_type5_product_decomposes_on_aut(affine_product):
     general = decomposability_general(m)
     assert general.decomposable is None
     assert general.reason == f"group exceeds element bound {DEFAULT_ELEMENT_BOUND}"
+
+
+def test_decompose_command_falls_back_to_aut(capsys, tmp_path,
+                                             affine_product):
+    # Mon is past the element bound, and the Aut route's checked
+    # certificate decides the map
+    src = tmp_path / "affine.map"
+    src.write_text(mapcore.save_map(affine_product))
+    factors = tmp_path / "factors"
+    code = cli.main(["decompose", str(src), "--emit-factors", str(factors)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_OK
+    assert payload["decomposable"] is True
+    assert payload["witness_group"] == "automorphism"
+    assert payload["certificate_checked"] is True
+    assert "reason" not in payload
+    assert [load_map((factors / f"factor{i}.map").read_text()).n_flags
+            for i in (1, 2)] == [336, 240]
+
+
+def test_decompose_command_keeps_unknown_without_aut_proof(
+        capsys, monkeypatch, tmp_path, non_edge_transitive):
+    # an indecomposable type-5 map whose Mon route is made unknown: the
+    # Aut route finds no pair, which certifies nothing, so the verdict
+    # stays unknown and names both outcomes
+    unknown = decomp.DecompositionVerdict(
+        decomposable=None, reason="group exceeds element bound 10")
+    monkeypatch.setattr(cli, "decomposability_general", lambda m: unknown)
+    src = tmp_path / "agl7.map"
+    src.write_text(mapcore.save_map(affine_type5(7, 3)))
+    code = cli.main(["decompose", str(src), "--emit-factors",
+                     str(tmp_path / "factors")])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_UNKNOWN
+    assert payload["decomposable"] is None
+    assert payload["witness_group"] == "monodromy"
+    assert payload["reason"] == (
+        "group exceeds element bound 10; automorphism route: no two "
+        "minimal normal subgroups of Aut, with no certificate")
+    assert not (tmp_path / "factors").exists()
+    # a map that is not edge-transitive has no Aut route
+    src.write_text(mapcore.save_map(non_edge_transitive))
+    assert cli.main(["decompose", str(src)]) == cli.EXIT_UNKNOWN
+    assert json.loads(capsys.readouterr().out)["reason"] == unknown.reason
 
 
 def test_pairing_check_refuses_blocks_that_do_not_separate_flags(

@@ -5,16 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagmaps import (LabeledGenerators, Perm, PermGroup, RootedMap,
-                      build_degenerate, build_slightly_degenerate, cells,
-                      classify_type, construct_from_group, du,
-                      is_edge_transitive, isomorphism, k_quotient, map_symbol,
-                      named_automorphisms_present, partial_order, pe,
-                      type_transforms)
+                      automorphism_group, build_degenerate,
+                      build_slightly_degenerate, cells, classify_type,
+                      construct_from_group, context_vector, du,
+                      is_edge_transitive, is_reflexible, isomorphism,
+                      k_quotient, map_symbol, named_automorphisms_present,
+                      partial_order, pe, reroot, type_transforms, word_order)
 from flagmaps.ettype import (NAMED_AUTOMORPHISM_WORDS, TYPE_GENERATORS,
                              TYPE_LABELS, TYPE_TABLE, DegenerateSymbolAdvisory,
                              LabelMismatch, RelationViolation,
                              _cell_sizes_by_orbit)
+from flagmaps.mapcore import CONTEXT_WORDS, GENERATOR_NAMES
 
+from . import oracles
 from .conftest import map_from_vector
 from .oracles import automorphisms_brute
 from .test_equivariant_map import maps
@@ -334,3 +337,48 @@ def test_edge_transitivity_of_boundary_degenerate_maps(boundary_degenerate):
                           len(cells(m).edges) > 1))
     assert {(True, True, True), (False, True, True),
             (True, False, True)} <= verdicts
+
+
+def test_named_automorphisms_and_types_at_every_flag(constructions,
+                                                     boundary_degenerate):
+    # the flags labeled by Aut-orbit once per map, against an automorphism
+    # searched for each word at each rooting; the re-rootings share the
+    # map's labels, as classify_type's do
+    types = set()
+    for _, base in constructions + boundary_degenerate:
+        named_automorphisms_present(base)
+        for root in range(base.n_flags):
+            m = reroot(base, root)
+            fresh = RootedMap(*base.generators(), root=root)
+            assert (named_automorphisms_present(m)
+                    == oracles.named_automorphisms_present(fresh))
+            got, want = classify_type(m), oracles.classify_type(fresh)
+            assert (got and (got[0], got[1].root, got[1].generators())) == (
+                want and (want[0], want[1].root, want[1].generators()))
+            types.add(got and got[0])
+    assert {None, "1", "2", "2P", "3", "4"} <= types
+
+
+def word_orders(m):
+    lg = LabeledGenerators(GENERATOR_NAMES, m.generators())
+    return tuple(word_order(lg, w) for w in CONTEXT_WORDS)
+
+
+def test_context_orders_of_reroots_are_the_word_orders(
+        constructions, boundary_degenerate):
+    # test_words checks each map at its root; here every re-rooting that
+    # shares Mon and Aut asks first, and reads the orders from its own
+    # root, or from one flag per Aut-orbit, on boundary-degenerate maps
+    # and maps with trivial and nontrivial Aut
+    kinds = set()
+    for _, m in constructions + boundary_degenerate:
+        want = word_orders(m)
+        base = RootedMap(*m.generators(), root=m.root)
+        aut = automorphism_group(base)
+        kinds.add((is_reflexible(base), aut.order() > 1))
+        for root in range(base.n_flags):
+            first = reroot(base, root)
+            assert automorphism_group(first) is aut
+            assert context_vector(first).orders == want
+            assert context_vector(reroot(first, base.root)).orders == want
+    assert {(False, False), (False, True), (True, True)} <= kinds

@@ -400,19 +400,19 @@ def reroot_facts(m):
 
 
 def check_reroot_shares_root_free_facts(m, flags):
-    cells_and_surface(m), context_vector(m)
+    cells_and_surface(m), context_vector(m), named_automorphisms_present(m)
     aut, mon = automorphism_group(m), m.monodromy_group()
     for f in flags:
         with pytest.MonkeyPatch.context() as mp:
             runs = [count_fact_runs(mp, name) for name in (
                 "_surface", "_monodromy_group", "_automorphism_group",
-                "_context_orders")]
+                "_aut_orbits", "_context_orders")]
             shared = reroot(m, f)
             shared_facts = reroot_facts(shared)
             shared_aut = automorphism_group(shared)
             assert shared_aut is aut
             assert shared.monodromy_group() is mon
-            assert runs == [[], [], [], []]  # found once, on m
+            assert runs == [[], [], [], [], []]  # found once, on m
         cold = RootedMap(m.t, m.l, m.r, f)
         assert shared_facts == reroot_facts(cold)
         assert shared_aut == automorphism_group(cold)

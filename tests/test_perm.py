@@ -170,6 +170,38 @@ def test_order_matches_mulclose(data):
         assert G.contains(p) == (p in members)
 
 
+def split_perm_strategy(n, k):
+    """Permutations of n points that keep {0..k-1}: for k < n they
+    generate an intransitive group."""
+    return st.tuples(st.permutations(range(k)),
+                     st.permutations(range(k, n))).map(
+        lambda parts: Perm(parts[0] + parts[1]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 8).flatmap(lambda n: st.integers(1, n).flatmap(
+    lambda k: st.tuples(
+        st.lists(split_perm_strategy(n, k), min_size=1, max_size=3),
+        st.lists(st.integers(0, 2), max_size=3),
+        st.integers(0, 3),
+        st.lists(perm_strategy(n), max_size=4)))))
+def test_chain_matches_mulclose_with_repeated_and_identity_generators(data):
+    # the chain itself, not PermGroup, which drops identity generators:
+    # repeats and identities sift to the identity and change nothing
+    gens, repeats, identity_at, probes = data
+    degree = gens[0].degree
+    given_gens = list(gens) + [gens[i % len(gens)] for i in repeats]
+    given_gens.insert(min(identity_at, len(given_gens)),
+                      Perm.identity(degree))
+    chain = perm.StabilizerChain(given_gens, degree)
+    members = mulclose(gens)
+    assert chain.order() == len(members)
+    assert all(map(chain.contains, members))
+    for p in probes:
+        assert chain.contains(p) == (p in members)
+    assert not chain.contains(Perm.identity(degree + 1))
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_composition_degree_below_two(n):
     # the one-key itemgetter edge: composition stays a tuple of images

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -80,3 +81,61 @@ def test_dm_scan_corrupt_certificate_exit_code(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "certificate disagrees with the product" in out
     assert "MISMATCHES" in out
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", SCRIPTS / "bench_pairs.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+# four pairs of canned ``bench/run.py`` result lines, parent and change
+RUN_LINE = ('{{"correct": true, "attempted": 10, "failed": 0, "metrics": '
+            '{{"throughput_ops_per_s": {{"value": {ops}, "unit": "1/s"}}, '
+            '"latency_p90_ms": {{"value": {p90}, "unit": "ms"}}}}}}')
+CANNED_RUNS = [
+    (RUN_LINE.format(ops=old_ops, p90=old_p90),
+     RUN_LINE.format(ops=new_ops, p90=new_p90))
+    for old_ops, new_ops, old_p90, new_p90 in (
+        (100, 104, 1.40, 1.20), (110, 100, 1.45, 1.22),
+        (90, 95, 1.38, 1.25), (100, 99, 1.42, 1.21))]
+
+
+def test_bench_pairs_summary():
+    script = load_bench_pairs()
+    parent = [json.loads(old) for old, _ in CANNED_RUNS]
+    change = [json.loads(new) for _, new in CANNED_RUNS]
+    lines = script.summarize(parent, change, {
+        "throughput_ops_per_s": "higher", "latency_p90_ms": "lower"})
+    # throughput: medians 100 and 99.5, parent quartiles 97.5 and 102.5;
+    # p90: medians 1.41 and 1.215, parent quartiles 1.395 and 1.4275,
+    # printed to four digits
+    assert lines == [
+        "throughput_ops_per_s: parent 100 [97.5, 102.5] -> change 99.5 "
+        "[98, 101]; better in 2/4 pairs; within the parent's IQR (5)",
+        "latency_p90_ms: parent 1.41 [1.395, 1.427] -> change 1.215 "
+        "[1.208, 1.228]; better in 4/4 pairs; better by more than the "
+        "parent's IQR (0.0325)"]
+    worse = script.summarize(change, parent, {"latency_p90_ms": "lower"})
+    assert worse[0].endswith("better in 0/4 pairs; worse by more than the "
+                             "parent's IQR (0.02)")
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["{root}", "{root}", "--workload", "analyze", "--seed", "1"],
+    ["{root}", "{root}", "--workload", "other", "--seed", "1", "--pairs", "1"],
+    ["{root}", "{root}", "--workload", "analyze", "--seed", "1",
+     "--pairs", "0"],
+    ["{root}", "{missing}", "--workload", "analyze", "--seed", "1",
+     "--pairs", "1"],
+])
+def test_bench_pairs_bad_arguments(tmp_path, args):
+    root = SCRIPTS.parent
+    done = run_script("bench_pairs.py", *(
+        a.format(root=root, missing=tmp_path / "missing") for a in args))
+    assert done.returncode == 2
+    assert done.stderr.startswith("usage:")
+    assert "pair 0" not in done.stdout
