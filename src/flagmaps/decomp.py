@@ -1,12 +1,25 @@
 """Decision procedures for parallel-product decomposability.
 
-A map decomposes iff its monodromy group has two normal non-transitive
-subgroups H1, H2 with trivial intersection whose products with the root
-stabilizer meet only in the stabilizer.  The search runs over pairs of
-minimal normal subgroups; this is complete, because any witnessing pair
-can be shrunk to a minimal one (sub-subgroups stay non-transitive, the
-stabilizer-product condition only tightens, and distinct minimal normal
-subgroups intersect trivially).
+The two routes answer two questions.  ``decomposability_general`` asks
+whether a map is the parallel product of two of its monodromy quotients,
+the quotients by normal subgroups of Mon; ``decomposability_edge_transitive``
+asks whether an edge-transitive map is the parallel product of two of
+its automorphism quotients, the quotients by normal subgroups of Aut.  A
+map can be the second and not the first: 7 of the 40 type 2-5
+constructions over V4, S3, D4 and D5 in the tests are, and on them the
+Mon route's false agrees with the all-pairs oracle over normal subgroups
+of Mon.
+
+A map decomposes into two monodromy quotients iff its monodromy group
+has two normal non-transitive subgroups H1, H2 with trivial intersection
+whose products with the root stabilizer meet only in the stabilizer.
+The search runs over pairs of minimal normal subgroups; this is
+complete, because any witnessing pair can be shrunk to a minimal one
+(sub-subgroups stay non-transitive, the stabilizer-product condition
+only tightens, and distinct minimal normal subgroups intersect
+trivially).  It reads the minimal normal subgroups as a sorted stream
+(``perm._minimal_normals``) and stops at the first witness pair, so no
+conjugacy class is closed after both witnesses are yielded.
 
 When Mon is not regular, a block test runs first and can settle the
 verdict without listing Mon.  It reads G = <Mon, Aut>: Aut centralizes
@@ -51,13 +64,13 @@ other types the same search and proof run on Aut (``_verified_factor_pair``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .ettype import is_edge_transitive
 from .mapcore import RootedMap, _tables, automorphism_group, is_reflexible
 from .perm import (DEFAULT_ELEMENT_BOUND, BoundExceeded, PermGroup,
-                   _breadth_first_tree, _least_block, _orbit,
-                   _orbit_partition, minimal_normal_subgroups)
+                   _breadth_first_tree, _least_block, _minimal_normals,
+                   _orbit, _orbit_partition)
 from .product import NotReflexible
 from .quotient import _orbit_quotient
 
@@ -145,6 +158,13 @@ def decomposability_general(m: RootedMap,
     """Search ordered pairs of distinct minimal normal subgroups of Mon(m)
     for a pair witnessing decomposability; certificates are always verified.
 
+    This decides decomposition into two monodromy quotients: a map
+    decomposes so iff Mon has two normal non-transitive subgroups with
+    trivial intersection whose products with the root stabilizer meet only
+    in the stabilizer.  Decomposition into two automorphism quotients is
+    ``decomposability_edge_transitive``'s question, and an edge-transitive
+    map can have that one and not this one.
+
     For a normal H, S.H (S the root stabilizer) is the stabilizer of the
     block root.H, and by transitivity S.H1 & S.H2 == S exactly when the
     blocks root.H1 and root.H2 meet only in the root.  A Mon that is not
@@ -224,34 +244,69 @@ def _root_fixers(mon_tables: Sequence[Sequence[int]],
 def _minimal_normal_search(m: RootedMap, group: PermGroup, bound: int,
                            witness_group: str) -> DecompositionVerdict:
     """The search over pairs of minimal normal subgroups of ``group``,
-    Mon(m) or Aut(m), named ``witness_group`` on every verdict."""
+    Mon(m) or Aut(m), named ``witness_group`` on every verdict.
+
+    It reads the sorted stream of ``perm._minimal_normals`` only as far
+    as ``_first_witness_pair`` needs.  The stream yields a subgroup as
+    soon as none still to be found can sort before it: classes are closed
+    smallest first, so before a class of c elements every minimal normal
+    subgroup not yet found has at least c + 1, and a kept closure of at
+    most c elements is settled.  So the pair is the full sorted list's,
+    and no class is closed after both witnesses are yielded."""
     try:
-        minimals = minimal_normal_subgroups(group, bound)
+        pair = _first_witness_pair(_minimal_normals(group, bound), m.root,
+                                   m.n_flags)
     except BoundExceeded as exc:
         return DecompositionVerdict(decomposable=None, reason=str(exc),
                                     witness_group=witness_group)
-    # H is transitive exactly when the root's orbit holds every flag
-    blocks = []
+    if pair is None:
+        return DecompositionVerdict(decomposable=False,
+                                    witness_group=witness_group)
+    factors, cert = _verified_factor_pair(m, *pair)
+    return DecompositionVerdict(decomposable=True, witnesses=pair,
+                                factors=factors, certificate=cert,
+                                witness_group=witness_group)
+
+
+def _first_witness_pair(minimals: Iterable[PermGroup], root: int, n: int,
+                        ) -> tuple[PermGroup, PermGroup] | None:
+    """The pair (H_i, H_j) of the sorted minimal normal subgroups of a
+    transitive group on n points with the least i, then the least j != i,
+    whose blocks at the root are proper and meet only in the root; None
+    when there is no such pair.
+
+    H is transitive exactly when the root's orbit holds every point, and
+    one root orbit is walked per subgroup read.  The subgroups before the
+    first proper one, H_f, are transitive, so every partner of H_f comes
+    after it, and its first partner, found as the stream is read, ends
+    the search with the answer of the full double loop.  When a regular
+    Mon has two or more minimal normal subgroups, and on Aut of types
+    2-5, none of them is transitive and two distinct ones meet
+    trivially, so the pair is the first two.  Only when H_f has no
+    partner is the stream read to its end and the full double loop
+    run."""
+    root_only = frozenset((root,))
+    read: list[PermGroup] = []
+    blocks: list[frozenset[int] | None] = []
+    first = None  # the index of the first proper root block
     for H in minimals:
-        block = _orbit([g.images for g in H.generators], m.root)
-        blocks.append(None if len(block) == m.n_flags else frozenset(block))
-    root_only = frozenset((m.root,))
+        block = _orbit([g.images for g in H.generators], root)
+        read.append(H)
+        blocks.append(None if len(block) == n else frozenset(block))
+        if blocks[-1] is None:
+            continue
+        if first is None:
+            first = len(read) - 1
+        elif blocks[first] & blocks[-1] == root_only:
+            return read[first], H
     for i, block_i in enumerate(blocks):
         if block_i is None:
             continue
         for j, block_j in enumerate(blocks):
-            if i == j or block_j is None or block_i & block_j != root_only:
-                continue
-            factors, cert = _verified_factor_pair(m, minimals[i], minimals[j])
-            return DecompositionVerdict(
-                decomposable=True,
-                witnesses=(minimals[i], minimals[j]),
-                factors=factors,
-                certificate=cert,
-                witness_group=witness_group,
-            )
-    return DecompositionVerdict(decomposable=False,
-                                witness_group=witness_group)
+            if (i != j and block_j is not None
+                    and block_i & block_j == root_only):
+                return read[i], read[j]
+    return None
 
 
 def decomposability_reflexible(m: RootedMap,
@@ -272,9 +327,12 @@ def decomposability_edge_transitive(m: RootedMap,
                                     bound: int = DEFAULT_ELEMENT_BOUND) -> DecompositionVerdict:
     """Decide decomposability of an edge-transitive map from Aut(m) alone.
 
-    The map decomposes iff Aut(m) has at least two minimal normal
-    subgroups.  A type-1 map goes to ``decomposability_general``; on the
-    other types the same search runs on Aut, and a positive verdict
+    This decides decomposition into two automorphism quotients, the
+    quotients by normal subgroups of Aut (``decomposability_general``
+    decides it into two monodromy quotients, and can say no where this
+    says yes).  The map decomposes so iff Aut(m) has at least two minimal
+    normal subgroups.  A type-1 map goes to ``decomposability_general``;
+    on the other types the same search runs on Aut, and a positive verdict
     carries Aut witnesses, their orbit quotients and a verified certificate.
     Each factor is edge-transitive, but it can gain symmetry: a type-2 or
     type-3 map can have a type-1 factor.  Aut can be small where Mon is

@@ -40,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 from math import inf, isqrt, lcm
 from operator import itemgetter
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 DEFAULT_DEGREE_BOUND = 10_000
 DEFAULT_ELEMENT_BOUND = 100_000
@@ -543,8 +543,10 @@ class PermGroup:
         return (all(g in other for g in self.generators)
                 and all(g in self for g in other.generators))
 
-    def __hash__(self) -> int:  # PermGroups are set-like; hash by frozen elements
-        return hash((self.degree, frozenset(self.elements())))
+    def __hash__(self) -> int:
+        """Equal groups have one degree and one order, so the hash reads
+        those two and lists no element."""
+        return hash((self.degree, self.order()))
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
@@ -998,7 +1000,23 @@ def _class_closure(listing: Listing,
 
 def minimal_normal_subgroups(G: PermGroup,
                              bound: int = DEFAULT_ELEMENT_BOUND) -> list[PermGroup]:
-    """All inclusion-minimal nontrivial normal subgroups of G.
+    """All inclusion-minimal nontrivial normal subgroups of G, sorted by
+    order, then by element list: the whole stream of ``_minimal_normals``,
+    which closes the prime-order conjugacy classes smallest first.  The
+    stream yields a subgroup before the search ends once it is certain of
+    its place: before a class of c elements is visited, a minimal normal
+    subgroup not yet found holds an unvisited class of prime order, so at
+    least c elements besides the identity, and every kept closure of at
+    most c elements is settled.  A group of more than bound elements
+    raises ``BoundExceeded`` before its element bound is named."""
+    return list(_minimal_normals(G, bound))
+
+
+def _minimal_normals(G: PermGroup,
+                     bound: int = DEFAULT_ELEMENT_BOUND) -> Iterator[PermGroup]:
+    """The minimal normal subgroups of G, in the order and with the
+    generators of ``minimal_normal_subgroups``, each yielded as soon as
+    its place is certain.
 
     G is listed (``PermGroup._listed``): its elements are named by
     the images of a base, points for a regular or semiregular G, and no
@@ -1020,21 +1038,57 @@ def minimal_normal_subgroups(G: PermGroup,
     same closure, so the classes of the powers of a visited x are skipped
     and count as visited.
 
-    Results are sorted by order, then by element list, and each is
-    generated by the conjugacy class of its least nontrivial element; its
-    order is known without a stabilizer chain.  A group of more than bound
-    elements raises ``BoundExceeded`` before its element bound is named.
+    Before a class of size c is visited, every minimal normal subgroup not
+    yet found has at least c + 1 elements: its classes of prime order are
+    all unvisited, so each has at least c elements, and it holds the
+    identity besides.  A kept closure K of at most c elements is then
+    settled: each minimal normal subgroup inside K is smaller than K, so it
+    is already found, and K is minimal exactly when no kept closure lies
+    inside it.  A minimal K comes before every subgroup not yet found,
+    which is larger, so the settled ones are sorted and yielded at once;
+    the bound only changes when c grows, and the rest are yielded after
+    the last class.  Each is generated by the conjugacy class of its least
+    nontrivial element, and its order is known without a stabilizer
+    chain.  A group of more than bound elements raises ``BoundExceeded``
+    at the first read, before its element bound is named.
     """
     if G.is_trivial():
-        return []
+        return
     listing = G._listed(bound)
     names, where, times = listing.names, listing.where, listing.times
+    points = listing.points
     class_of, classes = _index_classes(listing)
     images = listing.image_builder()
+    key = listing.sort_key(images)
     identity = names[0]
     dead: set = set()  # the names in the classes visited
-    kept = []
+    kept: list[frozenset[int]] = []  # every closure kept
+    unsettled: list[frozenset[int]] = []  # the kept closures not yet yielded
+
+    def settled(size: float) -> Iterator[PermGroup]:
+        """The minimal ones of the unsettled closures of at most size
+        elements, sorted, as subgroups; the others stay unsettled."""
+        ready = [N for N in unsettled if len(N) <= size]
+        unsettled[:] = [N for N in unsettled if len(N) > size]
+        keyed = []
+        for N in ready:
+            if any(M < N for M in kept):
+                continue
+            members = sorted(N, key=key)
+            keyed.append((len(N), [key(i) for i in members], members[1]))
+        keyed.sort(key=lambda entry: entry[:2])
+        for order, _, least in keyed:
+            N = PermGroup(G.degree, [
+                _perm(images(i))
+                for i in sorted(classes[class_of[least]], key=key)])
+            N._order = order
+            yield N
+
+    size = 0  # the size of the classes visited last
     for cls in sorted(classes, key=len):  # stable: ties in index order
+        if len(cls) > size:
+            size = len(cls)
+            yield from settled(size)
         if names[cls[0]] in dead:
             continue
         x = images(cls[0])
@@ -1042,30 +1096,18 @@ def minimal_normal_subgroups(G: PermGroup,
         power = names[cls[0]]
         while power != identity:
             powers.append(power)
-            power = times(power)(x)
+            power = x[power] if points else times(power)(x)
         if not _is_prime(len(powers) + 1):
             continue
         found = _class_closure(listing, images, cls, dead)
         if found is not None:
-            kept.append(frozenset(map(where.__getitem__, found)))
+            N = frozenset(map(where.__getitem__, found))
+            kept.append(N)
+            unsettled.append(N)
         for power in powers:
             if power not in dead:
                 dead.update(names[i] for i in classes[class_of[where[power]]])
-    key = listing.sort_key(images)
-    keyed = []
-    for N in kept:
-        if any(M < N for M in kept):
-            continue
-        members = sorted(N, key=key)
-        keyed.append((len(N), [key(i) for i in members], members[1]))
-    keyed.sort(key=lambda entry: entry[:2])
-    minimals = []
-    for size, _, least in keyed:
-        N = PermGroup(G.degree, [_perm(images(i)) for i in
-                                 sorted(classes[class_of[least]], key=key)])
-        N._order = size
-        minimals.append(N)
-    return minimals
+    yield from settled(inf)
 
 
 def is_normal_in(H: PermGroup, G: PermGroup) -> bool:

@@ -328,7 +328,7 @@ def test_s7_analysis_lists_no_element(monkeypatch):
     t, l, r, root = S7_MAP
     m = RootedMap(Perm(t), Perm(l), Perm(r), root=root)
     listed = count_calls(monkeypatch, PermGroup, "elements")
-    searched = count_calls(monkeypatch, decomp, "minimal_normal_subgroups")
+    searched = count_calls(monkeypatch, decomp, "_minimal_normals")
     report = analyze_map(m)
     assert listed == searched == []
     assert report.monodromy_order == 5040
@@ -348,7 +348,7 @@ def test_d5_construction_settled_by_aut_lists_nothing(monkeypatch,
     assert two_root_blocks_meet_only_in_root(m, with_aut=False)
     assert not two_root_blocks_meet_only_in_root(m)
     listed = count_calls(monkeypatch, PermGroup, "_listed")
-    searched = count_calls(monkeypatch, decomp, "minimal_normal_subgroups")
+    searched = count_calls(monkeypatch, decomp, "_minimal_normals")
     report = analyze_map(m)
     assert listed == searched == []
     mon = m.monodromy_group()
@@ -393,7 +393,7 @@ GIANT_BUDGET_S = 5.0
 def test_giant_verdict_lists_nothing_within_budget(monkeypatch):
     m = giant_map(200)
     listed = count_calls(monkeypatch, PermGroup, "elements")
-    searched = count_calls(monkeypatch, decomp, "minimal_normal_subgroups")
+    searched = count_calls(monkeypatch, decomp, "_minimal_normals")
     start = time.perf_counter()
     verdict = decomposability_general(m)
     elapsed = time.perf_counter() - start

@@ -8,19 +8,20 @@ from flagmaps import (Perm, PermGroup, build_degenerate,
                       decomposability_edge_transitive,
                       decomposability_general, decomposability_reflexible,
                       decompose_with_certificate, du, isomorphism, k_quotient,
-                      load_map, monodromy_quotient, parallel_product, pe)
+                      load_map, monodromy_quotient, parallel_product, pe,
+                      smallest_reflexible_cover)
 from flagmaps import cli, decomp, ettype, mapcore
 from flagmaps import product as product_module
 from flagmaps.decomp import NotEdgeTransitive, VerificationFailed
 from flagmaps.ettype import is_edge_transitive
 from flagmaps.mapcore import RootedMap, automorphism_group, canonicalize
 from flagmaps.perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators,
-                           minimal_normal_subgroups)
+                           _numbered_orbit, _orbit, minimal_normal_subgroups)
 from flagmaps.product import NotReflexible
 from flagmaps.quotient import MapMorphism
 
 from .conftest import count_calls
-from .oracles import decomposable_brute, is_prime_power
+from .oracles import decomposable_brute, is_prime_power, mulclose
 
 
 def tlr(m):
@@ -191,11 +192,13 @@ def test_factors_are_the_checked_monodromy_quotients(constructions):
 
 
 def test_search_builds_only_what_the_verdict_returns(monkeypatch, c4_sphere):
-    # one root orbit walked per minimal normal subgroup and m's own from
-    # the root (the certificate), the orbit quotients of the two witnesses
-    # only, and no morphism, projection, product, isomorphism search or
-    # checked map
+    # one root orbit walked per minimal normal subgroup read up to the
+    # witness pair, which on a regular Mon is the first two, and m's own
+    # from the root (the certificate); the orbit quotients of the two
+    # witnesses only, and no morphism, projection, product, isomorphism
+    # search or checked map
     assert not {"parallel_product", "isomorphism", "_orbits"} & set(vars(decomp))
+    unread = 0
     for m in (c4_sphere, build_degenerate(6, 12),
               build_slightly_degenerate("epsilon", 12)):
         with monkeypatch.context() as mp:
@@ -209,11 +212,15 @@ def test_search_builds_only_what_the_verdict_returns(monkeypatch, c4_sphere):
         assert verdict.decomposable
         assert morphisms == checked_maps == products == isomorphisms == []
         minimals = minimal_normal_subgroups(m.monodromy_group())
+        unread += len(minimals) - 2
+        assert ([H.generators for H in verdict.witnesses]
+                == [H.generators for H in minimals[:2]])
         tables = tuple(g.images for g in m.generators())
         assert root_orbits == [([g.images for g in H.generators], m.root)
-                               for H in minimals] + [(tables, m.root)]
+                               for H in minimals[:2]] + [(tables, m.root)]
         assert quotients == [(m, [g.images for g in H.generators])
                              for H in verdict.witnesses]
+    assert unread > 0
 
 
 def test_certificate_is_the_rooted_isomorphism_from_the_product(
@@ -491,3 +498,117 @@ def test_minimal_normal_reduction_against_bruteforce():
                 for family in ("epsilon", "delta") for k in range(2, 13)]
     for m in samples:
         assert decomposability_general(m).decomposable == decomposable_brute(m)
+
+
+# --- the lazy witness pair -------------------------------------------------
+
+def full_double_loop(minimals, root, n):
+    """The pair of the full rule over the whole sorted list: the first H_i
+    with a proper root block that has a partner, and its first partner."""
+    blocks = []
+    for H in minimals:
+        block = frozenset(_orbit([g.images for g in H.generators], root))
+        blocks.append(block if len(block) < n else None)
+    for i, block_i in enumerate(blocks):
+        for j, block_j in enumerate(blocks):
+            if (i != j and block_i is not None and block_j is not None
+                    and block_i & block_j == {root}):
+                return minimals[i], minimals[j]
+    return None
+
+
+def test_lazy_pair_is_the_full_double_loop(random_maps, constructions):
+    # on Mon of random maps, their regular covers and the constructions,
+    # and on Aut of the constructions: the same pair, and the stream is
+    # read up to the second witness only
+    cases = []
+    maps = list(random_maps) + [m for _, m in constructions]
+    maps += [smallest_reflexible_cover(m) for m in random_maps
+             if m.monodromy_group().order() <= 400]
+    for m in maps:
+        if m.monodromy_group().order() <= DEFAULT_ELEMENT_BOUND:
+            cases.append((m.monodromy_group(), m))
+    cases += [(automorphism_group(m), m) for _, m in constructions]
+    pairs = stopped_early = 0
+    for group, m in cases:
+        minimals = minimal_normal_subgroups(group)
+        stream = iter(minimals)
+        pair = decomp._first_witness_pair(stream, m.root, m.n_flags)
+        expected = full_double_loop(minimals, m.root, m.n_flags)
+        assert pair == expected
+        if pair is not None:
+            pairs += 1
+            assert pair[1] is minimals[len(minimals) - len(list(stream)) - 1]
+            stopped_early += pair[1] is not minimals[-1]
+    assert pairs >= 40 and stopped_early >= 10
+
+
+def a4_cube_on_cosets():
+    """A4 x A4 x A4 on the 432 right cosets of S = <(u, v, 1), (u', 1, w)>,
+    for u, u' distinct and v, w nontrivial in the Klein four-groups V of
+    the factors, numbered breadth first from S.  The minimal normal
+    subgroups are the three V's, and S meets none of them."""
+    P = lambda cycles: Perm.from_cycles(12, cycles)
+    gens = [P(cycles) for offset in (0, 4, 8) for cycles in (
+        [(offset, offset + 1, offset + 2)],
+        [(offset, offset + 1), (offset + 2, offset + 3)])]
+    S = mulclose([P([(0, 1), (2, 3), (4, 5), (6, 7)]),
+                  P([(0, 2), (1, 3), (8, 9), (10, 11)])])
+    start = frozenset(s.images for s in S)
+
+    def right_cosets(coset):
+        return [frozenset(tuple(g.images[i] for i in c) for c in coset)
+                for g in gens]
+
+    cosets, tables = _numbered_orbit(start, right_cosets)
+    return PermGroup(len(cosets), [Perm(t) for t in tables])
+
+
+def test_first_proper_subgroup_without_partner():
+    # root.V1 meets root.V2 and root.V3 in two points each, and root.V2
+    # meets root.V3 only in the root: the first proper subgroup has no
+    # partner, the stream is read to its end and the double loop gives
+    # (V2, V3).  No map among the random maps, their regular covers and
+    # the constructions has this shape; A4^3 is not generated by
+    # involutions, so it is no Mon.
+    G = a4_cube_on_cosets()
+    assert (G.degree, G.order()) == (432, 1728)
+    minimals = minimal_normal_subgroups(G)
+    blocks = [set(_orbit([g.images for g in H.generators], 0))
+              for H in minimals]
+    assert [len(b) for b in blocks] == [4, 4, 4]
+    assert [len(blocks[0] & blocks[1]), len(blocks[0] & blocks[2]),
+            len(blocks[1] & blocks[2])] == [2, 2, 1]
+    pair = decomp._first_witness_pair(iter(minimals), 0, G.degree)
+    assert pair == full_double_loop(minimals, 0, G.degree)
+    assert pair == (minimals[1], minimals[2])
+
+
+# --- the two routes answer two questions -----------------------------------
+
+# the constructions that decompose into two automorphism quotients but not
+# into two monodromy quotients
+AUT_ONLY = ["type3-V4-0", "type3-V4-1", "type4-V4-0", "type4-V4-1",
+            "type4-S3-1", "type3-D4-0", "type5-D4-0"]
+
+
+def test_routes_answer_different_questions(constructions):
+    # decomposability_general asks for two normal subgroups of Mon and
+    # decomposability_edge_transitive for two of Aut; on these seven maps
+    # only Aut has them, the Mon verdict agreeing with the all-pairs
+    # oracle and the Aut verdict carrying a checked certificate
+    differ = []
+    for name, m in constructions:
+        on_mon = decomposability_general(m)
+        on_aut = decomposability_edge_transitive(m)
+        if on_mon.decomposable == on_aut.decomposable:
+            continue
+        differ.append(name)
+        assert on_mon.decomposable is False
+        assert on_mon.witness_group == "monodromy"
+        assert decomposable_brute(m) is False
+        assert on_aut.decomposable is True
+        assert on_aut.witness_group == "automorphism"
+        assert on_aut.certificate == tuple(isomorphism(
+            parallel_product(*on_aut.factors).product, m, mode="rooted"))
+    assert sorted(differ) == sorted(AUT_ONLY)

@@ -460,6 +460,70 @@ def test_minimal_normals_match_reference(G, data):
         PermGroup(G.degree, G.generators), order)) == element_sets(got)
 
 
+def test_stream_places_subgroups_found_at_different_class_sizes():
+    # Z3 x S3 on 6 points: Z3 x 1 is closed from a class of one element,
+    # 1 x A3 from a class of two, and both have order 3; the stream may
+    # yield the first only once the classes reach three elements, and
+    # which of the two comes first depends on the labeling
+    rng = random.Random(20261020)
+    firsts = set()
+    for _ in range(60):
+        relabel = rng.sample(range(6), 6)
+        G = PermGroup(6, [Perm.from_cycles(6, [tuple(relabel[x] for x in c)
+                                                for c in cycles])
+                          for cycles in ([(0, 1, 2)], [(3, 4, 5)], [(3, 4)])])
+        got = list(perm._minimal_normals(G))
+        assert [N.generators for N in got] == [
+            N.generators for N in
+            reference_search.minimal_normal_subgroups_union_find(
+                PermGroup(G.degree, G.generators))]
+        assert [N.order() for N in got] == [3, 3]
+        firsts.add(len(got[0].generators))
+    assert firsts == {1, 2}
+
+
+def test_stream_yields_before_closing_every_class(monkeypatch):
+    # the epsilon map of k = 12 has a regular Mon with three minimal
+    # normal subgroups; the first two are yielded before the classes
+    # after them are closed
+    from flagmaps import build_slightly_degenerate
+    mon = build_slightly_degenerate("epsilon", 12).monodromy_group()
+    closures = []
+    original = perm._class_closure
+
+    def counted(*args):
+        closures.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(perm, "_class_closure", counted)
+    every = minimal_normal_subgroups(mon)
+    all_closures = len(closures)
+    del closures[:]
+    stream = perm._minimal_normals(mon)
+    first_two = [next(stream), next(stream)]
+    assert [N.generators for N in first_two] == [
+        N.generators for N in every[:2]]
+    assert len(every) >= 3 and len(closures) < all_closures
+
+
+def test_hash_lists_no_element():
+    # equal groups have one degree and one order; S9 is past the element
+    # bound, and two generating sets of S5 give one hash
+    s9 = PermGroup(9, [Perm.from_cycles(9, [tuple(range(9))]),
+                       Perm.from_cycles(9, [(0, 1)])])
+    assert hash(s9) == hash((9, factorial(9)))
+    with pytest.raises(BoundExceeded):
+        s9.elements()
+    a = PermGroup(5, [Perm.from_cycles(5, [(0, 1, 2, 3, 4)]),
+                      Perm.from_cycles(5, [(0, 1)])])
+    b = PermGroup(5, [Perm.from_cycles(5, [(0, 1)]),
+                      Perm.from_cycles(5, [(1, 2)]),
+                      Perm.from_cycles(5, [(2, 3)]),
+                      Perm.from_cycles(5, [(3, 4)])])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 @pytest.mark.parametrize("family, top", [
     ("DM6", 24), ("DM7", 24), ("DM8", 24), ("epsilon", 16), ("delta", 16)])
 def test_minimal_normals_of_families_match_reference(family, top):

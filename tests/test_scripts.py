@@ -139,3 +139,23 @@ def test_bench_pairs_bad_arguments(tmp_path, args):
     assert done.returncode == 2
     assert done.stderr.startswith("usage:")
     assert "pair 0" not in done.stdout
+
+
+def test_output_digest_is_stable():
+    # one line per workload, and the same digests from a second run
+    runs = [run_script("output_digest.py", "--seeds", "1") for _ in range(2)]
+    assert [done.returncode for done in runs] == [0, 0], runs[0].stderr
+    lines = runs[0].stdout.splitlines()
+    assert [line.rsplit(" ", 1)[0] for line in lines] == [
+        "census seed 1", "analyze seed 1", "decompose seed 1"]
+    assert all(len(line.rsplit(" ", 1)[1]) == 64 for line in lines)
+    assert runs[1].stdout == runs[0].stdout
+
+
+@pytest.mark.parametrize("args", [["--seeds"], ["--seeds", "x"], ["1"],
+                                  ["--other"]])
+def test_output_digest_bad_arguments(args):
+    done = run_script("output_digest.py", *args)
+    assert done.returncode == 2
+    assert done.stderr.startswith("usage:")
+    assert done.stdout == ""
