@@ -9,11 +9,15 @@ Each pair runs ``bench/run.py --workload W --seed S --seconds 36
 first in pairs 0, 2, 4, ... and second in the others, so a slow spell of
 the machine does not fall on one side only.  Each run's end-to-end
 metrics are read from the last line of its output.  Per metric, with the
-direction from the parent's ``BENCHMARK.json``, the summary gives each
-side's median and quartiles (``statistics.quantiles``, inclusive), the
-pairs in which the change is better, and whether the gap between the
-medians exceeds the parent's interquartile range.  Exit 0 when every run
-finished and read ``correct: true``, 1 otherwise, 2 on bad arguments.
+direction and bound from the parent's ``BENCHMARK.json``, the summary
+gives each side's median and quartiles (``statistics.quantiles``,
+inclusive), the pairs in which the change is better, whether the gap
+between the medians exceeds the parent's interquartile range, and two
+verdicts: whether the change meets the gain rule (better in at least 9
+of 10 pairs, with a median gap beyond the parent's interquartile range),
+and whether its median is worse than the parent's by more than the
+metric's bound, a fraction of the parent's median.  Exit 0 when every
+run finished and read ``correct: true``, 1 otherwise, 2 on bad arguments.
 """
 
 import argparse
@@ -49,15 +53,17 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(parent_runs: list[dict], change_runs: list[dict],
-              better: dict[str, str]) -> list[str]:
-    """One line per metric of ``better`` (metric -> "higher" or
-    "lower") over the paired runs' metrics, each ``{"value": v, "unit":
-    u}`` as ``bench/run.py`` prints it."""
+              metrics: list[dict]) -> list[str]:
+    """One line per metric of ``metrics`` (``BENCHMARK.json``'s
+    ``end_to_end`` entries: name, better "higher" or "lower", and bound)
+    over the paired runs' metrics, each ``{"value": v, "unit": u}`` as
+    ``bench/run.py`` prints it."""
     lines = []
-    for name, direction in better.items():
+    for metric in metrics:
+        name, bound = metric["name"], metric["bound"]
         old = [run["metrics"][name]["value"] for run in parent_runs]
         new = [run["metrics"][name]["value"] for run in change_runs]
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if metric["better"] == "higher" else -1
         won = sum(sign * (b - a) > 0 for a, b in zip(old, new))
         o1, o2, o3 = quartiles(old)
         n1, n2, n3 = quartiles(new)
@@ -67,10 +73,14 @@ def summarize(parent_runs: list[dict], change_runs: list[dict],
         else:
             verdict = ("better" if gain > 0 else "worse") + \
                 " by more than the parent's IQR"
+        meets = 10 * won >= 9 * len(old) and gain > o3 - o1
+        beyond = -gain > bound * abs(o2)
         lines.append(
             f"{name}: parent {o2:.4g} [{o1:.4g}, {o3:.4g}] -> change "
             f"{n2:.4g} [{n1:.4g}, {n3:.4g}]; better in {won}/{len(old)} "
-            f"pairs; {verdict} ({o3 - o1:.4g})")
+            f"pairs; {verdict} ({o3 - o1:.4g}); gain rule "
+            f"{'met' if meets else 'not met'}; "
+            f"{'worse than' if beyond else 'within'} the {bound:.0%} bound")
     return lines
 
 
@@ -94,7 +104,6 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         sides = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
@@ -110,7 +119,8 @@ def main(argv=None) -> int:
         return 1
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs, "
           f"median [quartiles]:")
-    for line in summarize(runs["parent"], runs["change"], better):
+    for line in summarize(runs["parent"], runs["change"],
+                          spec["end_to_end"]):
         print("  " + line)
     return 0
 

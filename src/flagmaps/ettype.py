@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from .degen import classify_degeneracy
 from .fpres import evaluate_word
 from .mapcore import (GENERATOR_NAMES, TRIALITY, RootedMap,
-                      automorphism_group, simple_reroots)
-from .perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators, Perm, _orbit,
-                   _orbit_partition)
+                      automorphism_group, cells, simple_reroots)
+from .perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators, Perm, _inverse,
+                   _orbit)
 
 # Defining words over t, l, r for the thirteen named automorphisms.
 NAMED_AUTOMORPHISM_WORDS: dict[str, str] = {
@@ -131,19 +131,20 @@ def is_edge_transitive(m: RootedMap) -> bool:
     return len(_orbit(tables + [m.t.images, m.l.images], m.root)) == m.n_flags
 
 
-def _cell_sizes_by_orbit(m: RootedMap, x: Perm, y: Perm) -> list[int]:
-    """The size of an <x,y>-cell in each Aut-orbit of such cells, the
-    orbit of the root's cell first and the others by least flag.  Aut
-    commutes with x and y, so the flags of one Aut-orbit of cells form one
-    orbit of <Aut, x, y>; automorphisms keep cell sizes, so the cell at
-    the first flag of that orbit stands for all of it.  No cell partition
-    is built."""
-    cell = [x.images, y.images]
-    orbit_of, orbits = _orbit_partition(
-        [g.images for g in automorphism_group(m).generators] + cell,
-        m.n_flags)
-    orbits.insert(0, orbits.pop(orbit_of[m.root]))
-    return [len(_orbit(cell, o[0])) for o in orbits]
+def _cell_sizes_by_orbit(m: RootedMap, blocks: tuple) -> list[int]:
+    """The size of a cell in each Aut-orbit of the cells, which come by
+    least flag as ``cells`` keeps them: the root's orbit first, the others
+    by least flag.  Automorphisms take cells to cells of the same size, so
+    two cells lie in one Aut-orbit exactly when some of their flags do,
+    and the least Aut-orbit label among a cell's flags names its orbit."""
+    orbit_of = m._aut_orbits[0]
+    sizes: dict[int, int] = {}
+    for cell in blocks:
+        key = min(map(orbit_of.__getitem__, cell))
+        sizes.setdefault(key, len(cell))
+        if m.root in cell:
+            first = key
+    return [sizes.pop(first), *sizes.values()]
 
 
 def classify_type(m: RootedMap) -> tuple[str, RootedMap] | None:
@@ -190,8 +191,8 @@ def map_symbol(m: RootedMap, type_label: str | None = None) -> MapSymbol:
     """The map symbol of an edge-transitive, non-degenerate map.
 
     Entries are cell sizes halved, per Aut-orbit of the vertices (<T,R>),
-    faces (<L,R>) and Petrie circuits (<TL,R>), read off the orbits of Aut
-    with those generators (``_cell_sizes_by_orbit``).  The divisibility
+    faces (<L,R>) and Petrie circuits (<TL,R>), read off the cells the map
+    keeps (``_cell_sizes_by_orbit``).  The divisibility
     side conditions of the detected type are checked; a failing one raises
     ``SymbolConditionFailed``.
     """
@@ -203,9 +204,10 @@ def map_symbol(m: RootedMap, type_label: str | None = None) -> MapSymbol:
         if classified is None:
             raise ValueError("map is not edge-transitive")
         type_label, m = classified
+    cs = cells(m)
     symbol = MapSymbol(*(tuple((size + 1) // 2
-                               for size in _cell_sizes_by_orbit(m, x, m.r))
-                         for x in (m.t, m.l, m.t * m.l)))
+                               for size in _cell_sizes_by_orbit(m, b))
+                         for b in (cs.vertices, cs.faces, cs.petrie_circuits)))
     for f in ("a", "b", "c"):
         if len(getattr(symbol, f)) > 2:
             raise RuntimeError(f"more than two automorphism orbits on {f!r}")
@@ -298,46 +300,36 @@ def construct_from_group(type_label: str, g: LabeledGenerators,
     for relation in TYPE_REQUIRED_RELATIONS[type_label]:
         if not evaluate_word(g, relation).is_identity():
             raise RelationViolation(f"required relation {relation} fails")
-    tables = dict(zip(g.labels, g.group()._right_tables(g.generators, bound)))
-
-    def right(label: str, invert: bool = False) -> list[int]:
-        table = tables[label]
-        if not invert:
-            return table
-        inverse = [0] * len(table)
-        for x, y in enumerate(table):
-            inverse[y] = x
-        return inverse
-
-    order = len(tables[g.labels[0]])
+    right = dict(zip(g.labels, g.group()._right_tables(g.generators, bound)))
+    order = len(right[g.labels[0]])
     stay = range(order)  # the identity table
 
     if type_label == "1":
         s_size = 1
-        t_move = [(right("tau"), 0)]
-        l_move = [(right("lambda"), 0)]
-        r_move = [(right("theta1"), 0)]
+        t_move = [(right["tau"], 0)]
+        l_move = [(right["lambda"], 0)]
+        r_move = [(right["theta1"], 0)]
     elif type_label in ("2", "2ex"):
         s_size = 2
-        t_move = [(right("tau"), 0), (right("tau"), 1)]
+        t_move = [(right["tau"], 0), (right["tau"], 1)]
         l_move = [(stay, 1), (stay, 0)]
         if type_label == "2":
-            r_move = [(right("theta1"), 0), (right("theta2"), 1)]
+            r_move = [(right["theta1"], 0), (right["theta2"], 1)]
         else:
-            r_move = [(right("sigma_f1", invert=True), 1), (right("sigma_f1"), 0)]
+            r_move = [(_inverse(right["sigma_f1"]), 1), (right["sigma_f1"], 0)]
     else:
         s_size = 4  # offsets encode (j, k) as 2*j + k
         t_move = [(stay, 2), (stay, 3), (stay, 0), (stay, 1)]
         l_move = [(stay, 1), (stay, 0), (stay, 3), (stay, 2)]
         if type_label == "3":
-            r_move = [(right("theta1"), 0), (right("theta2"), 1),
-                      (right("theta3"), 2), (right("theta4"), 3)]
+            r_move = [(right["theta1"], 0), (right["theta2"], 1),
+                      (right["theta3"], 2), (right["theta4"], 3)]
         elif type_label == "4":
-            r_move = [(right("sigma_x1"), 2), (right("theta2"), 1),
-                      (right("sigma_x1", invert=True), 0), (right("theta4"), 3)]
+            r_move = [(right["sigma_x1"], 2), (right["theta2"], 1),
+                      (_inverse(right["sigma_x1"]), 0), (right["theta4"], 3)]
         else:  # type 5
-            r_move = [(right("sigma_x1"), 2), (right("sigma_x2", invert=True), 3),
-                      (right("sigma_x1", invert=True), 0), (right("sigma_x2"), 1)]
+            r_move = [(right["sigma_x1"], 2), (_inverse(right["sigma_x2"]), 3),
+                      (_inverse(right["sigma_x1"]), 0), (right["sigma_x2"], 1)]
 
     n_flags = order * s_size
 

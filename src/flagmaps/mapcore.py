@@ -28,7 +28,8 @@ from typing import Iterable, Iterator, Literal, Sequence
 
 from .fpres import Word, parse_word
 from .perm import (LabeledGenerators, Perm, PermGroup, _breadth_first_tree,
-                   _equivariant_map, _orbit, _orbit_partition, _perm)
+                   _equivariant_map, _orbit, _orbit_partition, _perm,
+                   _relabel)
 
 GENERATOR_NAMES = ("t", "l", "r")
 # The seven mandatory context words T, L, R, TL, RT, RL, TLR (see degen).
@@ -247,16 +248,13 @@ def load_map(text: str) -> RootedMap:
 
 def canonicalize(m: RootedMap) -> RootedMap:
     """Renumber flags by BFS from the root over T, L, R; root becomes 0.
-    Flag i is the i-th flag of ``perm._breadth_first_tree``'s order, and
-    each table is read through the position of each flag in that order.
-    A relabeling keeps every axiom, so none is checked again."""
+    Flag i is the i-th flag of ``perm._breadth_first_tree``'s order,
+    renamed by ``perm._relabel``.  A relabeling keeps every axiom, so
+    none is checked again."""
     tables = _tables(m)
     order, _ = _breadth_first_tree(tables, m.root, m.n_flags)
-    position = [0] * m.n_flags
-    for i, x in enumerate(order):
-        position[x] = i
-    return _rooted_map(*(_perm(tuple([position[images[x]] for x in order]))
-                         for images in tables), 0)
+    return _rooted_map(*(_perm(tuple(images))
+                         for images in _relabel(tables, order)), 0)
 
 
 def save_map(m: RootedMap) -> str:

@@ -1,6 +1,9 @@
 """Permutation algebra on the points {0..n-1}.
 
 Composition is left to right everywhere: ``x . (p * q) == (x . p) . q``.
+Image tables are composed by ``_read`` (the inner loops of chains,
+listings and closures call ``itemgetter`` directly), inverted by
+``_inverse`` and renumbered by ``_relabel``.
 Groups are given by generating permutations.  A regular group (Mon of a
 reflexible map, Aut of one) is recognised from its point tables: its order
 is the degree and membership is commuting with its centralizer.  Other
@@ -87,20 +90,10 @@ class Perm:
 
     def __mul__(self, other: "Perm") -> "Perm":
         # x . (p * q) = (x . p) . q
-        p = Perm.__new__(Perm)
-        if len(self.images) > 1:
-            p.images = itemgetter(*self.images)(other.images)
-        else:  # itemgetter needs a key, and with one key returns a scalar
-            p.images = tuple(other.images[i] for i in self.images)
-        return p
+        return _perm(_read(other.images, self.images))
 
     def inverse(self) -> "Perm":
-        out = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            out[j] = i
-        p = Perm.__new__(Perm)
-        p.images = tuple(out)
-        return p
+        return _perm(_inverse(self.images))
 
     def __pow__(self, n: int) -> "Perm":
         if n < 0:
@@ -167,6 +160,31 @@ def _perm(images: tuple[int, ...]) -> Perm:
     p = Perm.__new__(Perm)
     p.images = images
     return p
+
+
+def _read(table: Sequence[int], keys: Sequence[int]) -> tuple[int, ...]:
+    """table[k] for each k of keys, in one ``itemgetter`` call: the image
+    tuple of keys * table when both are image tuples."""
+    if len(keys) > 1:
+        return itemgetter(*keys)(table)
+    # itemgetter needs a key, and with one key returns a scalar
+    return tuple(table[k] for k in keys)
+
+
+def _inverse(images: Sequence[int]) -> tuple[int, ...]:
+    """The image tuple of the inverse permutation."""
+    out = [0] * len(images)
+    for i, j in enumerate(images):
+        out[j] = i
+    return tuple(out)
+
+
+def _relabel(tables: Sequence[Sequence[int]],
+             order: Sequence[int]) -> list[list[int]]:
+    """The tables with the point ``order[i]`` renamed i, for an order of
+    every point: the image of i is the position of the image of order[i]."""
+    position = _inverse(order)
+    return [[position[row[c]] for c in order] for row in tables]
 
 
 class _Level:
@@ -279,10 +297,7 @@ class StabilizerChain:
         if last == len(self.levels):
             moved = next(k for k, v in enumerate(h) if k != v)
             self.levels.append(_Level(moved, self.identity))
-        h_inv = [0] * self.degree
-        for i, j in enumerate(h):
-            h_inv[j] = i
-        h_inv = tuple(h_inv)
+        h_inv = _inverse(h)
         for level in self.levels[first:last + 1]:
             level.add_generator(h, h_inv)
 
@@ -673,10 +688,7 @@ class Listing:
         order = self.breadth_first_order()
         if isinstance(order, range):
             return self.right
-        position = [0] * self.count
-        for i, c in enumerate(order):
-            position[c] = i
-        return [[position[row[c]] for c in order] for row in self.right]
+        return _relabel(self.right, order)
 
 
 def _breadth_first_tree(tables: Sequence[Sequence[int]], root: int, n: int,
@@ -918,15 +930,11 @@ def _index_classes(listing: Listing,
     """Each listing index's conjugacy class, and the classes as lists of
     listing indices, each headed by its least index: the orbits of the
     conjugation tables, ``conj[j][x]`` the index of g_j^-1 * x * g_j,
-    found from the right and left tables with no Perm product."""
-    n = listing.count
-    conj = []
-    for rrow, lrow in zip(listing.right, listing.left):
-        table = [0] * n
-        for x, y in enumerate(lrow):  # y = g_j * x: g_j^-1 * y * g_j = x * g_j
-            table[y] = rrow[x]
-        conj.append(table)
-    return _orbit_partition(conj, n)
+    found from the right and left tables with no Perm product: the x with
+    g_j * x = y has g_j^-1 * y * g_j = x * g_j."""
+    conj = [_read(rrow, _inverse(lrow))
+            for rrow, lrow in zip(listing.right, listing.left)]
+    return _orbit_partition(conj, listing.count)
 
 
 def conjugacy_classes(G: PermGroup,

@@ -20,13 +20,12 @@ block, builds each factor with ``_orbit_quotient`` and no morphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Sequence
 
 from .mapcore import RootedMap, _rooted_map, _tables, isomorphism
 from .perm import (BoundExceeded, Perm, PermGroup, _breadth_first_tree,
                    _equivariant_map, _numbered_orbit, _orbit_partition,
-                   _perm, is_normal_in)
+                   _perm, _read, is_normal_in)
 
 
 class StabilizerNotContained(ValueError):
@@ -63,14 +62,6 @@ class MapMorphism:
 
     def __call__(self, flag: int) -> int:
         return self.flag_map[flag]
-
-
-def _read(table: Sequence[int], keys: Sequence[int]) -> tuple[int, ...]:
-    """table[k] for each k of keys, in one ``itemgetter`` call."""
-    if len(keys) > 1:
-        return itemgetter(*keys)(table)
-    # itemgetter needs a key, and with one key returns a scalar
-    return tuple(table[k] for k in keys)
 
 
 def _orbit_quotient(m: RootedMap, tables: Sequence[Sequence[int]],

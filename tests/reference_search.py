@@ -258,7 +258,9 @@ def minimal_normal_subgroups_union_find(G: PermGroup,
 # which listed every element as its full image tuple.  The bodies are
 # unchanged but for ``ListedGroup``, which stands in for the ``PermGroup``
 # that held the element list, so that the reference never touches the
-# state of the group it is handed.
+# state of the group it is handed, and which grows the left tables of
+# every group with ``_equivariant_map``, so that the reference reads no
+# centralizer of the code it checks.
 
 class ListedGroup:
     """The generators of a group, with the element list and the right
@@ -267,19 +269,11 @@ class ListedGroup:
     def __init__(self, G: PermGroup):
         self.degree = G.degree
         self.generators = G.generators
-        self._group = PermGroup(G.degree, G.generators)
         self._elements = None
         self._right = None
 
     def is_trivial(self) -> bool:
         return not self.generators
-
-    def is_regular(self) -> bool:
-        return self._group.is_regular()
-
-    @property
-    def _centralizer(self):
-        return self._group._centralizer
 
     def _known_order(self) -> int:
         return 0 if self._elements is None else len(self._elements)
@@ -297,17 +291,11 @@ class ListedGroup:
         return self._elements
 
     def _left_tables(self) -> list[list[int]]:
-        els, right = self._elements, self._right
-        n = len(els)
-        if not self.is_regular():
-            return [_equivariant_map(right, 0, right, row[0], n)
-                    for row in right]
-        names = [p.images[0] for p in els]
-        where = [0] * n
-        for i, name in enumerate(names):
-            where[name] = i
-        return [[where[c.images[name]] for name in names]
-                for c in self._centralizer]
+        # g_j * x is the map that commutes with the right tables and takes
+        # the identity to g_j, for every group: no centralizer is read
+        right = self._right
+        return [_equivariant_map(right, 0, right, row[0], len(self._elements))
+                for row in right]
 
 
 def _index_classes(G: ListedGroup) -> list[list[int]]:

@@ -314,13 +314,11 @@ def test_cell_orbits_match_brute_force_automorphisms(
     # one cell size per Aut-orbit of each cell kind, in the brute orbits'
     # order; automorphisms keep cell sizes
     cs = cells(m)
-    for blocks, x, y in ((cs.vertices, m.t, m.r), (cs.edges, m.t, m.l),
-                         (cs.faces, m.l, m.r),
-                         (cs.petrie_circuits, m.t * m.l, m.r)):
+    for blocks in (cs.vertices, cs.edges, cs.faces, cs.petrie_circuits):
         sizes = [{len(blocks[i]) for i in orbit}
                  for orbit in brute_cell_orbits(m, blocks, auts)]
         assert all(len(size) == 1 for size in sizes)
-        assert _cell_sizes_by_orbit(m, x, y) == [size.pop() for size in sizes]
+        assert _cell_sizes_by_orbit(m, blocks) == [size.pop() for size in sizes]
     check_edge_transitivity(m, auts)
 
 

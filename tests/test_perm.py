@@ -211,6 +211,22 @@ def test_composition_degree_below_two(n):
     assert (e * e.inverse()) == e
 
 
+@given(st.integers(1, 9).flatmap(lambda n: st.lists(
+    st.permutations(range(n)), min_size=3, max_size=3)))
+def test_table_primitives_match_dicts(tables):
+    # degree 1 takes the one-key branch of _read
+    p, q, order = tables
+    assert perm._read(p, perm._inverse(p)) == tuple(range(len(p)))
+    dp, dq = dict(enumerate(p)), dict(enumerate(q))
+    assert (Perm(p) * Perm(q)).images == tuple(dq[dp[x]] for x in dp)
+    inverse = {y: x for x, y in dp.items()}
+    assert Perm(p).inverse().images == tuple(inverse[x] for x in dp)
+    name = {x: i for i, x in enumerate(order)}
+    renamed = [{name[x]: name[y] for x, y in d.items()} for d in (dp, dq)]
+    assert perm._relabel([p, q], order) == [
+        [d[i] for i in range(len(p))] for d in renamed]
+
+
 def test_chain_order_budget():
     # Mon(DM6(500)) is regular, so order() would skip the chain: time it
     from flagmaps import build_degenerate

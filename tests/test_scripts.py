@@ -103,24 +103,48 @@ CANNED_RUNS = [
         (90, 95, 1.38, 1.25), (100, 99, 1.42, 1.21))]
 
 
+def end_to_end(better, bound, name="latency_p90_ms"):
+    return [{"name": name, "better": better, "bound": bound}]
+
+
 def test_bench_pairs_summary():
     script = load_bench_pairs()
     parent = [json.loads(old) for old, _ in CANNED_RUNS]
     change = [json.loads(new) for _, new in CANNED_RUNS]
-    lines = script.summarize(parent, change, {
-        "throughput_ops_per_s": "higher", "latency_p90_ms": "lower"})
+    lines = script.summarize(
+        parent, change,
+        end_to_end("higher", 0.25, "throughput_ops_per_s")
+        + end_to_end("lower", 0.25))
     # throughput: medians 100 and 99.5, parent quartiles 97.5 and 102.5;
     # p90: medians 1.41 and 1.215, parent quartiles 1.395 and 1.4275,
     # printed to four digits
     assert lines == [
         "throughput_ops_per_s: parent 100 [97.5, 102.5] -> change 99.5 "
-        "[98, 101]; better in 2/4 pairs; within the parent's IQR (5)",
+        "[98, 101]; better in 2/4 pairs; within the parent's IQR (5); "
+        "gain rule not met; within the 25% bound",
         "latency_p90_ms: parent 1.41 [1.395, 1.427] -> change 1.215 "
         "[1.208, 1.228]; better in 4/4 pairs; better by more than the "
-        "parent's IQR (0.0325)"]
-    worse = script.summarize(change, parent, {"latency_p90_ms": "lower"})
-    assert worse[0].endswith("better in 0/4 pairs; worse by more than the "
-                             "parent's IQR (0.02)")
+        "parent's IQR (0.0325); gain rule met; within the 25% bound"]
+    # the reverse is 16% worse in the median: past a 10% bound only
+    for bound, verdict in ((0.1, "worse than the 10% bound"),
+                           (0.25, "within the 25% bound")):
+        worse = script.summarize(change, parent, end_to_end("lower", bound))
+        assert worse[0].endswith(
+            "better in 0/4 pairs; worse by more than the parent's IQR "
+            "(0.02); gain rule not met; " + verdict)
+
+
+def test_bench_pairs_gain_rule_needs_nine_pairs_in_ten():
+    # a median gap beyond the parent's IQR, but better in only 3 of 4
+    # pairs; with the fourth pair better too the rule is met
+    script = load_bench_pairs()
+    parent = [json.loads(old) for old, _ in CANNED_RUNS]
+    for last, verdict in ((1.50, "gain rule not met"), (1.30, "gain rule met")):
+        change = [json.loads(RUN_LINE.format(ops=100, p90=p90))
+                  for p90 in (1.20, 1.22, 1.25, last)]
+        line, = script.summarize(parent, change, end_to_end("lower", 0.25))
+        assert "better by more than the parent's IQR" in line
+        assert f"; {verdict}; within the 25% bound" in line
 
 
 @pytest.mark.parametrize("args", [
