@@ -70,7 +70,7 @@ from .ettype import is_edge_transitive
 from .mapcore import RootedMap, _tables, automorphism_group, is_reflexible
 from .perm import (DEFAULT_ELEMENT_BOUND, BoundExceeded, PermGroup,
                    _breadth_first_tree, _least_block, _minimal_normals,
-                   _orbit, _orbit_partition)
+                   _orbit_partition)
 from .product import NotReflexible
 from .quotient import _orbit_quotient
 
@@ -150,7 +150,8 @@ def _verified_factor_pair(m: RootedMap, H1: PermGroup, H2: PermGroup,
             "the witness quotients' blocks do not separate the flags")
     if f1.n_flags >= m.n_flags or f2.n_flags >= m.n_flags:
         raise VerificationFailed("a factor fails to be a proper quotient")
-    return (f1, f2), tuple(_orbit(_tables(m), m.root))
+    return (f1, f2), tuple(
+        _breadth_first_tree(_tables(m), m.root, m.n_flags)[0])
 
 
 def decomposability_general(m: RootedMap,
@@ -290,7 +291,8 @@ def _first_witness_pair(minimals: Iterable[PermGroup], root: int, n: int,
     blocks: list[frozenset[int] | None] = []
     first = None  # the index of the first proper root block
     for H in minimals:
-        block = _orbit([g.images for g in H.generators], root)
+        block = _breadth_first_tree([g.images for g in H.generators],
+                                    root, n)[0]
         read.append(H)
         blocks.append(None if len(block) == n else frozenset(block))
         if blocks[-1] is None:

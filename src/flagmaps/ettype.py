@@ -17,8 +17,8 @@ from .degen import classify_degeneracy
 from .fpres import evaluate_word
 from .mapcore import (GENERATOR_NAMES, TRIALITY, RootedMap,
                       automorphism_group, cells, simple_reroots)
-from .perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators, Perm, _inverse,
-                   _orbit)
+from .perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators, Perm,
+                   _breadth_first_tree, _inverse)
 
 # Defining words over t, l, r for the thirteen named automorphisms.
 NAMED_AUTOMORPHISM_WORDS: dict[str, str] = {
@@ -128,7 +128,9 @@ def is_edge_transitive(m: RootedMap) -> bool:
     one orbit of <Aut, T, L>, and the map is edge-transitive exactly when
     the root's orbit under that group is every flag.  No cell is built."""
     tables = [g.images for g in automorphism_group(m).generators]
-    return len(_orbit(tables + [m.t.images, m.l.images], m.root)) == m.n_flags
+    n = m.n_flags
+    return len(_breadth_first_tree(tables + [m.t.images, m.l.images],
+                                   m.root, n)[0]) == n
 
 
 def _cell_sizes_by_orbit(m: RootedMap, blocks: tuple) -> list[int]:

@@ -28,8 +28,7 @@ from typing import Iterable, Iterator, Literal, Sequence
 
 from .fpres import Word, parse_word
 from .perm import (LabeledGenerators, Perm, PermGroup, _breadth_first_tree,
-                   _equivariant_map, _orbit, _orbit_partition, _perm,
-                   _relabel)
+                   _equivariant_map, _orbit_partition, _perm, _relabel)
 
 GENERATOR_NAMES = ("t", "l", "r")
 # The seven mandatory context words T, L, R, TL, RT, RL, TLR (see degen).
@@ -95,7 +94,7 @@ class RootedMap:
             raise MapInvariantError("(TL)^2 not the identity")
         if not (0 <= self.root < n):
             raise MapInvariantError("root flag out of range")
-        if len(_orbit(_tables(self), self.root)) != n:
+        if len(_breadth_first_tree(_tables(self), self.root, n)[0]) != n:
             raise MapInvariantError("action not transitive")
 
     @property
@@ -143,11 +142,9 @@ class RootedMap:
         degen.context_vector) by ``context_cycle_orders``.  Aut commutes
         with every word, so a word's cycles through the flags of one
         Aut-orbit have one length, and one flag per Aut-orbit meets every
-        length: the root alone when Mon is regular, since Aut then is
-        transitive."""
+        length."""
         lg = LabeledGenerators(GENERATOR_NAMES, self.generators())
-        starts = ((self.root,) if self.monodromy_group().is_regular()
-                  else [orbit[0] for orbit in self._aut_orbits[1]])
+        starts = [orbit[0] for orbit in self._aut_orbits[1]]
         return tuple(context_cycle_orders(lg, starts))
 
     @cached_property

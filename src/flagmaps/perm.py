@@ -27,14 +27,15 @@ image tuples and left tables on demand along its breadth-first tree
 (``_breadth_first_tree``, which also gives the block test of ``decomp``
 its words, ``quotient`` its transversal of a morphism and
 ``mapcore.canonicalize`` its numbering), and the group keeps the count, as
-its order, but not the listing.  Plain orbits of points come from
-``_orbit``, orbit partitions (each point's orbit number and each orbit's
-list) from ``_orbit_partition``, and the least block holding two points
-from ``_least_block``.  One routine grows the unique map that turns one
-list of tables into another: it finds the centralizer of a regular group
-(which also gives its left regular tables, ``_left_tables``) and each
-element of the centralizer scan, and finds labeled congruence of groups
-and the isomorphisms and automorphisms of maps.
+its order, but not the listing.  The orbit of one point is read off
+that same walk, orbit partitions (each point's orbit number and each
+orbit's list) come from ``_orbit_partition``, and the least block holding
+two points from ``_least_block``.  One routine grows the unique map that
+turns one list of tables into another: it finds the centralizer of a
+regular group (which also gives its left regular tables,
+``_left_tables``) and each element of the centralizer scan, and finds
+labeled congruence of groups and the isomorphisms and automorphisms of
+maps.
 """
 
 from __future__ import annotations
@@ -451,7 +452,8 @@ class PermGroup:
 
     def orbit(self, point: int) -> list[int]:
         """The orbit of point, breadth first from it."""
-        return _orbit([g.images for g in self.generators], point)
+        return _breadth_first_tree([g.images for g in self.generators],
+                                   point, self.degree)[0]
 
     def orbits(self) -> list[list[int]]:
         """Orbit partition of {0..degree-1}, blocks sorted by least point."""
@@ -700,8 +702,9 @@ def _breadth_first_tree(tables: Sequence[Sequence[int]], root: int, n: int,
     parent: list = [None] * n
     parent[root] = (root, -1)
     order = [root]
+    numbered = list(enumerate(tables))
     for a in order:  # grows while it is read: a breadth-first queue
-        for j, images in enumerate(tables):
+        for j, images in numbered:
             c = images[a]
             if parent[c] is None:
                 parent[c] = (a, j)
@@ -746,20 +749,6 @@ def _walk(gens: list[tuple[int, ...]], base: tuple[int, ...], degree: int,
     return Listing(gens, names, right, None, degree)
 
 
-def _orbit(tables: Sequence[Sequence[int]], start: int) -> list[int]:
-    """The orbit of start under point tables (image lists), breadth first
-    from it."""
-    seen = {start}
-    out = [start]
-    for a in out:  # grows while it is read: a breadth-first queue
-        for images in tables:
-            b = images[a]
-            if b not in seen:
-                seen.add(b)
-                out.append(b)
-    return out
-
-
 def _centralizer_scan(tables: Sequence[Sequence[int]], n: int) -> PermGroup:
     """The centralizer of the transitive group with these point tables,
     from a scan of the points.
@@ -783,10 +772,10 @@ def _centralizer_scan(tables: Sequence[Sequence[int]], n: int) -> PermGroup:
             continue
         image = _equivariant_map(tables, 0, tables, d, n)
         if image is None:
-            skip.update(_orbit(found, d))
+            skip.update(_breadth_first_tree(found, d, n)[0])
         else:
             found.append(tuple(image))
-            orbit = _orbit(found, 0)
+            orbit = _breadth_first_tree(found, 0, n)[0]
             skip.update(orbit)
     centralizer = PermGroup(n, [_perm(c) for c in found])
     centralizer._order = len(orbit)

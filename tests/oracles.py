@@ -18,7 +18,7 @@ from flagmaps.mapcore import (GenusSymbol, RootedMap, _tables,
                               automorphism_to, cells_and_surface, du,
                               isomorphism, pe, simple_reroots)
 from flagmaps.perm import (DEFAULT_ELEMENT_BOUND, BoundExceeded,
-                           LabeledGenerators, PermGroup, _orbit)
+                           LabeledGenerators, PermGroup)
 from flagmaps.quotient import MapMorphism, StabilizerNotContained
 
 
@@ -617,10 +617,25 @@ def k_quotient_blocks(m: RootedMap, K: PermGroup) -> list[tuple[int, ...]]:
     return blocks
 
 
+def breadth_first_numbering(tables, start):
+    """Each point reached from start under the tables, numbered in the
+    order a queue-driven breadth-first search first meets it."""
+    number = {start: 0}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for images in tables:
+            y = images[x]
+            if y not in number:
+                number[y] = len(number)
+                queue.append(y)
+    return number
+
+
 def canonicalize(m: RootedMap) -> RootedMap:
     """Renumber flags by BFS from the root over T, L, R; root becomes 0."""
-    order = _orbit(_tables(m), m.root)
-    number = {x: i for i, x in enumerate(order)}
+    number = breadth_first_numbering(_tables(m), m.root)
+    order = list(number)
     relabeled = [Perm(number[g.images[x]] for x in order)
                  for g in m.generators()]
     return RootedMap(*relabeled, root=0)

@@ -30,11 +30,12 @@ from flagmaps import decomp, perm
 from flagmaps.cli import main
 from flagmaps.ettype import TYPE_GENERATORS
 from flagmaps.mapcore import automorphism_group
-from flagmaps.perm import (_breadth_first_tree, _least_block, _orbit,
+from flagmaps.perm import (_breadth_first_tree, _least_block,
                            _orbit_partition)
 
 from .conftest import random_rooted_map
-from .oracles import automorphisms_brute, decomposable_brute
+from .oracles import (automorphisms_brute, breadth_first_numbering,
+                      decomposable_brute)
 from .test_decomp import verdict_facts
 
 # A 7-flag map whose monodromy group is S7 (T, L, R images and the root).
@@ -228,7 +229,7 @@ def compares_the_first_two_proper_blocks(m, mon):
     """Unsound: only the first two proper blocks are compared."""
     tables = [g.images for g in mon.generators]
     proper = []
-    for x in _orbit(tables, m.root)[1:]:
+    for x in _breadth_first_tree(tables, m.root, m.n_flags)[0][1:]:
         block = set(_least_block(tables, m.n_flags, m.root, x))
         if len(block) < m.n_flags:
             proper.append(block)
@@ -245,7 +246,7 @@ def closes_once_per_aut_orbit(m, mon):
     orbit_of = _orbit_partition(aut_tables, m.n_flags)[0]
     done = set()
     blocks = []
-    for x in _orbit(mon_tables, m.root)[1:]:
+    for x in _breadth_first_tree(mon_tables, m.root, m.n_flags)[0][1:]:
         if orbit_of[x] in done:
             continue
         done.add(orbit_of[x])
@@ -292,7 +293,8 @@ def test_root_fixers_fix_the_root_inside_mon_and_aut(block_corpus):
         mon_tables = [g.images for g in mon.generators]
         aut_tables = [a.images for a in aut.generators]
         order, parent = _breadth_first_tree(mon_tables, m.root, m.n_flags)
-        assert order == _orbit(mon_tables, m.root), name
+        walk = list(breadth_first_numbering(mon_tables, m.root))
+        assert order == walk, name
         fixers = decomp._root_fixers(mon_tables, aut_tables, m.root, parent)
         assert len(fixers) == len(aut_tables)
         both = PermGroup(m.n_flags, mon.generators + aut.generators)

@@ -759,6 +759,6 @@ def test_cli_imports_no_private_name():
     cli = Path(__file__).resolve().parent.parent / "src" / "flagmaps" / "cli.py"
     assert private_flagmaps_names(cli.read_text()) == []
     assert private_flagmaps_names(
-        "from . import decomp\nfrom .perm import Perm, _orbit\n"
+        "from . import decomp\nfrom .perm import Perm, _least_block\n"
         "decomp._decomposability_general\n") == [
-            "_orbit", "decomp._decomposability_general"]
+            "_least_block", "decomp._decomposability_general"]

@@ -16,7 +16,8 @@ from flagmaps.decomp import NotEdgeTransitive, VerificationFailed
 from flagmaps.ettype import is_edge_transitive
 from flagmaps.mapcore import RootedMap, automorphism_group, canonicalize
 from flagmaps.perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators,
-                           _numbered_orbit, _orbit, minimal_normal_subgroups)
+                           _breadth_first_tree, _numbered_orbit,
+                           minimal_normal_subgroups)
 from flagmaps.product import NotReflexible
 from flagmaps.quotient import MapMorphism
 
@@ -206,7 +207,7 @@ def test_search_builds_only_what_the_verdict_returns(monkeypatch, c4_sphere):
             checked_maps = count_calls(mp, RootedMap, "__post_init__")
             products = count_calls(mp, product_module, "parallel_product")
             isomorphisms = count_calls(mp, mapcore, "isomorphism")
-            root_orbits = count_calls(mp, decomp, "_orbit")
+            root_orbits = count_calls(mp, decomp, "_breadth_first_tree")
             quotients = count_calls(mp, decomp, "_orbit_quotient")
             verdict = decomposability_general(m)
         assert verdict.decomposable
@@ -216,8 +217,9 @@ def test_search_builds_only_what_the_verdict_returns(monkeypatch, c4_sphere):
         assert ([H.generators for H in verdict.witnesses]
                 == [H.generators for H in minimals[:2]])
         tables = tuple(g.images for g in m.generators())
-        assert root_orbits == [([g.images for g in H.generators], m.root)
-                               for H in minimals[:2]] + [(tables, m.root)]
+        n = m.n_flags
+        assert root_orbits == [([g.images for g in H.generators], m.root, n)
+                               for H in minimals[:2]] + [(tables, m.root, n)]
         assert quotients == [(m, [g.images for g in H.generators])
                              for H in verdict.witnesses]
     assert unread > 0
@@ -507,7 +509,8 @@ def full_double_loop(minimals, root, n):
     with a proper root block that has a partner, and its first partner."""
     blocks = []
     for H in minimals:
-        block = frozenset(_orbit([g.images for g in H.generators], root))
+        block = frozenset(_breadth_first_tree(
+            [g.images for g in H.generators], root, n)[0])
         blocks.append(block if len(block) < n else None)
     for i, block_i in enumerate(blocks):
         for j, block_j in enumerate(blocks):
@@ -574,7 +577,8 @@ def test_first_proper_subgroup_without_partner():
     G = a4_cube_on_cosets()
     assert (G.degree, G.order()) == (432, 1728)
     minimals = minimal_normal_subgroups(G)
-    blocks = [set(_orbit([g.images for g in H.generators], 0))
+    blocks = [set(_breadth_first_tree([g.images for g in H.generators], 0,
+                                      G.degree)[0])
               for H in minimals]
     assert [len(b) for b in blocks] == [4, 4, 4]
     assert [len(blocks[0] & blocks[1]), len(blocks[0] & blocks[2]),

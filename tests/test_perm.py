@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from flagmaps import (BoundExceeded, LabeledGenerators, Perm, PermGroup,
                       congruent_labeled_groups, minimal_normal_subgroups,
                       normal_closure, parallel_product, perm)
-from flagmaps.perm import (DEFAULT_ELEMENT_BOUND, _orbit, _orbit_partition,
-                           conjugacy_classes, format_group_file, is_normal_in,
-                           parse_group_file)
+from flagmaps.perm import (DEFAULT_ELEMENT_BOUND, _breadth_first_tree,
+                           _orbit_partition, conjugacy_classes,
+                           format_group_file, is_normal_in, parse_group_file)
 
 from . import oracles, reference_search
-from .oracles import minimal_normals_brute, mulclose
+from .oracles import breadth_first_numbering, minimal_normals_brute, mulclose
 
 
 def perm_strategy(n):
@@ -115,9 +115,30 @@ def test_orbits_partition_the_points(case):
     orbit_of, orbits = _orbit_partition(tables, n)
     assert sorted(x for o in orbits for x in o) == list(range(n))
     for orbit in orbits:
-        assert orbit == _orbit(tables, orbit[0])
+        assert orbit == list(breadth_first_numbering(tables, orbit[0]))
         assert set(orbit) == closure(tables, orbit[0])
         assert all(t[x] in orbit for t in tables for x in orbit)
+
+
+@settings(deadline=None, max_examples=200)
+@given(point_tables(), st.data())
+def test_breadth_first_tree_records_first_discoveries(case, data):
+    # the walk meets the points as a queue-driven search does, and each
+    # reached point's parent is the first (a, j) in walk order whose image
+    # a . g_j it is; points off the root's orbit have none
+    tables, n = case
+    root = data.draw(st.integers(0, n - 1))
+    order, parent = _breadth_first_tree(tables, root, n)
+    assert order == list(breadth_first_numbering(tables, root))
+    assert parent[root] == (root, -1)
+    first = {}
+    for a in order:
+        for j, images in enumerate(tables):
+            first.setdefault(images[a], (a, j))
+    for c in order[1:]:
+        a, j = parent[c]
+        assert tables[j][a] == c and parent[c] == first[c]
+    assert all(parent[x] is None for x in set(range(n)) - set(order))
 
 
 @settings(deadline=None, max_examples=200)
