@@ -143,8 +143,7 @@ def _verified_factor_pair(m: RootedMap, H1: PermGroup, H2: PermGroup,
     x.a1 = x.a2 forces a1 = a2 = 1: the pairing check cannot fail for Aut
     witnesses, and stays so that both routes fail in one way."""
     (f1, block_of_1), (f2, block_of_2) = (
-        _orbit_quotient(m, [g.images for g in H.generators])
-        for H in (H1, H2))
+        _orbit_quotient(m, H.tables) for H in (H1, H2))
     if len(set(zip(block_of_1, block_of_2))) != m.n_flags:
         raise VerificationFailed(
             "the witness quotients' blocks do not separate the flags")
@@ -195,8 +194,7 @@ def _root_blocks_meet_only_in_root(m: RootedMap, mon: PermGroup) -> bool:
     holding the root, so B_{x.h} = B_x.  When Aut is trivial, so is H, and
     every flag gets its own closure."""
     n, root = m.n_flags, m.root
-    mon_tables = [g.images for g in mon.generators]
-    aut_tables = [a.images for a in automorphism_group(m).generators]
+    mon_tables, aut_tables = mon.tables, automorphism_group(m).tables
     order, parent = _breadth_first_tree(mon_tables, root, n)
     orbit_of: Sequence[int] = range(n)  # each flag alone when Aut is trivial
     if aut_tables:
@@ -291,8 +289,7 @@ def _first_witness_pair(minimals: Iterable[PermGroup], root: int, n: int,
     blocks: list[frozenset[int] | None] = []
     first = None  # the index of the first proper root block
     for H in minimals:
-        block = _breadth_first_tree([g.images for g in H.generators],
-                                    root, n)[0]
+        block = _breadth_first_tree(H.tables, root, n)[0]
         read.append(H)
         blocks.append(None if len(block) == n else frozenset(block))
         if blocks[-1] is None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .degen import classify_degeneracy
 from .fpres import evaluate_word
-from .mapcore import (GENERATOR_NAMES, TRIALITY, RootedMap,
+from .mapcore import (GENERATOR_NAMES, TRIALITY, RootedMap, _tables,
                       automorphism_group, cells, simple_reroots)
 from .perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators, Perm,
                    _breadth_first_tree, _inverse)
@@ -111,7 +111,7 @@ def named_automorphisms_present(m: RootedMap) -> frozenset[str]:
     compared by the flags' Aut-orbit labels, which the map keeps
     (``RootedMap._aut_orbits``) and shares with its re-rootings."""
     orbit_of = m._aut_orbits[0]
-    tables = dict(zip(GENERATOR_NAMES, (g.images for g in m.generators())))
+    tables = dict(zip(GENERATOR_NAMES, _tables(m)))
     present = []
     for name, word in NAMED_AUTOMORPHISM_WORDS.items():
         x = m.root
@@ -127,10 +127,8 @@ def is_edge_transitive(m: RootedMap) -> bool:
     Aut commutes with T and L, so the flags of one Aut-orbit of edges form
     one orbit of <Aut, T, L>, and the map is edge-transitive exactly when
     the root's orbit under that group is every flag.  No cell is built."""
-    tables = [g.images for g in automorphism_group(m).generators]
-    n = m.n_flags
-    return len(_breadth_first_tree(tables + [m.t.images, m.l.images],
-                                   m.root, n)[0]) == n
+    tables = (*automorphism_group(m).tables, m.t.images, m.l.images)
+    return len(_breadth_first_tree(tables, m.root, m.n_flags)[0]) == m.n_flags
 
 
 def _cell_sizes_by_orbit(m: RootedMap, blocks: tuple) -> list[int]:

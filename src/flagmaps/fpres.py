@@ -48,7 +48,8 @@ class PresentationError(ValueError):
 
 
 class EnumerationOverflow(RuntimeError):
-    """Live cosets exceeded the configured maximum (group infinite or large)."""
+    """Live cosets exceeded the configured maximum (group infinite or
+    large), or a word to expand is longer than MAX_WORD_LENGTH symbols."""
 
 
 def _normalize(pairs: list[tuple[str, int]]) -> Word:
@@ -82,7 +83,7 @@ def word_power(word: Word, exp: int) -> Word:
         (name, base), = word
         return _normalize([(name, base * exp)])
     if word_length(word) * exp > MAX_WORD_LENGTH:
-        raise PresentationError(
+        raise EnumerationOverflow(
             f"power of a word longer than {MAX_WORD_LENGTH} symbols")
     return _normalize(list(word) * exp)
 

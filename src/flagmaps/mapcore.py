@@ -108,8 +108,9 @@ class RootedMap:
         return {"t": self.t, "l": self.l, "r": self.r}[name.lower()]
 
     def act(self, flag: int, word: Iterable[str]) -> int:
+        tables = dict(zip(GENERATOR_NAMES, _tables(self)))
         for ch in word:
-            flag = self.generator(ch).images[flag]
+            flag = tables[ch.lower()][flag]
         return flag
 
     def monodromy_group(self) -> PermGroup:
@@ -132,9 +133,8 @@ class RootedMap:
     def _aut_orbits(self) -> tuple[list[int], list[list[int]]]:
         """Each flag's Aut-orbit number and the Aut-orbits, found once per
         map (``perm._orbit_partition`` of Aut's tables)."""
-        return _orbit_partition(
-            [a.images for a in self._automorphism_group.generators],
-            self.n_flags)
+        return _orbit_partition(self._automorphism_group.tables,
+                                self.n_flags)
 
     @cached_property
     def _context_orders(self) -> tuple[int, ...]:

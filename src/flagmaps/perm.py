@@ -4,17 +4,18 @@ Composition is left to right everywhere: ``x . (p * q) == (x . p) . q``.
 Image tables are composed by ``_read`` (the inner loops of chains,
 listings and closures call ``itemgetter`` directly), inverted by
 ``_inverse`` and renumbered by ``_relabel``.
-Groups are given by generating permutations.  A regular group (Mon of a
-reflexible map, Aut of one) is recognised from its point tables: its order
-is the degree and membership is commuting with its centralizer.  Other
-groups get orders and membership from an incremental Schreier-Sims
-stabilizer chain on image tuples, keeping each transversal element and its
-inverse, unless the order is already known.  The centralizer of a
-transitive group comes from a scan of the points from point 0
-(``_centralizer_scan``), kept on the group: Aut of a map is the
-centralizer of its Mon.  Orbits whose objects are numbered come from
-``_numbered_orbit``, a bounded breadth-first walk that records its
-Schreier tables.  Each reader of a group's elements lists them anew
+Groups are given by generating permutations; a group keeps their image
+tuples once (``PermGroup.tables``), and its order once known.  A regular
+group (Mon of a reflexible map, Aut of one) is recognised from its point
+tables: its order is the degree and membership is commuting with the left
+tables that generate its centralizer.  Other groups get orders and
+membership from an incremental Schreier-Sims stabilizer chain on image
+tuples, keeping each transversal element and its inverse, unless the order
+is already known.  The centralizer of a transitive group comes from a scan
+of the points from point 0 (``_centralizer_scan``), kept on the group: Aut
+of a map is the centralizer of its Mon.  Orbits whose objects are numbered
+come from ``_numbered_orbit``, a bounded breadth-first walk that records
+its Schreier tables.  Each reader of a group's elements lists them anew
 (``Listing``), each named by the images of a base on whose orbit the group
 acts regularly and faithfully, walked once (``_walk``): the points of a
 regular group with no walk at all; for a transitive group with a
@@ -27,15 +28,14 @@ image tuples and left tables on demand along its breadth-first tree
 (``_breadth_first_tree``, which also gives the block test of ``decomp``
 its words, ``quotient`` its transversal of a morphism and
 ``mapcore.canonicalize`` its numbering), and the group keeps the count, as
-its order, but not the listing.  The orbit of one point is read off
-that same walk, orbit partitions (each point's orbit number and each
-orbit's list) come from ``_orbit_partition``, and the least block holding
-two points from ``_least_block``.  One routine grows the unique map that
-turns one list of tables into another: it finds the centralizer of a
-regular group (which also gives its left regular tables,
-``_left_tables``) and each element of the centralizer scan, and finds
-labeled congruence of groups and the isomorphisms and automorphisms of
-maps.
+its order, but not the listing.  The orbit of one point is read off that
+same walk, orbit partitions (each point's orbit number and each orbit's
+list) come from ``_orbit_partition``, and the least block holding two
+points from ``_least_block``.  One routine grows the unique map that turns
+one list of tables into another: it finds the centralizer of a regular
+group (which also gives its left regular tables, ``_left_tables``) and
+each element of the centralizer scan, and finds labeled congruence of
+groups and the isomorphisms and automorphisms of maps.
 """
 
 from __future__ import annotations
@@ -367,13 +367,17 @@ class PermGroup:
                 raise ValueError("generator degree mismatch")
         self.degree = degree
         self.generators = tuple(g for g in generators if not g.is_identity())
+        # the generators' image tuples, read by every walk of the group
+        self.tables = tuple(g.images for g in self.generators)
         self._chain: StabilizerChain | None = None
-        # the order, given by whoever built the group or counted by a listing
+        # the order once known: handed in by whoever built the group, the
+        # degree of a regular group, a listing's count or a chain's order
         self._order: int | None = None
-        # set by is_regular: None until tested; for a regular group,
-        # generators of its centralizer in Sym(degree)
+        # set by is_regular: None until tested; a regular group keeps the
+        # tables of left multiplication by its generators, which generate
+        # its centralizer in Sym(degree)
         self._regular: bool | None = None
-        self._centralizer: tuple[Perm, ...] = ()
+        self._left: list[list[int]] | None = None
         # set by centralizer(): the centralizer of a transitive group, from
         # its scan of the points
         self._centralizer_group: PermGroup | None = None
@@ -396,15 +400,16 @@ class PermGroup:
         regular: they then generate the centralizer C(G), which is
         transitive, and G = C(C(G)) (Dixon and Mortimer, Permutation
         Groups, 4.2).  The first conflict answers no.  O(degree * ngens^2)
-        integer work with no Perm product, cached.
+        integer work with no Perm product, cached; a regular group keeps
+        the maps as its left tables and the degree as its order.
         """
         if self._regular is None:
-            tables = [g.images for g in self.generators]
-            centralizer = _left_tables(tables, self.degree)
-            self._regular = centralizer is not None and (
-                bool(tables) or self.degree == 1)
+            left = _left_tables(self.tables, self.degree)
+            self._regular = left is not None and (
+                bool(self.tables) or self.degree == 1)
             if self._regular:
-                self._centralizer = tuple(_perm(tuple(c)) for c in centralizer)
+                self._left = left
+                self._order = self.degree
         return self._regular
 
     def centralizer(self) -> "PermGroup":
@@ -416,49 +421,44 @@ class PermGroup:
             if not self.is_transitive():
                 raise ValueError("the centralizer scan needs a transitive "
                                  "group")
-            self._centralizer_group = _centralizer_scan(
-                [g.images for g in self.generators], self.degree)
+            self._centralizer_group = _centralizer_scan(self.tables,
+                                                        self.degree)
         return self._centralizer_group
 
-    def _answers_from_points(self) -> bool:
-        """Whether order and membership are read off the point tables:
-        the group is regular and no chain exists yet.  The chain's degree
-        bound applies here as well."""
-        if self._chain is not None:
-            return False
-        _check_degree(self.degree)
-        return self.is_regular()
-
     def order(self) -> int:
-        """The order.  One already known (counted by a listing, or given
-        by whoever built the group, as Aut's is) needs no regularity test;
-        the degree bound applies first all the same."""
-        if self._order is not None and self._chain is None:
-            _check_degree(self.degree)
-            return self._order
-        if self._answers_from_points():
-            return self.degree
-        return self.chain().order()
+        """The order, kept once known: given by whoever built the group (as
+        Aut's is), counted by a listing, else read off a chain that exists,
+        else the degree of a regular group, else a new chain's.  The
+        chain's degree bound applies to every answer."""
+        _check_degree(self.degree)
+        if self._order is None:
+            if self._chain is not None or not self.is_regular():
+                self._order = self.chain().order()
+        return self._order
 
     def contains(self, p: Perm) -> bool:
+        """Membership: with no chain, a regular group's members are the
+        permutations that commute with its left tables; else a chain's."""
         if not self.generators:
             return p.degree == self.degree and p.is_identity()
-        if self._answers_from_points():
-            return p.degree == self.degree and all(
-                p * c == c * p for c in self._centralizer)
+        if self._chain is None:
+            _check_degree(self.degree)
+            if self.is_regular():
+                x = p.images
+                return p.degree == self.degree and all(
+                    _read(c, x) == _read(x, c) for c in self._left)
         return self.chain().contains(p)
 
     __contains__ = contains
 
     def orbit(self, point: int) -> list[int]:
         """The orbit of point, breadth first from it."""
-        return _breadth_first_tree([g.images for g in self.generators],
-                                   point, self.degree)[0]
+        return _breadth_first_tree(self.tables, point, self.degree)[0]
 
     def orbits(self) -> list[list[int]]:
         """Orbit partition of {0..degree-1}, blocks sorted by least point."""
-        return [sorted(block) for block in _orbit_partition(
-            [g.images for g in self.generators], self.degree)[1]]
+        return [sorted(block) for block in
+                _orbit_partition(self.tables, self.degree)[1]]
 
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree
@@ -477,14 +477,6 @@ class PermGroup:
         listing = self._listed(bound)
         return tuple(map(_perm, map(listing.image_builder(),
                                     listing.breadth_first_order())))
-
-    def _known_order(self) -> int:
-        """The order when it is known without new work, else 0."""
-        if self._order is not None:
-            return self._order
-        if self._chain is not None:
-            return self._chain.order()
-        return self.degree if self._regular else 0
 
     def _listed(self, bound: int) -> Listing:
         """A new listing of the elements, named by the images of a base
@@ -507,21 +499,21 @@ class PermGroup:
         element bound is named, and before anything is walked when its
         order is known or read off the chain."""
         message = f"group exceeds element bound {bound}"
-        order = self._known_order()
+        if self._order is None and self._chain is not None:
+            self._order = self._chain.order()
+        order = self._order or 0
         if order > bound:
             raise BoundExceeded(message)
-        gens = [g.images for g in self.generators]
+        gens = self.tables
         if order in (0, self.degree) and self.is_regular():
             if self.degree > bound:
                 raise BoundExceeded(message)
-            listing = Listing(
-                gens, range(self.degree), gens,
-                [c.images for c in self._centralizer], self.degree)
+            listing = Listing(gens, range(self.degree), gens, self._left,
+                              self.degree)
         elif ((not order or order > self.degree) and self.is_transitive()
               and self.centralizer().generators):
-            commuting = [c.images for c in self.centralizer().generators]
-            base = tuple(o[0] for o in
-                         _orbit_partition(commuting, self.degree)[1])
+            base = tuple(o[0] for o in _orbit_partition(
+                self.centralizer().tables, self.degree)[1])
             listing = _walk(gens, base, self.degree, bound, message)
         else:
             listing = None
@@ -580,8 +572,8 @@ class Listing:
     0: ``names[i]`` is the name of element i and ``where[name]`` its
     index, ``right[j][i]`` is the index of element i * g_j and
     ``left[j][i]`` that of g_j * element i.  A regular group's indices
-    are its points, its right tables are its generators and its left
-    tables the centralizer generators that ``is_regular`` grew (g_j * x
+    are its points, its right tables are its point tables and its left
+    tables the ones that ``is_regular`` grew and the group keeps (g_j * x
     is named c_j[0.x]).  Other listings number the names in the order
     that the walk of the base's orbit finds them, which is the
     breadth-first order of ``elements()``, and read their left tables off
@@ -592,7 +584,7 @@ class Listing:
     __slots__ = ("gens", "names", "right", "degree", "points", "_where",
                  "_left", "_tree")
 
-    def __init__(self, gens: list[tuple[int, ...]], names: Sequence,
+    def __init__(self, gens: Sequence[tuple[int, ...]], names: Sequence,
                  right: Sequence[Sequence[int]],
                  left: Sequence[Sequence[int]] | None, degree: int):
         self.gens = gens
@@ -734,7 +726,7 @@ def _numbered_orbit(start: Hashable, images: Callable[[Any], Iterable],
     return found, tables
 
 
-def _walk(gens: list[tuple[int, ...]], base: tuple[int, ...], degree: int,
+def _walk(gens: Sequence[tuple[int, ...]], base: tuple[int, ...], degree: int,
           bound: float, message: str) -> Listing:
     """The orbit of the base b, walked once by ``_numbered_orbit`` within
     the element bound, as a listing: the names are points for a base of

@@ -112,7 +112,7 @@ def k_quotient(m: RootedMap, K: PermGroup) -> tuple[RootedMap, MapMorphism]:
             "K does not contain the stabilizer of the root flag")
 
     base = frozenset(root_orbit)
-    gens = [g.images for g in m.generators()]
+    gens = _tables(m)
     message = "K-orbit of the root does not generate a block system"
     # The images of base cover the flags (the action is transitive), so
     # they are pairwise disjoint exactly when at most n_flags / |base|
@@ -142,7 +142,7 @@ def monodromy_quotient(m: RootedMap, H: PermGroup) -> tuple[RootedMap, MapMorphi
             raise NotNormal("H is not a subgroup of the monodromy group")
     if not is_normal_in(H, mon):
         raise NotNormal("H is not normal in the monodromy group")
-    quotient, block_of = _orbit_quotient(m, [g.images for g in H.generators])
+    quotient, block_of = _orbit_quotient(m, H.tables)
     return quotient, MapMorphism(m, quotient, tuple(block_of))
 
 
@@ -156,7 +156,7 @@ def automorphism_quotient(m: RootedMap, A: PermGroup) -> tuple[RootedMap, MapMor
             if a * g != g * a:
                 raise NotAnAutomorphism(
                     "generator of A does not commute with the monodromy action")
-    quotient, block_of = _orbit_quotient(m, [a.images for a in A.generators])
+    quotient, block_of = _orbit_quotient(m, A.tables)
     return quotient, MapMorphism(m, quotient, tuple(block_of))
 
 

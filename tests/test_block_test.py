@@ -354,7 +354,7 @@ def test_d5_construction_settled_by_aut_lists_nothing(monkeypatch,
     report = analyze_map(m)
     assert listed == searched == []
     mon = m.monodromy_group()
-    assert mon._chain is not None and mon._order is None
+    assert mon._chain is not None and mon._order == mon.chain().order()
     assert report.monodromy_order == mon.chain().order() == 1000
     assert report.decomposability["decomposable"] is False
     assert report.decomposability["reason"] == decomp.BLOCK_TEST_REASON

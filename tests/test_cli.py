@@ -244,6 +244,21 @@ def test_build_rejects_a_bad_preset_or_parameter(capsys, tmp_path, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("preset", ["epsilon", "dm6"])
+def test_build_past_the_word_length_cap_is_a_bound(capsys, tmp_path,
+                                                   preset):
+    # a relator power past the word-length cap is the bound a relator
+    # past it is: exit 2, before any word is expanded
+    out = tmp_path / "x.map"
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "build", preset, "--k", "60000", "-o",
+                           str(out))
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert "power of a word longer than 100000 symbols" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (("--max-order", "-5"), "max_group_order must be from 1 to 124,968"),
     (("--max-order", "0"), "max_group_order must be from 1 to 124,968"),
@@ -361,7 +376,7 @@ def test_coset_bound_is_capped(capsys, tmp_path, argv):
 @pytest.mark.parametrize("relator, code", [
     ("(" * 3000 + "t" + ")" * 3000, 1),  # nesting past the parser's cap
     ("t^99999999", 2),                   # relator past the length cap
-    ("(t*l)^99999999", 1),               # power past the length cap
+    ("(t*l)^99999999", 2),               # power past the length cap
 ])
 def test_todd_coxeter_bounded_words(capsys, tmp_path, relator, code):
     pres = tmp_path / "big.pres"

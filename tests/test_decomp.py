@@ -218,9 +218,10 @@ def test_search_builds_only_what_the_verdict_returns(monkeypatch, c4_sphere):
                 == [H.generators for H in minimals[:2]])
         tables = tuple(g.images for g in m.generators())
         n = m.n_flags
-        assert root_orbits == [([g.images for g in H.generators], m.root, n)
-                               for H in minimals[:2]] + [(tables, m.root, n)]
-        assert quotients == [(m, [g.images for g in H.generators])
+        assert root_orbits == [(tuple(g.images for g in H.generators),
+                                m.root, n) for H in minimals[:2]] + [
+                                    (tables, m.root, n)]
+        assert quotients == [(m, tuple(g.images for g in H.generators))
                              for H in verdict.witnesses]
     assert unread > 0
 

@@ -391,7 +391,7 @@ def test_aut_listing_skips_the_transitivity_walk(constructions, monkeypatch):
     # listed on the orbit of flag 0 with no transitivity test
     auts = [automorphism_group(m) for _, m in constructions
             if not m.monodromy_group().is_regular()]
-    assert all(aut._known_order() < aut.degree for aut in auts)
+    assert all(aut._order < aut.degree for aut in auts)
     tested = count_calls(monkeypatch, PermGroup, "is_transitive")
     for aut in auts:
         listing = aut._listed(DEFAULT_ELEMENT_BOUND)

@@ -14,6 +14,7 @@ from flagmaps.perm import (DEFAULT_ELEMENT_BOUND, _breadth_first_tree,
                            format_group_file, is_normal_in, parse_group_file)
 
 from . import oracles, reference_search
+from .conftest import count_calls
 from .oracles import breadth_first_numbering, minimal_normals_brute, mulclose
 
 
@@ -813,6 +814,89 @@ def test_regular_groups_answer_from_point_tables(G, rng):
     assert not any(G.contains(p) for p in near)
     assert_answers_match_chain(G, probes)
     assert G._chain is None
+
+
+QUERIES = ("order", "is_regular", "elements", "contains",
+           "minimal_normal_subgroups")
+
+
+def answer(G, query, probes, bound):
+    """G's answer to one of QUERIES, a bound exceeded being an answer."""
+    try:
+        if query == "order":
+            return G.order()
+        if query == "is_regular":
+            return G.is_regular()
+        if query == "elements":
+            return G.elements(bound)
+        if query == "contains":
+            return [G.contains(p) for p in probes]
+        return [(N.generators, N.order())
+                for N in minimal_normal_subgroups(G, bound)]
+    except BoundExceeded as exc:
+        return str(exc)
+
+
+def taught(G, source, order):
+    """A new group on G's generators that has learned its order from
+    ``source``: a regularity test (which teaches only a regular group),
+    the count of a listing, the order handed in, or the chain of
+    ``normal_closure``, whose generators may be fewer."""
+    if source == "chain":
+        return normal_closure(PermGroup(G.degree, G.generators),
+                              G.generators)
+    H = PermGroup(G.degree, G.generators)
+    if source == "regularity":
+        H.is_regular()
+    elif source == "listing":
+        H.elements()
+    else:
+        H._order = order
+    return H
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(regular_groups(), small_groups()),
+       st.sampled_from(("regularity", "listing", "handed", "chain")),
+       st.permutations(QUERIES), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_order_bookkeeping_answers_alike_in_any_order(G, source, queries,
+                                                      short, rng):
+    # whatever a group learned its order from, and in whatever order it is
+    # asked, it answers as a new group asked in a fixed order, order()
+    # first; the order, once known, is kept in _order; a regular group
+    # builds no chain, a group with a chain answers order() and contains()
+    # with no regularity test, and once the order is known elements(bound)
+    # below it raises before anything is walked
+    order = PermGroup(G.degree, G.generators).chain().order()
+    H, early = taught(G, source, order), taught(G, source, order)
+    knows = H._order is not None or H._chain is not None
+    assert knows == (source != "regularity" or H.is_regular())
+    bound = order - 1 if short else order
+    points = list(range(G.degree))
+    probes = [g * h for g in H.generators for h in H.generators] + [
+        Perm(rng.sample(points, len(points))) for _ in range(5)]
+    reference = PermGroup(H.degree, H.generators)
+    expected = {}
+    for query in QUERIES:
+        expected[query] = answer(reference, query, probes, bound)
+        assert reference._order == order
+    with pytest.MonkeyPatch.context() as mp:
+        tested = count_calls(mp, perm, "_left_tables")
+        walks = count_calls(mp, perm, "_numbered_orbit")
+        if knows:
+            with pytest.raises(BoundExceeded):
+                early.elements(order - 1)
+            assert walks == [] and early._order == order
+        for query in queries:
+            before = len(tested)
+            assert answer(H, query, probes, bound) == expected[query], query
+            if source == "chain" and query in ("order", "contains"):
+                assert len(tested) == before, query
+    if expected["is_regular"]:
+        assert reference._chain is None
+        assert source == "chain" or H._chain is None
+    assert H._order == order
 
 
 def symmetric(n):
