@@ -27,8 +27,16 @@ from .ettype import (MapSymbol, classify_type, construct_from_group,
                      is_edge_transitive, map_symbol,
                      named_automorphisms_present, partial_order,
                      type_transforms)
-from .cli import AnalysisReport, analyze_map, census_reflexible
 
-__all__ = [name for name in dir() if not name.startswith("_")]
-
+# cli is imported when first read: ``python -m flagmaps.cli`` imports it once
+_CLI_NAMES = ("cli", "AnalysisReport", "analyze_map", "census_reflexible")
+__all__ = [name for name in dir() if not name.startswith("_")] + [*_CLI_NAMES]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+    if name not in _CLI_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    cli = import_module(".cli", __name__)
+    return cli if name == "cli" else getattr(cli, name)

@@ -115,9 +115,9 @@ class _WordParser:
     """Recursive-descent parser for: word ::= term ("*" term)*;
     term ::= name | "(" word ")" | term "^" int."""
 
-    def __init__(self, text: str, line: int):
+    def __init__(self, text: str, line: int, pos: int = 0):
         self.text = text
-        self.pos = 0
+        self.pos = pos
         self.line = line
         self.depth = 0
 
@@ -175,39 +175,42 @@ class _WordParser:
             pairs = list(word_power(_normalize(pairs), exp))
         return pairs
 
-    def expect_end(self) -> None:
+    def parse(self) -> Word:
+        """The rest of the text as one word, normalized."""
+        pairs = self.parse_word()
         self.skip_ws()
         if self.pos < len(self.text):
             raise self.error(f"trailing input {self.text[self.pos:]!r}")
+        return _normalize(pairs)
 
 
 def parse_word(text: str, line: int = 1) -> Word:
-    parser = _WordParser(text, line)
-    pairs = parser.parse_word()
-    parser.expect_end()
-    return _normalize(pairs)
+    return _WordParser(text, line).parse()
 
 
 def parse_presentation(text: str) -> Presentation:
-    """Parse ".pres" text: line ::= "gens" name+ | "rel" word | comment."""
+    """Parse ".pres" text: line ::= "gens" name+ | "rel" word | comment, the
+    directive being its first word; error columns count from its start."""
     gens: list[str] = []
     relators: list[Word] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        words = line.split()
+        if not words:
             continue
-        if line.startswith("gens"):
-            names = line[4:].split()
+        directive, *names = words
+        if directive == "gens":
             if not names:
                 raise PresentationError("empty gens line", lineno)
             for name in names:
                 if not _NAME_RE.fullmatch(name):
                     raise PresentationError(f"bad generator name {name!r}", lineno)
             gens.extend(names)
-        elif line.startswith("rel"):
-            relators.append(parse_word(line[3:], lineno))
+        elif directive == "rel":
+            start = line.index(directive) + len(directive)
+            relators.append(_WordParser(line, lineno, start).parse())
         else:
-            raise PresentationError(f"unknown directive {line.split()[0]!r}", lineno)
+            raise PresentationError(f"unknown directive {directive!r}", lineno)
     return Presentation(tuple(gens), tuple(relators))
 
 
@@ -219,7 +222,8 @@ def format_word(word: Word) -> str:
 
 def format_presentation(p: Presentation) -> str:
     lines = ["gens " + " ".join(p.generators)]
-    lines += ["rel " + format_word(w) for w in p.relators]
+    # an empty relator constrains nothing, and has no text
+    lines += ["rel " + format_word(w) for w in p.relators if w]
     return "\n".join(lines) + "\n"
 
 

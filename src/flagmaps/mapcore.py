@@ -28,7 +28,8 @@ from typing import Iterable, Iterator, Literal, Sequence
 
 from .fpres import Word, parse_word
 from .perm import (LabeledGenerators, Perm, PermGroup, _breadth_first_tree,
-                   _equivariant_map, _orbit_partition, _perm, _relabel)
+                   _equivariant_map, _intertwines, _orbit_partition, _perm,
+                   _relabel)
 
 GENERATOR_NAMES = ("t", "l", "r")
 # The seven mandatory context words T, L, R, TL, RT, RL, TLR (see degen).
@@ -90,7 +91,8 @@ class RootedMap:
         for name, p in (("T", self.t), ("L", self.l), ("R", self.r)):
             if not (p * p).is_identity():
                 raise MapInvariantError(f"{name} not an involution")
-        if not (self.t * self.l * self.t * self.l).is_identity():
+        # T and L are involutions, so (TL)^2 = 1 exactly when they commute
+        if not _intertwines(self.t.images, self.l.images, self.l.images):
             raise MapInvariantError("(TL)^2 not the identity")
         if not (0 <= self.root < n):
             raise MapInvariantError("root flag out of range")

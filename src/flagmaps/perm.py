@@ -3,7 +3,8 @@
 Composition is left to right everywhere: ``x . (p * q) == (x . p) . q``.
 Image tables are composed by ``_read`` (the inner loops of chains,
 listings and closures call ``itemgetter`` directly), inverted by
-``_inverse`` and renumbered by ``_relabel``.
+``_inverse`` and renumbered by ``_relabel``; whether f[s[x]] == d[f[x]]
+for all x (morphisms, automorphisms) is ``_intertwines``.
 Groups are given by generating permutations; a group keeps their image
 tuples once (``PermGroup.tables``), and its order once known.  A regular
 group (Mon of a reflexible map, Aut of one) is recognised from its point
@@ -119,28 +120,13 @@ class Perm:
         return [i for i, j in enumerate(self.images) if i == j]
 
     def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles, each starting at its least point."""
-        seen = [False] * len(self.images)
-        out = []
-        for i in range(len(self.images)):
-            if seen[i] or self.images[i] == i:
-                seen[i] = True
-                continue
-            cyc = [i]
-            j = self.images[i]
-            seen[i] = True
-            while j != i:
-                seen[j] = True
-                cyc.append(j)
-                j = self.images[j]
-            out.append(tuple(cyc))
-        return out
+        """Nontrivial cycles, each from its least point: the orbits of
+        ``_orbit_partition``, listed breadth first, so along the cycle."""
+        orbits = _orbit_partition((self.images,), len(self.images))[1]
+        return [tuple(orbit) for orbit in orbits if len(orbit) > 1]
 
     def order(self) -> int:
-        n = 1
-        for cyc in self.cycles():
-            n = lcm(n, len(cyc))
-        return n
+        return lcm(*map(len, self.cycles()))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Perm) and self.images == other.images
@@ -170,6 +156,12 @@ def _read(table: Sequence[int], keys: Sequence[int]) -> tuple[int, ...]:
         return itemgetter(*keys)(table)
     # itemgetter needs a key, and with one key returns a scalar
     return tuple(table[k] for k in keys)
+
+
+def _intertwines(f: Sequence[int], s: Sequence[int], d: Sequence[int]) -> bool:
+    """Whether f[s[x]] == d[f[x]] for every x: f carries the table s to d.
+    With d equal to s, whether f commutes with s."""
+    return _read(f, s) == _read(d, f)
 
 
 def _inverse(images: Sequence[int]) -> tuple[int, ...]:
@@ -446,7 +438,7 @@ class PermGroup:
             if self.is_regular():
                 x = p.images
                 return p.degree == self.degree and all(
-                    _read(c, x) == _read(x, c) for c in self._left)
+                    _intertwines(x, c, c) for c in self._left)
         return self.chain().contains(p)
 
     __contains__ = contains
@@ -860,7 +852,7 @@ def normal_closure(G: PermGroup, seed: Sequence[Perm],
 
 def _equivariant_map(src: Sequence[Sequence[int]], start: int,
                      dst: Sequence[Sequence[int]], image_of_start: int,
-                     n: int, injective: bool = True) -> list[int] | None:
+                     n: int) -> list[int] | None:
     """The bijection f of {0..n-1} with f(start) = image_of_start and
     f(s[x]) = d[f(x)] for each pair of tables (s, d) of ``zip(src, dst)``,
     or None when there is none.
@@ -868,10 +860,9 @@ def _equivariant_map(src: Sequence[Sequence[int]], start: int,
     Grown breadth first from start: when b is first reached as s[a], f(b)
     is d[f(a)]; each equation is checked once, as its edge is first
     crossed, and a conflict ends the search at once.  A map that reaches
-    every point is unique; it must also be injective unless ``injective``
-    is false.  From the orbit of start under a group into points of the
-    same group, such a map then exists exactly when the stabilizer of
-    start fixes image_of_start.
+    every point is unique, and it must also be injective.  From the orbit
+    of start under a group into points of the same group, such a map then
+    exists exactly when the stabilizer of start fixes image_of_start.
     """
     image = [-1] * n
     image[start] = image_of_start
@@ -886,7 +877,7 @@ def _equivariant_map(src: Sequence[Sequence[int]], start: int,
                 queue.append(b)
             elif image[b] != d[ia]:
                 return None
-    if len(queue) != n or (injective and len(set(image)) != n):
+    if len(queue) != n or len(set(image)) != n:
         return None
     return image
 

@@ -6,11 +6,13 @@ cosets of K concretely as a block system on the flags: the orbit of the
 block root.K under the monodromy generators, walked and numbered by
 ``perm._numbered_orbit`` up to the number of cosets, so the monodromy
 group itself is never enumerated; the walk's Schreier tables are the
-quotient's T, L and R.  The monodromy and automorphism quotients are
+quotient's T, L and R, and the projection reads each flag's block number
+off the walked blocks.  The monodromy and automorphism quotients are
 ``_orbit_quotient``, which numbers the orbits of their group in one walk
 (``perm._orbit_partition``) and induces the generators on them.  The K of
 a morphism is recovered from a breadth-first transversal of permutations,
-with no words.
+with no words.  Whether a flag map carries one map's T, L and R to
+another's (a morphism, an automorphism) is ``perm._intertwines``.
 
 The three public quotients return a checked morphism with the quotient
 map.  The decomposition search, which needs only the maps and each flag's
@@ -24,8 +26,8 @@ from typing import Sequence
 
 from .mapcore import RootedMap, _rooted_map, _tables, isomorphism
 from .perm import (BoundExceeded, Perm, PermGroup, _breadth_first_tree,
-                   _equivariant_map, _numbered_orbit, _orbit_partition,
-                   _perm, _read, is_normal_in)
+                   _intertwines, _numbered_orbit, _orbit_partition, _perm,
+                   _read, is_normal_in)
 
 
 class StabilizerNotContained(ValueError):
@@ -42,7 +44,8 @@ class NotAnAutomorphism(ValueError):
 
 @dataclass(frozen=True)
 class MapMorphism:
-    """A covering projection source -> target, stored as flag images."""
+    """A covering projection source -> target as flag images: onto, root to
+    root, and carrying T, L and R to the target's (``perm._intertwines``)."""
 
     source: RootedMap
     target: RootedMap
@@ -55,10 +58,9 @@ class MapMorphism:
             raise ValueError("flag_map must be onto the target flags")
         if self.flag_map[self.source.root] != self.target.root:
             raise ValueError("morphism must send root to root")
-        for gs, gt in zip(self.source.generators(), self.target.generators()):
-            for x in range(self.source.n_flags):
-                if self.flag_map[gs.images[x]] != gt.images[self.flag_map[x]]:
-                    raise ValueError("flag_map does not respect the generators")
+        for s, d in zip(_tables(self.source), _tables(self.target)):
+            if not _intertwines(self.flag_map, s, d):
+                raise ValueError("flag_map does not respect the generators")
 
     def __call__(self, flag: int) -> int:
         return self.flag_map[flag]
@@ -72,12 +74,13 @@ def _orbit_quotient(m: RootedMap, tables: Sequence[Sequence[int]],
     The orbits are found in one walk (``perm._orbit_partition``), numbered
     by least flag, and each acts through its least flag.  A partition is a
     block system exactly when every flag's block goes where its block's
-    representative goes, one whole-table comparison per generator.  The
-    induced T, L and R of a block system of a checked map satisfy every
-    axiom: each is an involution, as it sends the image of each block back
-    to the block; (TL)^2 = 1 holds, as the induced action is a homomorphic
-    image; the action stays transitive, and the root's block is in range.
-    So the quotient is built with no axiom checked again."""
+    representative goes: ``perm._intertwines``, written out here to reuse
+    the ``_read`` the induced table is read from, on decompose's hot path.
+    The induced T, L and R of a block system of a checked map satisfy
+    every axiom: each is an involution, as it sends the image of each block
+    back to the block; (TL)^2 = 1 holds, as the induced action is a
+    homomorphic image; the action stays transitive, and the root's block
+    is in range.  So the quotient is built with no axiom checked again."""
     block_of, orbits = _orbit_partition(tables, m.n_flags)
     reps = [o[0] for o in orbits]
     induced = []
@@ -96,8 +99,8 @@ def k_quotient(m: RootedMap, K: PermGroup) -> tuple[RootedMap, MapMorphism]:
     The quotient flags are the right cosets of K, realized as the block
     system generated by the K-orbit of the root, numbered in discovery
     order.  The walk's Schreier tables are the induced T, L and R, block 0
-    holds the root, and the projection is the map that commutes with them
-    from the root to block 0.
+    holds the root, and the projection sends each flag to the number of
+    the walked block that holds it.
     """
     mon = m.monodromy_group()
     if K.degree != m.n_flags:
@@ -118,15 +121,15 @@ def k_quotient(m: RootedMap, K: PermGroup) -> tuple[RootedMap, MapMorphism]:
     # they are pairwise disjoint exactly when at most n_flags / |base|
     # of them are found.
     try:
-        _, tables = _numbered_orbit(
+        blocks, tables = _numbered_orbit(
             base, lambda b: [frozenset(map(g.__getitem__, b)) for g in gens],
             m.n_flags // len(base), message)
     except BoundExceeded:
         raise StabilizerNotContained(message) from None
     quotient = _rooted_map(*(_perm(tuple(row)) for row in tables), 0)
-    flag_map = _equivariant_map(_tables(m), m.root, tables, 0, m.n_flags,
-                                injective=False)
-    return quotient, MapMorphism(m, quotient, tuple(flag_map))
+    block_of = {x: i for i, block in enumerate(blocks) for x in block}
+    flag_map = _read(block_of, range(m.n_flags))
+    return quotient, MapMorphism(m, quotient, flag_map)
 
 
 def monodromy_quotient(m: RootedMap, H: PermGroup) -> tuple[RootedMap, MapMorphism]:
@@ -151,11 +154,9 @@ def automorphism_quotient(m: RootedMap, A: PermGroup) -> tuple[RootedMap, MapMor
     of imprimitivity for the monodromy action)."""
     if A.degree != m.n_flags:
         raise ValueError("A must act on the flags of m")
-    for a in A.generators:
-        for g in m.generators():
-            if a * g != g * a:
-                raise NotAnAutomorphism(
-                    "generator of A does not commute with the monodromy action")
+    if not all(_intertwines(a, g, g) for a in A.tables for g in _tables(m)):
+        raise NotAnAutomorphism(
+            "generator of A does not commute with the monodromy action")
     quotient, block_of = _orbit_quotient(m, A.tables)
     return quotient, MapMorphism(m, quotient, tuple(block_of))
 
@@ -163,23 +164,18 @@ def automorphism_quotient(m: RootedMap, A: PermGroup) -> tuple[RootedMap, MapMor
 def project_automorphism(proj: MapMorphism, a: Perm) -> Perm:
     """Push an automorphism of the source along a monodromy-quotient
     projection; the induced permutation of the target flags is again an
-    automorphism."""
+    automorphism.  Each target flag is read through one flag over it."""
     src, tgt = proj.source, proj.target
     if a.degree != src.n_flags:
         raise ValueError("automorphism degree mismatch")
-    images = [-1] * tgt.n_flags
-    for x in range(src.n_flags):
-        y = proj.flag_map[x]
-        img = proj.flag_map[a.images[x]]
-        if images[y] == -1:
-            images[y] = img
-        elif images[y] != img:
-            raise ValueError("automorphism does not project along this morphism")
-    out = Perm(images)
-    for g in tgt.generators():
-        if out * g != g * out:
-            raise ValueError("projected permutation is not an automorphism")
-    return out
+    f = proj.flag_map
+    over = dict(zip(f, range(src.n_flags)))  # a flag over each target flag
+    images = _read(f, _read(a.images, _read(over, range(tgt.n_flags))))
+    if not _intertwines(f, a.images, images):
+        raise ValueError("automorphism does not project along this morphism")
+    if not all(_intertwines(images, g, g) for g in _tables(tgt)):
+        raise ValueError("projected permutation is not an automorphism")
+    return Perm(images)
 
 
 @dataclass(frozen=True)
@@ -213,13 +209,10 @@ def morphism_to_k_quotient(phi: MapMorphism) -> KQuotientCharacterization:
         transversal[z] = transversal[y] * pairs[j][0]
     inverses = {z: u.inverse() for z, u in transversal.items()}
 
-    gens: list[Perm] = []
-    for y, u in transversal.items():
-        for s, g in pairs:
-            schreier = u * s * inverses[g.images[y]]
-            if not schreier.is_identity():
-                gens.append(schreier)
-    K = PermGroup(src.n_flags, gens)
+    # PermGroup drops the identity Schreier generators
+    K = PermGroup(src.n_flags, [u * s * inverses[g.images[y]]
+                                for y, u in transversal.items()
+                                for s, g in pairs])
     quotient, projection = k_quotient(src, K)
     iso = isomorphism(quotient, tgt, mode="rooted")
     if iso is None:

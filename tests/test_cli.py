@@ -388,6 +388,23 @@ def test_todd_coxeter_bounded_words(capsys, tmp_path, relator, code):
     assert err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("gensx y\n", "unknown directive 'gensx' at line 1"),
+    ("gens t\nrelt^2\n", "unknown directive 'relt^2' at line 2"),
+    ("gens t\nrel(t*t)^2\n", "unknown directive 'rel(t*t)^2' at line 2"),
+    ("gens a\nrel a^\n", "expected integer exponent at line 2, column 7"),
+    ("gens a\n  rel a*(a\n", "expected ')' at line 2, column 11"),
+])
+def test_todd_coxeter_rejects_bad_directives_and_words(capsys, tmp_path,
+                                                       text, message):
+    pres = tmp_path / "bad.pres"
+    pres.write_text(text)
+    code, out, err = run_cli(capsys, "todd-coxeter", str(pres))
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 def test_enum_reflexible_command(capsys, tmp_path):
     out = tmp_path / "census"
     code, text, _ = run_cli(capsys, "enum-reflexible", "--max-order", "8",

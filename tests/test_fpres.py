@@ -281,3 +281,55 @@ def test_presentation_duplicate_generator_message():
     with pytest.raises(PresentationError) as err:
         Presentation(("a", "a"), ())
     assert str(err.value) == "duplicate generator name"
+
+
+@pytest.mark.parametrize("text, message", [
+    # the directive is the line's first word, not a prefix of it
+    ("gensx y", "unknown directive 'gensx' at line 1"),
+    ("gens t\nrelt^2", "unknown directive 'relt^2' at line 2"),
+    ("gens t\nrel(t*t)^2", "unknown directive 'rel(t*t)^2' at line 2"),
+    # columns count from the start of the line
+    ("gens a\nrel a^", "expected integer exponent at line 2, column 7"),
+    ("gens a\n  rel a*(a", "expected ')' at line 2, column 11"),
+    ("gens a\n\trel  a a # b", "trailing input 'a ' at line 2, column 9"),
+])
+def test_parse_directives_and_columns(text, message):
+    with pytest.raises(PresentationError) as err:
+        parse_presentation(text)
+    assert str(err.value) == message
+
+
+def test_parse_reads_a_directive_before_a_comment():
+    p = parse_presentation("  gens a b  # two\n rel\t(a*b)^2#x\n")
+    assert p == Presentation(("a", "b"), ((("a", 1), ("b", 1)) * 2,))
+
+
+def test_printer_leaves_out_a_relator_that_cancels():
+    p = parse_presentation("gens a b\nrel a*a^-1\nrel b^2")
+    assert p.relators == ((), (("b", 2),))
+    assert format_presentation(p) == "gens a b\nrel b^2\n"
+
+
+GENERATOR_POOL = ("a", "b", "rel", "gens", "x1")
+
+
+@st.composite
+def presentations(draw):
+    gens = tuple(draw(st.lists(st.sampled_from(GENERATOR_POOL), min_size=1,
+                               max_size=4, unique=True)))
+    syllable = st.tuples(st.sampled_from(gens),
+                         st.integers(-4, 4).filter(bool))
+    # joining the syllables of a list merges and cancels them: some
+    # relators come out empty
+    words = st.lists(syllable, max_size=6).map(
+        lambda pairs: parse_word("*".join(f"{g}^{e}" for g, e in pairs))
+        if pairs else ())
+    return Presentation(gens, tuple(draw(st.lists(words, max_size=5))))
+
+
+@settings(max_examples=200)
+@given(presentations())
+def test_printer_round_trips_but_for_empty_relators(p):
+    again = parse_presentation(format_presentation(p))
+    assert again == Presentation(p.generators,
+                                 tuple(w for w in p.relators if w))

@@ -2,9 +2,14 @@
 each module imports only the modules below it in the package's layers."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import flagmaps
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "flagmaps"
 
@@ -67,3 +72,33 @@ def test_each_module_imports_only_lower_layers(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     below = set(LAYERS[:LAYERS.index(module)])
     assert sorted(set(package_imports(tree)) - below) == []
+
+
+def run_python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-W", "error", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_running_the_cli_module_warns_nothing():
+    # the package does not import cli, so runpy finds it not yet imported
+    result = run_python("-m", "flagmaps.cli", "--help")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.startswith("usage:")
+
+
+def test_the_cli_names_are_read_from_cli_on_first_use():
+    result = run_python("-c", "import sys, flagmaps; "
+                        "print('flagmaps.cli' in sys.modules); "
+                        "flagmaps.analyze_map; "
+                        "print('flagmaps.cli' in sys.modules)")
+    assert (result.returncode, result.stdout) == (0, "False\nTrue\n")
+    from flagmaps import cli
+    for name in ("AnalysisReport", "analyze_map", "census_reflexible"):
+        assert name in flagmaps.__all__
+        assert getattr(flagmaps, name) is getattr(cli, name)
+    assert flagmaps.cli is cli
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        flagmaps.nothing

@@ -56,6 +56,18 @@ def test_load_rejects_broken_commutation():
     assert "(TL)^2" in str(err.value)
 
 
+@pytest.mark.parametrize("t_cycles, l_cycles", [
+    ([(0, 1), (2, 3)], [(1, 2)]),          # TL = (0 2 3 1)
+    ([(0, 1)], [(1, 2), (0, 3)]),          # TL = (0 2 1 3)
+])
+def test_rejects_involutions_t_and_l_that_do_not_commute(t_cycles, l_cycles):
+    t, l = Perm.from_cycles(4, t_cycles), Perm.from_cycles(4, l_cycles)
+    assert t * t == l * l == Perm.identity(4) and t * l != l * t
+    with pytest.raises(MapInvariantError) as err:
+        RootedMap(t, l, Perm.identity(4))
+    assert str(err.value) == "(TL)^2 not the identity"
+
+
 def test_load_rejects_intransitive():
     with pytest.raises(MapInvariantError) as err:
         RootedMap(Perm.identity(2), Perm.identity(2), Perm.identity(2))

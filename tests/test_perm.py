@@ -1,6 +1,6 @@
 import random
 import time
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -951,3 +951,60 @@ def test_regular_groups_named():
     assert not klein.contains(Perm.from_cycles(4, [(0, 1)]))
     assert klein.contains(Perm.from_cycles(4, [(0, 3), (1, 2)]))
     assert not klein.contains(Perm.identity(5))
+
+
+def cycle_walk(images):
+    """The nontrivial cycles, each from its least point, walked on a dict
+    of the points not yet reached."""
+    unvisited = dict(enumerate(images))
+    cycles = []
+    while unvisited:
+        start = min(unvisited)
+        cycle, x = [start], unvisited.pop(start)
+        while x != start:
+            cycle.append(x)
+            x = unvisited.pop(x)
+        if len(cycle) > 1:
+            cycles.append(tuple(cycle))
+    return cycles
+
+
+@given(st.integers(1, 9).flatmap(perm_strategy))
+def test_cycles_order_and_repr_match_a_cycle_walk(p):
+    cycles = cycle_walk(p.images)
+    assert p.cycles() == cycles
+    assert p.order() == lcm(*map(len, cycles))
+    body = "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
+    assert repr(p) == (f"Perm[{body}]" if cycles
+                       else f"Perm.identity({p.degree})")
+    assert Perm.from_cycles(p.degree, cycles) == p
+
+
+@st.composite
+def table_triples(draw):
+    """(f, s, d): f maps n points into m, s maps the n and d the m points
+    into themselves.  Half the time s[x] is a point over d[f[x]] wherever
+    there is one, so that the equations at x hold."""
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(1, 9))
+    f = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    d = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+    s = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        over = {y: x for x, y in enumerate(f)}
+        s = [over.get(d[f[x]], s[x]) for x in range(n)]
+    return f, s, d
+
+
+@given(table_triples())
+def test_intertwines_is_the_per_point_definition(tables):
+    f, s, d = tables
+    assert perm._intertwines(f, s, d) == all(
+        f[s[x]] == d[f[x]] for x in range(len(f)))
+
+
+@given(st.integers(1, 9).flatmap(
+    lambda n: st.tuples(perm_strategy(n), perm_strategy(n))))
+def test_intertwines_with_itself_is_commuting(pair):
+    p, q = pair
+    assert perm._intertwines(p.images, q.images, q.images) == (p * q == q * p)

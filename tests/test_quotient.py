@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import random
 
 import pytest
@@ -5,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagmaps import (LabeledGenerators, Perm, PermGroup, automorphism_group,
-                      automorphism_quotient, build_degenerate, is_reflexible,
+                      automorphism_quotient, build_degenerate,
+                      build_slightly_degenerate, is_reflexible,
                       isomorphism, k_quotient, minimal_normal_subgroups,
                       monodromy_quotient, morphism_to_k_quotient,
                       project_automorphism)
@@ -268,3 +271,102 @@ def test_block_quotient_equals_the_checked_map(seed, n_edges):
         for g, q in zip(m.generators(), quotient.generators()):
             assert all(block_of[g.images[x]] == q.images[block_of[x]]
                        for x in range(n))
+
+
+# The three involutions of the Klein four-group on four flags: any two of
+# them are the T and L of a map with one edge, whatever R is.
+KLEIN = [Perm.from_cycles(4, cycles)
+         for cycles in ([(0, 1), (2, 3)], [(0, 2), (1, 3)], [(0, 3), (1, 2)])]
+ONE_EDGE = RootedMap(KLEIN[0], KLEIN[1], KLEIN[0])
+
+
+def respects(f, s, d):
+    return all(f[s.images[x]] == d.images[f[x]] for x in range(len(f)))
+
+
+@pytest.mark.parametrize("name", ["t", "l", "r"])
+def test_morphism_rejects_a_flag_map_breaking_one_generator(name):
+    # the identity onto a map that differs from the source in one generator
+    target = dataclasses.replace(ONE_EDGE, **{name: KLEIN[2]})
+    identity = tuple(range(4))
+    broken = [respects(identity, s, d) is False for s, d in
+              zip(ONE_EDGE.generators(), target.generators())]
+    assert broken == [g == name for g in "tlr"]
+    with pytest.raises(ValueError) as err:
+        MapMorphism(ONE_EDGE, target, identity)
+    assert str(err.value) == "flag_map does not respect the generators"
+
+
+def test_automorphism_quotient_names_a_generator_that_is_no_automorphism():
+    # KLEIN[0] commutes with T and L, but not with R = (0 2)
+    m = RootedMap(KLEIN[0], KLEIN[1], Perm.from_cycles(4, [(0, 2)]))
+    assert [respects(KLEIN[0].images, g, g) for g in m.generators()] == [
+        True, True, False]
+    with pytest.raises(NotAnAutomorphism) as err:
+        automorphism_quotient(m, PermGroup(4, [KLEIN[0]]))
+    assert str(err.value) == ("generator of A does not commute with the "
+                              "monodromy action")
+
+
+def test_project_rejects_a_permutation_that_splits_a_fiber(c4_sphere):
+    H = minimal_normal_subgroups(c4_sphere.monodromy_group())[0]
+    _, proj = monodromy_quotient(c4_sphere, H)
+    f = proj.flag_map
+    fiber = [x for x in range(c4_sphere.n_flags) if f[x] == f[0]]
+    other = next(x for x in range(c4_sphere.n_flags) if f[x] != f[0])
+    assert len(fiber) > 1
+    # 0 leaves its fiber and the rest of the fiber stays
+    swap = Perm.from_cycles(c4_sphere.n_flags, [(0, other)])
+    with pytest.raises(ValueError) as err:
+        project_automorphism(proj, swap)
+    assert str(err.value) == "automorphism does not project along this morphism"
+
+
+def test_project_rejects_a_permutation_that_is_no_automorphism(tetrahedron):
+    identity = MapMorphism(tetrahedron, tetrahedron,
+                           tuple(range(tetrahedron.n_flags)))
+    # T projects along the identity, and it does not commute with R
+    assert not respects(tetrahedron.t.images, tetrahedron.r, tetrahedron.r)
+    with pytest.raises(ValueError) as err:
+        project_automorphism(identity, tetrahedron.t)
+    assert str(err.value) == "projected permutation is not an automorphism"
+
+
+@functools.cache
+def projections():
+    """Each monodromy projection of three small reflexible maps by a
+    minimal normal subgroup, with the map's automorphisms."""
+    out = []
+    for m in (build_degenerate(6, 3), build_degenerate(7, 4),
+              build_slightly_degenerate("epsilon", 4)):
+        aut = automorphism_group(m).elements()
+        for H in minimal_normal_subgroups(m.monodromy_group()):
+            out.append((monodromy_quotient(m, H)[1], aut))
+    return out
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_projection_matches_a_fiber_by_fiber_reading(data):
+    # an automorphism, or a random permutation of the flags: it projects
+    # exactly when it takes fibers into fibers, onto the image of any flag
+    # of each fiber, and the image must commute with T, L and R
+    proj, aut = data.draw(st.sampled_from(projections()))
+    n, f = proj.source.n_flags, proj.flag_map
+    a = data.draw(st.one_of(st.sampled_from(aut),
+                            st.permutations(range(n)).map(Perm)))
+    fibers = [set() for _ in range(proj.target.n_flags)]
+    for x in range(n):
+        fibers[f[x]].add(f[a.images[x]])
+    if any(len(images) > 1 for images in fibers):
+        assert a not in aut  # every automorphism projects
+        with pytest.raises(ValueError, match="does not project"):
+            project_automorphism(proj, a)
+        return
+    image = [images.pop() for images in fibers]
+    if all(respects(image, g, g) for g in proj.target.generators()):
+        assert project_automorphism(proj, a).images == tuple(image)
+    else:
+        assert a not in aut
+        with pytest.raises(ValueError, match="is not an automorphism"):
+            project_automorphism(proj, a)
