@@ -6,8 +6,8 @@ orders classify a reflexible map as degenerate (some order 1),
 slightly-degenerate (all >= 2 but one of the last three equals 2) or
 non-degenerate.  The degenerate families DM1..DM12 and the families
 eps_k (cycle in the sphere) and delta_k (cycle in the projective plane)
-are built from their defining relation rows via coset enumeration, so
-the presentation pipeline is exercised rather than hard-coded tables.
+are built from the dihedral actions of their groups (``_dihedral_map``)
+and checked against their presentations.
 """
 
 from __future__ import annotations
@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-from .fpres import (Presentation, Word, format_word, parse_word, todd_coxeter,
-                    word_power)
-from .mapcore import (CONTEXT_WORDS, TRIALITY, RootedMap,
-                      regular_map_from_group)
+from .fpres import (DEFAULT_MAX_COSETS, EnumerationOverflow, Presentation,
+                    Word, format_word, parse_word, word_power)
+from .mapcore import (CONTEXT_WORDS, TRIALITY, RootedMap, canonicalize,
+                      is_reflexible)
+from .perm import Perm
 
 
 # FORCED_EQUALITIES[i] lists the pairs of context words (indices into
@@ -173,26 +174,90 @@ def dm_vector(index: int, k: int | None = None) -> ContextVector:
 
 
 def dm_group_order(index: int, k: int | None = None) -> int:
+    dm_vector(index, k)  # the same arguments, rejected alike
     if index == 1:
         return 1
     if index in (2, 3, 4, 5):
         return 2
     if index in DM_PARAMETRIC:
-        if k is None or k < 1:
-            raise ValueError(f"DM{index} needs a parameter k >= 1")
         return 2 * k
     return 4
 
 
+# Each family's group is dihedral, or C2 x dihedral, and acts regularly on
+# its flags c + period * s: `sheets` copies (s = 0 or 1) of a cycle of
+# `period` flags (c mod period).  Each of T, L and R is one of these moves
+# of (c, s): the identity, a (2i <-> 2i+1), b (2i-1 <-> 2i, mod period),
+# x (the other sheet), h (the half turn c + period/2) and a then x.
+_MOVES = {
+    "1": lambda c, s, period: (c, s),
+    "a": lambda c, s, period: (c ^ 1, s),
+    "b": lambda c, s, period: ((c + 1 if c % 2 else c - 1) % period, s),
+    "x": lambda c, s, period: (c, 1 - s),
+    "h": lambda c, s, period: ((c + period // 2) % period, s),
+    "ax": lambda c, s, period: (c ^ 1, 1 - s),
+}
+
+# (period, sheets, the moves of T, L and R) of each family; the period of
+# a family with a parameter k is that many times k.
+_ACTIONS = {
+    "DM1": (1, 1, ("1", "1", "1")),
+    "DM2": (2, 1, ("1", "1", "a")),
+    "DM3": (2, 1, ("a", "1", "1")),
+    "DM4": (2, 1, ("1", "a", "1")),
+    "DM5": (2, 1, ("a", "a", "1")),
+    "DM6": (2, 1, ("a", "1", "b")),
+    "DM7": (2, 1, ("1", "a", "b")),
+    "DM8": (2, 1, ("a", "a", "b")),
+    "DM9": (2, 2, ("a", "x", "1")),
+    "DM10": (2, 2, ("a", "x", "a")),
+    "DM11": (2, 2, ("a", "x", "x")),
+    "DM12": (2, 2, ("a", "x", "ax")),
+    "epsilon": (2, 2, ("x", "a", "b")),
+    "delta": (4, 1, ("h", "a", "b")),
+}
+
+
+def _dihedral_map(family: str, k: int | None, presentation: Presentation,
+                  order: int) -> RootedMap:
+    """The map of a family's dihedral action (``_ACTIONS``), relabeled
+    breadth first from its root (``mapcore.canonicalize``) and checked
+    against the classification in O(flags), not trusted: it has the
+    family's ``order`` of flags, its Mon is regular, and every relator of
+    its ``presentation`` fixes the root.  In a regular group only the
+    identity fixes a point, so the group satisfies the relators; it has
+    the presented group's order, so it is that group.  More than
+    ``DEFAULT_MAX_COSETS`` flags, the bound coset enumeration of the
+    family had, is refused before any table is built."""
+    name = family if k is None else f"{family}_{k}"
+    if order > DEFAULT_MAX_COSETS:
+        raise EnumerationOverflow(
+            f"{name} has {order:,} flags, past the flag bound "
+            f"{DEFAULT_MAX_COSETS:,}")
+    period, sheets, moves = _ACTIONS[family]
+    period *= 1 if k is None else k
+    if period * sheets != order:
+        raise RuntimeError(
+            f"{name} action has {period * sheets} flags, expected {order}")
+    flags = [(c, s) for s in range(sheets) for c in range(period)]
+    m = canonicalize(RootedMap(*(
+        Perm([c + period * s for c, s in (move(c, s, period)
+                                          for c, s in flags)])
+        for move in map(_MOVES.__getitem__, moves))))
+    if not is_reflexible(m):
+        raise RuntimeError(f"{name} action is not regular")
+    for word in presentation.relators:
+        if m.act(0, "".join(letter * abs(exp) for letter, exp in word)) != 0:
+            raise RuntimeError(
+                f"{name} action breaks the relator {format_word(word)}")
+    return m
+
+
 def build_degenerate(index: int, k: int | None = None) -> RootedMap:
     """The reflexible map of the row DM<index> (parameter k for 6, 7, 8)."""
-    vec = dm_vector(index, k)
-    lg, order = todd_coxeter(vector_presentation(vec))
-    expected = dm_group_order(index, k)
-    if order != expected:
-        raise RuntimeError(
-            f"DM{index} enumeration gave order {order}, expected {expected}")
-    return regular_map_from_group(lg)
+    presentation = vector_presentation(dm_vector(index, k))
+    return _dihedral_map(f"DM{index}", k, presentation,
+                         dm_group_order(index, k))
 
 
 _BASE_RELATOR_TEXTS = ("t^2", "l^2", "r^2", "(t*l)^2", "(r*t)^2")
@@ -222,9 +287,8 @@ def slightly_degenerate_presentation(family: str, k: int) -> Presentation:
 
 def build_slightly_degenerate(family: str, k: int) -> RootedMap:
     """eps_k (k-cycle in the sphere) or delta_k (k-cycle in the projective
-    plane, embedded as a non-contractible curve); 4k flags."""
-    lg, order = todd_coxeter(slightly_degenerate_presentation(family, k))
-    if order != 4 * k:
-        raise RuntimeError(
-            f"{family}_{k} enumeration gave order {order}, expected {4 * k}")
-    return regular_map_from_group(lg)
+    plane, embedded as a non-contractible curve); 4k flags.  eps_k's
+    action has two sheets of 2k flags that T swaps, delta_k's one cycle
+    of 4k flags that T turns half-way."""
+    return _dihedral_map(family, k,
+                         slightly_degenerate_presentation(family, k), 4 * k)

@@ -266,3 +266,18 @@ def test_criterion_10_edge_transitive_machinery(default_census, tetrahedron):
             result, report = construct_from_group("1", lg)
             assert report.exact
             assert isomorphism(result, m, mode="generalized") is not None
+
+
+def test_criterion_11_families_at_a_thousand():
+    # the family sizes of the ROADMAP's proposed workload at the paper's sizes
+    with criterion(11, "DM6/7/8 and epsilon/delta builds at k = 1000", 2.0):
+        for index in (6, 7, 8):
+            for k in (1000, 1001):
+                m = build_degenerate(index, k)
+                assert m.n_flags == 2 * k
+                assert context_vector(m) == dm_vector(index, k)
+        for family, orders in (("epsilon", (2, 2, 2, 2, 2, 1000, 1000)),
+                               ("delta", (2, 2, 2, 2, 2, 2000, 2000))):
+            m = build_slightly_degenerate(family, 1000)
+            assert m.n_flags == 4000
+            assert context_vector(m).orders == orders

@@ -259,6 +259,21 @@ def test_build_past_the_word_length_cap_is_a_bound(capsys, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("preset", ["epsilon", "delta"])
+def test_build_past_the_flag_bound_is_a_bound(capsys, tmp_path, preset):
+    # 4 * 25002 = 100,008 flags: the relators fit the word-length cap, the
+    # flags pass the bound coset enumeration of the family had
+    out = tmp_path / "x.map"
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "build", preset, "--k", "25002", "-o",
+                           str(out))
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert (f"{preset}_25002 has 100,008 flags, past the flag bound 100,000"
+            in err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (("--max-order", "-5"), "max_group_order must be from 1 to 124,968"),
     (("--max-order", "0"), "max_group_order must be from 1 to 124,968"),

@@ -9,11 +9,14 @@ from flagmaps import (BoundExceeded, ContextVector, build_degenerate,
                       build_slightly_degenerate, cells_and_surface,
                       classify_degeneracy, context_vector, du,
                       isomorphism, lcm_vector_predict, parallel_product, pe,
-                      smallest_reflexible_cover)
+                      regular_map_from_group, save_map,
+                      smallest_reflexible_cover, todd_coxeter)
 from flagmaps.degen import (DM_FIXED, DM_PARAMETRIC, broken_forcing,
                             classify_vector, dm_group_order, dm_vector,
-                            slightly_degenerate_presentation, triality_images)
+                            slightly_degenerate_presentation, triality_images,
+                            vector_presentation)
 from flagmaps.fpres import evaluate_word
+from flagmaps.mapcore import TRIALITY, canonicalize, triality_composites
 from flagmaps.perm import LabeledGenerators
 
 from . import oracles
@@ -280,3 +283,72 @@ def test_one_cycle_embeddings_are_dm11_dm12():
     info = cells_and_surface(dm12)
     assert info.orientability == "non-orientable"
     assert info.signed_genus == -1
+
+
+def enumerated_text(presentation):
+    """The save_map text of the map coset enumeration finds for a
+    presentation: the builders' oracle."""
+    return save_map(regular_map_from_group(todd_coxeter(presentation)[0]))
+
+
+def test_degenerate_builds_are_the_enumerated_maps():
+    cases = [(index, None) for index in DM_FIXED]
+    cases += [(index, k) for index in sorted(DM_PARAMETRIC)
+              for k in range(1, 65)]
+    misses = [(index, k) for index, k in cases
+              if save_map(build_degenerate(index, k))
+              != enumerated_text(vector_presentation(dm_vector(index, k)))]
+    assert misses == []
+
+
+def test_slightly_degenerate_builds_are_the_enumerated_maps():
+    misses = [(family, k) for family in ("epsilon", "delta")
+              for k in range(2, 41)
+              if save_map(build_slightly_degenerate(family, k))
+              != enumerated_text(slightly_degenerate_presentation(family, k))]
+    assert misses == []
+
+
+def test_builds_carry_breadth_first_labels():
+    for m in (build_degenerate(12), build_degenerate(8, 5),
+              build_slightly_degenerate("epsilon", 3),
+              build_slightly_degenerate("delta", 4)):
+        assert m.root == 0
+        assert canonicalize(m).generators() == m.generators()
+
+
+def triality_composite(m, name):
+    return triality_composites(m)[[n for n, _, _ in TRIALITY].index(name)]
+
+
+@pytest.mark.parametrize("image, name, source", [
+    (4, "Du", 3), (5, "Pe", 3), (11, "Du", 10), (12, "PeDu", 10),
+    (9, "Du", 9)])
+def test_fixed_rows_are_closed_under_triality(image, name, source):
+    assert save_map(build_degenerate(image)) == save_map(
+        triality_composite(build_degenerate(source), name))
+
+
+def test_dm7_and_dm8_are_the_dual_and_petrie_dual_of_dm6():
+    for k in range(1, 31):
+        dm6 = build_degenerate(6, k)
+        assert save_map(build_degenerate(7, k)) == save_map(
+            triality_composite(dm6, "Du")), k
+        assert save_map(build_degenerate(8, k)) == save_map(
+            triality_composite(dm6, "Pe")), k
+
+
+@pytest.mark.parametrize("index, k", [
+    (13, None), (0, None), (-3, None), (2, 3), (9, 1), (6, None), (7, 0),
+    (8, -2)])
+def test_dm_group_order_rejects_what_dm_vector_rejects(index, k):
+    with pytest.raises(ValueError) as vector_error:
+        dm_vector(index, k)
+    with pytest.raises(ValueError) as order_error:
+        dm_group_order(index, k)
+    assert str(order_error.value) == str(vector_error.value)
+
+
+def test_the_flag_bound_admits_its_own_count():
+    # 4 * 25000 flags meet the 100,000 bound; 4 * 25002 pass it (test_cli)
+    assert build_slightly_degenerate("delta", 25000).n_flags == 100_000
