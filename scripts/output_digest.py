@@ -15,7 +15,14 @@ digest covers, item by item in corpus order:
   minimal normal subgroups of Mon;
 - census: the files ``write_census`` writes for the default census
   (|Mon| <= 96, context bound 12, with analysis), which do not depend on
-  the seed.
+  the seed;
+- constructions: the raw ``construct_from_group`` output, the tables in
+  the construction's numbering (element * |S| + offset), the root and the
+  admissibility report with its sets sorted, for every input of the
+  construction pool (``bench/reference/constructions.json``) and of
+  ``corpus.boundary_constructions``.  The corpora hold every map in its
+  breadth-first labels, so this line alone sees the construction's own
+  numbering; it does not depend on the seed either.
 
 The program is imported from ``src/`` of this checkout, as the benchmark
 imports it (``bench/workload.py``).  Two checkouts whose outputs are the
@@ -30,6 +37,7 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True
@@ -87,8 +95,31 @@ def census_records(fm, seed):
             yield path.name, path.read_text()
 
 
+def construction_records(fm, seed):
+    """Each construction the corpora make, recorded raw through a stand-in
+    for ``construct_from_group``, on every tuple of the pool."""
+    records = []
+
+    def construct(type_label, lg):
+        m, report = fm.construct_from_group(type_label, lg)
+        records.append((type_label, list(lg.labels),
+                        [list(g.images) for g in lg.generators], plain(m),
+                        {name: sorted(value) if isinstance(value, frozenset)
+                         else value for name, value in vars(report).items()}))
+        return m, report
+
+    recording = SimpleNamespace(**{**vars(fm),
+                                   "construct_from_group": construct})
+    corpus.stratum_constructions(recording,
+                                 corpus.load_reference("constructions.json"),
+                                 None, skip_reflexible=False)
+    corpus.boundary_constructions(recording)
+    return records
+
+
 WORKLOADS = {"census": census_records, "analyze": analyze_records,
-             "decompose": decompose_records}
+             "decompose": decompose_records,
+             "constructions": construction_records}
 
 
 def digest(records) -> str:

@@ -21,8 +21,9 @@ from .decomp import (NotEdgeTransitive, decomposability_edge_transitive,
                      decomposability_general)
 from .degen import (ContextVector, broken_forcing, context_vector,
                     triality_images, vector_presentation)
-from .fpres import (MAX_COSETS, EnumerationOverflow, PresentationError,
-                    evaluate_word, parse_presentation, todd_coxeter)
+from .fpres import (DEFAULT_MAX_COSETS, MAX_COSETS, EnumerationOverflow,
+                    PresentationError, evaluate_word, parse_presentation,
+                    todd_coxeter)
 from .mapcore import (GENERATOR_NAMES, MapFormatError, MapInvariantError,
                       RootedMap, automorphism_group, cells_and_surface,
                       context_cycle_orders, du, genus_symbol, is_reflexible,
@@ -662,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("todd-coxeter", help="enumerate a presentation")
     p.add_argument("presentation", help=".pres file")
-    p.add_argument("--max-cosets", type=int, default=100_000)
+    p.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out-group", metavar="GRP")
     p.set_defaults(func=cmd_todd_coxeter)

@@ -6,8 +6,11 @@ orders classify a reflexible map as degenerate (some order 1),
 slightly-degenerate (all >= 2 but one of the last three equals 2) or
 non-degenerate.  The degenerate families DM1..DM12 and the families
 eps_k (cycle in the sphere) and delta_k (cycle in the projective plane)
-are built from the dihedral actions of their groups (``_dihedral_map``)
-and checked against their presentations.
+are built from the dihedral actions of their groups (``_dihedral_map``):
+T, L and R are rows of moves on one or two sheets of a cycle of flags,
+in the row format of the edge-transitive constructions
+(``mapcore._sheeted_map``), and each map is checked against its
+presentation.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ from math import lcm
 
 from .fpres import (DEFAULT_MAX_COSETS, EnumerationOverflow, Presentation,
                     Word, format_word, parse_word, word_power)
-from .mapcore import (CONTEXT_WORDS, TRIALITY, RootedMap, canonicalize,
-                      is_reflexible)
-from .perm import Perm
+from .mapcore import (CONTEXT_WORDS, TRIALITY, RootedMap, _sheeted_map,
+                      canonicalize, is_reflexible)
 
 
 # FORCED_EQUALITIES[i] lists the pairs of context words (indices into
@@ -185,36 +187,27 @@ def dm_group_order(index: int, k: int | None = None) -> int:
 
 
 # Each family's group is dihedral, or C2 x dihedral, and acts regularly on
-# its flags c + period * s: `sheets` copies (s = 0 or 1) of a cycle of
-# `period` flags (c mod period).  Each of T, L and R is one of these moves
-# of (c, s): the identity, a (2i <-> 2i+1), b (2i-1 <-> 2i, mod period),
-# x (the other sheet), h (the half turn c + period/2) and a then x.
-_MOVES = {
-    "1": lambda c, s, period: (c, s),
-    "a": lambda c, s, period: (c ^ 1, s),
-    "b": lambda c, s, period: ((c + 1 if c % 2 else c - 1) % period, s),
-    "x": lambda c, s, period: (c, 1 - s),
-    "h": lambda c, s, period: ((c + period // 2) % period, s),
-    "ax": lambda c, s, period: (c ^ 1, 1 - s),
-}
-
-# (period, sheets, the moves of T, L and R) of each family; the period of
-# a family with a parameter k is that many times k.
+# its flags (c, s): `sheets` copies (s = 0 or 1) of a cycle of `period`
+# flags (c mod period).  T, L and R are rows of moves of (c, s)
+# (``mapcore._sheeted_map``) over three tables of the cycle: a
+# (2i <-> 2i+1), b (2i-1 <-> 2i, mod period) and h (the half turn
+# c + period/2).  At each sheet a move keeps c or applies a table, and
+# stays on the sheet or goes to the other.
 _ACTIONS = {
-    "DM1": (1, 1, ("1", "1", "1")),
-    "DM2": (2, 1, ("1", "1", "a")),
-    "DM3": (2, 1, ("a", "1", "1")),
-    "DM4": (2, 1, ("1", "a", "1")),
-    "DM5": (2, 1, ("a", "a", "1")),
-    "DM6": (2, 1, ("a", "1", "b")),
-    "DM7": (2, 1, ("1", "a", "b")),
-    "DM8": (2, 1, ("a", "a", "b")),
-    "DM9": (2, 2, ("a", "x", "1")),
-    "DM10": (2, 2, ("a", "x", "a")),
-    "DM11": (2, 2, ("a", "x", "x")),
-    "DM12": (2, 2, ("a", "x", "ax")),
-    "epsilon": (2, 2, ("x", "a", "b")),
-    "delta": (4, 1, ("h", "a", "b")),
+    "DM1": (1, 1, (":0", ":0", ":0")),
+    "DM2": (2, 1, (":0", ":0", "a:0")),
+    "DM3": (2, 1, ("a:0", ":0", ":0")),
+    "DM4": (2, 1, (":0", "a:0", ":0")),
+    "DM5": (2, 1, ("a:0", "a:0", ":0")),
+    "DM6": (2, 1, ("a:0", ":0", "b:0")),
+    "DM7": (2, 1, (":0", "a:0", "b:0")),
+    "DM8": (2, 1, ("a:0", "a:0", "b:0")),
+    "DM9": (2, 2, ("a:0 a:1", ":1 :0", ":0 :1")),
+    "DM10": (2, 2, ("a:0 a:1", ":1 :0", "a:0 a:1")),
+    "DM11": (2, 2, ("a:0 a:1", ":1 :0", ":1 :0")),
+    "DM12": (2, 2, ("a:0 a:1", ":1 :0", "a:1 a:0")),
+    "epsilon": (2, 2, (":1 :0", "a:0 a:1", "b:0 b:1")),
+    "delta": (4, 1, ("h:0", "a:0", "b:0")),
 }
 
 
@@ -234,16 +227,16 @@ def _dihedral_map(family: str, k: int | None, presentation: Presentation,
         raise EnumerationOverflow(
             f"{name} has {order:,} flags, past the flag bound "
             f"{DEFAULT_MAX_COSETS:,}")
-    period, sheets, moves = _ACTIONS[family]
+    period, sheets, rows = _ACTIONS[family]
     period *= 1 if k is None else k
     if period * sheets != order:
         raise RuntimeError(
             f"{name} action has {period * sheets} flags, expected {order}")
-    flags = [(c, s) for s in range(sheets) for c in range(period)]
-    m = canonicalize(RootedMap(*(
-        Perm([c + period * s for c, s in (move(c, s, period)
-                                          for c, s in flags)])
-        for move in map(_MOVES.__getitem__, moves))))
+    cycle = range(period)
+    tables = {"a": [c ^ 1 for c in cycle],
+              "b": [(c + 1 if c % 2 else c - 1) % period for c in cycle],
+              "h": [(c + period // 2) % period for c in cycle]}
+    m = canonicalize(_sheeted_map(tables, period, sheets, rows))
     if not is_reflexible(m):
         raise RuntimeError(f"{name} action is not regular")
     for word in presentation.relators:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from .degen import classify_degeneracy
 from .fpres import evaluate_word
-from .mapcore import (GENERATOR_NAMES, TRIALITY, RootedMap, _tables,
-                      automorphism_group, cells, simple_reroots)
-from .perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators, Perm,
+from .mapcore import (GENERATOR_NAMES, TRIALITY, RootedMap, _sheeted_map,
+                      _tables, automorphism_group, cells, simple_reroots)
+from .perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators,
                    _breadth_first_tree, _inverse)
 
 # Defining words over t, l, r for the thirteen named automorphisms.
@@ -248,16 +248,31 @@ def partial_order(label: str, other: str) -> bool:
 
 # --- construction of a T-admissible map from a group -------------------------
 
-# Generator labels per constructible type, and the always-required
-# (map-symbol independent) relations over those labels.
-TYPE_GENERATORS: dict[str, tuple[str, ...]] = {
-    "1": ("tau", "lambda", "theta1"),
-    "2": ("tau", "theta1", "theta2"),
-    "2ex": ("tau", "sigma_f1"),
-    "3": ("theta1", "theta2", "theta3", "theta4"),
-    "4": ("sigma_x1", "theta2", "theta4"),
-    "5": ("sigma_x1", "sigma_x2"),
+# The flags of the map of each constructible type: (group element, s) for
+# s in one sheet, Z2 or Z2 x Z2 (the pair (j, k) as 2*j + k), and T, L and
+# R as rows of moves on them (``mapcore._sheeted_map``) over the group's
+# right tables, labeled by the type's generators, and their inverses,
+# labeled "-label".
+_CONSTRUCTIONS: dict[str, tuple[int, tuple[str, str, str]]] = {
+    "1": (1, ("tau:0", "lambda:0", "theta1:0")),
+    "2": (2, ("tau:0 tau:1", ":1 :0", "theta1:0 theta2:1")),
+    "2ex": (2, ("tau:0 tau:1", ":1 :0", "-sigma_f1:1 sigma_f1:0")),
+    "3": (4, (":2 :3 :0 :1", ":1 :0 :3 :2",
+              "theta1:0 theta2:1 theta3:2 theta4:3")),
+    "4": (4, (":2 :3 :0 :1", ":1 :0 :3 :2",
+              "sigma_x1:2 theta2:1 -sigma_x1:0 theta4:3")),
+    "5": (4, (":2 :3 :0 :1", ":1 :0 :3 :2",
+              "sigma_x1:2 -sigma_x2:3 -sigma_x1:0 sigma_x2:1")),
 }
+
+# Generator labels per constructible type, in the order the T, L and R
+# rows first name them, and the always-required (map-symbol independent)
+# relations over those labels.
+TYPE_GENERATORS: dict[str, tuple[str, ...]] = {
+    label: tuple(dict.fromkeys(
+        name for move in " ".join(rows).split()
+        if (name := move.partition(":")[0].lstrip("-"))))
+    for label, (_, rows) in _CONSTRUCTIONS.items()}
 
 TYPE_REQUIRED_RELATIONS: dict[str, tuple[str, ...]] = {
     "1": ("tau^2", "lambda^2", "theta1^2", "(tau*lambda)^2"),
@@ -286,7 +301,8 @@ def construct_from_group(type_label: str, g: LabeledGenerators,
     """Build the unique T-admissible map from a group of type T.
 
     Flags are (group element, s) with s running over {1}, Z2 or Z2 x Z2
-    depending on the type; flag numbering is element_index * |S| + offset.
+    depending on the type; flag numbering is element_index * |S| + offset,
+    and T, L and R are the type's rows of ``_CONSTRUCTIONS``.
     The admissibility report classifies the result and flags any named
     automorphisms beyond the requested row.
     """
@@ -301,48 +317,10 @@ def construct_from_group(type_label: str, g: LabeledGenerators,
         if not evaluate_word(g, relation).is_identity():
             raise RelationViolation(f"required relation {relation} fails")
     right = dict(zip(g.labels, g.group()._right_tables(g.generators, bound)))
-    order = len(right[g.labels[0]])
-    stay = range(order)  # the identity table
-
-    if type_label == "1":
-        s_size = 1
-        t_move = [(right["tau"], 0)]
-        l_move = [(right["lambda"], 0)]
-        r_move = [(right["theta1"], 0)]
-    elif type_label in ("2", "2ex"):
-        s_size = 2
-        t_move = [(right["tau"], 0), (right["tau"], 1)]
-        l_move = [(stay, 1), (stay, 0)]
-        if type_label == "2":
-            r_move = [(right["theta1"], 0), (right["theta2"], 1)]
-        else:
-            r_move = [(_inverse(right["sigma_f1"]), 1), (right["sigma_f1"], 0)]
-    else:
-        s_size = 4  # offsets encode (j, k) as 2*j + k
-        t_move = [(stay, 2), (stay, 3), (stay, 0), (stay, 1)]
-        l_move = [(stay, 1), (stay, 0), (stay, 3), (stay, 2)]
-        if type_label == "3":
-            r_move = [(right["theta1"], 0), (right["theta2"], 1),
-                      (right["theta3"], 2), (right["theta4"], 3)]
-        elif type_label == "4":
-            r_move = [(right["sigma_x1"], 2), (right["theta2"], 1),
-                      (_inverse(right["sigma_x1"]), 0), (right["theta4"], 3)]
-        else:  # type 5
-            r_move = [(right["sigma_x1"], 2), (_inverse(right["sigma_x2"]), 3),
-                      (_inverse(right["sigma_x1"]), 0), (right["sigma_x2"], 1)]
-
-    n_flags = order * s_size
-
-    def build(moves) -> Perm:
-        images = [0] * n_flags
-        for ei in range(order):
-            for offset in range(s_size):
-                table, new_offset = moves[offset]
-                images[ei * s_size + offset] = table[ei] * s_size + new_offset
-        return Perm(images)
-
-    # the identity is element 0
-    result = RootedMap(build(t_move), build(l_move), build(r_move), root=0)
+    right |= {f"-{label}": _inverse(table) for label, table in right.items()}
+    sheets, rows = _CONSTRUCTIONS[type_label]
+    # the identity is element 0, so the root (0, 0) is flag 0
+    result = _sheeted_map(right, len(right[g.labels[0]]), sheets, rows)
 
     present = named_automorphisms_present(result)
     classified = classify_type(result)

@@ -17,6 +17,12 @@ Mon and shared by every re-rooting.  Reflexibility is Mon's regularity
 (``is_reflexible``).  The context orders are read on the tables by
 ``context_cycle_orders``, from one flag per Aut-orbit, and the census
 reads its enumerated groups with the same routine.
+
+Maps built from group actions are built on sheeted flags (``_sheeted_map``):
+a flag is an element e (a group element or a cycle position) and a sheet
+s, and each of T, L and R is a row of moves, one per sheet.  The
+edge-transitive constructions (``ettype``) and the degenerate and slightly
+degenerate families (``degen``) read that one row format.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from .fpres import Word, parse_word
 from .perm import (LabeledGenerators, Perm, PermGroup, _breadth_first_tree,
@@ -545,3 +551,22 @@ def regular_map_from_group(lg) -> RootedMap:
     if missing:
         raise ValueError(f"labels {missing} missing from group")
     return RootedMap(table["t"], table["l"], table["r"], root=0)
+
+
+def _sheeted_map(tables: Mapping[str, Sequence[int]], size: int, sheets: int,
+                 rows: Sequence[str]) -> RootedMap:
+    """The map on the flags (e, s), e < size and s < sheets, numbered
+    e * sheets + s and rooted at (0, 0).  T, L and R are three rows of
+    moves, one move per sheet: at position s of a row, "name:s'" sends
+    (e, s) to (tables[name][e], s'), and the name "" keeps e.  The axioms
+    are checked (``RootedMap``), so a row that is not an involution
+    raises ``MapInvariantError``."""
+    generators = []
+    for row in rows:
+        images = [0] * (size * sheets)
+        for s, move in enumerate(row.split()):
+            name, _, target = move.partition(":")
+            table, new = tables[name] if name else range(size), int(target)
+            images[s::sheets] = [x * sheets + new for x in table]
+        generators.append(Perm(images))
+    return RootedMap(*generators)

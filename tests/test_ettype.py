@@ -12,9 +12,11 @@ from flagmaps import (LabeledGenerators, Perm, PermGroup, RootedMap,
                       k_quotient, map_symbol, named_automorphisms_present,
                       partial_order, pe, reroot, type_transforms, word_order)
 from flagmaps.ettype import (NAMED_AUTOMORPHISM_WORDS, TYPE_GENERATORS,
-                             TYPE_LABELS, TYPE_TABLE, DegenerateSymbolAdvisory,
-                             LabelMismatch, RelationViolation,
+                             TYPE_LABELS, TYPE_REQUIRED_RELATIONS, TYPE_TABLE,
+                             DegenerateSymbolAdvisory, LabelMismatch,
+                             RelationViolation, _CONSTRUCTIONS,
                              _cell_sizes_by_orbit)
+from flagmaps.fpres import _normalize, parse_word
 from flagmaps.mapcore import CONTEXT_WORDS, GENERATOR_NAMES
 
 from . import oracles
@@ -149,6 +151,37 @@ def test_construct_relation_violation():
          Perm.from_cycles(3, [(0, 1)]), Perm.from_cycles(3, [(1, 2)])))
     with pytest.raises(RelationViolation):
         construct_from_group("2", g)
+
+
+def walk_rows(moves, composite, sheet):
+    """The sheet that the rows ``composite`` (indices into T, L, R), read
+    in turn from ``sheet``, end on, and the free reduction of the word of
+    group labels they read ("-label" is the inverse)."""
+    letters = []
+    for row in composite:
+        name, _, target = moves[row][sheet].partition(":")
+        if name:
+            letters.append((name.lstrip("-"), -1 if name[0] == "-" else 1))
+        sheet = int(target)
+    return sheet, _normalize(letters)
+
+
+@pytest.mark.parametrize("type_label", sorted(_CONSTRUCTIONS))
+def test_required_relations_are_exactly_what_the_rows_need(type_label):
+    # T^2, L^2, R^2 and (TL)^2 return every flag (g, s) to its sheet s, and
+    # to g exactly when the composite's label word is trivial in the group:
+    # the non-trivial words are the type's required relations
+    sheets, rows = _CONSTRUCTIONS[type_label]
+    moves = [row.split() for row in rows]
+    assert [len(row) for row in moves] == [sheets] * 3
+    words = set()
+    for composite in ((0, 0), (1, 1), (2, 2), (0, 1, 0, 1)):
+        for sheet in range(sheets):
+            end, word = walk_rows(moves, composite, sheet)
+            assert end == sheet, (composite, sheet)
+            if word:
+                words.add(word)
+    assert words == set(map(parse_word, TYPE_REQUIRED_RELATIONS[type_label]))
 
 
 def test_constructed_group_acts_regularly_on_blocks():

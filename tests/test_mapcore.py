@@ -81,6 +81,27 @@ def test_load_rejects_non_involution():
     assert "T not an involution" in str(err.value)
 
 
+def test_sheeted_flags_are_numbered_element_times_sheets_plus_sheet():
+    # (e, s) is flag 2e + s: T moves e by a on both sheets, L swaps the
+    # sheets and R stays
+    m = mapcore._sheeted_map({"a": (1, 0)}, 2, 2,
+                             ("a:0 a:1", ":1 :0", ":0 :1"))
+    assert m.root == 0
+    assert [g.images for g in m.generators()] == [
+        (2, 3, 0, 1), (1, 0, 3, 2), (0, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("tables, size, sheets, rows", [
+    ({"c": (1, 2, 0)}, 3, 1, ("c:0", ":0", ":0")),  # a 3-cycle of elements
+    ({}, 1, 3, (":1 :2 :0", ":0 :1 :2", ":0 :1 :2")),  # a 3-cycle of sheets
+])
+def test_sheeted_row_that_is_not_an_involution_is_refused(tables, size,
+                                                          sheets, rows):
+    with pytest.raises(MapInvariantError) as err:
+        mapcore._sheeted_map(tables, size, sheets, rows)
+    assert str(err.value) == "T not an involution"
+
+
 def test_save_load_round_trip(tetrahedron):
     text = save_map(tetrahedron)
     again = load_map(text)

@@ -171,7 +171,8 @@ def test_output_digest_is_stable():
     assert [done.returncode for done in runs] == [0, 0], runs[0].stderr
     lines = runs[0].stdout.splitlines()
     assert [line.rsplit(" ", 1)[0] for line in lines] == [
-        "census seed 1", "analyze seed 1", "decompose seed 1"]
+        "census seed 1", "analyze seed 1", "decompose seed 1",
+        "constructions seed 1"]
     assert all(len(line.rsplit(" ", 1)[1]) == 64 for line in lines)
     assert runs[1].stdout == runs[0].stdout
 
