@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print one SHA-256 digest of the program's outputs per (workload, seed).
 
-Usage: python scripts/output_digest.py [--seeds S [S ...]]
+Usage: python scripts/output_digest.py [--seeds S [S ...]] [--against DIR]
 
 The inputs are the benchmark's (``bench/corpus.py``); the seeds default
 to 1, 2 and 3.  Each line reads ``WORKLOAD seed S SHA256``, and the
@@ -27,13 +27,20 @@ digest covers, item by item in corpus order:
 The program is imported from ``src/`` of this checkout, as the benchmark
 imports it (``bench/workload.py``).  Two checkouts whose outputs are the
 same print the same lines.  Nothing is written under ``bench/``: no byte
-code is kept, and the census is written to a temporary directory.  Exit
-0, or 2 on bad arguments.
+code is kept, and the census is written to a temporary directory.
+
+``--against DIR`` compares with another checkout: it runs
+``DIR/scripts/output_digest.py`` inside DIR with the same seeds, then
+prints this checkout's lines, each followed by ``same`` or ``differs``.
+
+Exit 0; 1 with ``--against`` when a line differs or the other run fails;
+2 on bad arguments.
 """
 
 import argparse
 import hashlib
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -130,17 +137,44 @@ def digest(records) -> str:
     return h.hexdigest()
 
 
+def other_digests(checkout: Path, seeds) -> dict[str, str]:
+    """The digest of each (workload, seed) line that the script of another
+    checkout prints, run inside it; none when that run fails."""
+    done = subprocess.run(
+        [sys.executable, "scripts/output_digest.py", "--seeds",
+         *map(str, seeds)], cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr)
+        print(f"the run in {checkout} exited {done.returncode}",
+              file=sys.stderr)
+        return {}
+    return dict(line.rsplit(" ", 1) for line in done.stdout.splitlines())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="One SHA-256 of the outputs per (workload, seed).")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="another checkout to compare the lines with")
     args = parser.parse_args(argv)
+    other = None
+    if args.against is not None:
+        if not (args.against / "scripts" / "output_digest.py").is_file():
+            parser.error(f"{args.against} has no scripts/output_digest.py")
+        other = other_digests(args.against, args.seeds)
     fm = load_program()
+    differs = False
     for seed in args.seeds:
         for name, records in WORKLOADS.items():
-            print(f"{name} seed {seed} {digest(records(fm, seed))}",
-                  flush=True)
-    return 0
+            key = f"{name} seed {seed}"
+            line = f"{key} {digest(records(fm, seed))}"
+            if other is not None:
+                same = other.get(key) == line.rsplit(" ", 1)[1]
+                differs |= not same
+                line += " same" if same else " differs"
+            print(line, flush=True)
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":

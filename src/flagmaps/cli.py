@@ -283,23 +283,20 @@ def census_reflexible(max_group_order: int = DEFAULT_CENSUS_MAX_ORDER,
     composite's triple presents the same group, so the vector is
     insufficient exactly when the earlier one was, and otherwise its map
     is the composite of the earlier map (``mapcore.triality_composites``),
-    which then goes through the duplicate test below.  Each such candidate
-    gets a ``TrialityTransfer`` (``transferred``).  At the defaults 414
-    candidates are settled this way, three of which would overflow, and
-    644 of the 20,736 candidates are enumerated.
+    which is kept.  Each such candidate gets a ``TrialityTransfer``
+    (``transferred``).  At the defaults 414 candidates are settled this
+    way, three of which would overflow, and 644 of the 20,736 candidates
+    are enumerated.
 
     Every other candidate is coset-enumerated; it is kept when the
     enumeration fits the order bound, the actual word orders reproduce
     the vector (sufficiency, read off the cycles through coset 0 by
-    ``context_cycle_orders`` up to the first that differs) and no earlier
-    entry is the same map.
+    ``context_cycle_orders`` up to the first that differs).
     Overflowing candidates are recorded, keeping the census's
     incompleteness auditable, and every candidate's outcome is counted.
 
-    Duplicates are found by canonical form: the enumerated groups act
-    regularly, so two of them are congruent as groups labeled t, l, r
-    exactly when their regular maps are rooted-isomorphic, that is when
-    their breadth-first canonical texts (``save_map``) are equal.
+    No two entries are the same map, so ``duplicate`` counts none: a kept
+    map's context vector is its candidate's, and the candidates differ.
 
     Raises ValueError when ``max_group_order`` is not from 1 to
     ``MAX_CENSUS_ORDER`` or ``context_bound`` is not from 1 to
@@ -322,7 +319,6 @@ def census_reflexible(max_group_order: int = DEFAULT_CENSUS_MAX_ORDER,
     max_cosets = 8 * max_group_order + 256
     entries = []
     skipped = []
-    seen_keys: set[str] = set()
     counts = dict.fromkeys(CENSUS_OUTCOMES, 0)
     # for each group found too large, its word orders under each triality
     # composite, keyed by the order of RT and then by the orders, with the
@@ -382,14 +378,9 @@ def census_reflexible(max_group_order: int = DEFAULT_CENSUS_MAX_ORDER,
             if m is None:
                 counts["insufficient_context"] += 1
                 continue
-        key = save_map(m)
-        if key in seen_keys:
-            counts["duplicate"] += 1
-            continue
-        seen_keys.add(key)
         counts["kept"] += 1
         report = analyze_map(m) if analyze else None
-        entries.append(CensusEntry(vec, m.n_flags, m, report, key))
+        entries.append(CensusEntry(vec, m.n_flags, m, report, save_map(m)))
     return CensusResult(max_group_order, context_bound, max_cosets,
                         tuple(entries), tuple(skipped), counts,
                         tuple(certified), tuple(transferred))

@@ -68,9 +68,8 @@ from typing import Any, Iterable, Sequence
 
 from .ettype import is_edge_transitive
 from .mapcore import RootedMap, _tables, automorphism_group, is_reflexible
-from .perm import (DEFAULT_ELEMENT_BOUND, BoundExceeded, PermGroup,
-                   _breadth_first_tree, _least_block, _minimal_normals,
-                   _orbit_partition)
+from .perm import (BoundExceeded, PermGroup, _breadth_first_tree,
+                   _least_block, _minimal_normals, _orbit_partition)
 from .product import NotReflexible
 from .quotient import _orbit_quotient
 
@@ -153,8 +152,7 @@ def _verified_factor_pair(m: RootedMap, H1: PermGroup, H2: PermGroup,
         _breadth_first_tree(_tables(m), m.root, m.n_flags)[0])
 
 
-def decomposability_general(m: RootedMap,
-                            bound: int = DEFAULT_ELEMENT_BOUND) -> DecompositionVerdict:
+def decomposability_general(m: RootedMap) -> DecompositionVerdict:
     """Search ordered pairs of distinct minimal normal subgroups of Mon(m)
     for a pair witnessing decomposability; certificates are always verified.
 
@@ -171,12 +169,13 @@ def decomposability_general(m: RootedMap,
     regular first meets the block test (module docstring), which reads
     Aut (found once per map) and can settle the verdict without listing
     Mon.  The search runs on the map's one Mon, so its regularity, its
-    chain or the count of its listing is left there for |Mon|.
+    chain or the count of its listing is left there for |Mon|.  A Mon
+    past the element bound (``perm``) gives the unknown verdict.
     """
     mon = m.monodromy_group()
     if not mon.is_regular() and not _root_blocks_meet_only_in_root(m, mon):
         return DecompositionVerdict(decomposable=False, reason=BLOCK_TEST_REASON)
-    return _minimal_normal_search(m, mon, bound, "monodromy")
+    return _minimal_normal_search(m, mon, "monodromy")
 
 
 BLOCK_TEST_REASON = ("no two proper blocks of <Mon, Aut> at the root meet "
@@ -240,7 +239,7 @@ def _root_fixers(mon_tables: Sequence[Sequence[int]],
     return fixers
 
 
-def _minimal_normal_search(m: RootedMap, group: PermGroup, bound: int,
+def _minimal_normal_search(m: RootedMap, group: PermGroup,
                            witness_group: str) -> DecompositionVerdict:
     """The search over pairs of minimal normal subgroups of ``group``,
     Mon(m) or Aut(m), named ``witness_group`` on every verdict.
@@ -253,8 +252,7 @@ def _minimal_normal_search(m: RootedMap, group: PermGroup, bound: int,
     most c elements is settled.  So the pair is the full sorted list's,
     and no class is closed after both witnesses are yielded."""
     try:
-        pair = _first_witness_pair(_minimal_normals(group, bound), m.root,
-                                   m.n_flags)
+        pair = _first_witness_pair(_minimal_normals(group), m.root, m.n_flags)
     except BoundExceeded as exc:
         return DecompositionVerdict(decomposable=None, reason=str(exc),
                                     witness_group=witness_group)
@@ -308,22 +306,20 @@ def _first_witness_pair(minimals: Iterable[PermGroup], root: int, n: int,
     return None
 
 
-def decomposability_reflexible(m: RootedMap,
-                               bound: int = DEFAULT_ELEMENT_BOUND) -> DecompositionVerdict:
+def decomposability_reflexible(m: RootedMap) -> DecompositionVerdict:
     """For reflexible maps the stabilizer is trivial, so decomposability is
     exactly: Mon(m) has at least two nontrivial minimal normal subgroups.
 
     This is the general search on the regular Mon: a minimal normal H is
     transitive only when H = Mon, which is then the only one, and the root
     blocks of two distinct minimal normal subgroups meet only in the root,
-    so the first pair is the witness."""
+    so the first pair is the witness; past the element bound, unknown."""
     if not is_reflexible(m):
         raise NotReflexible("map is not reflexible")
-    return decomposability_general(m, bound)
+    return decomposability_general(m)
 
 
-def decomposability_edge_transitive(m: RootedMap,
-                                    bound: int = DEFAULT_ELEMENT_BOUND) -> DecompositionVerdict:
+def decomposability_edge_transitive(m: RootedMap) -> DecompositionVerdict:
     """Decide decomposability of an edge-transitive map from Aut(m) alone.
 
     This decides decomposition into two automorphism quotients, the
@@ -335,8 +331,8 @@ def decomposability_edge_transitive(m: RootedMap,
     carries Aut witnesses, their orbit quotients and a verified certificate.
     Each factor is edge-transitive, but it can gain symmetry: a type-2 or
     type-3 map can have a type-1 factor.  Aut can be small where Mon is
-    past the bound: this route decides the parallel product of the type-5
-    maps from AGL(1, 5) and AGL(1, 7), |Aut| = 420, on which
+    past the element bound: this route decides the parallel product of
+    the type-5 maps from AGL(1, 5) and AGL(1, 7), |Aut| = 420, on which
     ``decomposability_general`` returns unknown.
 
     Type 1 is read as |Aut| = |flags|, with no type row matched: the
@@ -351,16 +347,15 @@ def decomposability_edge_transitive(m: RootedMap,
         raise NotEdgeTransitive("map is not edge-transitive")
     aut = automorphism_group(m)
     if aut.order() == m.n_flags:
-        return decomposability_general(m, bound)
-    return _minimal_normal_search(m, aut, bound, "automorphism")
+        return decomposability_general(m)
+    return _minimal_normal_search(m, aut, "automorphism")
 
 
 def decompose_with_certificate(m: RootedMap,
-                               bound: int = DEFAULT_ELEMENT_BOUND,
                                ) -> tuple[RootedMap, RootedMap, tuple[int, ...]]:
     """The two factor maps and the verified certificate; raises when the
-    input is not decomposable."""
-    verdict = decomposability_general(m, bound)
+    input is not decomposable, ``BoundExceeded`` past the element bound."""
+    verdict = decomposability_general(m)
     if verdict.decomposable is None:
         raise BoundExceeded(verdict.reason or "bound exceeded")
     if not verdict.decomposable:

@@ -17,8 +17,7 @@ from .degen import classify_degeneracy
 from .fpres import evaluate_word
 from .mapcore import (GENERATOR_NAMES, TRIALITY, RootedMap, _sheeted_map,
                       _tables, automorphism_group, cells, simple_reroots)
-from .perm import (DEFAULT_ELEMENT_BOUND, LabeledGenerators,
-                   _breadth_first_tree, _inverse)
+from .perm import LabeledGenerators, _breadth_first_tree, _inverse
 
 # Defining words over t, l, r for the thirteen named automorphisms.
 NAMED_AUTOMORPHISM_WORDS: dict[str, str] = {
@@ -296,7 +295,6 @@ class AdmissibilityReport:
 
 
 def construct_from_group(type_label: str, g: LabeledGenerators,
-                         bound: int = DEFAULT_ELEMENT_BOUND,
                          ) -> tuple[RootedMap, AdmissibilityReport]:
     """Build the unique T-admissible map from a group of type T.
 
@@ -316,7 +314,7 @@ def construct_from_group(type_label: str, g: LabeledGenerators,
     for relation in TYPE_REQUIRED_RELATIONS[type_label]:
         if not evaluate_word(g, relation).is_identity():
             raise RelationViolation(f"required relation {relation} fails")
-    right = dict(zip(g.labels, g.group()._right_tables(g.generators, bound)))
+    right = dict(zip(g.labels, g.group()._right_tables(g.generators)))
     right |= {f"-{label}": _inverse(table) for label, table in right.items()}
     sheets, rows = _CONSTRUCTIONS[type_label]
     # the identity is element 0, so the root (0, 0) is flag 0

@@ -184,8 +184,8 @@ class _WordParser:
         return _normalize(pairs)
 
 
-def parse_word(text: str, line: int = 1) -> Word:
-    return _WordParser(text, line).parse()
+def parse_word(text: str) -> Word:
+    return _WordParser(text, 1).parse()
 
 
 def parse_presentation(text: str) -> Presentation:

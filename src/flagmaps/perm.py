@@ -455,22 +455,22 @@ class PermGroup:
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree
 
-    def elements(self, bound: int = DEFAULT_ELEMENT_BOUND) -> tuple[Perm, ...]:
+    def elements(self) -> tuple[Perm, ...]:
         """All elements, breadth first from the identity (deterministic order).
 
         They are read off a new listing (``_listed``), each built from its
         parent in the breadth-first tree by one composition, and the group
         keeps only their count: the caller owns the tuple.  A group of more
-        than bound elements raises; when its order is known (listed before,
-        from a chain, the degree of a regular group, or given by whoever
-        built it) or read off the chain it is listed through, it raises
-        before listing anything.
+        than ``DEFAULT_ELEMENT_BOUND`` elements raises; when its order is
+        known (listed before, from a chain, the degree of a regular group,
+        or given by whoever built it) or read off the chain it is listed
+        through, it raises before listing anything.
         """
-        listing = self._listed(bound)
+        listing = self._listed()
         return tuple(map(_perm, map(listing.image_builder(),
                                     listing.breadth_first_order())))
 
-    def _listed(self, bound: int) -> Listing:
+    def _listed(self) -> Listing:
         """A new listing of the elements, named by the images of a base
         (``Listing``): for a regular group no walk at all, else the orbit
         of the base, walked once (``_walk``).  A transitive group
@@ -487,9 +487,11 @@ class PermGroup:
         half the points it is every point, and the names are the image
         tuples.  The group keeps the count, as its order, and the chain
         it built, but no listing: a listing lives as long as its caller
-        holds it.  A group of more than bound elements raises before its
-        element bound is named, and before anything is walked when its
-        order is known or read off the chain."""
+        holds it.  ``DEFAULT_ELEMENT_BOUND`` is read at each call: a group
+        of more elements raises before its walk names one too many, and
+        before anything is walked when its order is known or read off the
+        chain."""
+        bound = DEFAULT_ELEMENT_BOUND
         message = f"group exceeds element bound {bound}"
         if self._order is None and self._chain is not None:
             self._order = self._chain.order()
@@ -523,12 +525,11 @@ class PermGroup:
         self._order = listing.count
         return listing
 
-    def _right_tables(self, perms: Sequence[Perm],
-                      bound: int) -> list[list[int]]:
+    def _right_tables(self, perms: Sequence[Perm]) -> list[list[int]]:
         """The right regular table of each given permutation, which is a
-        generator or the identity, on the indices of ``elements(bound)``:
+        generator or the identity, on the indices of ``elements()``:
         ``table[x]`` is the index of x * p.  No ``Perm`` is built."""
-        listing = self._listed(bound)
+        listing = self._listed()
         right = listing.breadth_first_right()
         identity = list(range(listing.count))
         return [identity if p.is_identity()
@@ -820,15 +821,16 @@ def _orbit_partition(tables: Sequence[Sequence[int]], n: int,
     return orbit_of, orbits
 
 
-def normal_closure(G: PermGroup, seed: Sequence[Perm],
-                   bound: int = DEFAULT_ELEMENT_BOUND) -> PermGroup:
+def normal_closure(G: PermGroup, seed: Sequence[Perm]) -> PermGroup:
     """Smallest normal subgroup of G containing the seed elements.
 
     Repeatedly conjugates the closure's generators by the generators of G,
     adding any conjugate that fails membership, until stable.  One
     stabilizer chain is extended generator by generator; it is the chain
-    the returned group would build from the same generators.
+    the returned group would build from the same generators.  A closure
+    past ``DEFAULT_ELEMENT_BOUND`` elements raises ``BoundExceeded``.
     """
+    bound = DEFAULT_ELEMENT_BOUND
     for s in seed:
         if s not in G:
             raise ValueError("seed element not in the ambient group")
@@ -909,11 +911,10 @@ def _index_classes(listing: Listing,
     return _orbit_partition(conj, listing.count)
 
 
-def conjugacy_classes(G: PermGroup,
-                      bound: int = DEFAULT_ELEMENT_BOUND) -> list[list[Perm]]:
+def conjugacy_classes(G: PermGroup) -> list[list[Perm]]:
     """Conjugacy classes of G as sorted element lists, by least
     representative.  Only the elements returned are built."""
-    listing = G._listed(bound)
+    listing = G._listed()
     images = listing.image_builder()
     key = listing.sort_key(images)
     classes = [[_perm(images(i)) for i in sorted(cls, key=key)]
@@ -978,8 +979,7 @@ def _class_closure(listing: Listing,
     return found
 
 
-def minimal_normal_subgroups(G: PermGroup,
-                             bound: int = DEFAULT_ELEMENT_BOUND) -> list[PermGroup]:
+def minimal_normal_subgroups(G: PermGroup) -> list[PermGroup]:
     """All inclusion-minimal nontrivial normal subgroups of G, sorted by
     order, then by element list: the whole stream of ``_minimal_normals``,
     which closes the prime-order conjugacy classes smallest first.  The
@@ -987,13 +987,12 @@ def minimal_normal_subgroups(G: PermGroup,
     its place: before a class of c elements is visited, a minimal normal
     subgroup not yet found holds an unvisited class of prime order, so at
     least c elements besides the identity, and every kept closure of at
-    most c elements is settled.  A group of more than bound elements
-    raises ``BoundExceeded`` before its element bound is named."""
-    return list(_minimal_normals(G, bound))
+    most c elements is settled.  A group of more than
+    ``DEFAULT_ELEMENT_BOUND`` elements raises ``BoundExceeded``."""
+    return list(_minimal_normals(G))
 
 
-def _minimal_normals(G: PermGroup,
-                     bound: int = DEFAULT_ELEMENT_BOUND) -> Iterator[PermGroup]:
+def _minimal_normals(G: PermGroup) -> Iterator[PermGroup]:
     """The minimal normal subgroups of G, in the order and with the
     generators of ``minimal_normal_subgroups``, each yielded as soon as
     its place is certain.
@@ -1029,12 +1028,12 @@ def _minimal_normals(G: PermGroup,
     the bound only changes when c grows, and the rest are yielded after
     the last class.  Each is generated by the conjugacy class of its least
     nontrivial element, and its order is known without a stabilizer
-    chain.  A group of more than bound elements raises ``BoundExceeded``
-    at the first read, before its element bound is named.
+    chain.  A group of more than ``DEFAULT_ELEMENT_BOUND`` elements raises
+    ``BoundExceeded`` at the first read.
     """
     if G.is_trivial():
         return
-    listing = G._listed(bound)
+    listing = G._listed()
     names, where, times = listing.names, listing.where, listing.times
     points = listing.points
     class_of, classes = _index_classes(listing)
@@ -1050,12 +1049,12 @@ def _minimal_normals(G: PermGroup,
         elements, sorted, as subgroups; the others stay unsettled."""
         ready = [N for N in unsettled if len(N) <= size]
         unsettled[:] = [N for N in unsettled if len(N) > size]
+        # only the identity, first in any sort, is shared: sort by the next
         keyed = []
         for N in ready:
-            if any(M < N for M in kept):
-                continue
-            members = sorted(N, key=key)
-            keyed.append((len(N), [key(i) for i in members], members[1]))
+            if not any(M < N for M in kept):
+                least = min((i for i in N if i), key=key)
+                keyed.append((len(N), key(least), least))
         keyed.sort(key=lambda entry: entry[:2])
         for order, _, least in keyed:
             N = PermGroup(G.degree, [
@@ -1130,15 +1129,16 @@ class LabeledGenerators:
         return PermGroup(self.degree, self.generators)
 
 
-def congruent_labeled_groups(A: LabeledGenerators, B: LabeledGenerators,
-                             bound: int = DEFAULT_ELEMENT_BOUND) -> bool:
+def congruent_labeled_groups(A: LabeledGenerators,
+                             B: LabeledGenerators) -> bool:
     """Whether the label-respecting generator assignment extends to an
     isomorphism of the generated groups.
 
     With equal orders, that isomorphism is the bijection from A to B,
     identity to identity, that turns the right regular table of each
     generator of A into that of the same label in B.  Groups of more than
-    bound + 1 elements raise ``BoundExceeded``.
+    ``DEFAULT_ELEMENT_BOUND`` elements raise ``BoundExceeded``, as every
+    listing does.
     """
     if sorted(A.labels) != sorted(B.labels):
         raise ValueError("label multisets differ")
@@ -1146,9 +1146,8 @@ def congruent_labeled_groups(A: LabeledGenerators, B: LabeledGenerators,
     n = group_a.order()
     if n != group_b.order():
         return False
-    src = group_a._right_tables(A.generators, bound + 1)
-    dst = group_b._right_tables([B.generator(lbl) for lbl in A.labels],
-                                bound + 1)
+    src = group_a._right_tables(A.generators)
+    dst = group_b._right_tables([B.generator(lbl) for lbl in A.labels])
     return _equivariant_map(src, 0, dst, 0, n) is not None
 
 

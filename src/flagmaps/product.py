@@ -86,11 +86,10 @@ def fold_parallel_product(maps: list[RootedMap]) -> RootedMap:
     return current
 
 
-def smallest_reflexible_cover(m: RootedMap,
-                              bound: int = DEFAULT_ELEMENT_BOUND) -> RootedMap:
+def smallest_reflexible_cover(m: RootedMap) -> RootedMap:
     """The regular representation of Mon(m) acting on itself, rooted at the
     identity; reflexible, and a cover of m."""
-    tables = m.monodromy_group()._right_tables(m.generators(), bound)
+    tables = m.monodromy_group()._right_tables(m.generators())
     return RootedMap(*map(Perm, tables), root=0)
 
 

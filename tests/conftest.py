@@ -1,4 +1,5 @@
 import random
+from contextlib import contextmanager
 from functools import cached_property
 from itertools import combinations
 
@@ -8,6 +9,7 @@ from flagmaps import (LabeledGenerators, Perm, PermGroup, RootedMap,
                       build_slightly_degenerate, census_reflexible,
                       construct_from_group, regular_map_from_group,
                       todd_coxeter)
+from flagmaps import perm
 from flagmaps.ettype import TYPE_GENERATORS
 from flagmaps.mapcore import automorphism_to
 
@@ -21,6 +23,15 @@ L 2 3 0 1 6 7 4 5
 R 1 0 4 3 2 5 7 6
 root 0
 """
+
+
+@contextmanager
+def element_bound(k):
+    """``perm.DEFAULT_ELEMENT_BOUND`` lowered to k inside the block, for
+    the tests that change it more than once or run under hypothesis."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(perm, "DEFAULT_ELEMENT_BOUND", k)
+        yield
 
 
 def count_fact_runs(mp, name):

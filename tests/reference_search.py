@@ -3,7 +3,8 @@ for the search on named elements (``perm.Listing``): the Perm-set
 search with one stabilizer-chain normal closure per class, the union-find
 search on the right regular action, and the search that listed every
 element as its full image tuple.  They live apart from ``oracles.py``, which the
-benchmark compiles at start-up.
+benchmark compiles at start-up.  Each keeps its own ``bound``, checked
+here, since the program's listings take none.
 """
 
 from math import isqrt
@@ -49,10 +50,19 @@ def _block_index(blocks, n: int) -> list[int]:
 # unchanged as the reference: the production functions must give the same
 # classes, and the same subgroups in the same order.
 
+def _elements(G: PermGroup, bound: int) -> tuple[Perm, ...]:
+    """G's elements, raising as a listing does when there are more than
+    bound of them: so each reference answers to its own bound."""
+    els = G.elements()
+    if len(els) > bound:
+        raise BoundExceeded(f"group exceeds element bound {bound}")
+    return els
+
+
 def conjugacy_classes(G: PermGroup,
                       bound: int = DEFAULT_ELEMENT_BOUND) -> list[list[Perm]]:
     """Conjugacy classes of G as sorted element lists, by least representative."""
-    els = G.elements(bound)
+    els = _elements(G, bound)
     inv_gens = [g.inverse() for g in G.generators]
     seen: set[Perm] = set()
     classes = []
@@ -101,14 +111,14 @@ def minimal_normal_subgroups(G: PermGroup,
         rep = cls[0]
         if not _is_prime(rep.order()):
             continue
-        N = normal_closure(G, [rep], bound)
+        N = normal_closure(G, [rep])
         if not any(M.order() == N.order() and _within(N, M) for M in closures):
             closures.append(N)
     minimal = [N for N in closures
                if not any(M.order() < N.order() and _within(M, N)
                           for M in closures)]
     minimal.sort(key=lambda N: (N.order(),
-                                sorted(p.images for p in N.elements(bound))))
+                                sorted(p.images for p in N.elements())))
     return minimal
 
 
@@ -213,8 +223,8 @@ def minimal_normal_subgroups_union_find(G: PermGroup,
     """
     if G.is_trivial():
         return []
-    els = G.elements(bound)
-    right = G._right_tables(G.generators, bound)
+    els = _elements(G, bound)
+    right = G._right_tables(G.generators)
     n = len(els)
     index = {p: i for i, p in enumerate(els)}
     classes = _orbits([[index[g.inverse() * x * g] for x in els]

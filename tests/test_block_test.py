@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from flagmaps import (LabeledGenerators, Perm, PermGroup, RootedMap,
                       analyze_map, construct_from_group,
                       decomposability_general, save_map)
-from flagmaps import decomp, perm
+from flagmaps import decomp
 from flagmaps.cli import main
 from flagmaps.ettype import TYPE_GENERATORS
 from flagmaps.mapcore import automorphism_group
@@ -170,8 +170,7 @@ def block_corpus(constructions):
     for name, m in maps:
         mon = m.monodromy_group()
         order = mon.order()  # known, so a Mon too large raises at once
-        search = decomp._minimal_normal_search(
-            m, mon, perm.DEFAULT_ELEMENT_BOUND, "monodromy")
+        search = decomp._minimal_normal_search(m, mon, "monodromy")
         brute = decomposable_brute(m) if order <= BRUTE_MON_LIMIT else None
         corpus.append((name, m, verdict_facts(search), brute))
     return corpus

@@ -776,6 +776,18 @@ def test_census_canonical_dedupe_matches_pairwise_congruence():
     assert [e.vector for e in result.entries] == pairwise_census_vectors(24, 6)
 
 
+def test_census_entries_differ_by_their_vectors(default_census):
+    # why the census makes no duplicate test: the candidate vectors are
+    # distinct, and a kept map's context vector is its candidate vector, so
+    # no two kept maps are isomorphic
+    from flagmaps import context_vector
+    vectors = [e.vector for e in default_census.entries]
+    assert len(set(vectors)) == len(vectors) == 86
+    for entry in default_census.entries:
+        assert context_vector(entry.map).orders == entry.vector
+    assert default_census.outcome_counts["duplicate"] == 0
+
+
 def private_flagmaps_names(source):
     """The underscore-prefixed names that Python source takes from another
     flagmaps module: imported by name, or read as an attribute of a

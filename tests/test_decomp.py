@@ -402,7 +402,7 @@ def test_edge_transitive_route_reads_only_aut(
                 continue
             verdict = decomposability_edge_transitive(m)
         assert classified is not None and classify_calls == []
-        assert (general_calls == [(m, DEFAULT_ELEMENT_BOUND)]) == (
+        assert (general_calls == [(m,)]) == (
             classified[0] == "1")
         # the verdict, the witness orders and the witness group
         assert verdict.to_json_dict() == expected.to_json_dict()

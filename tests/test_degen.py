@@ -20,7 +20,7 @@ from flagmaps.mapcore import TRIALITY, canonicalize, triality_composites
 from flagmaps.perm import LabeledGenerators
 
 from . import oracles
-from .conftest import random_rooted_map
+from .conftest import element_bound, random_rooted_map
 
 
 def test_context_vector_dm6_5():
@@ -80,8 +80,9 @@ def reflexible_maps(default_census):
     maps = [entry.map for entry in default_census.entries]
     while len(maps) < 86 + 40:
         try:
-            maps.append(smallest_reflexible_cover(
-                random_rooted_map(rng, rng.randint(1, 3)), 2000))
+            with element_bound(2000):
+                maps.append(smallest_reflexible_cover(
+                    random_rooted_map(rng, rng.randint(1, 3))))
         except BoundExceeded:
             continue
     return maps

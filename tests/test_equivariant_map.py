@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from flagmaps import (BoundExceeded, LabeledGenerators, Perm, RootedMap,
                       automorphism_to, congruent_labeled_groups, du,
-                      isomorphism, pe, reroot, smallest_reflexible_cover)
+                      isomorphism, pe, perm, reroot, smallest_reflexible_cover)
 from flagmaps.perm import _equivariant_map
 
 from . import oracles
-from .conftest import random_rooted_map
+from .conftest import element_bound, random_rooted_map
 from .test_perm import dihedral, regular_groups, small_groups
 
 
@@ -50,9 +50,9 @@ def generalized_reference(m, n):
     return None
 
 
-def cover_reference(m, bound):
+def cover_reference(m):
     """smallest_reflexible_cover as a Perm-keyed regular representation."""
-    elements = m.monodromy_group().elements(bound)
+    elements = m.monodromy_group().elements()
     index = {g: i for i, g in enumerate(elements)}
     perms = [Perm(index[e * g] for e in elements) for g in m.generators()]
     return RootedMap(*perms, root=index[Perm.identity(m.n_flags)])
@@ -208,13 +208,19 @@ def test_congruence_with_labels_in_another_order():
         assert not check(A, swapped)
 
 
-def test_congruence_bound_threshold():
-    # a group of bound + 1 elements still answers; bound + 2 raises
+def test_congruence_bound_threshold(monkeypatch):
+    # the oracle's walk counts the elements but the identity, so a group
+    # of bound + 1 elements still answers there; congruence lists its
+    # groups, and raises past the element bound as every listing does
     lg = LabeledGenerators(("a",), (cyclic(6),))
-    for check in (congruent_labeled_groups, oracles.congruent_labeled_groups):
-        assert check(lg, lg, bound=5)
-        with pytest.raises(BoundExceeded):
-            check(lg, lg, bound=4)
+    assert oracles.congruent_labeled_groups(lg, lg, bound=5)
+    with pytest.raises(BoundExceeded):
+        oracles.congruent_labeled_groups(lg, lg, bound=4)
+    monkeypatch.setattr(perm, "DEFAULT_ELEMENT_BOUND", 6)
+    assert congruent_labeled_groups(lg, lg)
+    monkeypatch.setattr(perm, "DEFAULT_ELEMENT_BOUND", 5)
+    with pytest.raises(BoundExceeded, match="^group exceeds element bound 5$"):
+        congruent_labeled_groups(lg, lg)
 
 
 @settings(deadline=None, max_examples=60)
@@ -230,13 +236,15 @@ def test_is_regular_matches_reference(G):
 
 
 def check_cover(m, bound):
-    try:
-        expected = cover_reference(m, bound)
-    except BoundExceeded:
-        with pytest.raises(BoundExceeded):
-            smallest_reflexible_cover(m, bound)
-        return
-    got = smallest_reflexible_cover(m, bound)
+    """The cover against the reference, under the element bound ``bound``."""
+    with element_bound(bound):
+        try:
+            expected = cover_reference(m)
+        except BoundExceeded:
+            with pytest.raises(BoundExceeded):
+                smallest_reflexible_cover(m)
+            return
+        got = smallest_reflexible_cover(m)
     assert got.generators() == expected.generators()
     assert got.root == expected.root
 

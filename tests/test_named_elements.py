@@ -17,7 +17,7 @@ from flagmaps import (BoundExceeded, LabeledGenerators, Perm, PermGroup,
                       build_degenerate, build_slightly_degenerate,
                       construct_from_group, minimal_normal_subgroups, perm)
 from flagmaps.mapcore import triality_composites
-from flagmaps.perm import DEFAULT_ELEMENT_BOUND, Listing, conjugacy_classes
+from flagmaps.perm import Listing, conjugacy_classes
 
 from . import oracles, reference_search
 from .conftest import random_rooted_map
@@ -94,7 +94,7 @@ def test_symmetric_and_alternating_groups_match_full_tuple_search(n):
 
 def test_a_regular_orbit_of_0_is_not_enough():
     assert_same_search(KERNEL_ON_ORBIT_OF_0)
-    listing = PermGroup(4, KERNEL_ON_ORBIT_OF_0.generators)._listed(10)
+    listing = PermGroup(4, KERNEL_ON_ORBIT_OF_0.generators)._listed()
     assert listing.count == 4
     assert len(set(listing.names)) == 4
     assert conjugacy_classes(KERNEL_ON_ORBIT_OF_0) == [
@@ -119,20 +119,20 @@ def test_listings_take_the_cheap_names(constructions):
     reflexible = [build_degenerate(7, 5),
                   build_slightly_degenerate("delta", 4)]
     for m in reflexible:
-        listing = m.monodromy_group()._listed(DEFAULT_ELEMENT_BOUND)
+        listing = m.monodromy_group()._listed()
         assert listing.names == range(m.n_flags)
     for _, m in constructions:
         aut = automorphism_group(m)
         assert aut.order() == len(oracles.automorphisms_brute(m))
-        listing = aut._listed(DEFAULT_ELEMENT_BOUND)
+        listing = aut._listed()
         assert listing.points and listing.count == aut.order()
         mon = m.monodromy_group()
         if not mon.is_regular():
-            listing = mon._listed(DEFAULT_ELEMENT_BOUND)
+            listing = mon._listed()
             assert not listing.points
             assert listing.count == mon.chain().order()
     mon = construct_from_group("4", TYPE4_D6)[0].monodromy_group()
-    assert mon._listed(DEFAULT_ELEMENT_BOUND).names[0] == (0, 1, 2, 3)
+    assert mon._listed().names[0] == (0, 1, 2, 3)
 
 
 def reader_groups(constructions):
@@ -150,7 +150,7 @@ def test_readers_of_the_listing_match_the_oracles(constructions):
         fresh = lambda: PermGroup(G.degree, G.generators)
         els, right = oracles.elements_and_right(fresh())
         listed = fresh()
-        assert listed._right_tables(listed.generators, 10_000) == right
+        assert listed._right_tables(listed.generators) == right
         assert listed.elements() == els
         assert (conjugacy_classes(fresh())
                 == reference_search.conjugacy_classes(fresh()))
@@ -170,7 +170,7 @@ def test_readers_build_only_what_they_return(constructions, monkeypatch):
             if not H.is_regular() and H.is_transitive():
                 H.centralizer()
         made.clear()
-        tabled._right_tables(G.generators, 10_000)
+        tabled._right_tables(G.generators)
         assert made == []
         classes = conjugacy_classes(classed)
         assert len(made) == sum(map(len, classes)) == G.order()
@@ -275,7 +275,7 @@ def test_mon_is_listed_on_one_flag_per_aut_orbit(constructions):
         for m in maps:
             G = m.monodromy_group()
             fresh = lambda: PermGroup(G.degree, G.generators)
-            listing = G._listed(DEFAULT_ELEMENT_BOUND)
+            listing = G._listed()
             assert listing.count == fresh().chain().order()
             if not G.is_regular():
                 base = centralizer_base(G)
@@ -286,8 +286,7 @@ def test_mon_is_listed_on_one_flag_per_aut_orbit(constructions):
             assert_left_multiplication(listing)
             els, right = oracles.elements_and_right(fresh())
             assert G.elements() == els
-            assert G._right_tables(G.generators,
-                                   DEFAULT_ELEMENT_BOUND) == right
+            assert G._right_tables(G.generators) == right
             assert (conjugacy_classes(G)
                     == reference_search.conjugacy_classes(fresh()))
             assert_same_search(G)
@@ -319,7 +318,7 @@ def test_groups_whose_centralizer_says_nothing_keep_the_grown_base(G, base):
     else:
         with pytest.raises(ValueError):
             fresh.centralizer()
-    listing = fresh._listed(DEFAULT_ELEMENT_BOUND)
+    listing = fresh._listed()
     assert listing.names[0] == base
     assert listing.count == PermGroup(G.degree, G.generators).chain().order()
     assert_left_multiplication(listing)
@@ -371,13 +370,13 @@ def test_every_way_of_listing_matches_the_oracles(G):
         assert ({frozenset(N.elements()) for N in expected}
                 == set(oracles.minimal_normals_brute(cold())))
     for way in (cold, chained, ordered):
-        listing = way()._listed(DEFAULT_ELEMENT_BOUND)
+        listing = way()._listed()
         assert listing.count == order
         if listing.points:
             assert listing.names[0] == 0
         assert way().elements() == els
         H = way()
-        assert H._right_tables(H.generators, DEFAULT_ELEMENT_BOUND) == right
+        assert H._right_tables(H.generators) == right
         assert conjugacy_classes(way()) == classes
         got = minimal_normal_subgroups(way())
         assert [N.generators for N in got] == [N.generators
@@ -394,7 +393,7 @@ def test_aut_listing_skips_the_transitivity_walk(constructions, monkeypatch):
     assert all(aut._order < aut.degree for aut in auts)
     tested = count_calls(monkeypatch, PermGroup, "is_transitive")
     for aut in auts:
-        listing = aut._listed(DEFAULT_ELEMENT_BOUND)
+        listing = aut._listed()
         assert listing.points and listing.count == aut.order()
     assert tested == []
 
@@ -442,8 +441,10 @@ def test_search_stops_before_the_element_bound(G, monkeypatch):
     monkeypatch.setattr(perm, "_numbered_orbit", walk)
     for bound in sorted({1, order // 2, order - 1} - {0}):
         walks.clear()
+        monkeypatch.setattr(perm, "DEFAULT_ELEMENT_BOUND", bound)
         with pytest.raises(BoundExceeded,
                            match=f"^group exceeds element bound {bound}$"):
-            minimal_normal_subgroups(PermGroup(G.degree, G.generators), bound)
+            minimal_normal_subgroups(PermGroup(G.degree, G.generators))
         assert all(b == bound and named <= bound for b, named in walks)
-    assert minimal_normal_subgroups(PermGroup(G.degree, G.generators), order)
+    monkeypatch.setattr(perm, "DEFAULT_ELEMENT_BOUND", order)
+    assert minimal_normal_subgroups(PermGroup(G.degree, G.generators))

@@ -18,7 +18,7 @@ from flagmaps.quotient import (MapMorphism, StabilizerNotContained,
                                morphism_to_k_quotient)
 
 from . import oracles
-from .conftest import random_rooted_map
+from .conftest import element_bound, random_rooted_map
 
 
 @st.composite
@@ -84,8 +84,9 @@ def raised(call, *args):
 
 
 def listed(G, bound):
-    els = G.elements(bound)
-    return els, [list(t) for t in G._right_tables(G.generators, bound)]
+    with element_bound(bound):
+        els = G.elements()
+        return els, [list(t) for t in G._right_tables(G.generators)]
 
 
 @settings(deadline=None, max_examples=80)

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from flagmaps import (BoundExceeded, LabeledGenerators, Perm, PermGroup,
                       congruent_labeled_groups, minimal_normal_subgroups,
                       normal_closure, parallel_product, perm)
-from flagmaps.perm import (DEFAULT_ELEMENT_BOUND, _breadth_first_tree,
-                           _orbit_partition, conjugacy_classes,
-                           format_group_file, is_normal_in, parse_group_file)
+from flagmaps.perm import (_breadth_first_tree, _orbit_partition,
+                           conjugacy_classes, format_group_file,
+                           is_normal_in, parse_group_file)
 
 from . import oracles, reference_search
-from .conftest import count_calls
+from .conftest import count_calls, element_bound
 from .oracles import breadth_first_numbering, minimal_normals_brute, mulclose
 
 
@@ -276,7 +276,7 @@ def test_order_from_enumerated_elements():
     assert not G.is_regular()
     assert len(G.elements()) == 120
     assert G.order() == 120
-    assert (symmetric(5)._listed(DEFAULT_ELEMENT_BOUND).count
+    assert (symmetric(5)._listed().count
             == G.chain().order() == 120)
     H = PermGroup(20_001, [Perm.from_cycles(20_001, [(0, 1)])])
     with pytest.raises(BoundExceeded):
@@ -289,19 +289,22 @@ def test_listed_elements_still_answer_to_the_bound():
     from flagmaps import build_slightly_degenerate
     G = build_slightly_degenerate("epsilon", 10).monodromy_group()
     message = "^group exceeds element bound 20$"
-    with pytest.raises(BoundExceeded, match=message):
-        minimal_normal_subgroups(G, bound=20)
+    with element_bound(20), pytest.raises(BoundExceeded, match=message):
+        minimal_normal_subgroups(G)
     assert len(G.elements()) == 40
-    with pytest.raises(BoundExceeded, match=message):
-        minimal_normal_subgroups(G, bound=20)
-    with pytest.raises(BoundExceeded, match="^group exceeds element bound 5$"):
-        G.elements(5)
-    assert len(G.elements(40)) == 40
+    with element_bound(20), pytest.raises(BoundExceeded, match=message):
+        minimal_normal_subgroups(G)
+    with element_bound(5), pytest.raises(
+            BoundExceeded, match="^group exceeds element bound 5$"):
+        G.elements()
+    with element_bound(40):
+        assert len(G.elements()) == 40
 
 
 def test_known_order_raises_before_listing(monkeypatch):
     # with the order known (from a chain, or as the degree of a regular
-    # group), elements(bound) raises before it lists a single element
+    # group), elements() raises past the element bound before it lists a
+    # single element
     from flagmaps import build_slightly_degenerate
     walks = []
     walk = perm._numbered_orbit
@@ -312,13 +315,16 @@ def test_known_order_raises_before_listing(monkeypatch):
     regular = build_slightly_degenerate("epsilon", 10).monodromy_group()
     assert regular.is_regular()
     for G, bound in ((s5, 119), (regular, 39)):
+        monkeypatch.setattr(perm, "DEFAULT_ELEMENT_BOUND", bound)
         with pytest.raises(BoundExceeded,
                            match=f"^group exceeds element bound {bound}$"):
-            G.elements(bound)
+            G.elements()
         with pytest.raises(BoundExceeded):
-            minimal_normal_subgroups(G, bound)
+            minimal_normal_subgroups(G)
         assert walks == []
-    assert len(s5.elements(120)) == 120 and len(regular.elements(40)) == 40
+    for G, order in ((s5, 120), (regular, 40)):
+        monkeypatch.setattr(perm, "DEFAULT_ELEMENT_BOUND", order)
+        assert len(G.elements()) == order
 
 
 def test_left_tables_are_left_multiplication():
@@ -332,7 +338,7 @@ def test_left_tables_are_left_multiplication():
     groups.append(PermGroup(5, [Perm((1, 2, 3, 4, 0)), Perm((1, 0, 2, 3, 4))]))
     assert {G.is_regular() for G in groups} == {True, False}
     for G in groups:
-        listing = G._listed(DEFAULT_ELEMENT_BOUND)
+        listing = G._listed()
         images = listing.image_builder()
         els = [Perm(images(i)) for i in range(listing.count)]
         where = {p: i for i, p in enumerate(els)}
@@ -490,12 +496,14 @@ def test_minimal_normals_match_reference(G, data):
     if order == 1:
         return
     bound = data.draw(st.integers(1, order - 1), label="bound")
-    for search in (minimal_normal_subgroups,
-                   reference_search.minimal_normal_subgroups):
-        with pytest.raises(BoundExceeded):
-            search(PermGroup(G.degree, G.generators), bound)
-    assert element_sets(minimal_normal_subgroups(
-        PermGroup(G.degree, G.generators), order)) == element_sets(got)
+    with element_bound(bound), pytest.raises(BoundExceeded):
+        minimal_normal_subgroups(PermGroup(G.degree, G.generators))
+    with pytest.raises(BoundExceeded):
+        reference_search.minimal_normal_subgroups(
+            PermGroup(G.degree, G.generators), bound)
+    with element_bound(order):
+        assert element_sets(minimal_normal_subgroups(
+            PermGroup(G.degree, G.generators))) == element_sets(got)
 
 
 def test_stream_places_subgroups_found_at_different_class_sizes():
@@ -777,7 +785,8 @@ def regular_groups(draw):
         rng = random.Random(draw(st.integers(0, 2**32), label="map seed"))
         m = random_rooted_map(rng, draw(st.integers(1, 3)))
         try:
-            return smallest_reflexible_cover(m, bound=720).monodromy_group()
+            with element_bound(720):
+                return smallest_reflexible_cover(m).monodromy_group()
         except BoundExceeded:
             pass
     G = draw(small_groups())
@@ -821,18 +830,20 @@ QUERIES = ("order", "is_regular", "elements", "contains",
 
 
 def answer(G, query, probes, bound):
-    """G's answer to one of QUERIES, a bound exceeded being an answer."""
+    """G's answer to one of QUERIES under the element bound ``bound``, a
+    bound exceeded being an answer."""
     try:
         if query == "order":
             return G.order()
         if query == "is_regular":
             return G.is_regular()
-        if query == "elements":
-            return G.elements(bound)
         if query == "contains":
             return [G.contains(p) for p in probes]
-        return [(N.generators, N.order())
-                for N in minimal_normal_subgroups(G, bound)]
+        with element_bound(bound):
+            if query == "elements":
+                return G.elements()
+            return [(N.generators, N.order())
+                    for N in minimal_normal_subgroups(G)]
     except BoundExceeded as exc:
         return str(exc)
 
@@ -866,8 +877,8 @@ def test_order_bookkeeping_answers_alike_in_any_order(G, source, queries,
     # asked, it answers as a new group asked in a fixed order, order()
     # first; the order, once known, is kept in _order; a regular group
     # builds no chain, a group with a chain answers order() and contains()
-    # with no regularity test, and once the order is known elements(bound)
-    # below it raises before anything is walked
+    # with no regularity test, and once the order is known elements()
+    # under an element bound below it raises before anything is walked
     order = PermGroup(G.degree, G.generators).chain().order()
     H, early = taught(G, source, order), taught(G, source, order)
     knows = H._order is not None or H._chain is not None
@@ -885,8 +896,8 @@ def test_order_bookkeeping_answers_alike_in_any_order(G, source, queries,
         tested = count_calls(mp, perm, "_left_tables")
         walks = count_calls(mp, perm, "_numbered_orbit")
         if knows:
-            with pytest.raises(BoundExceeded):
-                early.elements(order - 1)
+            with element_bound(order - 1), pytest.raises(BoundExceeded):
+                early.elements()
             assert walks == [] and early._order == order
         for query in queries:
             before = len(tested)

@@ -18,7 +18,7 @@ from flagmaps.perm import BoundExceeded, _orbit_partition, is_normal_in
 from flagmaps.quotient import (MapMorphism, NotAnAutomorphism, NotNormal,
                                StabilizerNotContained, _orbit_quotient)
 
-from .conftest import random_rooted_map
+from .conftest import element_bound, random_rooted_map
 
 
 def stabilizer_subgroup(m):
@@ -258,8 +258,9 @@ def test_block_quotient_equals_the_checked_map(seed, n_edges):
     # minimal normal subgroup
     partitions = [[], [g.images for g in m.generators()]]
     try:
-        for H in minimal_normal_subgroups(m.monodromy_group(), 5000):
-            partitions.append([g.images for g in H.generators])
+        with element_bound(5000):
+            for H in minimal_normal_subgroups(m.monodromy_group()):
+                partitions.append([g.images for g in H.generators])
     except BoundExceeded:
         pass
     for tables in partitions:

@@ -165,22 +165,44 @@ def test_bench_pairs_bad_arguments(tmp_path, args):
     assert "pair 0" not in done.stdout
 
 
-def test_output_digest_is_stable():
-    # one line per workload, and the same digests from a second run
-    runs = [run_script("output_digest.py", "--seeds", "1") for _ in range(2)]
-    assert [done.returncode for done in runs] == [0, 0], runs[0].stderr
-    lines = runs[0].stdout.splitlines()
+def test_output_digest_is_stable(tmp_path):
+    # one line per workload, and the same digests from a second run: a
+    # run against this checkout marks every line the same
+    root = SCRIPTS.parent
+    done = run_script("output_digest.py", "--seeds", "1", "--against", root)
+    assert done.returncode == 0, done.stderr
+    marked = [line.rsplit(" ", 1) for line in done.stdout.splitlines()]
+    assert {mark for _, mark in marked} == {"same"}
+    lines = [line for line, _ in marked]
     assert [line.rsplit(" ", 1)[0] for line in lines] == [
         "census seed 1", "analyze seed 1", "decompose seed 1",
         "constructions seed 1"]
     assert all(len(line.rsplit(" ", 1)[1]) == 64 for line in lines)
-    assert runs[1].stdout == runs[0].stdout
+    # a checkout whose script prints one altered line differs there alone
+    altered = lines[:2] + [lines[2][:-1] + "x"] + lines[3:]
+    stub = tmp_path / "stub"
+    (stub / "scripts").mkdir(parents=True)
+    (stub / "scripts" / "output_digest.py").write_text(
+        f"print({chr(10).join(altered)!r})\n")
+    done = run_script("output_digest.py", "--seeds", "1", "--against", stub)
+    assert done.returncode == 1, done.stderr
+    assert done.stdout.splitlines() == [
+        f"{line} {'differs' if i == 2 else 'same'}"
+        for i, line in enumerate(lines)]
+    # a checkout whose script fails differs everywhere
+    (stub / "scripts" / "output_digest.py").write_text("raise SystemExit(3)\n")
+    done = run_script("output_digest.py", "--seeds", "1", "--against", stub)
+    assert done.returncode == 1
+    assert done.stdout.splitlines() == [f"{line} differs" for line in lines]
+    assert "exited 3" in done.stderr
 
 
 @pytest.mark.parametrize("args", [["--seeds"], ["--seeds", "x"], ["1"],
-                                  ["--other"]])
-def test_output_digest_bad_arguments(args):
-    done = run_script("output_digest.py", *args)
+                                  ["--other"], ["--against"],
+                                  ["--against", "{missing}"]])
+def test_output_digest_bad_arguments(tmp_path, args):
+    done = run_script("output_digest.py", *(
+        a.format(missing=tmp_path / "missing") for a in args))
     assert done.returncode == 2
     assert done.stderr.startswith("usage:")
     assert done.stdout == ""
