@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-from .fpres import (DEFAULT_MAX_COSETS, EnumerationOverflow, Presentation,
-                    Word, format_word, parse_word, word_power)
+from . import fpres
+from .fpres import (EnumerationOverflow, Presentation, Word, format_word,
+                    parse_word, word_power)
 from .mapcore import (CONTEXT_WORDS, TRIALITY, RootedMap, _sheeted_map,
                       canonicalize, is_reflexible)
 
@@ -220,13 +221,13 @@ def _dihedral_map(family: str, k: int | None, presentation: Presentation,
     its ``presentation`` fixes the root.  In a regular group only the
     identity fixes a point, so the group satisfies the relators; it has
     the presented group's order, so it is that group.  More than
-    ``DEFAULT_MAX_COSETS`` flags, the bound coset enumeration of the
-    family had, is refused before any table is built."""
+    ``fpres.DEFAULT_MAX_COSETS`` flags, the bound coset enumeration of
+    the family had, is refused before any table is built."""
     name = family if k is None else f"{family}_{k}"
-    if order > DEFAULT_MAX_COSETS:
+    bound = fpres.DEFAULT_MAX_COSETS
+    if order > bound:
         raise EnumerationOverflow(
-            f"{name} has {order:,} flags, past the flag bound "
-            f"{DEFAULT_MAX_COSETS:,}")
+            f"{name} has {order:,} flags, past the flag bound {bound:,}")
     period, sheets, rows = _ACTIONS[family]
     period *= 1 if k is None else k
     if period * sheets != order:

@@ -107,9 +107,10 @@ def named_automorphisms_present(m: RootedMap) -> frozenset[str]:
     """Which of the thirteen named automorphisms m contains at its root.
     Some automorphism takes the root to root.W exactly when root.W lies in
     the root's Aut-orbit: each word is read on the T, L and R tables and
-    compared by the flags' Aut-orbit labels, which the map keeps
-    (``RootedMap._aut_orbits``) and shares with its re-rootings."""
-    orbit_of = m._aut_orbits[0]
+    compared by the flags' Aut-orbit labels, which Aut keeps
+    (``PermGroup._partition``) on the Mon a map shares with its
+    re-rootings."""
+    orbit_of = automorphism_group(m)._partition[0]
     tables = dict(zip(GENERATOR_NAMES, _tables(m)))
     present = []
     for name, word in NAMED_AUTOMORPHISM_WORDS.items():
@@ -136,7 +137,7 @@ def _cell_sizes_by_orbit(m: RootedMap, blocks: tuple) -> list[int]:
     by least flag.  Automorphisms take cells to cells of the same size, so
     two cells lie in one Aut-orbit exactly when some of their flags do,
     and the least Aut-orbit label among a cell's flags names its orbit."""
-    orbit_of = m._aut_orbits[0]
+    orbit_of = automorphism_group(m)._partition[0]
     sizes: dict[int, int] = {}
     for cell in blocks:
         key = min(map(orbit_of.__getitem__, cell))
@@ -152,16 +153,15 @@ def classify_type(m: RootedMap) -> tuple[str, RootedMap] | None:
 
     The four simple re-rootings are tried in the order root, root.T,
     root.L, root.TL; the first whose named-automorphism set equals a type
-    row wins.  Aut is the same group at every rooting, so the flags are
-    labeled by Aut-orbit once, on m, and each re-rooting shares the labels
-    and asks for no Aut.  An edge-transitive map that matches no row,
-    which the fourteen-type theorem rules out, raises RuntimeError; the
+    row wins.  Aut is the same group at every rooting, kept on the Mon
+    that every re-rooting shares, so the flags are labeled by Aut-orbit
+    once.  An edge-transitive map that matches no row, which the
+    fourteen-type theorem rules out, raises RuntimeError; the
     decomposability route reads no row
     (``decomp.decomposability_edge_transitive``).
     """
     if not is_edge_transitive(m):
         return None
-    m._aut_orbits  # found on m, before re-rooting, for every re-rooting
     for candidate in simple_reroots(m):
         present = named_automorphisms_present(candidate)
         for label, required in TYPE_TABLE.items():

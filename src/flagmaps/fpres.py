@@ -7,9 +7,11 @@ how monodromy groups are realized from relation data.
 
 A word is a tuple of (generator name, nonzero exponent) pairs, read from
 text by ``parse_word``.  ``evaluate_word`` (and ``word_order`` on top of
-it) is the one place a word becomes a permutation: relators, the seven
-context words, the relations of edge-transitive types and command-line
-words all go through it.
+it) is the one place a word becomes a ``Perm``, as for the relations of
+edge-transitive types and command-line words.  Readers of a word's action
+on points walk its letters on the tables: ``todd_coxeter`` the relators,
+``mapcore.context_cycle_orders`` the context words, ``degen`` relators
+and ``ettype.named_automorphisms_present`` the named words.
 """
 
 from __future__ import annotations

@@ -83,7 +83,8 @@ class MapInvariantError(ValueError):
 
 @dataclass(frozen=True)
 class RootedMap:
-    """Flags {0..n-1} with involutions t, l, r and a root flag."""
+    """Flags {0..n-1} with involutions t, l, r and a root flag.  It keeps
+    its root-free facts once found (``_ROOT_FREE_FACTS``); Mon keeps Aut."""
 
     t: Perm
     l: Perm
@@ -132,19 +133,6 @@ class RootedMap:
         return PermGroup(self.n_flags, self.generators())
 
     @cached_property
-    def _automorphism_group(self) -> PermGroup:
-        """Aut, found once per map (see automorphism_group): the
-        centralizer of Mon, from Mon's scan of the flags."""
-        return self.monodromy_group().centralizer()
-
-    @cached_property
-    def _aut_orbits(self) -> tuple[list[int], list[list[int]]]:
-        """Each flag's Aut-orbit number and the Aut-orbits, found once per
-        map (``perm._orbit_partition`` of Aut's tables)."""
-        return _orbit_partition(self._automorphism_group.tables,
-                                self.n_flags)
-
-    @cached_property
     def _context_orders(self) -> tuple[int, ...]:
         """Orders of the seven context words, found once per map (see
         degen.context_vector) by ``context_cycle_orders``.  Aut commutes
@@ -152,7 +140,7 @@ class RootedMap:
         Aut-orbit have one length, and one flag per Aut-orbit meets every
         length."""
         lg = LabeledGenerators(GENERATOR_NAMES, self.generators())
-        starts = [orbit[0] for orbit in self._aut_orbits[1]]
+        starts = [o[0] for o in automorphism_group(self)._partition[1]]
         return tuple(context_cycle_orders(lg, starts))
 
     @cached_property
@@ -413,7 +401,7 @@ def is_reflexible(m: RootedMap) -> bool:
 
 def automorphism_group(m: RootedMap) -> PermGroup:
     """Aut(m) as a permutation group on the flags (semiregular), found
-    once per map and kept on it: the centralizer of Mon in Sym(flags),
+    once per map and kept on Mon: its centralizer in Sym(flags),
     since an automorphism is a flag bijection that commutes with T, L
     and R.
 
@@ -421,22 +409,23 @@ def automorphism_group(m: RootedMap) -> PermGroup:
     flag 0 to each flag outside the orbit of 0 under the ones found so
     far, and skips the orbit of each flag no automorphism reaches.  Each
     kept generator at least doubles that orbit, so there are at most
-    log2 |Aut| generators.  The group knows its order.
+    log2 |Aut| generators.  The group knows its order and keeps the
+    Aut-orbits (``PermGroup._partition``).
     """
-    return m._automorphism_group
+    return m.monodromy_group().centralizer()
 
 
 # --- re-rooting -------------------------------------------------------------
 
-# The facts kept on a map that do not depend on its root.
-_ROOT_FREE_FACTS = ("_surface", "_monodromy_group", "_automorphism_group",
-                    "_aut_orbits", "_context_orders")
+# The facts kept on a map that do not depend on its root; Aut and the
+# Aut-orbits are kept on Mon.
+_ROOT_FREE_FACTS = ("_surface", "_monodromy_group", "_context_orders")
 
 
 def reroot(m: RootedMap, flag: int) -> RootedMap:
     """m rooted at flag, sharing the root-free facts m has already found:
-    its surface, Mon, Aut, the Aut-orbits and the context orders.
-    Only the new root is checked: the generators are m's."""
+    its surface, Mon (and with it Aut and the Aut-orbits) and the context
+    orders.  Only the new root is checked: the generators are m's."""
     if not 0 <= flag < m.n_flags:
         raise MapInvariantError("root flag out of range")
     out = _rooted_map(m.t, m.l, m.r, flag)

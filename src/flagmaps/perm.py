@@ -13,10 +13,11 @@ tables that generate its centralizer.  Other groups get orders and
 membership from an incremental Schreier-Sims stabilizer chain on image
 tuples, keeping each transversal element and its inverse, unless the order
 is already known.  The centralizer of a transitive group comes from a scan
-of the points from point 0 (``_centralizer_scan``), kept on the group: Aut
-of a map is the centralizer of its Mon.  Orbits whose objects are numbered
-come from ``_numbered_orbit``, a bounded breadth-first walk that records
-its Schreier tables.  Each reader of a group's elements lists them anew
+of the points from point 0 (``_centralizer_scan``), kept on the group, as
+is its orbit partition once read: Aut of a map is the centralizer of its
+Mon, and the Aut-orbits are Aut's partition.  Orbits whose objects are
+numbered come from ``_numbered_orbit``, a bounded breadth-first walk that
+records its Schreier tables.  Each reader of a group's elements lists them anew
 (``Listing``), each named by the images of a base on whose orbit the group
 acts regularly and faithfully, walked once (``_walk``): the points of a
 regular group with no walk at all; for a transitive group with a
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from math import inf, isqrt, lcm
 from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
@@ -233,14 +235,6 @@ class _Level:
             k += 1
 
 
-def _check_degree(degree: int) -> None:
-    """The degree bound of stabilizer chains, which also applies to the
-    answers read without one."""
-    if degree > DEFAULT_DEGREE_BOUND:
-        raise BoundExceeded(
-            f"degree {degree} exceeds bound {DEFAULT_DEGREE_BOUND}")
-
-
 class StabilizerChain:
     """Incremental deterministic Schreier-Sims chain for order/membership,
     on image tuples: no ``Perm`` is built.
@@ -261,7 +255,9 @@ class StabilizerChain:
     """
 
     def __init__(self, gens: Sequence[Perm], degree: int):
-        _check_degree(degree)
+        if degree > DEFAULT_DEGREE_BOUND:
+            raise BoundExceeded(
+                f"degree {degree} exceeds bound {DEFAULT_DEGREE_BOUND}")
         self.degree = degree
         self.identity = tuple(range(degree))
         self.levels: list[_Level] = []
@@ -407,8 +403,9 @@ class PermGroup:
     def centralizer(self) -> "PermGroup":
         """The centralizer of a transitive G in Sym(degree), found once by
         ``_centralizer_scan`` and kept.  It is semiregular and knows its
-        order.  Aut of a map is the centralizer of its Mon.  Raises
-        ValueError when G is not transitive."""
+        order.  Aut of a map is the centralizer of its Mon, so Mon owns Aut
+        and Aut its orbits (``_partition``).  Raises ValueError when G is
+        not transitive."""
         if self._centralizer_group is None:
             if not self.is_transitive():
                 raise ValueError("the centralizer scan needs a transitive "
@@ -420,9 +417,9 @@ class PermGroup:
     def order(self) -> int:
         """The order, kept once known: given by whoever built the group (as
         Aut's is), counted by a listing, else read off a chain that exists,
-        else the degree of a regular group, else a new chain's.  The
-        chain's degree bound applies to every answer."""
-        _check_degree(self.degree)
+        else the degree of a regular group, else a new chain's.  Only a
+        new chain checks the degree bound, so a group past it answers an
+        order it knows or reads off its regularity."""
         if self._order is None:
             if self._chain is not None or not self.is_regular():
                 self._order = self.chain().order()
@@ -430,15 +427,14 @@ class PermGroup:
 
     def contains(self, p: Perm) -> bool:
         """Membership: with no chain, a regular group's members are the
-        permutations that commute with its left tables; else a chain's."""
+        permutations that commute with its left tables; else a chain's,
+        which is built under the degree bound."""
         if not self.generators:
             return p.degree == self.degree and p.is_identity()
-        if self._chain is None:
-            _check_degree(self.degree)
-            if self.is_regular():
-                x = p.images
-                return p.degree == self.degree and all(
-                    _intertwines(x, c, c) for c in self._left)
+        if self._chain is None and self.is_regular():
+            x = p.images
+            return p.degree == self.degree and all(
+                _intertwines(x, c, c) for c in self._left)
         return self.chain().contains(p)
 
     __contains__ = contains
@@ -449,8 +445,13 @@ class PermGroup:
 
     def orbits(self) -> list[list[int]]:
         """Orbit partition of {0..degree-1}, blocks sorted by least point."""
-        return [sorted(block) for block in
-                _orbit_partition(self.tables, self.degree)[1]]
+        return [sorted(block) for block in self._partition[1]]
+
+    @cached_property
+    def _partition(self) -> tuple[list[int], list[list[int]]]:
+        """Each point's orbit number and the orbits, found once per group
+        by ``_orbit_partition`` (for Aut: the Aut-orbits of the flags)."""
+        return _orbit_partition(self.tables, self.degree)
 
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree
@@ -506,8 +507,7 @@ class PermGroup:
                               self.degree)
         elif ((not order or order > self.degree) and self.is_transitive()
               and self.centralizer().generators):
-            base = tuple(o[0] for o in _orbit_partition(
-                self.centralizer().tables, self.degree)[1])
+            base = tuple(o[0] for o in self.centralizer()._partition[1])
             listing = _walk(gens, base, self.degree, bound, message)
         else:
             listing = None

@@ -20,7 +20,8 @@ from functools import cached_property
 
 from .mapcore import (RootedMap, _tables, is_reflexible, isomorphism, reroot,
                       triality_class)
-from .perm import DEFAULT_ELEMENT_BOUND, Perm, _numbered_orbit
+from . import perm
+from .perm import Perm, _numbered_orbit
 from .quotient import MapMorphism
 
 
@@ -61,17 +62,17 @@ def parallel_product(m: RootedMap, n: RootedMap) -> ProductWitness:
     """Breadth-first orbit of (root, root) under (T,T), (L,L), (R,R).
 
     The walk's tables are the product's T, L and R.  Raises BoundExceeded
-    as soon as the orbit passes DEFAULT_ELEMENT_BOUND flags, before any
-    product map is built."""
+    as soon as the orbit passes ``perm.DEFAULT_ELEMENT_BOUND`` flags, read
+    at each call, before any product map is built."""
     (mt, ml, mr), (nt, nl, nr) = _tables(m), _tables(n)
 
     def images(xy: tuple[int, int]) -> tuple[tuple[int, int], ...]:
         x, y = xy
         return (mt[x], nt[y]), (ml[x], nl[y]), (mr[x], nr[y])
 
-    order, tables = _numbered_orbit(
-        (m.root, n.root), images, DEFAULT_ELEMENT_BOUND,
-        f"parallel product exceeds {DEFAULT_ELEMENT_BOUND} flags")
+    bound = perm.DEFAULT_ELEMENT_BOUND
+    order, tables = _numbered_orbit((m.root, n.root), images, bound,
+                                    f"parallel product exceeds {bound} flags")
     product = RootedMap(*map(Perm, tables), root=0)
     return ProductWitness(product, m, n, tuple(order))
 

@@ -1,6 +1,8 @@
 """The element bound is one module constant, ``perm.DEFAULT_ELEMENT_BOUND``,
-read by ``perm`` when a listing or a closure runs: lowering it reaches
-every entry point, and no public function takes a bound of its own."""
+read by ``perm`` when a listing or a closure runs and by
+``product.parallel_product`` when it walks: lowering it reaches every entry
+point, and no public function takes a bound of its own.  The flag bound of
+a preset, ``fpres.DEFAULT_MAX_COSETS``, is read when the preset is built."""
 
 import inspect
 from pathlib import Path
@@ -8,13 +10,15 @@ from pathlib import Path
 import pytest
 
 import flagmaps
-from flagmaps import (BoundExceeded, LabeledGenerators,
+from flagmaps import (BoundExceeded, LabeledGenerators, build_degenerate,
                       build_slightly_degenerate, congruent_labeled_groups,
                       construct_from_group, decomp, decompose_with_certificate,
                       decomposability_edge_transitive,
-                      decomposability_general, ettype, minimal_normal_subgroups,
-                      normal_closure, perm, product, smallest_reflexible_cover)
-from flagmaps.fpres import parse_word
+                      decomposability_general, ettype, fpres,
+                      minimal_normal_subgroups, normal_closure,
+                      parallel_product, perm, product,
+                      smallest_reflexible_cover)
+from flagmaps.fpres import EnumerationOverflow, parse_word
 from flagmaps.perm import conjugacy_classes
 
 from .test_perm import dihedral
@@ -49,7 +53,12 @@ RAISING = {
         epsilon_map()),
     "decompose_with_certificate": lambda: decompose_with_certificate(
         epsilon_map()),
+    # DM6(10) || DM7(10) has 200 flags
+    "parallel_product": lambda: parallel_product(build_degenerate(6, 10),
+                                                 build_degenerate(7, 10)),
 }
+# each raises "... element bound {bound}" but the product, which counts flags
+MESSAGES = {"parallel_product": "parallel product exceeds {bound} flags$"}
 
 UNKNOWN = {
     "decomposability_general": decomposability_general,
@@ -67,12 +76,25 @@ def test_lowering_the_one_bound_reaches_every_entry_point(name, monkeypatch):
         assert UNKNOWN[name](epsilon_map()).decomposable is not None
     monkeypatch.setattr(perm, "DEFAULT_ELEMENT_BOUND", LOWERED)
     if name in RAISING:
-        with pytest.raises(BoundExceeded, match=f" element bound {LOWERED}$"):
+        message = MESSAGES.get(name, " element bound {bound}$")
+        with pytest.raises(BoundExceeded, match=message.format(bound=LOWERED)):
             RAISING[name]()
         return
     verdict = UNKNOWN[name](epsilon_map())
     assert verdict.decomposable is None
     assert verdict.reason == f"group exceeds element bound {LOWERED}"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: epsilon_map(), lambda: build_degenerate(6, 20)],
+    ids=["epsilon_10", "DM6_20"])
+def test_lowering_the_coset_bound_reaches_the_presets(build, monkeypatch):
+    # both presets have 40 flags
+    assert build().n_flags == 40
+    monkeypatch.setattr(fpres, "DEFAULT_MAX_COSETS", 10)
+    with pytest.raises(EnumerationOverflow,
+                       match="has 40 flags, past the flag bound 10$"):
+        build()
 
 
 def public_callables():

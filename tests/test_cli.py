@@ -156,6 +156,33 @@ def test_decompose_command(capsys, tmp_path, c4_sphere):
     assert f1.n_flags == 8
 
 
+def test_degree_bound_stops_only_stabilizer_chains(capsys, tmp_path,
+                                                   monkeypatch, random_maps):
+    # past the degree bound, a proven verdict still prints its witnesses'
+    # known orders and a regular Mon its order; a Mon with a trivial Aut
+    # is listed through a stabilizer chain, and still exits 2
+    from flagmaps import automorphism_group, perm
+    monkeypatch.setattr(perm, "DEFAULT_DEGREE_BOUND", 8)
+    src = tmp_path / "dm6_6.map"
+    src.write_text(save_map(build_degenerate(6, 6)))
+    factors = tmp_path / "factors"
+    code, out, _ = run_cli(capsys, "decompose", str(src),
+                           "--emit-factors", str(factors))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["decomposable"] is True
+    assert payload["certificate_checked"] is True
+    assert sorted(p.name for p in factors.iterdir()) == ["factor1.map",
+                                                         "factor2.map"]
+    assert run_cli(capsys, "analyze", str(src), "--json")[0] == 0
+    m = next(m for m in random_maps
+             if m.n_flags > 8 and automorphism_group(m).is_trivial())
+    src.write_text(save_map(m))
+    code, _, err = run_cli(capsys, "analyze", str(src), "--json")
+    assert code == 2
+    assert f"degree {m.n_flags} exceeds bound 8" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("du", "MAP", "-o", "DIR"),
     ("analyze", "DIR"),
@@ -491,13 +518,14 @@ def test_analysis_report_consistency(tetrahedron):
 def test_analysis_builds_one_monodromy_group(monkeypatch, tetrahedron,
                                              fig3_quotient, c4_sphere,
                                              random_maps):
-    # a cold map: one Mon, one surface and one Aut generator search serve
-    # the whole report, the decomposition of a decomposable map included
-    from flagmaps import RootedMap, decomposability_general
+    # a cold map: one Mon, one surface and one scan for Aut (the
+    # centralizer of Mon) serve the whole report, the decomposition of a
+    # decomposable map included
+    from flagmaps import RootedMap, decomposability_general, perm
     from flagmaps.degen import context_vector
     from flagmaps.mapcore import genus_symbol, is_reflexible
 
-    from .conftest import count_fact_runs
+    from .conftest import count_calls, count_fact_runs
     decomposable = 0
     for m in [tetrahedron, fig3_quotient, c4_sphere, build_degenerate(6, 6)
               ] + random_maps[:15]:
@@ -510,9 +538,10 @@ def test_analysis_builds_one_monodromy_group(monkeypatch, tetrahedron,
         with monkeypatch.context() as mp:
             built = count_fact_runs(mp, "_monodromy_group")
             surfaces = count_fact_runs(mp, "_surface")
-            searches = count_fact_runs(mp, "_automorphism_group")
+            scans = count_calls(mp, perm, "_centralizer_scan")
             report = analyze_map(m)
-        assert built == surfaces == searches == [m]
+        assert built == surfaces == [m]
+        assert scans == [(m.monodromy_group().tables, m.n_flags)]
         assert (report.decomposability, report.reflexible,
                 report.monodromy_order) == expected
         assert (report.genus_symbol, report.isomorphism_symbol,

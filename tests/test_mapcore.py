@@ -252,13 +252,17 @@ def test_is_reflexible_matches_all_flags_search(
 
 def test_automorphism_generators_found_once_per_map(tetrahedron):
     m = RootedMap(*tetrahedron.generators(), root=tetrahedron.root)
-    assert "_automorphism_group" not in vars(m)
-    first = automorphism_group(m)
-    cached = vars(m)["_automorphism_group"]
-    second = automorphism_group(m)
-    assert vars(m)["_automorphism_group"] is cached
-    assert first is second is cached and first._chain is None
-    assert first._order == m.n_flags
+    with pytest.MonkeyPatch.context() as mp:
+        scans = count_calls(mp, perm, "_centralizer_scan")
+        partitions = count_calls(mp, perm, "_orbit_partition")
+        first = automorphism_group(m)
+        second = automorphism_group(m)
+        assert first is second is m.monodromy_group().centralizer()
+        assert len(scans) == 1
+        # Aut keeps its orbit partition: read twice, walked once
+        assert first._partition is first._partition
+        assert partitions == [(first.tables, m.n_flags)]
+    assert first._chain is None and first._order == m.n_flags
     # a new map object searches again and finds the same generators
     again = RootedMap(*tetrahedron.generators(), root=tetrahedron.root)
     assert automorphism_group(again).generators == first.generators
@@ -438,14 +442,15 @@ def check_reroot_shares_root_free_facts(m, flags):
     for f in flags:
         with pytest.MonkeyPatch.context() as mp:
             runs = [count_fact_runs(mp, name) for name in (
-                "_surface", "_monodromy_group", "_automorphism_group",
-                "_aut_orbits", "_context_orders")]
+                "_surface", "_monodromy_group", "_context_orders")]
+            scans = count_calls(mp, perm, "_centralizer_scan")
             shared = reroot(m, f)
             shared_facts = reroot_facts(shared)
             shared_aut = automorphism_group(shared)
             assert shared_aut is aut
             assert shared.monodromy_group() is mon
-            assert runs == [[], [], [], [], []]  # found once, on m
+            assert runs == [[], [], []]  # found once, on m
+            assert scans == []  # Aut is kept on the one Mon
         cold = RootedMap(m.t, m.l, m.r, f)
         assert shared_facts == reroot_facts(cold)
         assert shared_aut == automorphism_group(cold)

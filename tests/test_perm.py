@@ -358,14 +358,18 @@ def test_degree_bound():
 
 
 def test_degree_bound_on_regular_groups():
+    # the bound is the stabilizer chain's: a regular group past it reads
+    # its order and its members off its regularity, and builds no chain
     n = 20_001
     cycle = Perm(tuple((i + 1) % n for i in range(n)))
-    with pytest.raises(BoundExceeded):
-        PermGroup(n, [cycle]).order()
-    with pytest.raises(BoundExceeded):
-        PermGroup(n, [cycle]).contains(cycle)
+    assert PermGroup(n, [cycle]).order() == n
+    assert PermGroup(n, [cycle]).contains(cycle)
+    assert not PermGroup(n, [cycle]).contains(
+        Perm(tuple(-i % n for i in range(n))))
     # the test itself is not bounded: it is the reflexibility test of maps
     assert PermGroup(n, [cycle]).is_regular()
+    with pytest.raises(BoundExceeded):
+        PermGroup(n, [cycle]).chain()
 
 
 def dihedral(n):
